@@ -27,7 +27,6 @@ from .policies import (
     ExternPolicy,
     HeuristicBooks,
     Policy,
-    lookahead_oracle,
     make_policy,
     oracle_best_action,
 )

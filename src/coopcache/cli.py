@@ -29,6 +29,14 @@ from .verification import run_verification
 
 _ENV_OUT = "COOPCACHE_OUT_DIR"
 
+# Every key a --config file may hold: the ones _run_config reads.
+_CONFIG_KEYS = frozenset({
+    "schema", "bs", "users", "library", "cache", "groups", "alpha", "windows",
+    "radius", "warm_slots", "rollout_slots", "horizon_reserve", "horizon", "gamma",
+    "lambda_fmt", "lambda_opp", "epsilon", "instance", "policies", "seeds", "slots",
+    "out", "extern_timeout",
+})
+
 
 def _add_instance_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bs", type=int, default=None, help="number of base stations")
@@ -99,8 +107,11 @@ def _load_file_cfg(path: str | None) -> dict:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
-    if cfg.get("schema") != RUNCONFIG_SCHEMA:
+    if not isinstance(cfg, dict) or cfg.get("schema") != RUNCONFIG_SCHEMA:
         raise SystemExit(f"config file must declare schema {RUNCONFIG_SCHEMA!r}")
+    unknown = sorted(set(cfg) - _CONFIG_KEYS)
+    if unknown:
+        raise SystemExit(f"unknown key(s) in config file {path}: {', '.join(unknown)}")
     return cfg
 
 

@@ -11,11 +11,12 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from itertools import islice
 
-from .core import EMPTY_SLOT, JointAction, apply
+from .core import EMPTY_SLOT
+from .episode import expert_walk
 from .interface import decode_prompt, encode, parse, serialize
-from .policies import oracle_best_action
-from .traffic import Instance, advance_tracker, observe, warm_start
+from .traffic import Instance
 
 TRUNCATION_MARKER = "truncated"
 
@@ -63,37 +64,13 @@ def _peek_sha256(peek) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _expert_walk(instance: Instance, horizon: int, gamma: float, warm_slots):
-    """Step the expert through the trace, yielding one tuple per slot.
-
-    Warm-up runs eagerly (before the first yield is requested) so callers
-    asking for zero records still reproduce the warm-started environment.
-    """
-    warm = warm_start(instance, horizon, gamma, warm_slots)
-    start = (instance.config.warm_slots if warm_slots is None else warm_slots) + 1
-    bs_range = range(1, instance.config.bs_count + 1)
-
-    def walk(cache=warm.cache, tracker=warm.tracker):
-        t = start
-        while t + horizon <= instance.trace_len:
-            requests = instance.request_slot(t)
-            tracker = advance_tracker(tracker, requests)
-            obs = observe(t, cache, requests, tracker)
-            peek = instance.peek(t, horizon)
-            expert = JointAction.valid(
-                [
-                    oracle_best_action(
-                        cache, b, requests, peek, instance.graph, horizon, gamma
-                    )
-                    for b in bs_range
-                ]
-            )
-            full = all(cache.is_full(b) for b in bs_range)
-            yield t, obs, expert, peek, full
-            cache = apply(cache, expert, requests)
-            t += 1
-
-    return walk()
+def _export(instance: Instance, records: int, horizon: int, gamma: float,
+            warm_slots, make_record) -> SftExport:
+    """Take ``records`` full-cache slots of the expert walk, one record each."""
+    sha = instance.sha256()
+    walk = islice(expert_walk(instance, horizon, gamma, warm_slots), max(records, 0))
+    out = tuple(make_record(obs, expert, peek, sha) for obs, expert, peek in walk)
+    return SftExport(out, records, len(out) < records)
 
 
 def generate_sft(instance: Instance, records: int, horizon: int = 10,
@@ -103,99 +80,66 @@ def generate_sft(instance: Instance, records: int, horizon: int = 10,
     Stops after ``records`` pairs, or earlier with ``truncated`` set when
     the trace cannot supply the look-ahead window anymore.
     """
-    sha = instance.sha256()
-    out = []
-    for t, obs, expert, _peek, full in _expert_walk(instance, horizon, gamma, warm_slots):
-        if len(out) >= records:
-            break
-        if full:
-            out.append(
-                SftRecord(encode(obs), serialize(expert), instance.seed, t, sha)
-            )
-    return SftExport(tuple(out), records, len(out) < records)
+    return _export(
+        instance, records, horizon, gamma, warm_slots,
+        lambda obs, expert, _peek, sha: SftRecord(
+            encode(obs), serialize(expert), instance.seed, obs.slot, sha
+        ),
+    )
 
 
 def generate_grpo_states(instance: Instance, records: int, horizon: int = 10,
                          gamma: float = 0.9, warm_slots: int | None = None) -> SftExport:
     """Collect reward-stage states: every full-cache slot, expert attached."""
-    sha = instance.sha256()
-    out = []
-    for t, obs, expert, peek, full in _expert_walk(instance, horizon, gamma, warm_slots):
-        if len(out) >= records:
-            break
-        if full:
-            out.append(
-                GrpoStateRecord(
-                    encode(obs), serialize(expert), _peek_sha256(peek),
-                    instance.seed, t, sha,
-                )
-            )
-    return SftExport(tuple(out), records, len(out) < records)
+    return _export(
+        instance, records, horizon, gamma, warm_slots,
+        lambda obs, expert, peek, sha: GrpoStateRecord(
+            encode(obs), serialize(expert), _peek_sha256(peek), instance.seed, obs.slot, sha
+        ),
+    )
 
 
 def _dump(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def write_sft_jsonl(export: SftExport, path) -> None:
+def _write_jsonl(export: SftExport, path, row) -> None:
+    """One canonical JSON object per record, then the truncation marker if any."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for rec in export.records:
-            fh.write(
-                _dump(
-                    {
-                        "prompt": rec.prompt,
-                        "completion": rec.completion,
-                        "meta": {
-                            "seed": rec.seed,
-                            "slot": rec.slot,
-                            "instance_sha256": rec.instance_sha256,
-                        },
-                    }
-                )
-                + "\n"
-            )
+            fh.write(_dump(row(rec)) + "\n")
         if export.truncated:
-            fh.write(
-                _dump(
-                    {
-                        "marker": TRUNCATION_MARKER,
-                        "emitted": len(export.records),
-                        "requested": export.requested,
-                    }
-                )
-                + "\n"
-            )
+            marker = {
+                "marker": TRUNCATION_MARKER,
+                "emitted": len(export.records),
+                "requested": export.requested,
+            }
+            fh.write(_dump(marker) + "\n")
+
+
+def write_sft_jsonl(export: SftExport, path) -> None:
+    _write_jsonl(export, path, lambda rec: {
+        "prompt": rec.prompt,
+        "completion": rec.completion,
+        "meta": {
+            "seed": rec.seed,
+            "slot": rec.slot,
+            "instance_sha256": rec.instance_sha256,
+        },
+    })
 
 
 def write_grpo_jsonl(export: SftExport, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for rec in export.records:
-            fh.write(
-                _dump(
-                    {
-                        "prompt": rec.prompt,
-                        "expert": rec.expert_completion,
-                        "meta": {
-                            "seed": rec.seed,
-                            "slot": rec.slot,
-                            "instance_sha256": rec.instance_sha256,
-                            "peek_sha256": rec.peek_sha256,
-                        },
-                    }
-                )
-                + "\n"
-            )
-        if export.truncated:
-            fh.write(
-                _dump(
-                    {
-                        "marker": TRUNCATION_MARKER,
-                        "emitted": len(export.records),
-                        "requested": export.requested,
-                    }
-                )
-                + "\n"
-            )
+    _write_jsonl(export, path, lambda rec: {
+        "prompt": rec.prompt,
+        "expert": rec.expert_completion,
+        "meta": {
+            "seed": rec.seed,
+            "slot": rec.slot,
+            "instance_sha256": rec.instance_sha256,
+            "peek_sha256": rec.peek_sha256,
+        },
+    })
 
 
 @dataclass(frozen=True)

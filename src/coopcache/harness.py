@@ -19,7 +19,8 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from .core import StructuralError, apply, check_transition, hit_rate
+from .core import StructuralError, hit_rate
+from .episode import Episode
 from .interface import parse
 from .policies import Policy, make_policy
 from .reward import RewardConfig
@@ -27,10 +28,8 @@ from .traffic import (
     Instance,
     InstanceConfig,
     WarmState,
-    advance_tracker,
     build_instance,
     load_instance,
-    observe,
     save_instance,
     sweep_config,
     warm_start,
@@ -144,30 +143,19 @@ def rollout(instance: Instance, policy: Policy, slots: int | None = None,
     if warm is None:
         warm = warm_start(instance)
     policy.reset(instance, warm)
-    cache, tracker = warm.cache, warm.tracker
-    graph = instance.graph
+    episode = Episode(instance, warm)
     series: list[float] = []
     latencies: list[float] = []
     invalid = 0
     try:
-        for t in range(config.warm_slots + 1, config.warm_slots + slots + 1):
-            requests = instance.request_slot(t)
-            series.append(hit_rate(cache, requests, graph))
-            tracker = advance_tracker(tracker, requests)
-            obs = observe(t, cache, requests, tracker)
-            peek = instance.peek(t, policy.peek_len) if policy.wants_peek else None
+        for _ in range(slots):
+            obs = episode.advance()
+            series.append(hit_rate(obs.cache, obs.requests, instance.graph))
+            peek = instance.peek(obs.slot, policy.peek_len) if policy.wants_peek else None
             started = time.perf_counter()
             text = policy.decide(obs, peek)
             latencies.append(time.perf_counter() - started)
-            action = parse(text, obs)
-            if action.is_valid:
-                new_cache = apply(cache, action, requests)
-                if not check_transition(cache, new_cache):
-                    raise RuntimeError(
-                        f"slot {t}: policy {policy.name} broke the single-swap budget"
-                    )
-                cache = new_cache
-            else:
+            if not episode.step(parse(text, obs)):
                 invalid += 1
     finally:
         policy.close()
@@ -198,14 +186,44 @@ def _instance_for_seed(cfg: RunConfig, seed: int) -> Instance:
     return build_instance(cfg.instance_config, seed)
 
 
+def _check_specs(cfg: RunConfig, configs) -> None:
+    """Fail before the first rollout or file write on a spec that cannot run.
+
+    Two specs with the same policy name would overwrite each other's
+    report files and be averaged into one table row; a warm-up oracle or a
+    policy whose peek reaches past the trace end would fail only when it
+    gets there.
+    """
+    policies = [make_policy(spec, cfg.reward.gamma, cfg.extern_timeout)
+                for spec in cfg.policies]
+    names = [p.name for p in policies]
+    if len(set(names)) < len(names):
+        raise StructuralError(f"policy specs share a name: {names}")
+    for config in configs:
+        if config.warm_slots + cfg.reward.horizon > config.trace_slots:
+            raise StructuralError(
+                f"warm-up {config.warm_slots} + oracle horizon {cfg.reward.horizon} "
+                f"exceeds the {config.trace_slots}-slot trace"
+            )
+        slots = config.rollout_slots if cfg.slots is None else int(cfg.slots)
+        for p in policies:
+            tail = max(config.horizon_reserve, p.peek_len)
+            if config.warm_slots + slots + tail > config.trace_slots:
+                raise StructuralError(
+                    f"{p.name}: warm-up {config.warm_slots} + {slots} slots + "
+                    f"look-ahead {tail} exceeds the {config.trace_slots}-slot trace"
+                )
+
+
 def run(cfg: RunConfig) -> list[EvalReport]:
     """Evaluate every configured policy on every seed's frozen instance."""
+    instances = [_instance_for_seed(cfg, seed) for seed in cfg.seeds]
+    _check_specs(cfg, [instance.config for instance in instances])
     reports: list[EvalReport] = []
     out = cfg.out_dir
     if out:
         os.makedirs(out, exist_ok=True)
-    for seed in cfg.seeds:
-        instance = _instance_for_seed(cfg, seed)
+    for seed, instance in zip(cfg.seeds, instances):
         if out:
             save_instance(instance, os.path.join(out, f"instance_seed{seed}.json"))
         warm = warm_start(instance, cfg.reward.horizon, cfg.reward.gamma)
@@ -233,9 +251,10 @@ def sweep(cfg: RunConfig, axis: str, values) -> list[dict]:
         raise StructuralError(f"axis must be one of {SWEEP_AXES}")
     if cfg.instance_config is None:
         raise StructuralError("sweeps need instance parameters, not an instance file")
+    points = [(value, sweep_config(cfg.instance_config, axis, value)) for value in values]
+    _check_specs(cfg, [point for _, point in points])
     rows: list[dict] = []
-    for value in values:
-        point = sweep_config(cfg.instance_config, axis, value)
+    for value, point in points:
         for seed in cfg.seeds:
             instance = build_instance(point, seed)
             warm = warm_start(instance, cfg.reward.horizon, cfg.reward.gamma)

@@ -17,7 +17,7 @@ import threading
 from dataclasses import dataclass
 
 from .core import NOOP, BsAction, JointAction, RequestSlot, StructuralError
-from .interface import serialize
+from .interface import encode, serialize
 
 logger = logging.getLogger(__name__)
 
@@ -107,31 +107,6 @@ def _eviction_actions(obs, victim_key, candidate_fn) -> list[BsAction]:
     return actions
 
 
-def lru_decide(obs, books: HeuristicBooks) -> str:
-    """Swap in the hottest uncached request; evict the least recently requested file."""
-    key = lambda b, f: (books.last_request[b - 1].get(f, 0), f)
-    return serialize(JointAction.valid(_eviction_actions(obs, key, _hottest_candidate)))
-
-
-def lfu_decide(obs, books: HeuristicBooks) -> str:
-    """Like lru_decide, but the victim is the file with the lowest cumulative count."""
-    key = lambda b, f: (books.request_totals[b - 1].get(f, 0), f)
-    return serialize(JointAction.valid(_eviction_actions(obs, key, _hottest_candidate)))
-
-
-def fifo_decide(obs, books: HeuristicBooks) -> str:
-    """Strict queue semantics on both ends of the cache.
-
-    Inserts the earliest missed insertable request in arrival order and
-    evicts the file with the earliest insertion slot (ties to the lower
-    file id).
-    """
-    key = lambda b, f: (books.inserted_at[b - 1].get(f, 0), f)
-    return serialize(
-        JointAction.valid(_eviction_actions(obs, key, _first_missed_candidate))
-    )
-
-
 def oracle_best_action(cache, b, requests, peek, graph, horizon, gamma) -> BsAction:
     """Best single-BS action by discounted future-hit gain over ``peek``.
 
@@ -188,15 +163,6 @@ def oracle_best_action(cache, b, requests, peek, graph, horizon, gamma) -> BsAct
                 best, best_score = BsAction(z, f_in, f_out), score
     assert best_score >= 0.0  # the no-op floor: never worse than keeping the cache
     return best
-
-
-def lookahead_oracle(obs, peek, horizon, gamma, graph) -> str:
-    """Decoupled per-BS search; emits one grammar line per BS."""
-    actions = [
-        oracle_best_action(obs.cache, b, obs.requests, peek, graph, horizon, gamma)
-        for b in range(1, obs.bs_count + 1)
-    ]
-    return serialize(JointAction.valid(actions))
 
 
 class Policy:
@@ -297,10 +263,17 @@ class OraclePolicy(Policy):
     def decide(self, obs, peek=None) -> str:
         if peek is None:
             raise StructuralError("oracle policy needs a peek window")
-        return lookahead_oracle(obs, peek, self.horizon, self.gamma, self._graph)
+        actions = [
+            oracle_best_action(
+                obs.cache, b, obs.requests, peek, self._graph, self.horizon, self.gamma
+            )
+            for b in range(1, obs.bs_count + 1)
+        ]
+        return serialize(JointAction.valid(actions))
 
 
 FRAME_LIMIT = 16 * 1024 * 1024  # refuse absurd frame sizes from adapters
+HEADER_LIMIT = 64  # a header line longer than this is malformed
 
 
 def write_frame(stream, payload: str) -> None:
@@ -312,9 +285,13 @@ def write_frame(stream, payload: str) -> None:
 
 
 def read_frame(stream) -> str | None:
-    """Read one frame; None on EOF, a bad header, or a truncated payload."""
-    header = stream.readline()
-    if not header or not header.startswith(b"LEN "):
+    """Read one frame; None on EOF, a bad header, or a truncated payload.
+
+    The header read stops after ``HEADER_LIMIT`` bytes, so an adapter that
+    never sends a newline cannot make the reader consume its whole output.
+    """
+    header = stream.readline(HEADER_LIMIT)
+    if not header.endswith(b"\n") or not header.startswith(b"LEN "):
         return None
     try:
         n = int(header[4:].strip())
@@ -370,8 +347,6 @@ class ExternPolicy(Policy):
         ).start()
 
     def decide(self, obs, peek=None) -> str:
-        from .interface import encode  # local import avoids a cycle
-
         if self._proc is None or self._proc.poll() is not None:
             logger.warning("adapter process is gone; scoring an empty completion")
             return ""

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 from .core import (
     JointAction,
@@ -24,9 +25,9 @@ from .core import (
     feasible_actions,
     hit_rate,
 )
+from .episode import expert_walk
 from .interface import SlotObservation, parse, serialize
-from .policies import oracle_best_action
-from .traffic import Instance, advance_tracker, observe, warm_start
+from .traffic import Instance
 
 CLASS_INVALID = "invalid"
 CLASS_VALID_NOOP = "valid-noop"
@@ -248,72 +249,52 @@ def verify_pbrs(instance: Instance, sample_slots: int, cfg: RewardConfig) -> Sha
         flags.append("lambda_opp >= 0: no-op demotion is no longer strict")
     if cfg.lambda_fmt >= 0:
         flags.append("lambda_fmt >= 0: malformed output is not penalized")
-    warm = warm_start(instance, cfg.horizon, cfg.gamma)
-    cache, tracker = warm.cache, warm.tracker
     argmax_bad: list[str] = []
     order_bad: list[str] = []
     demote_bad: list[str] = []
     spaces: list[JointSpaceSize] = []
-    slots_checked = 0
     actions_checked = 0
-    t = config.warm_slots + 1
-    while slots_checked < sample_slots and t + cfg.horizon <= instance.trace_len:
-        requests = instance.request_slot(t)
-        tracker = advance_tracker(tracker, requests)
-        obs = observe(t, cache, requests, tracker)
-        peek = instance.peek(t, cfg.horizon)
-        expert = JointAction.valid(
-            [
-                oracle_best_action(cache, b, requests, peek, graph, cfg.horizon, cfg.gamma)
-                for b in range(1, config.bs_count + 1)
-            ]
-        )
-        if all(cache.is_full(b) for b in range(1, config.bs_count + 1)):
-            slots_checked += 1
-            spaces.append(joint_space_size(obs))
-            for b in range(1, config.bs_count + 1):
-                rows = []
-                for act in feasible_actions(cache, b, requests):
-                    joint = _embed(act, b, config.bs_count)
-                    after = apply(cache, joint, requests)
-                    potential = lookahead_value(after, peek, graph, cfg.horizon, cfg.gamma)
-                    gain = delta_perf(cache, after, peek, graph, cfg)
-                    shaped = score_completion(serialize(joint), obs, peek, expert, cfg, graph)
-                    rows.append((act, gain, potential, shaped))
-                actions_checked += len(rows)
-                where = f"seed {instance.seed} slot {t} BS {b}"
-                gains = [g for _, g, _, _ in rows]
-                potentials = [p for _, _, p, _ in rows]
-                top_g, top_p = max(gains), max(potentials)
-                by_gain = {i for i, g in enumerate(gains) if g >= top_g - _ARGMAX_TOL}
-                by_potential = {
-                    i for i, p in enumerate(potentials) if p >= top_p - _ARGMAX_TOL
-                }
-                if by_gain != by_potential:
-                    argmax_bad.append(f"{where}: gain argmax != potential argmax")
-                writes = [(g, s) for act, g, _, s in rows if not act.is_noop]
-                for i, (g_i, s_i) in enumerate(writes):
-                    for g_j, s_j in writes[i + 1 :]:
-                        if g_i > g_j + _ARGMAX_TOL and not s_i.unclipped > s_j.unclipped:
-                            order_bad.append(f"{where}: swap ranking not preserved")
-                        if g_j > g_i + _ARGMAX_TOL and not s_j.unclipped > s_i.unclipped:
-                            order_bad.append(f"{where}: swap ranking not preserved")
-                if expert.is_valid and not expert.is_all_noop:
-                    noop_shaped = next(
-                        s for act, _, _, s in rows if act.is_noop
-                    )
-                    for act, g, _, s in rows:
-                        if act.is_noop or g <= 0.0:
-                            continue
-                        if not (s.unclipped > 0.0 > noop_shaped.unclipped):
-                            demote_bad.append(
-                                f"{where}: positive-gain swap does not dominate no-op"
-                            )
-        cache = apply(cache, expert, requests)
-        t += 1
+    walk = expert_walk(instance, cfg.horizon, cfg.gamma)
+    for obs, expert, peek in islice(walk, max(sample_slots, 0)):
+        cache, requests = obs.cache, obs.requests
+        spaces.append(joint_space_size(obs))
+        for b in range(1, config.bs_count + 1):
+            rows = []
+            for act in feasible_actions(cache, b, requests):
+                joint = _embed(act, b, config.bs_count)
+                after = apply(cache, joint, requests)
+                potential = lookahead_value(after, peek, graph, cfg.horizon, cfg.gamma)
+                gain = delta_perf(cache, after, peek, graph, cfg)
+                shaped = score_completion(serialize(joint), obs, peek, expert, cfg, graph)
+                rows.append((act, gain, potential, shaped))
+            actions_checked += len(rows)
+            where = f"seed {instance.seed} slot {obs.slot} BS {b}"
+            gains = [g for _, g, _, _ in rows]
+            potentials = [p for _, _, p, _ in rows]
+            top_g, top_p = max(gains), max(potentials)
+            by_gain = {i for i, g in enumerate(gains) if g >= top_g - _ARGMAX_TOL}
+            by_potential = {i for i, p in enumerate(potentials) if p >= top_p - _ARGMAX_TOL}
+            if by_gain != by_potential:
+                argmax_bad.append(f"{where}: gain argmax != potential argmax")
+            writes = [(g, s) for act, g, _, s in rows if not act.is_noop]
+            for i, (g_i, s_i) in enumerate(writes):
+                for g_j, s_j in writes[i + 1 :]:
+                    if g_i > g_j + _ARGMAX_TOL and not s_i.unclipped > s_j.unclipped:
+                        order_bad.append(f"{where}: swap ranking not preserved")
+                    if g_j > g_i + _ARGMAX_TOL and not s_j.unclipped > s_i.unclipped:
+                        order_bad.append(f"{where}: swap ranking not preserved")
+            if expert.is_valid and not expert.is_all_noop:
+                noop_shaped = next(s for act, _, _, s in rows if act.is_noop)
+                for act, g, _, s in rows:
+                    if act.is_noop or g <= 0.0:
+                        continue
+                    if not (s.unclipped > 0.0 > noop_shaped.unclipped):
+                        demote_bad.append(
+                            f"{where}: positive-gain swap does not dominate no-op"
+                        )
     return ShapingReport(
         instance.seed,
-        slots_checked,
+        len(spaces),
         actions_checked,
         tuple(argmax_bad),
         tuple(order_bad),

@@ -59,7 +59,6 @@ class AssociationGraph:
     user_xy: tuple[tuple[float, float], ...]
     radius: float
     coverage: tuple[tuple[int, ...], ...]
-    users_of: tuple[tuple[int, ...], ...]
 
     @classmethod
     def build(cls, bs_xy, user_xy, radius) -> "AssociationGraph":
@@ -72,29 +71,18 @@ class AssociationGraph:
             )
             for x, y in user_xy
         )
-        users_of = tuple(
-            tuple(u for u, cov in enumerate(coverage) if b + 1 in cov)
-            for b in range(len(bs_xy))
-        )
         return cls(
             tuple((float(x), float(y)) for x, y in bs_xy),
             tuple((float(x), float(y)) for x, y in user_xy),
             float(radius),
             coverage,
-            users_of,
         )
 
     @classmethod
     def synthetic(cls, coverage, bs_count: int) -> "AssociationGraph":
         """Coverage given directly; coordinates are placeholders."""
         cov = tuple(tuple(sorted(set(c))) for c in coverage)
-        users_of = tuple(
-            tuple(u for u, c in enumerate(cov) if b + 1 in c)
-            for b in range(bs_count)
-        )
-        return cls(
-            ((0.0, 0.0),) * bs_count, ((0.0, 0.0),) * len(cov), 0.0, cov, users_of
-        )
+        return cls(((0.0, 0.0),) * bs_count, ((0.0, 0.0),) * len(cov), 0.0, cov)
 
     @property
     def bs_count(self) -> int:
@@ -103,6 +91,14 @@ class AssociationGraph:
     @property
     def user_count(self) -> int:
         return len(self.user_xy)
+
+    @property
+    def users_of(self) -> tuple[tuple[int, ...], ...]:
+        """Per BS, the users whose coverage includes it."""
+        return tuple(
+            tuple(u for u, cov in enumerate(self.coverage) if b in cov)
+            for b in range(1, self.bs_count + 1)
+        )
 
     def covering(self, u: int) -> tuple[int, ...]:
         return self.coverage[u]

@@ -13,16 +13,10 @@ import random
 from dataclasses import dataclass
 
 from .core import NOOP, JointAction, apply, feasible_actions
+from .episode import Episode
 from .interface import SlotObservation, encode, parse, parse_bytes, serialize
 from .reward import RewardConfig, ShapingReport, verify_pbrs
-from .traffic import (
-    Instance,
-    InstanceConfig,
-    advance_tracker,
-    build_instance,
-    observe,
-    warm_start,
-)
+from .traffic import Instance, InstanceConfig, build_instance, warm_start
 
 NEAR_MISS_LINES = (
     "BS 1: NOOP extra",
@@ -69,11 +63,7 @@ class FuzzReport:
 
 def first_decision_observation(instance: Instance) -> SlotObservation:
     """The observation at the first post-warm-up decision slot."""
-    warm = warm_start(instance)
-    t = instance.config.warm_slots + 1
-    requests = instance.request_slot(t)
-    tracker = advance_tracker(warm.tracker, requests)
-    return observe(t, warm.cache, requests, tracker)
+    return Episode(instance, warm_start(instance)).advance()
 
 
 def _mutate(data: bytes, rng: random.Random) -> bytes:

@@ -1,0 +1,81 @@
+"""Episode stepper and expert walk tests."""
+
+from __future__ import annotations
+
+import pytest
+
+from coopcache import episode as episode_module
+from coopcache.core import NOOP, BsAction, JointAction
+from coopcache.dataset import generate_grpo_states, generate_sft
+from coopcache.episode import Episode, expert_walk
+from coopcache.reward import RewardConfig, verify_pbrs
+from coopcache.traffic import advance_tracker, observe, warm_start
+
+
+@pytest.fixture(scope="module")
+def warm(small_instance):
+    return warm_start(small_instance, 4, 0.9)
+
+
+def test_episode_continues_after_the_warm_prefix(small_instance, warm):
+    episode = Episode(small_instance, warm)
+    t = small_instance.config.warm_slots + 1
+    obs = episode.advance()
+    requests = small_instance.request_slot(t)
+    assert obs == observe(t, warm.cache, requests, advance_tracker(warm.tracker, requests))
+    assert episode.slot == t and episode.tracker.slots_seen == t
+
+
+def test_invalid_action_changes_nothing(small_instance, warm):
+    episode = Episode(small_instance, warm)
+    episode.advance()
+    assert not episode.step(JointAction.invalid("syntax"))
+    assert episode.cache == warm.cache
+    assert episode.step(JointAction.valid([NOOP] * small_instance.config.bs_count))
+    assert episode.cache == warm.cache
+
+
+def test_executed_transition_is_audited(small_instance, warm, monkeypatch):
+    episode = Episode(small_instance, warm)
+    obs = episode.advance()
+    b = next(b for b in range(1, obs.bs_count + 1)
+             if obs.requests.admissible[b - 1] - obs.cache.files_at(b))
+    f_in = min(obs.requests.admissible[b - 1] - obs.cache.files_at(b))
+    actions = [NOOP] * obs.bs_count
+    actions[b - 1] = BsAction(1, f_in, obs.cache.slots[b - 1][0])
+    monkeypatch.setattr(episode_module, "check_transition", lambda prev, nxt: False)
+    with pytest.raises(RuntimeError, match="single-swap budget"):
+        episode.step(JointAction.valid(actions))
+    assert episode.cache == warm.cache
+
+
+def test_expert_walk_yields_full_cache_slots_in_order(small_instance):
+    slots = [obs.slot for obs, _, _ in expert_walk(small_instance, 3, 0.9)]
+    assert slots == sorted(set(slots))
+    assert slots[-1] + 3 <= small_instance.trace_len
+
+
+@pytest.mark.parametrize("generate", [generate_sft, generate_grpo_states])
+def test_export_walk_stops_at_its_last_record(small_instance, monkeypatch, generate):
+    # the warm-up's oracle is bound in traffic, so only walk slots are counted
+    slot_of = {id(r): t for t, r in enumerate(small_instance.trace, start=1)}
+    walked = set()
+    real = episode_module.oracle_best_action
+
+    def counted(cache, b, requests, *rest):
+        walked.add(slot_of[id(requests)])
+        return real(cache, b, requests, *rest)
+
+    monkeypatch.setattr(episode_module, "oracle_best_action", counted)
+    export = generate(small_instance, 5, horizon=3)
+    assert len(export.records) == 5
+    assert max(walked) == export.records[-1].slot
+
+
+def test_zero_records_and_zero_samples_walk_nothing(small_instance, monkeypatch):
+    calls = []
+    monkeypatch.setattr(episode_module, "oracle_best_action",
+                        lambda *args: calls.append(args) or NOOP)
+    assert generate_sft(small_instance, 0, horizon=3).records == ()
+    assert verify_pbrs(small_instance, 0, RewardConfig(horizon=3)).slots_checked == 0
+    assert calls == []

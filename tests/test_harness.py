@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 
 import pytest
 
@@ -21,6 +22,7 @@ from coopcache.harness import (
     write_reports,
 )
 from coopcache.policies import make_policy
+from coopcache.reward import RewardConfig
 from coopcache.traffic import build_instance, warm_start
 
 from conftest import small_config
@@ -302,3 +304,51 @@ def test_cli_export_sft_and_report(tmp_path):
     code = cli_main(["report", "--reports", str(run_dir), "--out", str(re_dir)])
     assert code == 0
     assert (re_dir / "results.csv").read_bytes() == (run_dir / "results.csv").read_bytes()
+
+
+@pytest.mark.parametrize("specs", [
+    ("lru", "lfu", "lru"),
+    (f"extern:{sys.executable} -m coopcache.extern_stub",
+     f"extern:{sys.executable} -m coopcache.extern_stub --again"),
+    ("oracle:2", "oracle:02"),
+])
+def test_run_and_sweep_reject_colliding_policy_names(tmp_path, specs):
+    cfg = RunConfig(instance_config=small_config(), policies=specs, seeds=(1,),
+                    slots=5, out_dir=str(tmp_path / "out"))
+    with pytest.raises(StructuralError, match="share a name"):
+        run(cfg)
+    with pytest.raises(StructuralError, match="share a name"):
+        sweep(cfg, "cache_capacity", [3])
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_checks_every_peek_before_the_first_rollout(tmp_path):
+    # small_config keeps a 4-slot reserve; oracle:5 peeks one slot past the trace
+    out = tmp_path / "out"
+    cfg = RunConfig(instance_config=small_config(), policies=("lru", "oracle:5"),
+                    seeds=(1,), out_dir=str(out))
+    with pytest.raises(StructuralError, match="oracle:5"):
+        run(cfg)
+    with pytest.raises(StructuralError, match="oracle:5"):
+        sweep(cfg, "cache_capacity", [3, 4])
+    # the warm-up oracle peeks reward.horizon slots past the warm-up
+    deep = RunConfig(instance_config=small_config(), policies=("lru",), seeds=(1,),
+                     reward=RewardConfig(horizon=40), out_dir=str(out))
+    with pytest.raises(StructuralError, match="oracle horizon 40"):
+        run(deep)
+    assert not out.exists()
+    # a shorter rollout leaves room for the peek
+    reports = run(RunConfig(instance_config=small_config(), policies=("lru", "oracle:5"),
+                            seeds=(1,), slots=29))
+    assert [r.policy for r in reports] == ["lru", "oracle:5"]
+
+
+def test_cli_rejects_unknown_config_keys(tmp_path, capsys):
+    cfg_path = tmp_path / "typo.json"
+    cfg_path.write_text(json.dumps({
+        "schema": "coopcache.runconfig.v1", "polices": ["oracle:1"],
+        "out": str(tmp_path / "out"),
+    }))
+    with pytest.raises(SystemExit, match="polices"):
+        cli_main(["run", "--config", str(cfg_path)])
+    assert not (tmp_path / "out").exists()

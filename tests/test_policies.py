@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import io
 import random
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,17 +19,21 @@ from coopcache.core import (
     feasible_actions,
     request_slot,
 )
+from coopcache.episode import Episode
 from coopcache.interface import SlotObservation, parse
 from coopcache.policies import (
     AdapterError,
     ExternPolicy,
+    FifoPolicy,
     HeuristicBooks,
-    fifo_decide,
-    lfu_decide,
-    lookahead_oracle,
-    lru_decide,
+    LfuPolicy,
+    LruPolicy,
+    HEADER_LIMIT,
+    OraclePolicy,
     make_policy,
     oracle_best_action,
+    read_frame,
+    write_frame,
 )
 from coopcache.reward import RewardConfig, lookahead_value
 from coopcache.traffic import AssociationGraph, build_instance, warm_start
@@ -41,6 +47,12 @@ def _observe(cache, requests, slot=50):
         for b in range(1, cache.bs_count + 1)
     )
     return SlotObservation(slot, cache, requests, freq)
+
+
+def _decide(policy, obs, books):
+    """One decision of a book policy that inherits ``books`` as its warm state."""
+    policy.reset(None, SimpleNamespace(books=books))
+    return policy.decide(obs)
 
 
 def _books_single(last=None, totals=None, inserted=None):
@@ -57,7 +69,7 @@ def test_lru_unique_victim():
     requests = request_slot(((0, 3),), graph)
     obs = _observe(cache, requests)
     books = _books_single(last={1: 45, 2: 49})
-    assert lru_decide(obs, books) == "BS 1: SWAP slot=1 out=1 in=3"
+    assert _decide(LruPolicy(), obs, books) == "BS 1: SWAP slot=1 out=1 in=3"
 
 
 def test_lru_noop_when_all_cached():
@@ -65,7 +77,7 @@ def test_lru_noop_when_all_cached():
     cache = CacheState(((1, 2),))
     requests = request_slot(((0, 2),), graph)
     books = _books_single(last={1: 45, 2: 49})
-    assert lru_decide(_observe(cache, requests), books) == "BS 1: NOOP"
+    assert _decide(LruPolicy(), _observe(cache, requests), books) == "BS 1: NOOP"
 
 
 def test_lru_tie_breaks_to_lower_file_id():
@@ -73,7 +85,7 @@ def test_lru_tie_breaks_to_lower_file_id():
     cache = CacheState(((7, 2),))
     requests = request_slot(((0, 3),), graph)
     books = _books_single(last={7: 40, 2: 40})
-    assert lru_decide(_observe(cache, requests), books) == "BS 1: SWAP slot=2 out=2 in=3"
+    assert _decide(LruPolicy(), _observe(cache, requests), books) == "BS 1: SWAP slot=2 out=2 in=3"
 
 
 def test_lfu_victim_by_count_and_tie():
@@ -81,9 +93,9 @@ def test_lfu_victim_by_count_and_tie():
     cache = CacheState(((1, 2),))
     requests = request_slot(((0, 3),), graph)
     books = _books_single(totals={1: 9, 2: 4})
-    assert lfu_decide(_observe(cache, requests), books) == "BS 1: SWAP slot=2 out=2 in=3"
+    assert _decide(LfuPolicy(), _observe(cache, requests), books) == "BS 1: SWAP slot=2 out=2 in=3"
     tie = _books_single(totals={1: 4, 2: 4})
-    assert lfu_decide(_observe(cache, requests), tie) == "BS 1: SWAP slot=1 out=1 in=3"
+    assert _decide(LfuPolicy(), _observe(cache, requests), tie) == "BS 1: SWAP slot=1 out=1 in=3"
 
 
 def test_fifo_victim_by_insertion_and_arrival_insert():
@@ -92,7 +104,7 @@ def test_fifo_victim_by_insertion_and_arrival_insert():
     # user 0 asks for 9 first, user 1 asks for 3: queue inserts 9
     requests = request_slot(((0, 9), (1, 3)), graph)
     books = _books_single(inserted={1: 30, 2: 10})
-    assert fifo_decide(_observe(cache, requests), books) == "BS 1: SWAP slot=2 out=2 in=9"
+    assert _decide(FifoPolicy(), _observe(cache, requests), books) == "BS 1: SWAP slot=2 out=2 in=9"
 
 
 def test_heuristics_emit_parseable_text():
@@ -102,8 +114,8 @@ def test_heuristics_emit_parseable_text():
         obs = _observe(cache, requests)
         books = HeuristicBooks.empty(cache.bs_count)
         books.record_requests(49, requests)
-        for decide in (lru_decide, lfu_decide, fifo_decide):
-            action = parse(decide(obs, books), obs)
+        for policy in (LruPolicy(), LfuPolicy(), FifoPolicy()):
+            action = parse(_decide(policy, obs, books), obs)
             assert action.is_valid
             apply(cache, action, requests)
 
@@ -180,7 +192,9 @@ def test_oracle_decoupled_across_bs():
             for _ in range(2)
         )
         obs = _observe(cache, requests)
-        text = lookahead_oracle(obs, peek, 2, 0.9, graph)
+        oracle = OraclePolicy(2, 0.9)
+        oracle.reset(SimpleNamespace(graph=graph))
+        text = oracle.decide(obs, peek)
         joint = parse(text, obs)
         assert joint.is_valid
         for b, act in enumerate(joint.actions, start=1):
@@ -236,12 +250,7 @@ def test_extern_roundtrip_noop(small_instance):
     policy = ExternPolicy(f"{sys.executable} -m coopcache.extern_stub", timeout=20)
     policy.reset(small_instance, warm)
     try:
-        from coopcache.traffic import advance_tracker, observe
-
-        t = small_instance.config.warm_slots + 1
-        requests = small_instance.request_slot(t)
-        tracker = advance_tracker(warm.tracker, requests)
-        obs = observe(t, warm.cache, requests, tracker)
+        obs = Episode(small_instance, warm).advance()
         text = policy.decide(obs)
         action = parse(text, obs)
         assert action.is_valid and action.is_all_noop
@@ -285,3 +294,21 @@ def test_extern_spawn_failure():
         policy.reset(None, None)
     with pytest.raises(AdapterError):
         ExternPolicy("   ")
+
+
+def test_read_frame_bounds_the_header_line():
+    stream = io.BytesIO(b"L" * 5_000_000)
+    assert read_frame(stream) is None
+    assert stream.tell() <= HEADER_LIMIT
+
+
+def test_read_frame_round_trip_and_bad_headers():
+    stream = io.BytesIO()
+    write_frame(stream, "BS 1: NOOP")
+    write_frame(stream, "")
+    stream.seek(0)
+    assert read_frame(stream) == "BS 1: NOOP"
+    assert read_frame(stream) == ""
+    assert read_frame(stream) is None  # EOF
+    for raw in (b"LEN x\n", b"LEN -1\n", b"SIZE 3\nabc", b"LEN 3\nab", b"LEN 3"):
+        assert read_frame(io.BytesIO(raw)) is None
