@@ -1,9 +1,11 @@
 """Command line entry points.
 
-Subcommands: gen-instance, run, sweep, export-sft, verify, report. Every
-flag of ``run``/``sweep`` can also come from a versioned JSON config file
-(--config); explicit flags win. The only environment variable honored is
-COOPCACHE_OUT_DIR, which overrides the output directory.
+Subcommands: gen-instance, run, sweep, export-sft, verify, report. The
+settings of ``run``/``sweep`` are declared once in :data:`SETTINGS`, which
+generates their flags, the keys a versioned JSON config file (--config)
+may hold, and the instance and reward flags of ``gen-instance`` and
+``export-sft``; explicit flags win over file values. The only environment
+variable honored is COOPCACHE_OUT_DIR, which overrides the output directory.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
 from .dataset import audit_dataset, generate_grpo_states, generate_sft, write_grpo_jsonl, write_sft_jsonl
 from .harness import (
@@ -24,82 +27,108 @@ from .harness import (
     write_reports,
 )
 from .reward import RewardConfig
-from .traffic import InstanceConfig, build_instance, load_instance, save_instance
+from .traffic import SWEEP_AXES, InstanceConfig, build_instance, load_instance, save_instance
 from .verification import run_verification
 
 _ENV_OUT = "COOPCACHE_OUT_DIR"
-
-# Every key a --config file may hold: the ones _run_config reads.
-_CONFIG_KEYS = frozenset({
-    "schema", "bs", "users", "library", "cache", "groups", "alpha", "windows",
-    "radius", "warm_slots", "rollout_slots", "horizon_reserve", "horizon", "gamma",
-    "lambda_fmt", "lambda_opp", "epsilon", "instance", "policies", "seeds", "slots",
-    "out", "extern_timeout",
-})
+# Where run, sweep and verify write without --out. RunConfig has no such
+# default: its out_dir=None means that an API caller's run writes nothing.
+_DEFAULT_OUT = "results"
 
 
-def _add_instance_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--bs", type=int, default=None, help="number of base stations")
-    p.add_argument("--users", type=int, default=None)
-    p.add_argument("--library", type=int, default=None, help="content library size")
-    p.add_argument("--cache", default=None, help="cache size: one int or comma list per BS")
-    p.add_argument("--groups", type=int, default=None, help="user preference groups")
-    p.add_argument("--alpha", type=float, default=None, help="popularity skew exponent")
-    p.add_argument("--windows", default=None, help="history windows, comma separated")
-    p.add_argument("--radius", type=float, default=None, help="coverage radius")
-    p.add_argument("--warm-slots", type=int, default=None)
-    p.add_argument("--rollout-slots", type=int, default=None)
-    p.add_argument("--horizon-reserve", type=int, default=None)
+def _ints(value) -> tuple[int, ...]:
+    """A comma separated string of ints, or a JSON list taken as is."""
+    if isinstance(value, str):
+        return tuple(int(x) for x in value.split(",") if x != "")
+    return tuple(value)
 
 
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in str(text).split(",") if x != "")
+def _cache(value):
+    """One int for every BS, or a per-BS tuple; a one-entry string is one int."""
+    if isinstance(value, str):
+        parsed = _ints(value)
+        return parsed[0] if len(parsed) == 1 else parsed
+    return tuple(value) if isinstance(value, list) else value
 
 
-def _merge(args: argparse.Namespace, key: str, file_cfg: dict, default):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in file_cfg:
-        return file_cfg[key]
-    return default
+class Setting(NamedTuple):
+    """One run setting: its ``--config`` key, flag, target field and parser.
+
+    ``parse`` takes a flag string or a config-file value and returns what
+    the field holds; parsing its own output changes nothing.
+    """
+
+    key: str
+    config: str  # the dataclass it sets: "instance", "reward" or "run"
+    field: str
+    parse: Callable
+    help: str
+    flag: str = ""
+
+    @property
+    def option(self) -> str:
+        return self.flag or "--" + self.key.replace("_", "-")
 
 
-def _instance_config(args, file_cfg: dict) -> InstanceConfig:
-    cache = _merge(args, "cache", file_cfg, 10)
-    if isinstance(cache, str):
-        parsed = _ints(cache)
-        cache = parsed[0] if len(parsed) == 1 else parsed
-    elif isinstance(cache, list):
-        cache = tuple(cache)
-    windows = _merge(args, "windows", file_cfg, (10, 100, 1000))
-    if isinstance(windows, str):
-        windows = _ints(windows)
-    elif isinstance(windows, list):
-        windows = tuple(windows)
-    return InstanceConfig(
-        bs_count=int(_merge(args, "bs", file_cfg, 2)),
-        users=int(_merge(args, "users", file_cfg, 20)),
-        library=int(_merge(args, "library", file_cfg, 100)),
-        cache_size=cache,
-        groups=int(_merge(args, "groups", file_cfg, 3)),
-        alpha=float(_merge(args, "alpha", file_cfg, 1.2)),
-        windows=windows,
-        radius=_merge(args, "radius", file_cfg, None),
-        warm_slots=int(_merge(args, "warm_slots", file_cfg, 100)),
-        rollout_slots=int(_merge(args, "rollout_slots", file_cfg, 300)),
-        horizon_reserve=int(_merge(args, "horizon_reserve", file_cfg, 10)),
-    )
+# Every setting once. Defaults are the dataclasses' own: a setting neither
+# a flag nor the config file supplies is not passed to its dataclass.
+SETTINGS = (
+    Setting("bs", "instance", "bs_count", int, "number of base stations"),
+    Setting("users", "instance", "users", int, "number of users"),
+    Setting("library", "instance", "library", int, "content library size"),
+    Setting("cache", "instance", "cache_size", _cache, "cache size: one int or comma list per BS"),
+    Setting("groups", "instance", "groups", int, "user preference groups"),
+    Setting("alpha", "instance", "alpha", float, "popularity skew exponent"),
+    Setting("windows", "instance", "windows", _ints, "history windows, comma separated"),
+    Setting("radius", "instance", "radius", float, "coverage radius"),
+    Setting("warm_slots", "instance", "warm_slots", int, "warm-up slots"),
+    Setting("rollout_slots", "instance", "rollout_slots", int, "rollout slots in the trace"),
+    Setting("horizon_reserve", "instance", "horizon_reserve", int, "trace slots past the rollout"),
+    Setting("horizon", "reward", "horizon", int, "expert and reward look-ahead horizon"),
+    Setting("gamma", "reward", "gamma", float, "look-ahead discount"),
+    Setting("lambda_fmt", "reward", "lambda_fmt", float, "penalty for malformed output"),
+    Setting("lambda_opp", "reward", "lambda_opp", float, "penalty for a missed swap"),
+    Setting("epsilon", "reward", "epsilon", float, "group-advantage stability floor"),
+    Setting("instance", "run", "instance_path", str, "saved instance file to read"),
+    Setting("policies", "run", "policies", tuple,
+            "lru | lfu | fifo | noop | oracle:<H> | extern:<command>; repeatable",
+            flag="--policy"),
+    Setting("seeds", "run", "seeds", _ints, "comma separated seed list"),
+    Setting("slots", "run", "slots", int, "rollout slots to run (default: the instance's)"),
+    Setting("extern_timeout", "run", "extern_timeout", float, "adapter reply timeout in seconds"),
+    Setting("out", "run", "out_dir", str, f"output directory (default: {_DEFAULT_OUT})"),
+)
+
+_CONFIG_KEYS = frozenset({"schema"} | {s.key for s in SETTINGS})
+_INSTANCE_KEYS = tuple(s.key for s in SETTINGS if s.config == "instance")
 
 
-def _reward_config(args, file_cfg: dict) -> RewardConfig:
-    return RewardConfig(
-        horizon=int(_merge(args, "horizon", file_cfg, 10)),
-        gamma=float(_merge(args, "gamma", file_cfg, 0.9)),
-        lambda_fmt=float(_merge(args, "lambda_fmt", file_cfg, -1.0)),
-        lambda_opp=float(_merge(args, "lambda_opp", file_cfg, -0.2)),
-        epsilon=float(_merge(args, "epsilon", file_cfg, 1e-4)),
-    )
+def _add_settings(p: argparse.ArgumentParser, keys) -> None:
+    for s in SETTINGS:
+        if s.key in keys:
+            if s.key == "policies":
+                p.add_argument(s.option, dest=s.key, action="append", metavar="POLICY",
+                               help=s.help)
+            else:
+                p.add_argument(s.option, dest=s.key, type=s.parse, help=s.help)
+
+
+def _supplied(config: str, args, file_cfg: dict) -> dict:
+    """Field values of one config that a flag or the file set; flags win.
+
+    Flag values arrive parsed by argparse; parsing them again is a no-op.
+    """
+    values = {}
+    for s in SETTINGS:
+        if s.config != config:
+            continue
+        value = getattr(args, s.key, None)
+        if value is None:
+            if s.key not in file_cfg:
+                continue
+            value = file_cfg[s.key]
+        values[s.field] = None if value is None else s.parse(value)
+    return values
 
 
 def _load_file_cfg(path: str | None) -> dict:
@@ -115,32 +144,18 @@ def _load_file_cfg(path: str | None) -> dict:
     return cfg
 
 
-def _out_dir(args, file_cfg: dict, default="results"):
-    return os.environ.get(_ENV_OUT) or _merge(args, "out", file_cfg, default)
-
-
-def _run_config(args, file_cfg: dict, need_out=True) -> RunConfig:
-    instance_path = _merge(args, "instance", file_cfg, None)
-    policies = getattr(args, "policy", None) or file_cfg.get("policies") or ["lru"]
-    seeds = _merge(args, "seeds", file_cfg, (1, 2, 3))
-    if isinstance(seeds, str):
-        seeds = _ints(seeds)
-    elif isinstance(seeds, list):
-        seeds = tuple(seeds)
-    return RunConfig(
-        instance_config=None if instance_path else _instance_config(args, file_cfg),
-        instance_path=instance_path,
-        policies=tuple(policies),
-        seeds=tuple(seeds),
-        slots=_merge(args, "slots", file_cfg, None),
-        reward=_reward_config(args, file_cfg),
-        out_dir=_out_dir(args, file_cfg) if need_out else None,
-        extern_timeout=float(_merge(args, "extern_timeout", file_cfg, 30.0)),
-    )
+def _run_config(args, file_cfg: dict) -> RunConfig:
+    run_kw = _supplied("run", args, file_cfg)
+    if not run_kw.get("policies"):
+        run_kw.pop("policies", None)  # a missing or empty list runs the default
+    run_kw["out_dir"] = os.environ.get(_ENV_OUT) or run_kw.get("out_dir", _DEFAULT_OUT)
+    if not run_kw.get("instance_path"):
+        run_kw["instance_config"] = InstanceConfig(**_supplied("instance", args, file_cfg))
+    return RunConfig(reward=RewardConfig(**_supplied("reward", args, file_cfg)), **run_kw)
 
 
 def _cmd_gen_instance(args) -> int:
-    config = _instance_config(args, {})
+    config = InstanceConfig(**_supplied("instance", args, {}))
     instance = build_instance(config, args.seed)
     save_instance(instance, args.out)
     print(f"wrote {args.out} (sha256 {instance.sha256()})")
@@ -161,7 +176,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _run_config(args, _load_file_cfg(args.config))
-    values = [float(v) if args.axis == "zipf_alpha" else int(v) for v in args.values.split(",")]
+    parse = SWEEP_AXES[args.axis][1]
+    values = [parse(v) for v in args.values.split(",")]
     rows = sweep(cfg, args.axis, values)
     for row in rows:
         print(
@@ -176,9 +192,11 @@ def _cmd_export_sft(args) -> int:
     if args.instance:
         instance = load_instance(args.instance)
     else:
-        instance = build_instance(_instance_config(args, {}), args.seed)
+        config = InstanceConfig(**_supplied("instance", args, {}))
+        instance = build_instance(config, args.seed)
+    reward = RewardConfig(**_supplied("reward", args, {}))
     export = generate_sft(
-        instance, args.records, args.horizon, args.gamma,
+        instance, args.records, reward.horizon, reward.gamma,
         warm_slots=args.warm_slots_override,
     )
     write_sft_jsonl(export, args.out)
@@ -186,7 +204,7 @@ def _cmd_export_sft(args) -> int:
     print(f"wrote {args.out}: {len(export.records)} records ({status})")
     if args.grpo_out:
         grpo = generate_grpo_states(
-            instance, args.records, args.horizon, args.gamma,
+            instance, args.records, reward.horizon, reward.gamma,
             warm_slots=args.warm_slots_override,
         )
         write_grpo_jsonl(grpo, args.grpo_out)
@@ -233,7 +251,7 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coopcache",
         description="Deterministic multi-BS cooperative edge-caching benchmark",
@@ -241,49 +259,24 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-instance", help="generate and save a frozen instance")
-    _add_instance_args(p)
+    _add_settings(p, _INSTANCE_KEYS)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_gen_instance)
 
-    p = sub.add_parser("run", help="evaluate policies on frozen instances")
-    _add_instance_args(p)
-    p.add_argument("--config", default=None, help="JSON run configuration file")
-    p.add_argument("--instance", default=None, help="evaluate a saved instance file")
-    p.add_argument("--policy", action="append", default=None,
-                   help="lru | lfu | fifo | noop | oracle:<H> | extern:<command>")
-    p.add_argument("--seeds", default=None, help="comma separated seed list")
-    p.add_argument("--slots", type=int, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--lambda-fmt", dest="lambda_fmt", type=float, default=None)
-    p.add_argument("--lambda-opp", dest="lambda_opp", type=float, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--extern-timeout", dest="extern_timeout", type=float, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_run)
-
-    p = sub.add_parser("sweep", help="zero-shot parameter sweep")
-    _add_instance_args(p)
-    p.add_argument("--config", default=None)
-    p.add_argument("--axis", required=True,
-                   choices=("cache_capacity", "library_size", "zipf_alpha", "users"))
-    p.add_argument("--values", required=True, help="comma separated axis values")
-    p.add_argument("--policy", action="append", default=None)
-    p.add_argument("--seeds", default=None)
-    p.add_argument("--slots", type=int, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_sweep)
+    run_p = sub.add_parser("run", help="evaluate policies on frozen instances")
+    sweep_p = sub.add_parser("sweep", help="zero-shot parameter sweep")
+    for p, fn in ((run_p, _cmd_run), (sweep_p, _cmd_sweep)):
+        _add_settings(p, _CONFIG_KEYS)  # every key a --config file may hold
+        p.add_argument("--config", default=None, help="JSON run configuration file")
+        p.set_defaults(fn=fn)
+    sweep_p.add_argument("--axis", required=True, choices=tuple(SWEEP_AXES))
+    sweep_p.add_argument("--values", required=True, help="comma separated axis values")
 
     p = sub.add_parser("export-sft", help="export expert demonstration pairs")
-    _add_instance_args(p)
-    p.add_argument("--instance", default=None)
+    _add_settings(p, _INSTANCE_KEYS + ("instance", "horizon", "gamma"))
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--records", type=int, required=True)
-    p.add_argument("--horizon", type=int, default=10)
-    p.add_argument("--gamma", type=float, default=0.9)
     p.add_argument("--warm-slots-override", type=int, default=None,
                    help="override the instance's warm-up length")
     p.add_argument("--out", required=True)
@@ -295,7 +288,7 @@ def main(argv=None) -> int:
     p.add_argument("--seeds", default="1,2,3")
     p.add_argument("--pbrs-slots", type=int, default=20)
     p.add_argument("--fuzz-cases", type=int, default=100_000)
-    p.add_argument("--out", default="results")
+    p.add_argument("--out", default=_DEFAULT_OUT)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("report", help="re-emit tables from saved reports")
@@ -303,7 +296,11 @@ def main(argv=None) -> int:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_report)
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     return args.fn(args)
 
 

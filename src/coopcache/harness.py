@@ -25,6 +25,7 @@ from .interface import parse
 from .policies import Policy, make_policy
 from .reward import RewardConfig
 from .traffic import (
+    SWEEP_AXES,
     Instance,
     InstanceConfig,
     WarmState,
@@ -37,8 +38,6 @@ from .traffic import (
 
 REPORT_SCHEMA = "coopcache.report.v1"
 RUNCONFIG_SCHEMA = "coopcache.runconfig.v1"
-
-SWEEP_AXES = ("cache_capacity", "library_size", "zipf_alpha", "users")
 
 
 @dataclass(frozen=True)
@@ -151,7 +150,7 @@ def rollout(instance: Instance, policy: Policy, slots: int | None = None,
         for _ in range(slots):
             obs = episode.advance()
             series.append(hit_rate(obs.cache, obs.requests, instance.graph))
-            peek = instance.peek(obs.slot, policy.peek_len) if policy.wants_peek else None
+            peek = instance.peek(obs.slot, policy.peek_len) if policy.peek_len else None
             started = time.perf_counter()
             text = policy.decide(obs, peek)
             latencies.append(time.perf_counter() - started)
@@ -248,7 +247,7 @@ def sweep(cfg: RunConfig, axis: str, values) -> list[dict]:
     Same seeds at every point; one tidy row per (value, policy, seed).
     """
     if axis not in SWEEP_AXES:
-        raise StructuralError(f"axis must be one of {SWEEP_AXES}")
+        raise StructuralError(f"axis must be one of {tuple(SWEEP_AXES)}")
     if cfg.instance_config is None:
         raise StructuralError("sweeps need instance parameters, not an instance file")
     points = [(value, sweep_config(cfg.instance_config, axis, value)) for value in values]

@@ -16,13 +16,10 @@ import subprocess
 import threading
 from dataclasses import dataclass
 
-from .core import NOOP, BsAction, JointAction, RequestSlot, StructuralError
+from .core import NOOP, BsAction, JointAction, StructuralError
 from .interface import encode, serialize
 
 logger = logging.getLogger(__name__)
-
-#: The frozen future request slots an oracle-class policy may inspect.
-LookaheadWindow = tuple[RequestSlot, ...]
 
 
 class AdapterError(Exception):
@@ -169,12 +166,12 @@ class Policy:
     """Uniform controller contract.
 
     ``decide`` must return completion text for the current observation;
-    built-in policies are deterministic given (instance, slot). Policies
-    with ``wants_peek`` receive the next ``peek_len`` frozen request slots.
+    built-in policies are deterministic given (instance, slot). A policy
+    with a positive ``peek_len`` receives the next ``peek_len`` frozen
+    request slots; the others receive None.
     """
 
     name = "policy"
-    wants_peek = False
     peek_len = 0
 
     def reset(self, instance, warm=None) -> None:
@@ -246,8 +243,6 @@ class OraclePolicy(Policy):
     default discount is the demonstration expert.
     """
 
-    wants_peek = True
-
     def __init__(self, horizon: int, gamma: float = 0.9) -> None:
         if horizon < 1:
             raise StructuralError("oracle horizon must be >= 1")
@@ -312,10 +307,10 @@ class ExternPolicy(Policy):
     bytes of UTF-8 payload. One prompt frame out, one completion frame
     back per slot. A timeout or a closed pipe yields an empty completion
     (which parses invalid); late frames from a timed-out slot are drained
-    before the next prompt is sent.
+    before the next prompt is sent. A dead adapter is reported once, when
+    it is found, and the empty completions scored after that are counted
+    and reported once by :meth:`close`.
     """
-
-    wants_peek = False
 
     def __init__(self, command: str, timeout: float = 30.0) -> None:
         if not command.strip():
@@ -326,6 +321,7 @@ class ExternPolicy(Policy):
         self._proc: subprocess.Popen | None = None
         self._frames: queue.Queue | None = None
         self._stale = 0
+        self._dead_slots = 0  # empty completions scored since the adapter died
 
     def reset(self, instance, warm=None) -> None:
         if self._proc is None or self._proc.poll() is not None:
@@ -342,26 +338,33 @@ class ExternPolicy(Policy):
             raise AdapterError(f"cannot start adapter {self._command!r}: {exc}") from exc
         self._frames = queue.Queue()
         self._stale = 0
+        self._dead_slots = 0
         threading.Thread(
             target=_pump_frames, args=(self._proc.stdout, self._frames), daemon=True
         ).start()
 
+    def _gone(self, how: str, slot: int) -> str:
+        """Score an empty completion for a dead adapter; warn only the first time."""
+        if not self._dead_slots:
+            logger.warning("adapter is gone (%s) at slot %d; scoring empty completions",
+                           how, slot)
+        self._dead_slots += 1
+        return ""
+
     def decide(self, obs, peek=None) -> str:
-        if self._proc is None or self._proc.poll() is not None:
-            logger.warning("adapter process is gone; scoring an empty completion")
-            return ""
+        if self._dead_slots or self._proc is None or self._proc.poll() is not None:
+            return self._gone("process exited", obs.slot)
         while self._stale:
             try:
                 if self._frames.get_nowait() is None:
-                    return ""
+                    return self._gone("end of output", obs.slot)
             except queue.Empty:
                 break
             self._stale -= 1
         try:
             write_frame(self._proc.stdin, encode(obs))
         except (BrokenPipeError, OSError):
-            logger.warning("adapter pipe closed at slot %d", obs.slot)
-            return ""
+            return self._gone("pipe closed", obs.slot)
         try:
             reply = self._frames.get(timeout=self._timeout)
         except queue.Empty:
@@ -370,9 +373,13 @@ class ExternPolicy(Policy):
                 "adapter timed out after %.1fs at slot %d", self._timeout, obs.slot
             )
             return ""
-        return reply if reply is not None else ""
+        return reply if reply is not None else self._gone("end of output", obs.slot)
 
     def close(self) -> None:
+        if self._dead_slots:
+            logger.warning("adapter was gone for %d slot(s); each scored an empty completion",
+                           self._dead_slots)
+            self._dead_slots = 0
         if self._proc is not None:
             self._proc.terminate()
             try:

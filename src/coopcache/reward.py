@@ -264,9 +264,8 @@ def verify_pbrs(instance: Instance, sample_slots: int, cfg: RewardConfig) -> Sha
                 joint = _embed(act, b, config.bs_count)
                 after = apply(cache, joint, requests)
                 potential = lookahead_value(after, peek, graph, cfg.horizon, cfg.gamma)
-                gain = delta_perf(cache, after, peek, graph, cfg)
                 shaped = score_completion(serialize(joint), obs, peek, expert, cfg, graph)
-                rows.append((act, gain, potential, shaped))
+                rows.append((act, shaped.gain, potential, shaped))
             actions_checked += len(rows)
             where = f"seed {instance.seed} slot {obs.slot} BS {b}"
             gains = [g for _, g, _, _ in rows]

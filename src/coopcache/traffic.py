@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -92,14 +92,6 @@ class AssociationGraph:
     def user_count(self) -> int:
         return len(self.user_xy)
 
-    @property
-    def users_of(self) -> tuple[tuple[int, ...], ...]:
-        """Per BS, the users whose coverage includes it."""
-        return tuple(
-            tuple(u for u, cov in enumerate(self.coverage) if b in cov)
-            for b in range(1, self.bs_count + 1)
-        )
-
     def covering(self, u: int) -> tuple[int, ...]:
         return self.coverage[u]
 
@@ -115,10 +107,6 @@ class DemandModel:
     alpha: float
     rank_to_file: tuple[tuple[int, ...], ...]
     user_group: tuple[int, ...]
-
-    @property
-    def group_count(self) -> int:
-        return len(self.rank_to_file)
 
 
 def zipf_pmf(library: int, alpha: float) -> np.ndarray:
@@ -195,22 +183,6 @@ class InstanceConfig:
     def trace_slots(self) -> int:
         return self.warm_slots + self.rollout_slots + self.horizon_reserve
 
-    def to_dict(self) -> dict:
-        return {
-            "bs_count": self.bs_count,
-            "users": self.users,
-            "library": self.library,
-            "cache_size": list(self.cache_size),
-            "groups": self.groups,
-            "alpha": self.alpha,
-            "windows": list(self.windows),
-            "radius": self.radius,
-            "bs_xy": [list(p) for p in self.bs_xy],
-            "warm_slots": self.warm_slots,
-            "rollout_slots": self.rollout_slots,
-            "horizon_reserve": self.horizon_reserve,
-        }
-
     @classmethod
     def from_dict(cls, payload: dict) -> "InstanceConfig":
         return cls(
@@ -261,7 +233,7 @@ class Instance:
         payload = {
             "schema": INSTANCE_SCHEMA,
             "seed": self.seed,
-            "config": self.config.to_dict(),
+            "config": asdict(self.config),
             "user_xy": [list(p) for p in self.graph.user_xy],
             "user_group": list(self.demand.user_group),
             "rank_to_file": [list(row) for row in self.demand.rank_to_file],
@@ -353,6 +325,15 @@ def instance_from_payload(payload: dict) -> Instance:
         request_slot(tuple((int(u), int(f)) for u, f in slot), graph)
         for slot in payload["trace"]
     )
+    if len(trace) != config.trace_slots:
+        raise StructuralError(
+            f"instance trace holds {len(trace)} slots, its config needs {config.trace_slots}"
+        )
+    outside = sorted({f for slot in trace for _, f in slot.pairs if f > config.library})
+    if outside:
+        raise StructuralError(
+            f"instance trace requests file ids outside 1..{config.library}: {outside[:5]}"
+        )
     return Instance(config, int(payload["seed"]), graph, demand, trace)
 
 
@@ -497,15 +478,18 @@ def warm_start(instance: Instance, oracle_horizon: int = 10, oracle_gamma: float
     return WarmState(cache, tracker, books)
 
 
+#: Robustness sweep axes: axis name -> (InstanceConfig field, value parser).
+SWEEP_AXES = {
+    "cache_capacity": ("cache_size", int),
+    "library_size": ("library", int),
+    "zipf_alpha": ("alpha", float),
+    "users": ("users", int),
+}
+
+
 def sweep_config(config: InstanceConfig, axis: str, value) -> InstanceConfig:
-    """Vary one generation parameter; axes match the robustness sweeps."""
-    fields = {
-        "cache_capacity": ("cache_size", int),
-        "library_size": ("library", int),
-        "zipf_alpha": ("alpha", float),
-        "users": ("users", int),
-    }
-    if axis not in fields:
+    """Vary one generation parameter along a :data:`SWEEP_AXES` axis."""
+    if axis not in SWEEP_AXES:
         raise StructuralError(f"unknown sweep axis {axis!r}")
-    name, cast = fields[axis]
-    return replace(config, **{name: cast(value)})
+    name, parse = SWEEP_AXES[axis]
+    return replace(config, **{name: parse(value)})

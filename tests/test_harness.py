@@ -8,9 +8,17 @@ import sys
 
 import pytest
 
+from coopcache.cli import (
+    _CONFIG_KEYS,
+    SETTINGS,
+    _load_file_cfg,
+    _run_config,
+    build_parser,
+)
 from coopcache.cli import main as cli_main
 from coopcache.core import StructuralError, hit_rate
 from coopcache.harness import (
+    RUNCONFIG_SCHEMA,
     EvalReport,
     RunConfig,
     checkpoint_slots,
@@ -23,7 +31,14 @@ from coopcache.harness import (
 )
 from coopcache.policies import make_policy
 from coopcache.reward import RewardConfig
-from coopcache.traffic import build_instance, warm_start
+from coopcache.traffic import (
+    SWEEP_AXES,
+    ConfigurationError,
+    InstanceConfig,
+    build_instance,
+    load_instance,
+    warm_start,
+)
 
 from conftest import small_config
 
@@ -352,3 +367,121 @@ def test_cli_rejects_unknown_config_keys(tmp_path, capsys):
     with pytest.raises(SystemExit, match="polices"):
         cli_main(["run", "--config", str(cfg_path)])
     assert not (tmp_path / "out").exists()
+
+
+# Per setting: a flag text and the field value it sets, neither the default.
+_SAMPLES = {
+    "bs": ("5", 5),
+    "users": ("7", 7),
+    "library": ("50", 50),
+    "cache": ("3,4", (3, 4)),
+    "groups": ("2", 2),
+    "alpha": ("0.8", 0.8),
+    "windows": ("5,20", (5, 20)),
+    "radius": ("0.45", 0.45),
+    "warm_slots": ("20", 20),
+    "rollout_slots": ("40", 40),
+    "horizon_reserve": ("6", 6),
+    "horizon": ("4", 4),
+    "gamma": ("0.5", 0.5),
+    "lambda_fmt": ("-0.5", -0.5),
+    "lambda_opp": ("-0.1", -0.1),
+    "epsilon": ("0.01", 0.01),
+    "instance": ("inst.json", "inst.json"),
+    "policies": ("lfu", ("lfu",)),
+    "seeds": ("4,5", (4, 5)),
+    "slots": ("12", 12),
+    "extern_timeout": ("2.5", 2.5),
+    "out": ("elsewhere", "elsewhere"),
+}
+
+
+def _built_field(command, setting, argv, file_cfg):
+    extra = ["--axis", "users", "--values", "4"] if command == "sweep" else []
+    cfg = _run_config(build_parser().parse_args([command, *extra, *argv]), file_cfg)
+    target = {"instance": cfg.instance_config, "reward": cfg.reward, "run": cfg}
+    return getattr(target[setting.config], setting.field)
+
+
+def test_config_keys_are_the_settings_table():
+    assert _CONFIG_KEYS == {"schema"} | {s.key for s in SETTINGS} == {"schema"} | set(_SAMPLES)
+
+
+@pytest.mark.parametrize("setting", SETTINGS, ids=lambda s: s.key)
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_setting_flag_and_config_key_set_the_same_field(tmp_path, monkeypatch, command, setting):
+    monkeypatch.delenv("COOPCACHE_OUT_DIR", raising=False)
+    text, expected = _SAMPLES[setting.key]
+    path = tmp_path / "run.json"
+    value = list(expected) if isinstance(expected, tuple) else expected
+    path.write_text(json.dumps({"schema": RUNCONFIG_SCHEMA, setting.key: value}))
+    assert _built_field(command, setting, [setting.option, text], {}) == expected
+    assert _built_field(command, setting, [], _load_file_cfg(str(path))) == expected
+    defaults = {
+        "instance": InstanceConfig(),
+        "reward": RewardConfig(),
+        "run": RunConfig(instance_config=InstanceConfig()),
+    }
+    # out_dir=None writes nothing; the CLI writes to results/ unless told otherwise
+    default = "results" if setting.key == "out" else getattr(defaults[setting.config],
+                                                             setting.field)
+    assert _built_field(command, setting, [], {}) == default
+
+
+@pytest.mark.parametrize("value, expected", [
+    ("3", (3, 3)), ("3,4", (3, 4)), (3, (3, 3)), ([3, 4], (3, 4)), ([3], None),
+])
+def test_config_cache_forms(value, expected):
+    args = build_parser().parse_args(["run"])
+    if expected is None:
+        with pytest.raises(ConfigurationError):  # one entry for two BSs
+            _run_config(args, {"cache": value})
+    else:
+        assert _run_config(args, {"cache": value}).instance_config.cache_size == expected
+
+
+def test_sweep_axis_choices_are_the_sweep_axes():
+    commands = next(a for a in build_parser()._actions if isinstance(a.choices, dict))
+    axis = next(a for a in commands.choices["sweep"]._actions if "--axis" in a.option_strings)
+    assert tuple(axis.choices) == tuple(SWEEP_AXES)
+
+
+def test_cli_sweep_parses_values_by_axis(tmp_path):
+    out_dir = tmp_path / "sweep"
+    code = cli_main(
+        [
+            "sweep", "--bs", "2", "--users", "6", "--library", "12",
+            "--cache", "3", "--groups", "2", "--windows", "5,10",
+            "--warm-slots", "12", "--rollout-slots", "30", "--horizon-reserve", "4",
+            "--axis", "zipf_alpha", "--values", "1", "--policy", "lru",
+            "--seeds", "1", "--slots", "5", "--out", str(out_dir),
+        ]
+    )
+    assert code == 0
+    with open(out_dir / "sweep_zipf_alpha.csv", encoding="utf-8", newline="") as fh:
+        assert [row["value"] for row in csv.DictReader(fh)] == ["1.0"]
+
+
+def _truncate_trace(payload):
+    payload["trace"] = payload["trace"][:30]
+
+
+def _request_file_5000(payload):
+    payload["trace"][5][0][1] = 5000
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_truncate_trace, "trace holds 30 slots"),
+    (_request_file_5000, r"file ids outside 1\.\.12: \[5000\]"),
+])
+def test_corrupt_instance_file_fails_on_load(tmp_path, small_instance, corrupt, message):
+    payload = json.loads(small_instance.to_canonical_json())
+    corrupt(payload)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(StructuralError, match=message):
+        load_instance(path)
+    out = tmp_path / "out"
+    with pytest.raises(StructuralError, match=message):
+        cli_main(["run", "--instance", str(path), "--seeds", "1", "--out", str(out)])
+    assert not out.exists()

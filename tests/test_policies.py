@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import logging
 import random
 import sys
 from types import SimpleNamespace
@@ -20,6 +21,7 @@ from coopcache.core import (
     request_slot,
 )
 from coopcache.episode import Episode
+from coopcache.harness import rollout
 from coopcache.interface import SlotObservation, parse
 from coopcache.policies import (
     AdapterError,
@@ -286,6 +288,17 @@ def test_extern_timeout_yields_empty(small_instance, golden_obs):
         assert not parse(text, golden_obs).is_valid
     finally:
         policy.close()
+
+
+def test_dead_adapter_is_reported_once(small_instance, caplog):
+    policy = ExternPolicy(f"{sys.executable} -c pass", timeout=20)
+    with caplog.at_level(logging.WARNING, logger="coopcache.policies"):
+        report = rollout(small_instance, policy, slots=20)
+    assert report.invalid_actions == 20
+    messages = [r.getMessage() for r in caplog.records]
+    assert len(messages) == 2, messages
+    assert messages[0].startswith("adapter is gone")
+    assert messages[1].startswith("adapter was gone for 20 slot(s)")
 
 
 def test_extern_spawn_failure():
