@@ -46,6 +46,10 @@ def _cases():
                                           "--grpo-out", os.path.join(out, "grpo.jsonl")]),
         ("verify", lambda out: ["verify", "--seeds", "1,2", "--pbrs-slots", "4",
                                 "--fuzz-cases", "2000", "--out", out]),
+        ("sweep-2bs", lambda out: ["sweep", "--bs", "2", "--axis", "library_size",
+                                   "--values", "100,300", "--policy", "lru",
+                                   "--policy", "oracle:1", "--seeds", "1,2",
+                                   "--slots", "60", "--out", out]),
     )
 
 
