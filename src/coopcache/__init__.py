@@ -18,18 +18,13 @@ from .core import (
     check_transition,
     feasible_actions,
     hit_rate,
+    oracle_best_action,
     request_slot,
 )
 from .dataset import audit_dataset, generate_grpo_states, generate_sft
 from .harness import EvalReport, RunConfig, rollout, run, sweep
 from .interface import SlotObservation, decode_prompt, encode, parse, serialize
-from .policies import (
-    ExternPolicy,
-    HeuristicBooks,
-    Policy,
-    make_policy,
-    oracle_best_action,
-)
+from .policies import ExternPolicy, Policy, make_policy
 from .reward import (
     RewardConfig,
     delta_perf,
@@ -42,6 +37,7 @@ from .reward import (
 from .traffic import (
     AssociationGraph,
     FrequencyTracker,
+    HeuristicBooks,
     Instance,
     InstanceConfig,
     advance_tracker,

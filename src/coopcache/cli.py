@@ -43,6 +43,13 @@ def _ints(value) -> tuple[int, ...]:
     return tuple(value)
 
 
+def _specs(value) -> tuple[str, ...]:
+    """A list of policy specs; a bare string is not split into letters."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise TypeError("expected a list of policy specs")
+    return tuple(value)
+
+
 def _cache(value):
     """One int for every BS, or a per-BS tuple; a one-entry string is one int."""
     if isinstance(value, str):
@@ -90,7 +97,7 @@ SETTINGS = (
     Setting("lambda_opp", "reward", "lambda_opp", float, "penalty for a missed swap"),
     Setting("epsilon", "reward", "epsilon", float, "group-advantage stability floor"),
     Setting("instance", "run", "instance_path", str, "saved instance file to read"),
-    Setting("policies", "run", "policies", tuple,
+    Setting("policies", "run", "policies", _specs,
             "lru | lfu | fifo | noop | oracle:<H> | extern:<command>; repeatable",
             flag="--policy"),
     Setting("seeds", "run", "seeds", _ints, "comma separated seed list"),
@@ -116,7 +123,8 @@ def _add_settings(p: argparse.ArgumentParser, keys) -> None:
 def _supplied(config: str, args, file_cfg: dict) -> dict:
     """Field values of one config that a flag or the file set; flags win.
 
-    Flag values arrive parsed by argparse; parsing them again is a no-op.
+    Flag values arrive parsed by argparse; parsing them again is a no-op,
+    so a value that fails to parse came from the file.
     """
     values = {}
     for s in SETTINGS:
@@ -127,7 +135,10 @@ def _supplied(config: str, args, file_cfg: dict) -> dict:
             if s.key not in file_cfg:
                 continue
             value = file_cfg[s.key]
-        values[s.field] = None if value is None else s.parse(value)
+        try:
+            values[s.field] = None if value is None else s.parse(value)
+        except (TypeError, ValueError) as exc:
+            raise SystemExit(f"config key {s.key!r} has a bad value {value!r}: {exc}") from exc
     return values
 
 

@@ -200,6 +200,64 @@ def hit_rate(cache: CacheState, requests: RequestSlot, graph) -> float:
     return hits / len(requests.pairs)
 
 
+def oracle_best_action(cache, b, requests, peek, graph, horizon, gamma) -> BsAction:
+    """Best single-BS action by discounted future-hit gain over ``peek``.
+
+    Each candidate swap is scored by the change it causes to cooperative
+    hits over the next ``horizon`` frozen request slots, holding the other
+    BS rows fixed. Only users covered by this BS whose requested file is
+    the inserted or evicted one can flip, so the score reduces to weighted
+    per-file gain/loss tallies. The no-op scores exactly zero; a swap wins
+    only when strictly better, and ties between swaps resolve to the
+    smallest (slot, file_in).
+    """
+    if horizon < 1:
+        raise StructuralError("horizon must be >= 1")
+    if len(peek) < horizon:
+        raise StructuralError(f"peek holds {len(peek)} slots, horizon needs {horizon}")
+    if not cache.is_full(b):
+        return NOOP
+    cached_here = cache.files_at(b)
+    candidates = sorted(requests.admissible[b - 1] - cached_here)
+    if not candidates:
+        return NOOP
+    gain: dict = {}
+    loss: dict = {}
+    weight = 1.0
+    for k in range(horizon):
+        slot_requests = peek[k]
+        if slot_requests.pairs:
+            scale = weight / len(slot_requests.pairs)
+            for u, f in slot_requests.pairs:
+                covered_here = False
+                holders = 0
+                for bb in graph.covering(u):
+                    if bb == b:
+                        covered_here = True
+                    if f in cache.files_at(bb):
+                        holders += 1
+                if not covered_here:
+                    continue
+                if holders == 0:
+                    gain[f] = gain.get(f, 0.0) + scale
+                elif holders == 1 and f in cached_here:
+                    loss[f] = loss.get(f, 0.0) + scale
+        weight *= gamma
+    winners = [f for f in candidates if gain.get(f, 0.0) > 0.0]
+    if not winners:
+        return NOOP
+    best = NOOP
+    best_score = 0.0
+    for z, f_out in enumerate(cache.slots[b - 1], start=1):
+        lose = loss.get(f_out, 0.0)
+        for f_in in winners:
+            score = gain[f_in] - lose
+            if score > best_score:
+                best, best_score = BsAction(z, f_in, f_out), score
+    assert best_score >= 0.0  # the no-op floor: never worse than keeping the cache
+    return best
+
+
 def apply(cache: CacheState, action: JointAction, requests: RequestSlot) -> CacheState:
     """Execute a valid joint action, enforcing the three feasibility rules.
 

@@ -9,9 +9,8 @@ transition is audited against the single-swap budget.
 
 from __future__ import annotations
 
-from .core import CacheState, JointAction, apply, check_transition
+from .core import CacheState, JointAction, apply, check_transition, oracle_best_action
 from .interface import SlotObservation
-from .policies import oracle_best_action
 from .traffic import Instance, WarmState, advance_tracker, observe, warm_start
 
 

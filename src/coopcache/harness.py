@@ -191,7 +191,7 @@ def _check_specs(cfg: RunConfig, configs) -> None:
     Two specs with the same policy name would overwrite each other's
     report files and be averaged into one table row; a warm-up oracle or a
     policy whose peek reaches past the trace end would fail only when it
-    gets there.
+    gets there, and an empty rollout only after its instance file is written.
     """
     policies = [make_policy(spec, cfg.reward.gamma, cfg.extern_timeout)
                 for spec in cfg.policies]
@@ -205,6 +205,8 @@ def _check_specs(cfg: RunConfig, configs) -> None:
                 f"exceeds the {config.trace_slots}-slot trace"
             )
         slots = config.rollout_slots if cfg.slots is None else int(cfg.slots)
+        if slots < 1:
+            raise StructuralError("rollout needs at least one slot")
         for p in policies:
             tail = max(config.horizon_reserve, p.peek_len)
             if config.warm_slots + slots + tail > config.trace_slots:

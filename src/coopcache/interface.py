@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .core import (
     EMPTY_SLOT,
@@ -29,6 +30,9 @@ from .core import (
     RequestSlot,
     StructuralError,
 )
+
+if TYPE_CHECKING:  # traffic imports this module
+    from .traffic import FrequencyTracker
 
 REASON_SYNTAX = "syntax"
 REASON_COUNT = "count"
@@ -67,15 +71,15 @@ INSTRUCTION_BLOCK = (
 class SlotObservation:
     """Immutable snapshot handed to policies at one decision slot.
 
-    ``freq[b-1]`` maps window length to ``{file: appearance rate}`` for the
-    files that are cached or requested at BS b. The nested dicts are built
-    once and must be treated as read-only.
+    ``tracker`` holds the window statistics up to and including this slot;
+    :func:`encode` reads the FREQ rates from it. Trackers are never mutated
+    in place, so the snapshot stays fixed. A decoded prompt has no tracker.
     """
 
     slot: int
     cache: CacheState
     requests: RequestSlot
-    freq: tuple[dict, ...]
+    tracker: FrequencyTracker | None
 
     @property
     def bs_count(self) -> int:
@@ -87,8 +91,8 @@ def encode(obs: SlotObservation) -> str:
 
     Layout: a SLOT header, then per BS the cache row in slot order, the
     deduplicated request counts sorted by descending count then file id,
-    and one FREQ line per window (rates to three decimals, ties-to-even),
-    followed by the fixed instruction block.
+    and one FREQ line per window with the rates of the cached and requested
+    files (three decimals, ties-to-even), then the fixed instruction block.
     """
     lines = [f"SLOT {obs.slot}"]
     for b in range(1, obs.bs_count + 1):
@@ -99,9 +103,9 @@ def encode(obs: SlotObservation) -> str:
         ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
         body = " ".join(f"{f}:{c}" for f, c in ordered)
         lines.append(f"BS {b} REQUESTS: {body}" if body else f"BS {b} REQUESTS:")
-        for w in sorted(obs.freq[b - 1]):
-            rates = obs.freq[b - 1][w]
-            body = " ".join(f"{f}:{rates[f]:.3f}" for f in sorted(rates))
+        files = sorted(obs.cache.files_at(b) | obs.requests.admissible[b - 1])
+        for w in obs.tracker.windows:
+            body = " ".join(f"{f}:{obs.tracker.rate(b, f, w):.3f}" for f in files)
             lines.append(f"BS {b} FREQ w={w}: {body}" if body else f"BS {b} FREQ w={w}:")
     lines.append(INSTRUCTION_BLOCK)
     return "\n".join(lines)
@@ -175,15 +179,23 @@ def serialize(action: JointAction) -> str:
 _PROMPT_SLOT = re.compile(r"SLOT ([0-9]+)")
 _PROMPT_CACHE = re.compile(r"BS ([0-9]+) CACHE: (.*)")
 _PROMPT_REQ = re.compile(r"BS ([0-9]+) REQUESTS:(.*)")
-_PROMPT_FREQ = re.compile(r"BS ([0-9]+) FREQ w=([0-9]+):(.*)")
+_PROMPT_FREQ = re.compile(r"BS [0-9]+ FREQ w=[0-9]+:(.*)")
+
+
+def _file_values(body: str, cast) -> dict:
+    """Space separated ``<file>:<value>`` tokens; ValueError when malformed."""
+    body = body.strip()
+    pairs = (tok.split(":") for tok in body.split(" ")) if body else ()
+    return {int(f): cast(v) for f, v in pairs}
 
 
 def decode_prompt(text: str) -> SlotObservation:
-    """Rebuild the observation fields a prompt renders.
+    """Rebuild the cache and request counts a prompt renders.
 
     The result carries no user-level request pairs (prompts store per-BS
-    aggregates only), so it supports parsing and feasibility auditing but
-    not hit-rate evaluation. Raises StructuralError on malformed prompts.
+    aggregates only) and no tracker, so it supports parsing and feasibility
+    auditing, not hit-rate evaluation or encoding. FREQ lines are checked
+    and dropped. Raises StructuralError on malformed prompts.
     """
     lines = text.splitlines()
     if not lines:
@@ -194,32 +206,17 @@ def decode_prompt(text: str) -> SlotObservation:
     slot = int(m.group(1))
     rows: dict[int, tuple[int, ...]] = {}
     counts: dict[int, dict] = {}
-    freq: dict[int, dict] = {}
     try:
         for line in lines[1:]:
             if line == "INSTRUCTIONS:":
                 break
             if m := _PROMPT_CACHE.fullmatch(line):
-                b = int(m.group(1))
                 cells = m.group(2).split(" ")
-                rows[b] = tuple(
-                    EMPTY_SLOT if c == "-" else int(c) for c in cells
-                )
+                rows[int(m.group(1))] = tuple(EMPTY_SLOT if c == "-" else int(c) for c in cells)
             elif m := _PROMPT_REQ.fullmatch(line):
-                b = int(m.group(1))
-                body = m.group(2).strip()
-                d = {}
-                for tok in body.split(" ") if body else ():
-                    f, c = tok.split(":")
-                    d[int(f)] = int(c)
-                counts[b] = d
+                counts[int(m.group(1))] = _file_values(m.group(2), int)
             elif m := _PROMPT_FREQ.fullmatch(line):
-                b, w = int(m.group(1)), int(m.group(2))
-                body = m.group(3).strip()
-                d = freq.setdefault(b, {}).setdefault(w, {})
-                for tok in body.split(" ") if body else ():
-                    f, r = tok.split(":")
-                    d[int(f)] = float(r)
+                _file_values(m.group(1), float)  # checked, not kept
             else:
                 raise StructuralError(f"unrecognized prompt line: {line!r}")
     except ValueError as exc:
@@ -233,6 +230,4 @@ def decode_prompt(text: str) -> SlotObservation:
         tuple(counts[b] for b in range(1, b_count + 1)),
         tuple(frozenset(counts[b]) for b in range(1, b_count + 1)),
     )
-    return SlotObservation(
-        slot, cache, requests, tuple(freq.get(b, {}) for b in range(1, b_count + 1))
-    )
+    return SlotObservation(slot, cache, requests, None)

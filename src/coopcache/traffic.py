@@ -20,10 +20,10 @@ from .core import (
     CacheState,
     RequestSlot,
     StructuralError,
+    oracle_best_action,
     request_slot,
 )
 from .interface import SlotObservation
-from .policies import HeuristicBooks, oracle_best_action
 
 INSTANCE_SCHEMA = "coopcache.instance.v1"
 
@@ -415,16 +415,51 @@ def observe(slot: int, cache: CacheState, requests: RequestSlot,
             tracker: FrequencyTracker) -> SlotObservation:
     """Assemble the policy-facing snapshot for one decision slot.
 
-    Frequency features are restricted to the files cached or requested at
-    each BS, which keeps prompts bounded.
+    Nothing is computed: the prompt renderer reads the rates from ``tracker``.
     """
-    freq = []
-    for b in range(1, cache.bs_count + 1):
-        files = sorted(cache.files_at(b) | requests.admissible[b - 1])
-        freq.append(
-            {w: {f: tracker.rate(b, f, w) for f in files} for w in tracker.windows}
+    return SlotObservation(slot, cache, requests, tracker)
+
+
+@dataclass
+class HeuristicBooks:
+    """Per-BS bookkeeping the eviction heuristics run on.
+
+    ``last_request`` holds the most recent slot each file was requested,
+    ``request_totals`` the cumulative request counts, and ``inserted_at``
+    the slot each cached file entered the cache. Updated once per slot.
+    """
+
+    last_request: list[dict]
+    request_totals: list[dict]
+    inserted_at: list[dict]
+
+    @classmethod
+    def empty(cls, bs_count: int) -> "HeuristicBooks":
+        return cls(
+            [{} for _ in range(bs_count)],
+            [{} for _ in range(bs_count)],
+            [{} for _ in range(bs_count)],
         )
-    return SlotObservation(slot, cache, requests, tuple(freq))
+
+    def copy(self) -> "HeuristicBooks":
+        return HeuristicBooks(
+            [dict(d) for d in self.last_request],
+            [dict(d) for d in self.request_totals],
+            [dict(d) for d in self.inserted_at],
+        )
+
+    def record_requests(self, slot, requests) -> None:
+        for b, counts in enumerate(requests.counts):
+            for f, c in counts.items():
+                self.last_request[b][f] = slot
+                self.request_totals[b][f] = self.request_totals[b].get(f, 0) + c
+
+    def record_swap(self, b, file_in, file_out, slot) -> None:
+        self.inserted_at[b - 1].pop(file_out, None)
+        self.inserted_at[b - 1][file_in] = slot
+
+    def record_fill(self, b, file_in, slot) -> None:
+        self.inserted_at[b - 1][file_in] = slot
 
 
 @dataclass

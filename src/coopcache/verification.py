@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .core import NOOP, JointAction, apply, feasible_actions
+from .core import NOOP, JointAction, StructuralError, apply, feasible_actions
 from .episode import Episode
 from .interface import SlotObservation, encode, parse, parse_bytes, serialize
 from .reward import RewardConfig, ShapingReport, verify_pbrs
@@ -143,6 +143,8 @@ def run_verification(seeds=(1, 2, 3), pbrs_slots: int = 20, fuzz_cases: int = 10
     Returns a JSON-ready document with one entry per suite and a summary
     ``ok`` flag.
     """
+    if not seeds:
+        raise StructuralError("verification needs at least one seed")
     config = config or InstanceConfig()
     reward = reward or RewardConfig()
     instances = [build_instance(config, seed) for seed in seeds]

@@ -8,7 +8,12 @@ import pytest
 
 from coopcache.core import CacheState, request_slot
 from coopcache.interface import SlotObservation
-from coopcache.traffic import AssociationGraph, InstanceConfig, build_instance
+from coopcache.traffic import (
+    AssociationGraph,
+    FrequencyTracker,
+    InstanceConfig,
+    build_instance,
+)
 
 
 def small_config(**overrides) -> InstanceConfig:
@@ -52,24 +57,28 @@ def random_scenario(rng: random.Random, max_bs=3, max_files=10, max_users=8):
     return cache, graph, requests
 
 
+def observation(cache, requests) -> SlotObservation:
+    """A slot-1 observation whose tracker has seen no slot; every rate is 0."""
+    return SlotObservation(1, cache, requests, FrequencyTracker.fresh((1,), cache.bs_count))
+
+
 def golden_observation() -> SlotObservation:
-    """The fixed two-BS observation behind the golden prompt file."""
+    """The fixed two-BS observation behind the golden prompt file.
+
+    The tracker has seen 100 slots, so each window's rate is its count over
+    the window length: 8 of the last 10 slots give 0.8, 35 of 100 give 0.35.
+    """
     cache = CacheState(((4, 7, 9), (2, 5, 0)))
     graph = AssociationGraph.synthetic(
         ((1,), (1, 2), (1,), (2,)), bs_count=2
     )
     requests = request_slot(((0, 5), (1, 5), (2, 7), (3, 9)), graph)
-    freq = (
-        {
-            10: {4: 0.0, 5: 0.1, 7: 0.8, 9: 0.3},
-            100: {4: 0.0, 5: 0.02, 7: 0.35, 9: 0.12},
-        },
-        {
-            10: {2: 0.2, 5: 0.1, 9: 0.4},
-            100: {2: 0.05, 5: 0.01, 9: 0.2},
-        },
+    counts = (
+        ({5: 1, 7: 8, 9: 3}, {2: 2, 5: 1, 9: 4}),  # w=10
+        ({5: 2, 7: 35, 9: 12}, {2: 5, 5: 1, 9: 20}),  # w=100
     )
-    return SlotObservation(101, cache, requests, freq)
+    tracker = FrequencyTracker((10, 100), 100, (), counts)
+    return SlotObservation(101, cache, requests, tracker)
 
 
 @pytest.fixture(scope="session")

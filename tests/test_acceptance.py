@@ -24,9 +24,8 @@ from coopcache.reward import RewardConfig, joint_space_size, verify_pbrs
 from coopcache.traffic import InstanceConfig, build_instance, warm_start
 from coopcache.verification import first_decision_observation, fuzz_parser
 
-from conftest import random_scenario
+from conftest import observation, random_scenario
 from test_core import brute_force_hit_rate
-from test_reward import _observe
 from coopcache.core import CacheState, request_slot
 from coopcache.traffic import AssociationGraph
 
@@ -101,10 +100,7 @@ def test_c2_feasibility_suite(two_bs_instances):
     done = 0
     while done < 1000:
         cache, graph, requests = random_scenario(rng)
-        freq = tuple({} for _ in range(cache.bs_count))
-        from coopcache.interface import SlotObservation
-
-        small_obs = SlotObservation(1, cache, requests, freq)
+        small_obs = observation(cache, requests)
         joint = JointAction.valid(
             [
                 rng.choice(feasible_actions(cache, b, requests))
@@ -157,7 +153,7 @@ def test_c5_joint_space(shaping_reports):
             u += 1
     requests = request_slot(tuple(pairs), graph)
     cache = CacheState(tuple(tuple(range(b * 10 + 1, b * 10 + 11)) for b in range(5)))
-    size = joint_space_size(_observe(cache, requests))
+    size = joint_space_size(observation(cache, requests))
     assert size.product == 41 ** 5 == 115_856_201
     print(f"ACCEPTANCE 5 joint-space growth: PASS ({bound_slots} bounded slots)")
 

@@ -369,6 +369,42 @@ def test_cli_rejects_unknown_config_keys(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("bs", "two", r"config key 'bs' has a bad value 'two'"),
+    ("seeds", 5, r"config key 'seeds' has a bad value 5"),
+    ("policies", "lru", r"config key 'policies' has a bad value 'lru'"),
+    ("policies", ["lru", 5], r"config key 'policies' has a bad value \['lru', 5\]"),
+], ids=["bs-text", "seeds-number", "policies-text", "policies-number-entry"])
+def test_cli_config_value_of_wrong_type_names_its_key(tmp_path, monkeypatch, key, value,
+                                                      message):
+    monkeypatch.delenv("COOPCACHE_OUT_DIR", raising=False)
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps({
+        "schema": RUNCONFIG_SCHEMA, key: value, "out": str(tmp_path / "out"),
+    }))
+    with pytest.raises(SystemExit, match=message):
+        cli_main(["run", "--config", str(cfg_path)])
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("slots", [["--slots", "0"], ["--rollout-slots", "0"]],
+                         ids=["slots", "rollout-slots"])
+def test_cli_run_without_slots_writes_nothing(tmp_path, monkeypatch, slots):
+    monkeypatch.delenv("COOPCACHE_OUT_DIR", raising=False)
+    out = tmp_path / "out"
+    with pytest.raises(StructuralError, match="at least one slot"):
+        cli_main(["run", *slots, "--seeds", "1", "--out", str(out)])
+    assert not out.exists()
+
+
+def test_cli_verify_without_seeds_writes_nothing(tmp_path, monkeypatch):
+    monkeypatch.delenv("COOPCACHE_OUT_DIR", raising=False)
+    out = tmp_path / "out"
+    with pytest.raises(StructuralError, match="at least one seed"):
+        cli_main(["verify", "--seeds", "", "--out", str(out)])
+    assert not out.exists()
+
+
 # Per setting: a flag text and the field value it sets, neither the default.
 _SAMPLES = {
     "bs": ("5", 5),

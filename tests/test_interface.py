@@ -30,17 +30,9 @@ from coopcache.interface import (
 )
 from coopcache.traffic import AssociationGraph
 
-from conftest import golden_observation, random_scenario
+from conftest import golden_observation, observation, random_scenario
 
 GOLDEN = Path(__file__).parent / "data" / "golden_prompt.txt"
-
-
-def _observe(cache, requests, slot=1):
-    freq = tuple(
-        {1: {f: 0.0 for f in sorted(cache.files_at(b) | requests.admissible[b - 1])}}
-        for b in range(1, cache.bs_count + 1)
-    )
-    return SlotObservation(slot, cache, requests, freq)
 
 
 def swap_observation():
@@ -48,7 +40,7 @@ def swap_observation():
     graph = AssociationGraph.synthetic(((1,), (2,), (2,)), 2)
     cache = CacheState(((4, 7, 9), (2, 5, 17)))
     requests = request_slot(((0, 4), (1, 42), (2, 9)), graph)
-    return _observe(cache, requests)
+    return observation(cache, requests)
 
 
 def test_golden_prompt_bytes(golden_obs):
@@ -61,7 +53,7 @@ def test_encode_deterministic(golden_obs):
 
 def test_encode_slot_index_changes_header_only(golden_obs):
     other = SlotObservation(
-        golden_obs.slot + 41, golden_obs.cache, golden_obs.requests, golden_obs.freq
+        golden_obs.slot + 41, golden_obs.cache, golden_obs.requests, golden_obs.tracker
     )
     a = encode(golden_obs).splitlines()
     b = encode(other).splitlines()
@@ -139,7 +131,7 @@ def test_round_trip_random_feasible_actions():
     done = 0
     while done < 1000:
         cache, graph, requests = random_scenario(rng)
-        obs = _observe(cache, requests)
+        obs = observation(cache, requests)
         joint = JointAction.valid(
             [
                 rng.choice(feasible_actions(cache, b, requests))
@@ -154,7 +146,7 @@ def test_round_trip_random_feasible_actions():
 def test_serialization_injective_on_feasible_actions():
     rng = random.Random(11)
     cache, graph, requests = random_scenario(rng)
-    obs = _observe(cache, requests)
+    obs = observation(cache, requests)
     seen = {}
     for b in range(1, cache.bs_count + 1):
         for act in feasible_actions(cache, b, requests):
@@ -171,14 +163,20 @@ def test_decode_prompt_round_trip(golden_obs):
     assert decoded.cache == golden_obs.cache
     assert decoded.requests.counts == golden_obs.requests.counts
     assert decoded.requests.admissible == golden_obs.requests.admissible
-    assert decoded.freq == golden_obs.freq
+    assert decoded.tracker is None
 
 
-def test_decode_prompt_rejects_garbage():
+def test_decode_prompt_rejects_garbage(golden_obs):
     with pytest.raises(StructuralError):
         decode_prompt("not a prompt")
     with pytest.raises(StructuralError):
         decode_prompt("SLOT 3\nBS 1 CACHE: x y")
+    # FREQ lines are checked although the decoded observation drops them
+    lines = encode(golden_obs).splitlines()
+    at = lines.index("BS 1 FREQ w=10: 4:0.000 5:0.100 7:0.800 9:0.300")
+    for bad in ("BS 1 FREQ w=10: 5:x", "BS 1 FREQ w=ten: 5:0.100"):
+        with pytest.raises(StructuralError):
+            decode_prompt("\n".join(lines[:at] + [bad] + lines[at + 1:]))
 
 
 @settings(max_examples=300, deadline=None)

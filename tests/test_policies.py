@@ -18,37 +18,28 @@ from coopcache.core import (
     StructuralError,
     apply,
     feasible_actions,
+    oracle_best_action,
     request_slot,
 )
 from coopcache.episode import Episode
 from coopcache.harness import rollout
-from coopcache.interface import SlotObservation, parse
+from coopcache.interface import parse
 from coopcache.policies import (
     AdapterError,
     ExternPolicy,
     FifoPolicy,
-    HeuristicBooks,
     LfuPolicy,
     LruPolicy,
     HEADER_LIMIT,
     OraclePolicy,
     make_policy,
-    oracle_best_action,
     read_frame,
     write_frame,
 )
 from coopcache.reward import RewardConfig, lookahead_value
-from coopcache.traffic import AssociationGraph, build_instance, warm_start
+from coopcache.traffic import AssociationGraph, HeuristicBooks, build_instance, warm_start
 
-from conftest import random_scenario, small_config
-
-
-def _observe(cache, requests, slot=50):
-    freq = tuple(
-        {1: {f: 0.0 for f in sorted(cache.files_at(b) | requests.admissible[b - 1])}}
-        for b in range(1, cache.bs_count + 1)
-    )
-    return SlotObservation(slot, cache, requests, freq)
+from conftest import observation, random_scenario, small_config
 
 
 def _decide(policy, obs, books):
@@ -69,7 +60,7 @@ def test_lru_unique_victim():
     graph = AssociationGraph.synthetic(((1,),), 1)
     cache = CacheState(((1, 2),))
     requests = request_slot(((0, 3),), graph)
-    obs = _observe(cache, requests)
+    obs = observation(cache, requests)
     books = _books_single(last={1: 45, 2: 49})
     assert _decide(LruPolicy(), obs, books) == "BS 1: SWAP slot=1 out=1 in=3"
 
@@ -79,7 +70,7 @@ def test_lru_noop_when_all_cached():
     cache = CacheState(((1, 2),))
     requests = request_slot(((0, 2),), graph)
     books = _books_single(last={1: 45, 2: 49})
-    assert _decide(LruPolicy(), _observe(cache, requests), books) == "BS 1: NOOP"
+    assert _decide(LruPolicy(), observation(cache, requests), books) == "BS 1: NOOP"
 
 
 def test_lru_tie_breaks_to_lower_file_id():
@@ -87,7 +78,7 @@ def test_lru_tie_breaks_to_lower_file_id():
     cache = CacheState(((7, 2),))
     requests = request_slot(((0, 3),), graph)
     books = _books_single(last={7: 40, 2: 40})
-    assert _decide(LruPolicy(), _observe(cache, requests), books) == "BS 1: SWAP slot=2 out=2 in=3"
+    assert _decide(LruPolicy(), observation(cache, requests), books) == "BS 1: SWAP slot=2 out=2 in=3"
 
 
 def test_lfu_victim_by_count_and_tie():
@@ -95,9 +86,9 @@ def test_lfu_victim_by_count_and_tie():
     cache = CacheState(((1, 2),))
     requests = request_slot(((0, 3),), graph)
     books = _books_single(totals={1: 9, 2: 4})
-    assert _decide(LfuPolicy(), _observe(cache, requests), books) == "BS 1: SWAP slot=2 out=2 in=3"
+    assert _decide(LfuPolicy(), observation(cache, requests), books) == "BS 1: SWAP slot=2 out=2 in=3"
     tie = _books_single(totals={1: 4, 2: 4})
-    assert _decide(LfuPolicy(), _observe(cache, requests), tie) == "BS 1: SWAP slot=1 out=1 in=3"
+    assert _decide(LfuPolicy(), observation(cache, requests), tie) == "BS 1: SWAP slot=1 out=1 in=3"
 
 
 def test_fifo_victim_by_insertion_and_arrival_insert():
@@ -106,14 +97,14 @@ def test_fifo_victim_by_insertion_and_arrival_insert():
     # user 0 asks for 9 first, user 1 asks for 3: queue inserts 9
     requests = request_slot(((0, 9), (1, 3)), graph)
     books = _books_single(inserted={1: 30, 2: 10})
-    assert _decide(FifoPolicy(), _observe(cache, requests), books) == "BS 1: SWAP slot=2 out=2 in=9"
+    assert _decide(FifoPolicy(), observation(cache, requests), books) == "BS 1: SWAP slot=2 out=2 in=9"
 
 
 def test_heuristics_emit_parseable_text():
     rng = random.Random(3)
     for _ in range(100):
         cache, graph, requests = random_scenario(rng)
-        obs = _observe(cache, requests)
+        obs = observation(cache, requests)
         books = HeuristicBooks.empty(cache.bs_count)
         books.record_requests(49, requests)
         for policy in (LruPolicy(), LfuPolicy(), FifoPolicy()):
@@ -193,7 +184,7 @@ def test_oracle_decoupled_across_bs():
             )
             for _ in range(2)
         )
-        obs = _observe(cache, requests)
+        obs = observation(cache, requests)
         oracle = OraclePolicy(2, 0.9)
         oracle.reset(SimpleNamespace(graph=graph))
         text = oracle.decide(obs, peek)

@@ -14,7 +14,7 @@ from coopcache.core import (
     StructuralError,
     request_slot,
 )
-from coopcache.interface import SlotObservation, serialize
+from coopcache.interface import serialize
 from coopcache.reward import (
     RewardConfig,
     delta_perf,
@@ -26,15 +26,7 @@ from coopcache.reward import (
 )
 from coopcache.traffic import AssociationGraph, build_instance
 
-from conftest import random_scenario, small_config
-
-
-def _observe(cache, requests, slot=10):
-    freq = tuple(
-        {1: {f: 0.0 for f in sorted(cache.files_at(b) | requests.admissible[b - 1])}}
-        for b in range(1, cache.bs_count + 1)
-    )
-    return SlotObservation(slot, cache, requests, freq)
+from conftest import observation, random_scenario, small_config
 
 
 def _rate_slot(graph, hit_users, total_users, cached_file, other_file):
@@ -139,7 +131,7 @@ def _score_fixture():
     graph = AssociationGraph.synthetic(((1,), (1,)), 1)
     cache = CacheState(((1, 2),))
     requests = request_slot(((0, 5), (1, 5)), graph)
-    obs = _observe(cache, requests)
+    obs = observation(cache, requests)
     peek = (request_slot(((0, 5), (1, 5)), graph),)
     expert = JointAction.valid([BsAction(1, 5, 1)])
     cfg = RewardConfig(horizon=1, gamma=0.9)
@@ -231,7 +223,7 @@ def test_joint_space_exact_product():
             u += 1
     requests = request_slot(tuple(pairs), graph)
     cache = CacheState(tuple(tuple(range(b * 10 + 1, b * 10 + 11)) for b in range(5)))
-    obs = _observe(cache, requests)
+    obs = observation(cache, requests)
     size = joint_space_size(obs)
     assert size.factors == (41,) * 5
     assert size.product == 115_856_201
@@ -242,7 +234,7 @@ def test_joint_space_lower_bound_tightness():
     graph = AssociationGraph.synthetic(((1,), (2,), (3,)), 3)
     requests = request_slot(((0, 9), (1, 9), (2, 9)), graph)
     cache = CacheState(((1,), (2,), (3,)))
-    size = joint_space_size(_observe(cache, requests))
+    size = joint_space_size(observation(cache, requests))
     assert size.factors == (2, 2, 2)
     assert size.product == 8 == 2 ** 3
 
@@ -251,7 +243,7 @@ def test_joint_space_bound_skipped_when_noop_only():
     graph = AssociationGraph.synthetic(((1,), (2,)), 2)
     requests = request_slot(((0, 1), (1, 9)), graph)
     cache = CacheState(((1,), (2,)))  # BS1's only request already cached
-    size = joint_space_size(_observe(cache, requests))
+    size = joint_space_size(observation(cache, requests))
     assert size.factors[0] == 1
     assert not size.exponential_bound_applies
 
@@ -278,7 +270,7 @@ def test_noop_optimal_state_stays_unpenalized():
     graph = AssociationGraph.synthetic(((1,), (1,)), 1)
     cache = CacheState(((5, 6),))
     requests = request_slot(((0, 7), (1, 7)), graph)
-    obs = _observe(cache, requests)
+    obs = observation(cache, requests)
     peek = (request_slot(((0, 5), (1, 6)), graph),)
     cfg = RewardConfig(horizon=1)
     expert = JointAction.valid([NOOP])

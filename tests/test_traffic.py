@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from coopcache.core import EMPTY_SLOT, StructuralError, request_slot
+from coopcache.episode import Episode
+from coopcache.interface import encode
 from coopcache.traffic import (
     AssociationGraph,
     ConfigurationError,
@@ -17,7 +19,6 @@ from coopcache.traffic import (
     build_instance,
     instance_from_payload,
     load_instance,
-    observe,
     save_instance,
     warm_start,
     zipf_pmf,
@@ -165,17 +166,25 @@ def test_tracker_matches_trace_recomputation(small_instance):
                 assert tracker.rate(b, f, w) == pytest.approx(member / min(w, t))
 
 
-def test_observe_restricts_to_relevant_files(small_instance):
+def test_prompt_freq_lines_read_the_tracker(small_instance):
     inst = small_instance
-    warm = warm_start(inst, 4, 0.9)
-    t = inst.config.warm_slots + 1
-    requests = inst.request_slot(t)
-    tracker = advance_tracker(warm.tracker, requests)
-    obs = observe(t, warm.cache, requests, tracker)
+    episode = Episode(inst, warm_start(inst, 4, 0.9))
+    obs = episode.advance()
+    lines = encode(obs).splitlines()
+    positive = 0
     for b in range(1, inst.config.bs_count + 1):
-        relevant = warm.cache.files_at(b) | requests.admissible[b - 1]
-        for w, rates in obs.freq[b - 1].items():
-            assert set(rates) == relevant
+        relevant = sorted(obs.cache.files_at(b) | obs.requests.admissible[b - 1])
+        freq = [line for line in lines if line.startswith(f"BS {b} FREQ ")]
+        assert len(freq) == len(inst.config.windows)
+        for w, line in zip(inst.config.windows, freq):
+            head, body = line.split(": ", 1)
+            assert head == f"BS {b} FREQ w={w}"
+            tokens = [tok.split(":") for tok in body.split(" ")]
+            assert [int(f) for f, _ in tokens] == relevant
+            for f, r in tokens:
+                assert r == f"{episode.tracker.rate(b, int(f), w):.3f}"
+                positive += float(r) > 0
+    assert positive
 
 
 def test_warm_start_fills_default_caches():
