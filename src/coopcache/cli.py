@@ -16,7 +16,7 @@ import os
 import sys
 from typing import Callable, NamedTuple
 
-from .dataset import audit_dataset, generate_grpo_states, generate_sft, write_grpo_jsonl, write_sft_jsonl
+from .dataset import audit_dataset, generate_sft, write_grpo_jsonl, write_sft_jsonl
 from .harness import (
     RUNCONFIG_SCHEMA,
     RunConfig,
@@ -36,11 +36,23 @@ _ENV_OUT = "COOPCACHE_OUT_DIR"
 _DEFAULT_OUT = "results"
 
 
+def _whole(value) -> int:
+    """A JSON integer: an int, but not a bool or a float."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, not {value!r}")
+    return value
+
+
+def _int(value) -> int:
+    """Decimal text, or a JSON integer."""
+    return int(value) if isinstance(value, str) else _whole(value)
+
+
 def _ints(value) -> tuple[int, ...]:
-    """A comma separated string of ints, or a JSON list taken as is."""
+    """Comma separated decimal text, or a JSON list of integers."""
     if isinstance(value, str):
         return tuple(int(x) for x in value.split(",") if x != "")
-    return tuple(value)
+    return tuple(_whole(x) for x in value)
 
 
 def _specs(value) -> tuple[str, ...]:
@@ -55,7 +67,7 @@ def _cache(value):
     if isinstance(value, str):
         parsed = _ints(value)
         return parsed[0] if len(parsed) == 1 else parsed
-    return tuple(value) if isinstance(value, list) else value
+    return _ints(value) if isinstance(value, (list, tuple)) else _whole(value)
 
 
 class Setting(NamedTuple):
@@ -80,18 +92,18 @@ class Setting(NamedTuple):
 # Every setting once. Defaults are the dataclasses' own: a setting neither
 # a flag nor the config file supplies is not passed to its dataclass.
 SETTINGS = (
-    Setting("bs", "instance", "bs_count", int, "number of base stations"),
-    Setting("users", "instance", "users", int, "number of users"),
-    Setting("library", "instance", "library", int, "content library size"),
+    Setting("bs", "instance", "bs_count", _int, "number of base stations"),
+    Setting("users", "instance", "users", _int, "number of users"),
+    Setting("library", "instance", "library", _int, "content library size"),
     Setting("cache", "instance", "cache_size", _cache, "cache size: one int or comma list per BS"),
-    Setting("groups", "instance", "groups", int, "user preference groups"),
+    Setting("groups", "instance", "groups", _int, "user preference groups"),
     Setting("alpha", "instance", "alpha", float, "popularity skew exponent"),
     Setting("windows", "instance", "windows", _ints, "history windows, comma separated"),
     Setting("radius", "instance", "radius", float, "coverage radius"),
-    Setting("warm_slots", "instance", "warm_slots", int, "warm-up slots"),
-    Setting("rollout_slots", "instance", "rollout_slots", int, "rollout slots in the trace"),
-    Setting("horizon_reserve", "instance", "horizon_reserve", int, "trace slots past the rollout"),
-    Setting("horizon", "reward", "horizon", int, "expert and reward look-ahead horizon"),
+    Setting("warm_slots", "instance", "warm_slots", _int, "warm-up slots"),
+    Setting("rollout_slots", "instance", "rollout_slots", _int, "rollout slots in the trace"),
+    Setting("horizon_reserve", "instance", "horizon_reserve", _int, "trace slots past the rollout"),
+    Setting("horizon", "reward", "horizon", _int, "expert and reward look-ahead horizon"),
     Setting("gamma", "reward", "gamma", float, "look-ahead discount"),
     Setting("lambda_fmt", "reward", "lambda_fmt", float, "penalty for malformed output"),
     Setting("lambda_opp", "reward", "lambda_opp", float, "penalty for a missed swap"),
@@ -101,7 +113,7 @@ SETTINGS = (
             "lru | lfu | fifo | noop | oracle:<H> | extern:<command>; repeatable",
             flag="--policy"),
     Setting("seeds", "run", "seeds", _ints, "comma separated seed list"),
-    Setting("slots", "run", "slots", int, "rollout slots to run (default: the instance's)"),
+    Setting("slots", "run", "slots", _int, "rollout slots to run (default: the instance's)"),
     Setting("extern_timeout", "run", "extern_timeout", float, "adapter reply timeout in seconds"),
     Setting("out", "run", "out_dir", str, f"output directory (default: {_DEFAULT_OUT})"),
 )
@@ -206,29 +218,21 @@ def _cmd_export_sft(args) -> int:
         config = InstanceConfig(**_supplied("instance", args, {}))
         instance = build_instance(config, args.seed)
     reward = RewardConfig(**_supplied("reward", args, {}))
-    export = generate_sft(
-        instance, args.records, reward.horizon, reward.gamma,
-        warm_slots=args.warm_slots_override,
-    )
+    export = generate_sft(instance, args.records, reward.horizon, reward.gamma)
     write_sft_jsonl(export, args.out)
     status = "truncated" if export.truncated else "complete"
     print(f"wrote {args.out}: {len(export.records)} records ({status})")
     if args.grpo_out:
-        grpo = generate_grpo_states(
-            instance, args.records, reward.horizon, reward.gamma,
-            warm_slots=args.warm_slots_override,
-        )
-        write_grpo_jsonl(grpo, args.grpo_out)
-        print(f"wrote {args.grpo_out}: {len(grpo.records)} states")
+        write_grpo_jsonl(export, args.grpo_out)
+        print(f"wrote {args.grpo_out}: {len(export.records)} states")
     audit = audit_dataset(args.out)
     print(f"audit: {audit.records} records, {len(audit.invalid_indices)} invalid")
     return 0 if audit.ok else 1
 
 
 def _cmd_verify(args) -> int:
-    report = run_verification(
-        seeds=_ints(args.seeds), pbrs_slots=args.pbrs_slots, fuzz_cases=args.fuzz_cases
-    )
+    given = {k: getattr(args, k) for k in ("seeds", "pbrs_slots", "fuzz_cases")}
+    report = run_verification(**{k: v for k, v in given.items() if v is not None})
     out_dir = os.environ.get(_ENV_OUT) or args.out
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "verify_report.json")
@@ -288,17 +292,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_settings(p, _INSTANCE_KEYS + ("instance", "horizon", "gamma"))
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--records", type=int, required=True)
-    p.add_argument("--warm-slots-override", type=int, default=None,
-                   help="override the instance's warm-up length")
     p.add_argument("--out", required=True)
     p.add_argument("--grpo-out", default=None,
-                   help="also export reward-stage states with expert witnesses")
+                   help="also write the reward-stage states of the same expert walk")
     p.set_defaults(fn=_cmd_export_sft)
 
     p = sub.add_parser("verify", help="parser fuzz + shaping audit + space bound")
-    p.add_argument("--seeds", default="1,2,3")
-    p.add_argument("--pbrs-slots", type=int, default=20)
-    p.add_argument("--fuzz-cases", type=int, default=100_000)
+    # Without a flag, run_verification's own default applies.
+    p.add_argument("--seeds", type=_ints, help="comma separated seed list")
+    p.add_argument("--pbrs-slots", type=int, help="shaping-audit slots per seed")
+    p.add_argument("--fuzz-cases", type=int, help="parser fuzz cases")
     p.add_argument("--out", default=_DEFAULT_OUT)
     p.set_defaults(fn=_cmd_verify)
 

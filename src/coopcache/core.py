@@ -11,6 +11,7 @@ so they are safe to share across threads.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 EMPTY_SLOT = 0
@@ -18,6 +19,11 @@ EMPTY_SLOT = 0
 RULE_ADMISSIBILITY = "admissibility"
 RULE_DUPLICATION = "duplication"
 RULE_CONSISTENCY = "consistency"
+
+
+def canonical_json(obj) -> str:
+    """The byte form of every deterministic JSON artifact: sorted keys, no spaces."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 class StructuralError(ValueError):
@@ -174,7 +180,7 @@ def request_slot(pairs, graph) -> RequestSlot:
             raise StructuralError("file ids must be >= 1")
         if not 0 <= u < graph.user_count:
             raise StructuralError(f"user {u} is not in the association graph")
-        for b in graph.covering(u):
+        for b in graph.coverage[u]:
             d = counts[b - 1]
             d[f] = d.get(f, 0) + 1
     admissible = tuple(frozenset(d) for d in counts)
@@ -193,7 +199,7 @@ def hit_rate(cache: CacheState, requests: RequestSlot, graph) -> float:
         return 0.0
     hits = 0
     for u, f in requests.pairs:
-        for b in graph.covering(u):
+        for b in graph.coverage[u]:
             if f in cache.files_at(b):
                 hits += 1
                 break
@@ -231,7 +237,7 @@ def oracle_best_action(cache, b, requests, peek, graph, horizon, gamma) -> BsAct
             for u, f in slot_requests.pairs:
                 covered_here = False
                 holders = 0
-                for bb in graph.covering(u):
+                for bb in graph.coverage[u]:
                     if bb == b:
                         covered_here = True
                     if f in cache.files_at(bb):

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 
-from .core import EMPTY_SLOT
+from .core import EMPTY_SLOT, canonical_json
 from .episode import expert_walk
 from .interface import decode_prompt, encode, parse, serialize
 from .traffic import Instance
@@ -26,95 +26,70 @@ class DatasetFormatError(ValueError):
 
 
 @dataclass(frozen=True)
-class SftRecord:
-    """One demonstration pair plus provenance metadata."""
+class ExpertRecord:
+    """One expert-walk slot: the prompt, the expert's completion, provenance.
+
+    The SFT file pairs the prompt with the completion; the GRPO file keeps
+    the completion as the expert witness plus a fingerprint of the peek.
+    """
 
     prompt: str
     completion: str
     seed: int
     slot: int
     instance_sha256: str
+    peek: tuple = field(repr=False)
 
-
-@dataclass(frozen=True)
-class GrpoStateRecord:
-    """One reward-stage state: prompt, expert witness, peek fingerprint."""
-
-    prompt: str
-    expert_completion: str
-    peek_sha256: str
-    seed: int
-    slot: int
-    instance_sha256: str
+    @property
+    def peek_sha256(self) -> str:
+        """Hashed when read, so an export that writes no GRPO file hashes nothing."""
+        payload = canonical_json([[list(p) for p in slot.pairs] for slot in self.peek])
+        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
 class SftExport:
     records: tuple
     requested: int
-    truncated: bool
 
-
-def _peek_sha256(peek) -> str:
-    payload = json.dumps(
-        [[list(p) for p in slot.pairs] for slot in peek],
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def _export(instance: Instance, records: int, horizon: int, gamma: float,
-            warm_slots, make_record) -> SftExport:
-    """Take ``records`` full-cache slots of the expert walk, one record each."""
-    sha = instance.sha256()
-    walk = islice(expert_walk(instance, horizon, gamma, warm_slots), max(records, 0))
-    out = tuple(make_record(obs, expert, peek, sha) for obs, expert, peek in walk)
-    return SftExport(out, records, len(out) < records)
+    @property
+    def truncated(self) -> bool:
+        return len(self.records) < self.requested
 
 
 def generate_sft(instance: Instance, records: int, horizon: int = 10,
-                 gamma: float = 0.9, warm_slots: int | None = None) -> SftExport:
-    """Collect expert demonstration pairs at full-cache slots.
+                 gamma: float = 0.9) -> SftExport:
+    """Collect expert records at full-cache slots; one export feeds both files.
 
-    Stops after ``records`` pairs, or earlier with ``truncated`` set when
+    Stops after ``records`` records, or earlier with ``truncated`` set when
     the trace cannot supply the look-ahead window anymore.
     """
-    return _export(
-        instance, records, horizon, gamma, warm_slots,
-        lambda obs, expert, _peek, sha: SftRecord(
-            encode(obs), serialize(expert), instance.seed, obs.slot, sha
-        ),
-    )
+    sha = instance.sha256()
+    walk = islice(expert_walk(instance, horizon, gamma), max(records, 0))
+    return SftExport(tuple(
+        ExpertRecord(encode(obs), serialize(expert), instance.seed, obs.slot, sha, peek)
+        for obs, expert, peek in walk
+    ), records)
 
 
 def generate_grpo_states(instance: Instance, records: int, horizon: int = 10,
-                         gamma: float = 0.9, warm_slots: int | None = None) -> SftExport:
-    """Collect reward-stage states: every full-cache slot, expert attached."""
-    return _export(
-        instance, records, horizon, gamma, warm_slots,
-        lambda obs, expert, peek, sha: GrpoStateRecord(
-            encode(obs), serialize(expert), _peek_sha256(peek), instance.seed, obs.slot, sha
-        ),
-    )
-
-
-def _dump(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+                         gamma: float = 0.9) -> SftExport:
+    """The reward-stage states: the same export as :func:`generate_sft`."""
+    return generate_sft(instance, records, horizon, gamma)
 
 
 def _write_jsonl(export: SftExport, path, row) -> None:
     """One canonical JSON object per record, then the truncation marker if any."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for rec in export.records:
-            fh.write(_dump(row(rec)) + "\n")
+            fh.write(canonical_json(row(rec)) + "\n")
         if export.truncated:
             marker = {
                 "marker": TRUNCATION_MARKER,
                 "emitted": len(export.records),
                 "requested": export.requested,
             }
-            fh.write(_dump(marker) + "\n")
+            fh.write(canonical_json(marker) + "\n")
 
 
 def write_sft_jsonl(export: SftExport, path) -> None:
@@ -132,7 +107,7 @@ def write_sft_jsonl(export: SftExport, path) -> None:
 def write_grpo_jsonl(export: SftExport, path) -> None:
     _write_jsonl(export, path, lambda rec: {
         "prompt": rec.prompt,
-        "expert": rec.expert_completion,
+        "expert": rec.completion,
         "meta": {
             "seed": rec.seed,
             "slot": rec.slot,

@@ -48,8 +48,7 @@ class Episode:
         return True
 
 
-def expert_walk(instance: Instance, horizon: int, gamma: float,
-                warm_slots: int | None = None):
+def expert_walk(instance: Instance, horizon: int, gamma: float):
     """Walk the look-ahead expert; yield ``(obs, expert, peek)`` per full-cache slot.
 
     The expert acts at every slot; its action is applied only when the next
@@ -57,7 +56,7 @@ def expert_walk(instance: Instance, horizon: int, gamma: float,
     its last item. The warm-up runs eagerly. The walk ends where the trace
     can no longer supply a peek.
     """
-    episode = Episode(instance, warm_start(instance, horizon, gamma, warm_slots))
+    episode = Episode(instance, warm_start(instance, horizon, gamma))
     bs_range = range(1, instance.config.bs_count + 1)
 
     def walk():

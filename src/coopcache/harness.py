@@ -19,7 +19,7 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from .core import StructuralError, hit_rate
+from .core import StructuralError, canonical_json, hit_rate
 from .episode import Episode
 from .interface import parse
 from .policies import Policy, make_policy
@@ -235,8 +235,7 @@ def run(cfg: RunConfig) -> list[EvalReport]:
             if out:
                 name = f"report_{_safe_name(policy.name)}_seed{seed}.json"
                 with open(os.path.join(out, name), "w", encoding="utf-8", newline="") as fh:
-                    json.dump(report.to_dict(), fh, sort_keys=True, separators=(",", ":"))
-                    fh.write("\n")
+                    fh.write(canonical_json(report.to_dict()) + "\n")
     if out:
         write_reports(reports, out)
         write_latency(reports, out)

@@ -20,6 +20,7 @@ from .core import (
     CacheState,
     RequestSlot,
     StructuralError,
+    canonical_json,
     oracle_best_action,
     request_slot,
 )
@@ -91,9 +92,6 @@ class AssociationGraph:
     @property
     def user_count(self) -> int:
         return len(self.user_xy)
-
-    def covering(self, u: int) -> tuple[int, ...]:
-        return self.coverage[u]
 
 
 @dataclass(frozen=True)
@@ -239,7 +237,7 @@ class Instance:
             "rank_to_file": [list(row) for row in self.demand.rank_to_file],
             "trace": [[list(p) for p in slot.pairs] for slot in self.trace],
         }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        return canonical_json(payload) + "\n"
 
     def sha256(self) -> str:
         return hashlib.sha256(self.to_canonical_json().encode("utf-8")).hexdigest()
@@ -471,8 +469,8 @@ class WarmState:
     books: HeuristicBooks
 
 
-def warm_start(instance: Instance, oracle_horizon: int = 10, oracle_gamma: float = 0.9,
-               warm_slots: int | None = None) -> WarmState:
+def warm_start(instance: Instance, oracle_horizon: int = 10,
+               oracle_gamma: float = 0.9) -> WarmState:
     """Run the prefill policy and return the shared starting state.
 
     Per slot, a BS with spare capacity inserts the most requested uncached
@@ -482,13 +480,12 @@ def warm_start(instance: Instance, oracle_horizon: int = 10, oracle_gamma: float
     history every other controller saw.
     """
     config = instance.config
-    slots = config.warm_slots if warm_slots is None else int(warm_slots)
-    if slots < 0 or slots + oracle_horizon > instance.trace_len:
+    if config.warm_slots + oracle_horizon > instance.trace_len:
         raise StructuralError("warm-up must leave room for the oracle horizon")
     cache = CacheState.empty(config.cache_size)
     tracker = FrequencyTracker.fresh(config.windows, config.bs_count)
     books = HeuristicBooks.empty(config.bs_count)
-    for t in range(1, slots + 1):
+    for t in range(1, config.warm_slots + 1):
         requests = instance.request_slot(t)
         tracker = advance_tracker(tracker, requests)
         books.record_requests(t, requests)

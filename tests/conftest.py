@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import os
 import random
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,11 @@ from coopcache.traffic import (
     InstanceConfig,
     build_instance,
 )
+
+# Adapter children of the extern tests import coopcache from this checkout
+# too, also when pytest alone put src/ on the path (pyproject's pythonpath).
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 def small_config(**overrides) -> InstanceConfig:

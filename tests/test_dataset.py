@@ -119,7 +119,7 @@ def test_grpo_states_carry_expert_witness(tmp_path, instance):
     assert len(export.records) == 9
     for rec in export.records:
         obs = decode_prompt(rec.prompt)
-        assert parse(rec.expert_completion, obs).is_valid
+        assert parse(rec.completion, obs).is_valid
         assert len(rec.peek_sha256) == 64
     path = tmp_path / "grpo.jsonl"
     write_grpo_jsonl(export, path)
@@ -132,5 +132,5 @@ def test_sft_and_grpo_share_prompts(instance):
     grpo = generate_grpo_states(instance, 5, horizon=3)
     assert [r.prompt for r in sft.records] == [r.prompt for r in grpo.records]
     assert [r.completion for r in sft.records] == [
-        r.expert_completion for r in grpo.records
+        r.completion for r in grpo.records
     ]

@@ -15,6 +15,7 @@ from coopcache.cli import (
     _run_config,
     build_parser,
 )
+from coopcache import episode
 from coopcache.cli import main as cli_main
 from coopcache.core import StructuralError, hit_rate
 from coopcache.harness import (
@@ -37,6 +38,7 @@ from coopcache.traffic import (
     InstanceConfig,
     build_instance,
     load_instance,
+    save_instance,
     warm_start,
 )
 
@@ -286,6 +288,21 @@ def test_cli_verify_small(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "verify_report.json").exists()
 
 
+def test_cli_export_sft_walks_the_expert_once(tmp_path, monkeypatch, small_instance):
+    inst_path = tmp_path / "inst.json"
+    save_instance(small_instance, inst_path)
+    calls = []
+    real = episode.oracle_best_action
+    monkeypatch.setattr(episode, "oracle_best_action",
+                        lambda *args: calls.append(1) or real(*args))
+    argv = ["export-sft", "--instance", str(inst_path), "--records", "5", "--horizon", "3",
+            "--out", str(tmp_path / "sft.jsonl")]
+    assert cli_main(argv) == 0
+    sft_only = len(calls)
+    assert cli_main([*argv, "--grpo-out", str(tmp_path / "grpo.jsonl")]) == 0
+    assert sft_only > 0 and len(calls) - sft_only == sft_only
+
+
 def test_cli_export_sft_and_report(tmp_path):
     inst_path = tmp_path / "inst.json"
     cli_main(
@@ -374,7 +391,14 @@ def test_cli_rejects_unknown_config_keys(tmp_path, capsys):
     ("seeds", 5, r"config key 'seeds' has a bad value 5"),
     ("policies", "lru", r"config key 'policies' has a bad value 'lru'"),
     ("policies", ["lru", 5], r"config key 'policies' has a bad value \['lru', 5\]"),
-], ids=["bs-text", "seeds-number", "policies-text", "policies-number-entry"])
+    ("seeds", ["1"], r"config key 'seeds' has a bad value \['1'\]"),
+    ("windows", ["a"], r"config key 'windows' has a bad value \['a'\]"),
+    ("bs", 2.5, r"config key 'bs' has a bad value 2\.5"),
+    ("cache", [3.7, 4], r"config key 'cache' has a bad value \[3\.7, 4\]"),
+    ("seeds", [True], r"config key 'seeds' has a bad value \[True\]"),
+], ids=["bs-text", "seeds-number", "policies-text", "policies-number-entry",
+        "seeds-text-entry", "windows-text-entry", "bs-float", "cache-float-entry",
+        "seeds-bool-entry"])
 def test_cli_config_value_of_wrong_type_names_its_key(tmp_path, monkeypatch, key, value,
                                                       message):
     monkeypatch.delenv("COOPCACHE_OUT_DIR", raising=False)

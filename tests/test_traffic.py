@@ -196,8 +196,8 @@ def test_warm_start_fills_default_caches():
 
 
 def test_warm_start_zero_slots():
-    inst = build_instance(small_config(), 2)
-    warm = warm_start(inst, 4, 0.9, warm_slots=0)
+    inst = build_instance(small_config(warm_slots=0), 2)
+    warm = warm_start(inst, 4, 0.9)
     assert warm.cache.slots == tuple(
         (EMPTY_SLOT,) * c for c in inst.config.cache_size
     )
