@@ -16,6 +16,7 @@ import os
 import sys
 from typing import Callable, NamedTuple
 
+from .core import atomic_write, whole
 from .dataset import audit_dataset, generate_sft, write_grpo_jsonl, write_sft_jsonl
 from .harness import (
     RUNCONFIG_SCHEMA,
@@ -36,23 +37,23 @@ _ENV_OUT = "COOPCACHE_OUT_DIR"
 _DEFAULT_OUT = "results"
 
 
-def _whole(value) -> int:
-    """A JSON integer: an int, but not a bool or a float."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected an integer, not {value!r}")
-    return value
-
-
 def _int(value) -> int:
     """Decimal text, or a JSON integer."""
-    return int(value) if isinstance(value, str) else _whole(value)
+    return int(value) if isinstance(value, str) else whole(value)
+
+
+def _real(value) -> float:
+    """Decimal text, or a JSON integer or float, but not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise TypeError(f"expected a number, not {value!r}")
+    return float(value)
 
 
 def _ints(value) -> tuple[int, ...]:
     """Comma separated decimal text, or a JSON list of integers."""
     if isinstance(value, str):
         return tuple(int(x) for x in value.split(",") if x != "")
-    return tuple(_whole(x) for x in value)
+    return tuple(whole(x) for x in value)
 
 
 def _specs(value) -> tuple[str, ...]:
@@ -67,7 +68,7 @@ def _cache(value):
     if isinstance(value, str):
         parsed = _ints(value)
         return parsed[0] if len(parsed) == 1 else parsed
-    return _ints(value) if isinstance(value, (list, tuple)) else _whole(value)
+    return _ints(value) if isinstance(value, (list, tuple)) else whole(value)
 
 
 class Setting(NamedTuple):
@@ -97,24 +98,24 @@ SETTINGS = (
     Setting("library", "instance", "library", _int, "content library size"),
     Setting("cache", "instance", "cache_size", _cache, "cache size: one int or comma list per BS"),
     Setting("groups", "instance", "groups", _int, "user preference groups"),
-    Setting("alpha", "instance", "alpha", float, "popularity skew exponent"),
+    Setting("alpha", "instance", "alpha", _real, "popularity skew exponent"),
     Setting("windows", "instance", "windows", _ints, "history windows, comma separated"),
-    Setting("radius", "instance", "radius", float, "coverage radius"),
+    Setting("radius", "instance", "radius", _real, "coverage radius"),
     Setting("warm_slots", "instance", "warm_slots", _int, "warm-up slots"),
     Setting("rollout_slots", "instance", "rollout_slots", _int, "rollout slots in the trace"),
     Setting("horizon_reserve", "instance", "horizon_reserve", _int, "trace slots past the rollout"),
     Setting("horizon", "reward", "horizon", _int, "expert and reward look-ahead horizon"),
-    Setting("gamma", "reward", "gamma", float, "look-ahead discount"),
-    Setting("lambda_fmt", "reward", "lambda_fmt", float, "penalty for malformed output"),
-    Setting("lambda_opp", "reward", "lambda_opp", float, "penalty for a missed swap"),
-    Setting("epsilon", "reward", "epsilon", float, "group-advantage stability floor"),
+    Setting("gamma", "reward", "gamma", _real, "look-ahead discount"),
+    Setting("lambda_fmt", "reward", "lambda_fmt", _real, "penalty for malformed output"),
+    Setting("lambda_opp", "reward", "lambda_opp", _real, "penalty for a missed swap"),
+    Setting("epsilon", "reward", "epsilon", _real, "group-advantage stability floor"),
     Setting("instance", "run", "instance_path", str, "saved instance file to read"),
     Setting("policies", "run", "policies", _specs,
             "lru | lfu | fifo | noop | oracle:<H> | extern:<command>; repeatable",
             flag="--policy"),
     Setting("seeds", "run", "seeds", _ints, "comma separated seed list"),
     Setting("slots", "run", "slots", _int, "rollout slots to run (default: the instance's)"),
-    Setting("extern_timeout", "run", "extern_timeout", float, "adapter reply timeout in seconds"),
+    Setting("extern_timeout", "run", "extern_timeout", _real, "adapter reply timeout in seconds"),
     Setting("out", "run", "out_dir", str, f"output directory (default: {_DEFAULT_OUT})"),
 )
 
@@ -236,7 +237,7 @@ def _cmd_verify(args) -> int:
     out_dir = os.environ.get(_ENV_OUT) or args.out
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "verify_report.json")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path) as fh:
         json.dump(report, fh, sort_keys=True, indent=2)
         fh.write("\n")
     fuzz = report["fuzz"]

@@ -6,12 +6,15 @@ only replace occupied slots; empty slots are filled by the warm-up prefill
 path in :mod:`coopcache.traffic`, never through a swap action.
 
 All types here are immutable values and all operations are pure functions,
-so they are safe to share across threads.
+so they are safe to share across threads. The one exception is
+:func:`atomic_write`, through which every artifact file is written.
 """
 
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 EMPTY_SLOT = 0
@@ -26,8 +29,35 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+@contextmanager
+def atomic_write(path):
+    """Open ``path`` for UTF-8 text writing; it changes only once complete.
+
+    The text goes to a temporary file in the same directory, which replaces
+    ``path`` when the block ends and is removed if the block raises. A crash
+    mid-write thus leaves the previous file, not a truncated one.
+    """
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 class StructuralError(ValueError):
     """Malformed or dimensionally inconsistent inputs."""
+
+
+def whole(value) -> int:
+    """A JSON integer: an int, but not a bool or a float."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, not {value!r}")
+    return value
 
 
 class FeasibilityError(Exception):

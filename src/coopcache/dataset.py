@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from itertools import islice
 
-from .core import EMPTY_SLOT, canonical_json
+from .core import EMPTY_SLOT, atomic_write, canonical_json
 from .episode import expert_walk
 from .interface import decode_prompt, encode, parse, serialize
 from .traffic import Instance
@@ -80,7 +80,7 @@ def generate_grpo_states(instance: Instance, records: int, horizon: int = 10,
 
 def _write_jsonl(export: SftExport, path, row) -> None:
     """One canonical JSON object per record, then the truncation marker if any."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path) as fh:
         for rec in export.records:
             fh.write(canonical_json(row(rec)) + "\n")
         if export.truncated:

@@ -2,9 +2,10 @@
 
 Rollouts, the expert walk behind the SFT/GRPO exports and the shaping
 audit, and the fuzz seed observation all follow one set of per-slot
-rules: read the requests, fold them into the tracker, observe, then apply
-a joint action. An invalid action changes nothing, and every executed
-transition is audited against the single-swap budget.
+rules: read the requests, move the tracker's view of the trace on one
+slot, observe, then apply a joint action. An invalid action changes
+nothing, and every executed transition is audited against the single-swap
+budget.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from .traffic import Instance, WarmState, advance_tracker, observe, warm_start
 class Episode:
     """A walk over the frozen trace that starts from a warm state.
 
-    The warm tracker has folded in exactly the trace prefix 1..``slot``,
-    so the walk continues at ``slot + 1``. Call :meth:`advance` to move to
+    The warm tracker views exactly the trace prefix 1..``slot``, so the
+    walk continues at ``slot + 1``. Call :meth:`advance` to move to
     the next slot and :meth:`step` to act on it.
     """
 

@@ -19,7 +19,7 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from .core import StructuralError, canonical_json, hit_rate
+from .core import StructuralError, atomic_write, canonical_json, hit_rate
 from .episode import Episode
 from .interface import parse
 from .policies import Policy, make_policy
@@ -234,7 +234,7 @@ def run(cfg: RunConfig) -> list[EvalReport]:
             reports.append(report)
             if out:
                 name = f"report_{_safe_name(policy.name)}_seed{seed}.json"
-                with open(os.path.join(out, name), "w", encoding="utf-8", newline="") as fh:
+                with atomic_write(os.path.join(out, name)) as fh:
                     fh.write(canonical_json(report.to_dict()) + "\n")
     if out:
         write_reports(reports, out)
@@ -303,7 +303,7 @@ def write_reports(reports, out_dir) -> tuple[str, str]:
             raise StructuralError(f"seed {seed}: policies saw different instance bytes")
     marks = [m for m, _ in reports[0].checkpoints]
     results_path = os.path.join(out_dir, "results.csv")
-    with open(results_path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(results_path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["policy", "seed"] + [f"slot_{m}" for m in marks] + ["mean"])
         ordered = sorted(reports, key=lambda r: (r.policy, r.seed))
@@ -321,7 +321,7 @@ def write_reports(reports, out_dir) -> tuple[str, str]:
             row.append(_fmt(sum(r.table_mean for r in group) / len(group)))
             writer.writerow(row)
     series_path = os.path.join(out_dir, "series.csv")
-    with open(series_path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(series_path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["policy", "seed", "slot", "p_hit"])
         for r in sorted(reports, key=lambda r: (r.policy, r.seed)):
@@ -331,7 +331,7 @@ def write_reports(reports, out_dir) -> tuple[str, str]:
 
 
 def write_sweep(rows, path) -> str:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["axis", "value", "policy", "seed", "mean", "overall_mean", "invalid_actions"]
@@ -354,7 +354,7 @@ def write_sweep(rows, path) -> str:
 def write_latency(reports, out_dir) -> str:
     """Observational sidecar; excluded from the byte-determinism contract."""
     path = os.path.join(out_dir, "latency.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["policy", "seed", "slot", "latency_s"])
         for r in reports:

@@ -71,9 +71,10 @@ INSTRUCTION_BLOCK = (
 class SlotObservation:
     """Immutable snapshot handed to policies at one decision slot.
 
-    ``tracker`` holds the window statistics up to and including this slot;
-    :func:`encode` reads the FREQ rates from it. Trackers are never mutated
-    in place, so the snapshot stays fixed. A decoded prompt has no tracker.
+    ``tracker`` views the frozen trace up to and including this slot;
+    :func:`encode` reads the FREQ rates from it. A tracker never changes
+    what it views, so the snapshot stays fixed. A decoded prompt has no
+    tracker.
     """
 
     slot: int

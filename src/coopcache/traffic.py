@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -20,9 +21,11 @@ from .core import (
     CacheState,
     RequestSlot,
     StructuralError,
+    atomic_write,
     canonical_json,
     oracle_best_action,
     request_slot,
+    whole,
 )
 from .interface import SlotObservation
 
@@ -183,19 +186,28 @@ class InstanceConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "InstanceConfig":
+        def integral(key, parse=whole):
+            try:
+                return parse(payload[key])
+            except TypeError as exc:
+                raise StructuralError(f"instance config key {key!r}: {exc}") from None
+
+        def each(values):
+            return tuple(map(whole, values))
+
         return cls(
-            bs_count=int(payload["bs_count"]),
-            users=int(payload["users"]),
-            library=int(payload["library"]),
-            cache_size=tuple(payload["cache_size"]),
-            groups=int(payload["groups"]),
+            bs_count=integral("bs_count"),
+            users=integral("users"),
+            library=integral("library"),
+            cache_size=integral("cache_size", each),
+            groups=integral("groups"),
             alpha=float(payload["alpha"]),
-            windows=tuple(payload["windows"]),
+            windows=integral("windows", each),
             radius=float(payload["radius"]),
             bs_xy=tuple(tuple(p) for p in payload["bs_xy"]),
-            warm_slots=int(payload["warm_slots"]),
-            rollout_slots=int(payload["rollout_slots"]),
-            horizon_reserve=int(payload["horizon_reserve"]),
+            warm_slots=integral("warm_slots"),
+            rollout_slots=integral("rollout_slots"),
+            horizon_reserve=integral("horizon_reserve"),
         )
 
 
@@ -336,7 +348,7 @@ def instance_from_payload(payload: dict) -> Instance:
 
 
 def save_instance(instance: Instance, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path) as fh:
         fh.write(instance.to_canonical_json())
 
 
@@ -349,64 +361,49 @@ def load_instance(path) -> Instance:
 class FrequencyTracker:
     """Sliding-window appearance rates of files in per-BS request pools.
 
-    ``counts[wi][b-1]`` maps a file to the number of the last min(w, t)
-    slots whose request pool at BS b contained it; ``history`` keeps the
-    newest max(window) pools so expired slots can be subtracted. Advancing
-    returns a fresh tracker; the dicts are never mutated in place.
+    A read-only view of the frozen ``trace`` after its first ``slots_seen``
+    slots: ``rate(b, f, w)`` is the share of the last min(w, t) slots whose
+    request pool at BS b contained f. Rates are counted from the trace when
+    read. The per-BS index behind them is built on the first read and shared
+    by every later view of the same trace.
     """
 
     windows: tuple[int, ...]
-    slots_seen: int
-    history: tuple[tuple[frozenset, ...], ...] = field(repr=False)
-    counts: tuple[tuple[dict, ...], ...] = field(repr=False)
+    trace: tuple[RequestSlot, ...] = field(repr=False, compare=False)
+    slots_seen: int = 0
+    # One cell holding, per BS, file -> ascending 1-based slots whose pool
+    # held it; set once, complete, so a concurrent reader sees all or none.
+    index: list = field(default_factory=lambda: [None], repr=False, compare=False)
 
     @classmethod
-    def fresh(cls, windows, bs_count: int) -> "FrequencyTracker":
-        windows = tuple(sorted(int(w) for w in windows))
-        return cls(
-            windows,
-            0,
-            (),
-            tuple(tuple({} for _ in range(bs_count)) for _ in windows),
-        )
-
-    @property
-    def bs_count(self) -> int:
-        return len(self.counts[0])
+    def fresh(cls, windows, trace) -> "FrequencyTracker":
+        return cls(tuple(sorted(int(w) for w in windows)), tuple(trace))
 
     def rate(self, b: int, f: int, w: int) -> float:
-        if self.slots_seen == 0:
+        t = self.slots_seen
+        if t == 0:
             return 0.0
-        wi = self.windows.index(w)
-        return self.counts[wi][b - 1].get(f, 0) / min(w, self.slots_seen)
+        per_bs = self.index[0]
+        if per_bs is None:
+            per_bs = [{} for _ in self.trace[0].admissible]
+            for tau, requests in enumerate(self.trace, start=1):
+                for slots, pool in zip(per_bs, requests.admissible):
+                    for g in pool:
+                        slots.setdefault(g, []).append(tau)
+            self.index[0] = per_bs
+        span = w if w < t else t
+        slots = per_bs[b - 1].get(f, ())
+        return (bisect_right(slots, t) - bisect_right(slots, t - span)) / span
 
 
 def advance_tracker(tracker: FrequencyTracker, requests: RequestSlot) -> FrequencyTracker:
-    """Fold one slot's request pools into the window statistics."""
-    if requests.bs_count != tracker.bs_count:
-        raise StructuralError("tracker and requests BS counts differ")
-    depth = len(tracker.history)
-    new_counts = []
-    for wi, w in enumerate(tracker.windows):
-        per_bs = []
-        for b in range(tracker.bs_count):
-            d = dict(tracker.counts[wi][b])
-            if depth >= w:
-                for f in tracker.history[depth - w][b]:
-                    left = d[f] - 1
-                    if left:
-                        d[f] = left
-                    else:
-                        del d[f]
-            for f in requests.admissible[b]:
-                d[f] = d.get(f, 0) + 1
-            per_bs.append(d)
-        new_counts.append(tuple(per_bs))
-    keep = max(tracker.windows)
-    history = (tracker.history + (tuple(requests.admissible),))[-keep:]
-    return FrequencyTracker(
-        tracker.windows, tracker.slots_seen + 1, history, tuple(new_counts)
-    )
+    """The view one slot on; ``requests`` must be the trace's next slot."""
+    t = tracker.slots_seen
+    if t >= len(tracker.trace):
+        raise StructuralError(f"tracker trace exhausted after {t} slots")
+    if requests != tracker.trace[t]:
+        raise StructuralError(f"requests are not trace slot {t + 1}")
+    return FrequencyTracker(tracker.windows, tracker.trace, t + 1, tracker.index)
 
 
 def observe(slot: int, cache: CacheState, requests: RequestSlot,
@@ -483,7 +480,7 @@ def warm_start(instance: Instance, oracle_horizon: int = 10,
     if config.warm_slots + oracle_horizon > instance.trace_len:
         raise StructuralError("warm-up must leave room for the oracle horizon")
     cache = CacheState.empty(config.cache_size)
-    tracker = FrequencyTracker.fresh(config.windows, config.bs_count)
+    tracker = FrequencyTracker.fresh(config.windows, instance.trace)
     books = HeuristicBooks.empty(config.bs_count)
     for t in range(1, config.warm_slots + 1):
         requests = instance.request_slot(t)

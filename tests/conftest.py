@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 import os
 import random
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from coopcache.core import CacheState, request_slot
 from coopcache.interface import SlotObservation
@@ -21,6 +23,11 @@ from coopcache.traffic import (
 # too, also when pytest alone put src/ on the path (pyproject's pythonpath).
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+
+# The same examples on every run, so a tier-1 result never depends on luck;
+# each test still sets its own max_examples.
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 
 def small_config(**overrides) -> InstanceConfig:
@@ -66,25 +73,41 @@ def random_scenario(rng: random.Random, max_bs=3, max_files=10, max_users=8):
 
 def observation(cache, requests) -> SlotObservation:
     """A slot-1 observation whose tracker has seen no slot; every rate is 0."""
-    return SlotObservation(1, cache, requests, FrequencyTracker.fresh((1,), cache.bs_count))
+    return SlotObservation(1, cache, requests, FrequencyTracker.fresh((1,), (requests,)))
+
+
+_GOLDEN_GRAPH = AssociationGraph.synthetic(((1,), (1, 2), (1,), (2,)), bs_count=2)
+
+# user -> (file, slots) over the golden 100-slot trace. User 1, the only one
+# both BSs cover, carries the shared 5; users 0 and 2 fill BS 1, user 3 BS 2.
+_GOLDEN_PLAN = {
+    0: ((7, range(1, 28)), (9, range(28, 37)), (5, (37,)), (7, range(91, 99))),
+    1: ((5, (100,)),),
+    2: ((9, range(98, 101)),),
+    3: ((2, (1, 2, 3, 91, 92)), (9, range(4, 20)), (9, range(93, 97))),
+}
+
+
+@functools.cache
+def _golden_trace():
+    pairs = [[] for _ in range(100)]
+    for user, plan in _GOLDEN_PLAN.items():
+        for f, slots in plan:
+            for t in slots:
+                pairs[t - 1].append((user, f))
+    return tuple(request_slot(p, _GOLDEN_GRAPH) for p in pairs)
 
 
 def golden_observation() -> SlotObservation:
     """The fixed two-BS observation behind the golden prompt file.
 
-    The tracker has seen 100 slots, so each window's rate is its count over
-    the window length: 8 of the last 10 slots give 0.8, 35 of 100 give 0.35.
+    The tracker has seen 100 trace slots, so each window's rate is its count
+    over the window length. At BS 1 file 7 sits in 8 of the last 10 pools
+    (0.8) and in 35 of 100 (0.35); the plan above gives every other count.
     """
     cache = CacheState(((4, 7, 9), (2, 5, 0)))
-    graph = AssociationGraph.synthetic(
-        ((1,), (1, 2), (1,), (2,)), bs_count=2
-    )
-    requests = request_slot(((0, 5), (1, 5), (2, 7), (3, 9)), graph)
-    counts = (
-        ({5: 1, 7: 8, 9: 3}, {2: 2, 5: 1, 9: 4}),  # w=10
-        ({5: 2, 7: 35, 9: 12}, {2: 5, 5: 1, 9: 20}),  # w=100
-    )
-    tracker = FrequencyTracker((10, 100), 100, (), counts)
+    requests = request_slot(((0, 5), (1, 5), (2, 7), (3, 9)), _GOLDEN_GRAPH)
+    tracker = FrequencyTracker((10, 100), _golden_trace(), 100)
     return SlotObservation(101, cache, requests, tracker)
 
 

@@ -15,7 +15,7 @@ from coopcache.cli import (
     _run_config,
     build_parser,
 )
-from coopcache import episode
+from coopcache import episode, harness
 from coopcache.cli import main as cli_main
 from coopcache.core import StructuralError, hit_rate
 from coopcache.harness import (
@@ -178,6 +178,22 @@ def test_paired_comparison_hash_guard(tmp_path, instance, warm):
     )
     with pytest.raises(StructuralError):
         write_reports([report, forged], tmp_path)
+
+
+def test_failed_write_keeps_the_previous_file(tmp_path, monkeypatch, instance, warm):
+    report = rollout(instance, make_policy("lru"), warm=warm)
+    write_reports([report], tmp_path)
+    before = (tmp_path / "results.csv").read_bytes()
+
+    def fail(value):
+        raise RuntimeError("disk gone")
+
+    # The header row is out before the first table cell fails.
+    monkeypatch.setattr(harness, "_fmt", fail)
+    with pytest.raises(RuntimeError, match="disk gone"):
+        write_reports([report], tmp_path)
+    assert (tmp_path / "results.csv").read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["results.csv", "series.csv"]
 
 
 def test_sweep_rows_and_table(tmp_path):
@@ -396,9 +412,11 @@ def test_cli_rejects_unknown_config_keys(tmp_path, capsys):
     ("bs", 2.5, r"config key 'bs' has a bad value 2\.5"),
     ("cache", [3.7, 4], r"config key 'cache' has a bad value \[3\.7, 4\]"),
     ("seeds", [True], r"config key 'seeds' has a bad value \[True\]"),
+    ("gamma", True, r"config key 'gamma' has a bad value True"),
+    ("radius", False, r"config key 'radius' has a bad value False"),
 ], ids=["bs-text", "seeds-number", "policies-text", "policies-number-entry",
         "seeds-text-entry", "windows-text-entry", "bs-float", "cache-float-entry",
-        "seeds-bool-entry"])
+        "seeds-bool-entry", "gamma-bool", "radius-bool"])
 def test_cli_config_value_of_wrong_type_names_its_key(tmp_path, monkeypatch, key, value,
                                                       message):
     monkeypatch.delenv("COOPCACHE_OUT_DIR", raising=False)
@@ -530,9 +548,24 @@ def _request_file_5000(payload):
     payload["trace"][5][0][1] = 5000
 
 
+def _fractional_groups(payload):
+    payload["config"]["groups"] = 2.9
+
+
+def _fractional_window(payload):
+    payload["config"]["windows"] = [5.5, 10]
+
+
+def _fractional_cache_size(payload):
+    payload["config"]["cache_size"] = [3.9, 3]
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_truncate_trace, "trace holds 30 slots"),
     (_request_file_5000, r"file ids outside 1\.\.12: \[5000\]"),
+    (_fractional_groups, r"instance config key 'groups': expected an integer, not 2\.9"),
+    (_fractional_window, r"instance config key 'windows': expected an integer, not 5\.5"),
+    (_fractional_cache_size, r"instance config key 'cache_size': expected an integer, not 3\.9"),
 ])
 def test_corrupt_instance_file_fails_on_load(tmp_path, small_instance, corrupt, message):
     payload = json.loads(small_instance.to_canonical_json())

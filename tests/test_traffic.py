@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopcache.core import EMPTY_SLOT, StructuralError, request_slot
 from coopcache.episode import Episode
@@ -129,27 +131,29 @@ def test_instance_schema_guard(small_instance):
 
 def test_tracker_first_slot():
     graph = AssociationGraph.synthetic(((1,),), 1)
-    tracker = FrequencyTracker.fresh((10,), 1)
-    tracker = advance_tracker(tracker, request_slot(((0, 3),), graph))
+    trace = (request_slot(((0, 3),), graph),)
+    tracker = advance_tracker(FrequencyTracker.fresh((10,), trace), trace[0])
     assert tracker.rate(1, 3, 10) == 1.0
     assert tracker.rate(1, 4, 10) == 0.0
 
 
 def test_tracker_three_of_last_ten():
     graph = AssociationGraph.synthetic(((1,),), 1)
-    tracker = FrequencyTracker.fresh((10,), 1)
     # file 3 requested in 3 of the last 10 slots once 12 slots have passed
-    for t in range(1, 13):
-        f = 3 if t in (3, 6, 11) else 5
-        tracker = advance_tracker(tracker, request_slot(((0, f),), graph))
+    trace = tuple(
+        request_slot(((0, 3 if t in (3, 6, 11) else 5),), graph) for t in range(1, 13)
+    )
+    tracker = FrequencyTracker.fresh((10,), trace)
+    for requests in trace:
+        tracker = advance_tracker(tracker, requests)
     assert tracker.rate(1, 3, 10) == pytest.approx(0.3)
 
 
 def test_tracker_matches_trace_recomputation(small_instance):
-    """Incremental counters agree with direct recomputation from the trace."""
+    """Rates read along a walk agree with direct recomputation from the trace."""
     inst = small_instance
     windows = inst.config.windows
-    tracker = FrequencyTracker.fresh(windows, inst.config.bs_count)
+    tracker = FrequencyTracker.fresh(windows, inst.trace)
     rng = random.Random(2)
     for t in range(1, inst.trace_len + 1):
         tracker = advance_tracker(tracker, inst.request_slot(t))
@@ -164,6 +168,55 @@ def test_tracker_matches_trace_recomputation(small_instance):
                     if f in inst.request_slot(tau).admissible[b - 1]
                 )
                 assert tracker.rate(b, f, w) == pytest.approx(member / min(w, t))
+
+
+@st.composite
+def small_traces(draw):
+    """A random trace: 1-4 BSs, users covered by 1-3 BSs, empty slots allowed."""
+    bs_count = draw(st.integers(1, 4))
+    bs = st.integers(1, bs_count)
+    coverage = draw(st.lists(st.lists(bs, min_size=1, max_size=3, unique=True),
+                             min_size=1, max_size=5))
+    graph = AssociationGraph.synthetic(coverage, bs_count)
+    library = draw(st.integers(1, 6))
+    user = st.integers(0, len(coverage) - 1)
+    slots = draw(st.lists(st.dictionaries(user, st.integers(1, library)),
+                          min_size=1, max_size=12))
+    trace = tuple(request_slot(d.items(), graph) for d in slots)
+    # windows both shorter and longer than the trace
+    windows = draw(st.lists(st.integers(1, 16), min_size=1, max_size=3, unique=True))
+    return trace, library, windows
+
+
+@settings(max_examples=100)
+@given(small_traces())
+def test_tracker_rate_counts_the_trace_up_to_its_slot(case):
+    trace, library, windows = case
+    tracker = FrequencyTracker.fresh(windows, trace)
+    for t in range(len(trace) + 1):
+        if t:
+            tracker = advance_tracker(tracker, trace[t - 1])
+        assert tracker.slots_seen == t
+        for b in range(1, trace[0].bs_count + 1):
+            for f in range(1, library + 1):
+                for w in windows:
+                    held = sum(
+                        f in trace[tau - 1].admissible[b - 1]
+                        for tau in range(max(1, t - w + 1), t + 1)
+                    )
+                    expected = held / min(w, t) if t else 0.0
+                    assert tracker.rate(b, f, w) == expected
+
+
+def test_advance_tracker_follows_the_trace_order():
+    graph = AssociationGraph.synthetic(((1,),), 1)
+    trace = tuple(request_slot(((0, f),), graph) for f in (3, 4))
+    tracker = FrequencyTracker.fresh((10,), trace)
+    with pytest.raises(StructuralError, match="not trace slot 1"):
+        advance_tracker(tracker, trace[1])
+    tracker = advance_tracker(advance_tracker(tracker, trace[0]), trace[1])
+    with pytest.raises(StructuralError, match="exhausted"):
+        advance_tracker(tracker, trace[1])
 
 
 def test_prompt_freq_lines_read_the_tracker(small_instance):
