@@ -16,7 +16,7 @@ import os
 import sys
 from typing import Callable, NamedTuple
 
-from .core import atomic_write, whole
+from .core import atomic_write, real, whole
 from .dataset import audit_dataset, generate_sft, write_grpo_jsonl, write_sft_jsonl
 from .harness import (
     RUNCONFIG_SCHEMA,
@@ -40,13 +40,6 @@ _DEFAULT_OUT = "results"
 def _int(value) -> int:
     """Decimal text, or a JSON integer."""
     return int(value) if isinstance(value, str) else whole(value)
-
-
-def _real(value) -> float:
-    """Decimal text, or a JSON integer or float, but not a bool."""
-    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-        raise TypeError(f"expected a number, not {value!r}")
-    return float(value)
 
 
 def _ints(value) -> tuple[int, ...]:
@@ -98,24 +91,24 @@ SETTINGS = (
     Setting("library", "instance", "library", _int, "content library size"),
     Setting("cache", "instance", "cache_size", _cache, "cache size: one int or comma list per BS"),
     Setting("groups", "instance", "groups", _int, "user preference groups"),
-    Setting("alpha", "instance", "alpha", _real, "popularity skew exponent"),
+    Setting("alpha", "instance", "alpha", real, "popularity skew exponent"),
     Setting("windows", "instance", "windows", _ints, "history windows, comma separated"),
-    Setting("radius", "instance", "radius", _real, "coverage radius"),
+    Setting("radius", "instance", "radius", real, "coverage radius"),
     Setting("warm_slots", "instance", "warm_slots", _int, "warm-up slots"),
     Setting("rollout_slots", "instance", "rollout_slots", _int, "rollout slots in the trace"),
     Setting("horizon_reserve", "instance", "horizon_reserve", _int, "trace slots past the rollout"),
     Setting("horizon", "reward", "horizon", _int, "expert and reward look-ahead horizon"),
-    Setting("gamma", "reward", "gamma", _real, "look-ahead discount"),
-    Setting("lambda_fmt", "reward", "lambda_fmt", _real, "penalty for malformed output"),
-    Setting("lambda_opp", "reward", "lambda_opp", _real, "penalty for a missed swap"),
-    Setting("epsilon", "reward", "epsilon", _real, "group-advantage stability floor"),
+    Setting("gamma", "reward", "gamma", real, "look-ahead discount"),
+    Setting("lambda_fmt", "reward", "lambda_fmt", real, "penalty for malformed output"),
+    Setting("lambda_opp", "reward", "lambda_opp", real, "penalty for a missed swap"),
+    Setting("epsilon", "reward", "epsilon", real, "group-advantage stability floor"),
     Setting("instance", "run", "instance_path", str, "saved instance file to read"),
     Setting("policies", "run", "policies", _specs,
             "lru | lfu | fifo | noop | oracle:<H> | extern:<command>; repeatable",
             flag="--policy"),
     Setting("seeds", "run", "seeds", _ints, "comma separated seed list"),
     Setting("slots", "run", "slots", _int, "rollout slots to run (default: the instance's)"),
-    Setting("extern_timeout", "run", "extern_timeout", _real, "adapter reply timeout in seconds"),
+    Setting("extern_timeout", "run", "extern_timeout", real, "adapter reply timeout in seconds"),
     Setting("out", "run", "out_dir", str, f"output directory (default: {_DEFAULT_OUT})"),
 )
 

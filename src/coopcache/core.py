@@ -60,6 +60,13 @@ def whole(value) -> int:
     return value
 
 
+def real(value) -> float:
+    """Decimal text, or a JSON integer or float, but not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise TypeError(f"expected a number, not {value!r}")
+    return float(value)
+
+
 class FeasibilityError(Exception):
     """A per-BS action violated one of the three feasibility rules."""
 
@@ -227,10 +234,12 @@ def hit_rate(cache: CacheState, requests: RequestSlot, graph) -> float:
         raise StructuralError("cache/requests/graph BS counts differ")
     if not requests.pairs:
         return 0.0
+    sets = cache._sets
+    coverage = graph.coverage
     hits = 0
     for u, f in requests.pairs:
-        for b in graph.coverage[u]:
-            if f in cache.files_at(b):
+        for b in coverage[u]:
+            if f in sets[b - 1]:
                 hits += 1
                 break
     return hits / len(requests.pairs)
@@ -246,6 +255,13 @@ def oracle_best_action(cache, b, requests, peek, graph, horizon, gamma) -> BsAct
     per-file gain/loss tallies. The no-op scores exactly zero; a swap wins
     only when strictly better, and ties between swaps resolve to the
     smallest (slot, file_in).
+
+    Only candidate files (requested here, not cached here) and files cached
+    here are tallied: no other file's tally is ever read, so every other
+    request is skipped after two set lookups. A request by a user this BS
+    covers counts when no other covering BS holds its file: as a gain for
+    a candidate, as a loss for a cached file. Each tally takes its
+    additions in peek order.
     """
     if horizon < 1:
         raise StructuralError("horizon must be >= 1")
@@ -253,10 +269,13 @@ def oracle_best_action(cache, b, requests, peek, graph, horizon, gamma) -> BsAct
         raise StructuralError(f"peek holds {len(peek)} slots, horizon needs {horizon}")
     if not cache.is_full(b):
         return NOOP
-    cached_here = cache.files_at(b)
-    candidates = sorted(requests.admissible[b - 1] - cached_here)
-    if not candidates:
+    sets = cache._sets
+    cached_here = sets[b - 1]
+    wanted = requests.admissible[b - 1] - cached_here
+    if not wanted:
         return NOOP
+    candidates = sorted(wanted)
+    coverage = graph.coverage
     gain: dict = {}
     loss: dict = {}
     weight = 1.0
@@ -265,19 +284,19 @@ def oracle_best_action(cache, b, requests, peek, graph, horizon, gamma) -> BsAct
         if slot_requests.pairs:
             scale = weight / len(slot_requests.pairs)
             for u, f in slot_requests.pairs:
-                covered_here = False
-                holders = 0
-                for bb in graph.coverage[u]:
-                    if bb == b:
-                        covered_here = True
-                    if f in cache.files_at(bb):
-                        holders += 1
-                if not covered_here:
+                if f in wanted:
+                    tally = gain
+                elif f in cached_here:
+                    tally = loss
+                else:
                     continue
-                if holders == 0:
-                    gain[f] = gain.get(f, 0.0) + scale
-                elif holders == 1 and f in cached_here:
-                    loss[f] = loss.get(f, 0.0) + scale
+                cov = coverage[u]
+                if b in cov:
+                    for bb in cov:
+                        if bb != b and f in sets[bb - 1]:
+                            break
+                    else:
+                        tally[f] = tally.get(f, 0.0) + scale
         weight *= gamma
     winners = [f for f in candidates if gain.get(f, 0.0) > 0.0]
     if not winners:

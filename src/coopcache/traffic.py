@@ -24,6 +24,7 @@ from .core import (
     atomic_write,
     canonical_json,
     oracle_best_action,
+    real,
     request_slot,
     whole,
 )
@@ -186,28 +187,22 @@ class InstanceConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "InstanceConfig":
-        def integral(key, parse=whole):
-            try:
-                return parse(payload[key])
-            except TypeError as exc:
-                raise StructuralError(f"instance config key {key!r}: {exc}") from None
-
-        def each(values):
-            return tuple(map(whole, values))
+        def key(name, parse=whole):
+            return _read(payload, name, parse, "instance config key")
 
         return cls(
-            bs_count=integral("bs_count"),
-            users=integral("users"),
-            library=integral("library"),
-            cache_size=integral("cache_size", each),
-            groups=integral("groups"),
-            alpha=float(payload["alpha"]),
-            windows=integral("windows", each),
-            radius=float(payload["radius"]),
+            bs_count=key("bs_count"),
+            users=key("users"),
+            library=key("library"),
+            cache_size=key("cache_size", _wholes),
+            groups=key("groups"),
+            alpha=key("alpha", real),
+            windows=key("windows", _wholes),
+            radius=key("radius", real),
             bs_xy=tuple(tuple(p) for p in payload["bs_xy"]),
-            warm_slots=integral("warm_slots"),
-            rollout_slots=integral("rollout_slots"),
-            horizon_reserve=integral("horizon_reserve"),
+            warm_slots=key("warm_slots"),
+            rollout_slots=key("rollout_slots"),
+            horizon_reserve=key("horizon_reserve"),
         )
 
 
@@ -220,6 +215,7 @@ class Instance:
     graph: AssociationGraph
     demand: DemandModel
     trace: tuple[RequestSlot, ...] = field(repr=False)
+    _sha256: str | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def trace_len(self) -> int:
@@ -252,7 +248,23 @@ class Instance:
         return canonical_json(payload) + "\n"
 
     def sha256(self) -> str:
-        return hashlib.sha256(self.to_canonical_json().encode("utf-8")).hexdigest()
+        """Digest of the canonical JSON; computed on the first call, then kept."""
+        if self._sha256 is None:
+            digest = hashlib.sha256(self.to_canonical_json().encode("utf-8")).hexdigest()
+            object.__setattr__(self, "_sha256", digest)
+        return self._sha256
+
+
+def _read(payload: dict, name: str, parse, what: str):
+    """``parse(payload[name])``; a wrongly typed value raises naming the key."""
+    try:
+        return parse(payload[name])
+    except TypeError as exc:
+        raise StructuralError(f"{what} {name!r}: {exc}") from None
+
+
+def _wholes(values) -> tuple[int, ...]:
+    return tuple(map(whole, values))
 
 
 def build_instance(config: InstanceConfig, seed: int) -> Instance:
@@ -326,15 +338,18 @@ def instance_from_payload(payload: dict) -> Instance:
         tuple(tuple(p) for p in payload["user_xy"]),
         config.radius,
     )
+
+    def key(name, parse):
+        return _read(payload, name, parse, "instance key")
+
     demand = DemandModel(
         config.alpha,
-        tuple(tuple(int(f) for f in row) for row in payload["rank_to_file"]),
-        tuple(int(g) for g in payload["user_group"]),
+        key("rank_to_file", lambda rows: tuple(map(_wholes, rows))),
+        key("user_group", _wholes),
     )
-    trace = tuple(
-        request_slot(tuple((int(u), int(f)) for u, f in slot), graph)
-        for slot in payload["trace"]
-    )
+    trace = key("trace", lambda slots: tuple(
+        request_slot(tuple((whole(u), whole(f)) for u, f in slot), graph) for slot in slots
+    ))
     if len(trace) != config.trace_slots:
         raise StructuralError(
             f"instance trace holds {len(trace)} slots, its config needs {config.trace_slots}"
@@ -344,7 +359,7 @@ def instance_from_payload(payload: dict) -> Instance:
         raise StructuralError(
             f"instance trace requests file ids outside 1..{config.library}: {outside[:5]}"
         )
-    return Instance(config, int(payload["seed"]), graph, demand, trace)
+    return Instance(config, key("seed", whole), graph, demand, trace)
 
 
 def save_instance(instance: Instance, path) -> None:

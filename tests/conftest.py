@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
-from coopcache.core import CacheState, request_slot
+from coopcache.core import EMPTY_SLOT, CacheState, request_slot
 from coopcache.interface import SlotObservation
 from coopcache.traffic import (
     AssociationGraph,
@@ -69,6 +70,48 @@ def random_scenario(rng: random.Random, max_bs=3, max_files=10, max_users=8):
     pairs = tuple((u, rng.randint(1, library)) for u in range(users))
     requests = request_slot(pairs, graph)
     return cache, graph, requests
+
+
+def _bits(mask: int) -> list[int]:
+    """The 0-based positions of the set bits of ``mask``, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+@st.composite
+def scenarios(draw, peek_max=10, holes=False):
+    """A (cache, graph, requests, peek) quadruple of random small shape.
+
+    1-4 BSs of unequal capacities over a library barely larger than the
+    biggest cache, so several BSs often hold the same file; each user is
+    covered by 1-3 BSs, and any user may be absent from a slot, so slots
+    can be empty. ``peek`` holds 1..``peek_max`` slots (none when 0). With
+    ``holes`` cache slots may be empty; without, every cache is full.
+    Subsets are drawn as bit masks, which keeps generation cheap.
+    """
+    bs_count = draw(st.integers(1, 4))
+    capacities = draw(st.lists(st.integers(1, 4), min_size=bs_count, max_size=bs_count))
+    library = max(capacities) + draw(st.integers(1, 5))
+    users = draw(st.integers(1, 8))
+    masks = draw(st.lists(st.integers(1, 2**bs_count - 1), min_size=users, max_size=users))
+    graph = AssociationGraph.synthetic(
+        [[b + 1 for b in _bits(m)][:3] for m in masks], bs_count
+    )
+    rows = []
+    for cap in capacities:
+        row = draw(st.lists(st.integers(1, library), min_size=cap, max_size=cap, unique=True))
+        if holes:
+            empty = _bits(draw(st.integers(0, 2**cap - 1)))
+            row = [EMPTY_SLOT if z in empty else f for z, f in enumerate(row)]
+        rows.append(tuple(row))
+    files = st.lists(st.integers(1, library), min_size=users, max_size=users)
+
+    def slot():
+        absent = _bits(draw(st.integers(0, 2**users - 1)))
+        return request_slot([(u, f) for u, f in enumerate(draw(files)) if u not in absent], graph)
+
+    requests = slot()
+    peek = tuple(slot() for _ in range(draw(st.integers(1, peek_max)) if peek_max else 0))
+    return CacheState(tuple(rows)), graph, requests, peek
 
 
 def observation(cache, requests) -> SlotObservation:

@@ -25,7 +25,7 @@ from coopcache.core import (
 )
 from coopcache.traffic import AssociationGraph
 
-from conftest import random_scenario
+from conftest import random_scenario, scenarios
 
 
 def brute_force_hit_rate(rows, coverage, pairs) -> float:
@@ -73,12 +73,13 @@ def test_hit_rate_dimension_mismatch():
         hit_rate(CacheState(((1,), (2,))), requests, graph)
 
 
-def test_hit_rate_matches_brute_force():
-    rng = random.Random(7)
-    for _ in range(300):
-        cache, graph, requests = random_scenario(rng)
-        expected = brute_force_hit_rate(cache.slots, graph.coverage, requests.pairs)
-        assert hit_rate(cache, requests, graph) == expected
+@settings(max_examples=200)
+@given(scenarios(peek_max=0, holes=True))
+def test_hit_rate_matches_brute_force(scenario):
+    """Exact equality, also with empty slots and partly empty caches."""
+    cache, graph, requests, _ = scenario
+    expected = brute_force_hit_rate(cache.slots, graph.coverage, requests.pairs)
+    assert hit_rate(cache, requests, graph) == expected
 
 
 def test_hit_rate_monotone_under_enlargement():

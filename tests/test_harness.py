@@ -560,12 +560,42 @@ def _fractional_cache_size(payload):
     payload["config"]["cache_size"] = [3.9, 3]
 
 
+def _fractional_seed(payload):
+    payload["seed"] = 1.5
+
+
+def _fractional_user_group(payload):
+    payload["user_group"][0] = 1.0
+
+
+def _fractional_rank_to_file(payload):
+    payload["rank_to_file"][0][0] = 2.5
+
+
+def _fractional_trace_file(payload):
+    payload["trace"][5][0][1] = 2.7
+
+
+def _bool_alpha(payload):
+    payload["config"]["alpha"] = True
+
+
+def _bool_radius(payload):
+    payload["config"]["radius"] = False
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_truncate_trace, "trace holds 30 slots"),
     (_request_file_5000, r"file ids outside 1\.\.12: \[5000\]"),
     (_fractional_groups, r"instance config key 'groups': expected an integer, not 2\.9"),
     (_fractional_window, r"instance config key 'windows': expected an integer, not 5\.5"),
     (_fractional_cache_size, r"instance config key 'cache_size': expected an integer, not 3\.9"),
+    (_fractional_seed, r"instance key 'seed': expected an integer, not 1\.5"),
+    (_fractional_user_group, r"instance key 'user_group': expected an integer, not 1\.0"),
+    (_fractional_rank_to_file, r"instance key 'rank_to_file': expected an integer, not 2\.5"),
+    (_fractional_trace_file, r"instance key 'trace': expected an integer, not 2\.7"),
+    (_bool_alpha, "instance config key 'alpha': expected a number, not True"),
+    (_bool_radius, "instance config key 'radius': expected a number, not False"),
 ])
 def test_corrupt_instance_file_fails_on_load(tmp_path, small_instance, corrupt, message):
     payload = json.loads(small_instance.to_canonical_json())

@@ -9,6 +9,8 @@ import sys
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopcache.core import (
     NOOP,
@@ -36,10 +38,10 @@ from coopcache.policies import (
     read_frame,
     write_frame,
 )
-from coopcache.reward import RewardConfig, lookahead_value
+from coopcache.reward import RewardConfig, delta_perf, lookahead_value
 from coopcache.traffic import AssociationGraph, HeuristicBooks, build_instance, warm_start
 
-from conftest import observation, random_scenario, small_config
+from conftest import observation, random_scenario, scenarios, small_config
 
 
 def _decide(policy, obs, books):
@@ -171,6 +173,84 @@ def test_oracle_attains_brute_force_maximum():
             )
             assert achieved == pytest.approx(best, abs=1e-12)
             checked += 1
+
+
+def reference_oracle_best_action(cache, b, requests, peek, graph, horizon, gamma) -> BsAction:
+    """The full per-request scan the pruned oracle replaced, kept verbatim.
+
+    Every peek request recounts its holders among all covering BSs.
+    """
+    if horizon < 1:
+        raise StructuralError("horizon must be >= 1")
+    if len(peek) < horizon:
+        raise StructuralError(f"peek holds {len(peek)} slots, horizon needs {horizon}")
+    if not cache.is_full(b):
+        return NOOP
+    cached_here = cache.files_at(b)
+    candidates = sorted(requests.admissible[b - 1] - cached_here)
+    if not candidates:
+        return NOOP
+    gain: dict = {}
+    loss: dict = {}
+    weight = 1.0
+    for k in range(horizon):
+        slot_requests = peek[k]
+        if slot_requests.pairs:
+            scale = weight / len(slot_requests.pairs)
+            for u, f in slot_requests.pairs:
+                covered_here = False
+                holders = 0
+                for bb in graph.coverage[u]:
+                    if bb == b:
+                        covered_here = True
+                    if f in cache.files_at(bb):
+                        holders += 1
+                if not covered_here:
+                    continue
+                if holders == 0:
+                    gain[f] = gain.get(f, 0.0) + scale
+                elif holders == 1 and f in cached_here:
+                    loss[f] = loss.get(f, 0.0) + scale
+        weight *= gamma
+    winners = [f for f in candidates if gain.get(f, 0.0) > 0.0]
+    if not winners:
+        return NOOP
+    best = NOOP
+    best_score = 0.0
+    for z, f_out in enumerate(cache.slots[b - 1], start=1):
+        lose = loss.get(f_out, 0.0)
+        for f_in in winners:
+            score = gain[f_in] - lose
+            if score > best_score:
+                best, best_score = BsAction(z, f_in, f_out), score
+    assert best_score >= 0.0  # the no-op floor: never worse than keeping the cache
+    return best
+
+
+@settings(max_examples=120)
+@given(scenarios(), st.data())
+def test_oracle_matches_reference_scan_and_exhaustive_search(scenario, data):
+    """The pruned scan picks the reference scan's action, bit for bit, and
+    swaps exactly when some feasible swap raises the look-ahead value."""
+    cache, graph, requests, peek = scenario
+    b = data.draw(st.integers(1, cache.bs_count), label="b")
+    horizon = data.draw(st.integers(1, len(peek)), label="horizon")
+    gamma = data.draw(st.sampled_from((0.5, 0.8, 0.9, 1.0)), label="gamma")
+    chosen = oracle_best_action(cache, b, requests, peek, graph, horizon, gamma)
+    assert chosen == reference_oracle_best_action(
+        cache, b, requests, peek, graph, horizon, gamma
+    )
+    cfg = RewardConfig(horizon=horizon, gamma=gamma)
+
+    def delta(act):
+        joint = [NOOP] * cache.bs_count
+        joint[b - 1] = act
+        return delta_perf(cache, apply(cache, JointAction.valid(joint), requests),
+                          peek, graph, cfg)
+
+    best = max(delta(act) for act in feasible_actions(cache, b, requests))
+    assert chosen.is_noop == (best <= 1e-12)
+    assert delta(chosen) == pytest.approx(best, abs=1e-12)
 
 
 def test_oracle_decoupled_across_bs():
