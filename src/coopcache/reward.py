@@ -51,6 +51,9 @@ class RewardConfig:
     def __post_init__(self) -> None:
         if self.horizon < 1:
             raise StructuralError("horizon must be >= 1")
+        for name in ("gamma", "lambda_fmt", "lambda_opp", "clip_lo", "clip_hi", "epsilon"):
+            if not math.isfinite(getattr(self, name)):
+                raise StructuralError(f"{name} must be finite")
         if not 0.0 < self.gamma <= 1.0:
             raise StructuralError("gamma must be in (0, 1]")
         if self.epsilon <= 0:
@@ -121,19 +124,25 @@ def score_completion(text: str, obs: SlotObservation, peek, expert: JointAction,
     expert action proves a beneficial swap existed. Totals are clipped to
     the configured band.
     """
-    expert_acted = expert.is_valid and not expert.is_all_noop
     action = parse(text, obs)
-    if not action.is_valid:
-        gain, penalty, classification = 0.0, cfg.lambda_fmt, CLASS_INVALID
-    else:
+    gain = 0.0
+    if action.is_valid:
         after = apply(obs.cache, action, obs.requests)
         gain = delta_perf(obs.cache, after, peek, graph, cfg)
-        if action.is_all_noop:
-            classification = CLASS_VALID_NOOP
-            penalty = cfg.lambda_opp if expert_acted else 0.0
-        else:
-            classification = CLASS_VALID_WRITE
-            penalty = 0.0
+    return _breakdown(action, gain, expert, cfg)
+
+
+def _breakdown(action: JointAction, gain: float, expert: JointAction,
+               cfg: RewardConfig) -> RewardBreakdown:
+    """The penalty, class and clipped total of a parsed action with its gain."""
+    expert_acted = expert.is_valid and not expert.is_all_noop
+    if not action.is_valid:
+        penalty, classification = cfg.lambda_fmt, CLASS_INVALID
+    elif action.is_all_noop:
+        penalty = cfg.lambda_opp if expert_acted else 0.0
+        classification = CLASS_VALID_NOOP
+    else:
+        penalty, classification = 0.0, CLASS_VALID_WRITE
     total = min(max(gain + penalty, cfg.clip_lo), cfg.clip_hi)
     return RewardBreakdown(gain, penalty, total, classification, expert_acted, action)
 
@@ -174,15 +183,10 @@ class JointSpaceSize:
 
 def joint_space_size(obs: SlotObservation) -> JointSpaceSize:
     """Per-BS feasible action counts and their product."""
-    factors = []
-    nominal = []
-    for b in range(1, obs.bs_count + 1):
-        fe, no = action_space_counts(obs.cache, b, obs.requests)
-        factors.append(fe)
-        nominal.append(no)
-    size = JointSpaceSize(
-        tuple(factors), math.prod(factors), tuple(nominal), math.prod(nominal)
-    )
+    factors, nominal = zip(*(
+        action_space_counts(obs.cache, b, obs.requests) for b in range(1, obs.bs_count + 1)
+    ))
+    size = JointSpaceSize(factors, math.prod(factors), nominal, math.prod(nominal))
     if size.exponential_bound_applies:
         assert size.exponential_bound_holds
     return size
@@ -221,12 +225,6 @@ class ShapingReport:
         }
 
 
-def _embed(action, b, bs_count) -> JointAction:
-    parts = [NOOP] * bs_count
-    parts[b - 1] = action
-    return JointAction.valid(parts)
-
-
 def verify_pbrs(instance: Instance, sample_slots: int, cfg: RewardConfig) -> ShapingReport:
     """Exhaustive per-BS shaping audit along the expert trajectory.
 
@@ -239,10 +237,13 @@ def verify_pbrs(instance: Instance, sample_slots: int, cfg: RewardConfig) -> Sha
     * every positive-gain swap strictly dominates the penalized no-op
       whenever the expert witnessed a beneficial swap.
 
-    Gains here go through the slow scoring route (full look-ahead value
-    evaluation), independent of the tallying search the oracle itself uses.
+    Each action takes the text round trip, ``apply`` and the transition
+    check, then ``score_completion``'s shaping. Each candidate cache is
+    scored once, by a full look-ahead recount independent of the oracle's
+    tallies; the no-ops reuse the slot cache's value, and a gain is
+    potential minus that value, as in ``delta_perf``.
     """
-    config = instance.config
+    bs_range = range(1, instance.config.bs_count + 1)
     graph = instance.graph
     flags = []
     if cfg.lambda_opp >= 0:
@@ -258,16 +259,25 @@ def verify_pbrs(instance: Instance, sample_slots: int, cfg: RewardConfig) -> Sha
     for obs, expert, peek in islice(walk, max(sample_slots, 0)):
         cache, requests = obs.cache, obs.requests
         spaces.append(joint_space_size(obs))
-        for b in range(1, config.bs_count + 1):
+        base = lookahead_value(cache, peek, graph, cfg.horizon, cfg.gamma)
+        for b in bs_range:
+            where = f"seed {instance.seed} slot {obs.slot} BS {b}"
             rows = []
             for act in feasible_actions(cache, b, requests):
-                joint = _embed(act, b, config.bs_count)
-                after = apply(cache, joint, requests)
-                potential = lookahead_value(after, peek, graph, cfg.horizon, cfg.gamma)
-                shaped = score_completion(serialize(joint), obs, peek, expert, cfg, graph)
-                rows.append((act, shaped.gain, potential, shaped))
+                joint = JointAction.valid([act if bb == b else NOOP for bb in bs_range])
+                action = parse(serialize(joint), obs)
+                if action != joint:
+                    raise StructuralError(f"{where}: {act} does not survive the text round trip")
+                after = apply(cache, action, requests)
+                if not check_transition(cache, after):
+                    raise StructuralError(f"{where}: transition exceeds the single-swap budget")
+                if after == cache:
+                    gain, potential = 0.0, base
+                else:
+                    potential = lookahead_value(after, peek, graph, cfg.horizon, cfg.gamma)
+                    gain = potential - base
+                rows.append((act, gain, potential, _breakdown(action, gain, expert, cfg)))
             actions_checked += len(rows)
-            where = f"seed {instance.seed} slot {obs.slot} BS {b}"
             gains = [g for _, g, _, _ in rows]
             potentials = [p for _, _, p, _ in rows]
             top_g, top_p = max(gains), max(potentials)
@@ -275,29 +285,17 @@ def verify_pbrs(instance: Instance, sample_slots: int, cfg: RewardConfig) -> Sha
             by_potential = {i for i, p in enumerate(potentials) if p >= top_p - _ARGMAX_TOL}
             if by_gain != by_potential:
                 argmax_bad.append(f"{where}: gain argmax != potential argmax")
-            writes = [(g, s) for act, g, _, s in rows if not act.is_noop]
-            for i, (g_i, s_i) in enumerate(writes):
-                for g_j, s_j in writes[i + 1 :]:
-                    if g_i > g_j + _ARGMAX_TOL and not s_i.unclipped > s_j.unclipped:
+            writes = [(g, s.unclipped) for act, g, _, s in rows if not act.is_noop]
+            for i, (g_i, u_i) in enumerate(writes):
+                for g_j, u_j in writes[i + 1 :]:
+                    if g_i > g_j + _ARGMAX_TOL and not u_i > u_j:
                         order_bad.append(f"{where}: swap ranking not preserved")
-                    if g_j > g_i + _ARGMAX_TOL and not s_j.unclipped > s_i.unclipped:
+                    if g_j > g_i + _ARGMAX_TOL and not u_j > u_i:
                         order_bad.append(f"{where}: swap ranking not preserved")
             if expert.is_valid and not expert.is_all_noop:
-                noop_shaped = next(s for act, _, _, s in rows if act.is_noop)
+                noop = next(s for act, _, _, s in rows if act.is_noop).unclipped
                 for act, g, _, s in rows:
-                    if act.is_noop or g <= 0.0:
-                        continue
-                    if not (s.unclipped > 0.0 > noop_shaped.unclipped):
-                        demote_bad.append(
-                            f"{where}: positive-gain swap does not dominate no-op"
-                        )
-    return ShapingReport(
-        instance.seed,
-        len(spaces),
-        actions_checked,
-        tuple(argmax_bad),
-        tuple(order_bad),
-        tuple(demote_bad),
-        tuple(flags),
-        tuple(spaces),
-    )
+                    if not act.is_noop and g > 0.0 and not s.unclipped > 0.0 > noop:
+                        demote_bad.append(f"{where}: positive-gain swap does not dominate no-op")
+    return ShapingReport(instance.seed, len(spaces), actions_checked, tuple(argmax_bad),
+                         tuple(order_bad), tuple(demote_bad), tuple(flags), tuple(spaces))

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import sys
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field, replace
 
@@ -76,18 +78,7 @@ class AssociationGraph:
             )
             for x, y in user_xy
         )
-        return cls(
-            tuple((float(x), float(y)) for x, y in bs_xy),
-            tuple((float(x), float(y)) for x, y in user_xy),
-            float(radius),
-            coverage,
-        )
-
-    @classmethod
-    def synthetic(cls, coverage, bs_count: int) -> "AssociationGraph":
-        """Coverage given directly; coordinates are placeholders."""
-        cov = tuple(tuple(sorted(set(c))) for c in coverage)
-        return cls(((0.0, 0.0),) * bs_count, ((0.0, 0.0),) * len(cov), 0.0, cov)
+        return cls(tuple(bs_xy), tuple(user_xy), radius, coverage)
 
     @property
     def bs_count(self) -> int:
@@ -147,8 +138,8 @@ class InstanceConfig:
     def __post_init__(self) -> None:
         if self.bs_count < 1 or self.users < 1 or self.groups < 1:
             raise ConfigurationError("bs_count, users and groups must be >= 1")
-        if self.alpha <= 0:
-            raise ConfigurationError("alpha must be > 0")
+        if not math.isfinite(self.alpha) or self.alpha <= 0:
+            raise ConfigurationError("alpha must be finite and > 0")
         cache = self.cache_size
         if isinstance(cache, int):
             cache = (cache,) * self.bs_count
@@ -176,10 +167,13 @@ class InstanceConfig:
         bs_xy = tuple((float(x), float(y)) for x, y in bs_xy)
         if len(bs_xy) != self.bs_count:
             raise ConfigurationError("bs_xy needs one coordinate pair per BS")
+        radius = float(radius)
+        if not math.isfinite(radius):
+            raise ConfigurationError("radius must be finite")
         object.__setattr__(self, "cache_size", cache)
         object.__setattr__(self, "windows", windows)
         object.__setattr__(self, "bs_xy", bs_xy)
-        object.__setattr__(self, "radius", float(radius))
+        object.__setattr__(self, "radius", radius)
 
     @property
     def trace_slots(self) -> int:
@@ -199,7 +193,7 @@ class InstanceConfig:
             alpha=key("alpha", real),
             windows=key("windows", _wholes),
             radius=key("radius", real),
-            bs_xy=tuple(tuple(p) for p in payload["bs_xy"]),
+            bs_xy=key("bs_xy", _points),
             warm_slots=key("warm_slots"),
             rollout_slots=key("rollout_slots"),
             horizon_reserve=key("horizon_reserve"),
@@ -265,6 +259,16 @@ def _read(payload: dict, name: str, parse, what: str):
 
 def _wholes(values) -> tuple[int, ...]:
     return tuple(map(whole, values))
+
+
+def _points(values) -> tuple[tuple[float, float], ...]:
+    """[x, y] pairs of finite JSON numbers: ints or floats, not bools or text."""
+    for p in values:
+        if not isinstance(p, list) or len(p) != 2 or any(
+            type(v) not in (int, float) or not abs(v) <= sys.float_info.max for v in p
+        ):
+            raise TypeError(f"expected an [x, y] pair of finite numbers, not {p!r}")
+    return tuple((float(x), float(y)) for x, y in values)
 
 
 def build_instance(config: InstanceConfig, seed: int) -> Instance:
@@ -333,14 +337,11 @@ def instance_from_payload(payload: dict) -> Instance:
     if payload.get("schema") != INSTANCE_SCHEMA:
         raise StructuralError(f"unsupported instance schema: {payload.get('schema')!r}")
     config = InstanceConfig.from_dict(payload["config"])
-    graph = AssociationGraph.build(
-        config.bs_xy,
-        tuple(tuple(p) for p in payload["user_xy"]),
-        config.radius,
-    )
 
     def key(name, parse):
         return _read(payload, name, parse, "instance key")
+
+    graph = AssociationGraph.build(config.bs_xy, key("user_xy", _points), config.radius)
 
     demand = DemandModel(
         config.alpha,

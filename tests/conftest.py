@@ -49,6 +49,12 @@ def small_config(**overrides) -> InstanceConfig:
     return InstanceConfig(**base)
 
 
+def synthetic_graph(coverage, bs_count: int) -> AssociationGraph:
+    """A graph with the coverage given directly; coordinates are placeholders."""
+    cov = tuple(tuple(sorted(set(c))) for c in coverage)
+    return AssociationGraph(((0.0, 0.0),) * bs_count, ((0.0, 0.0),) * len(cov), 0.0, cov)
+
+
 def random_scenario(rng: random.Random, max_bs=3, max_files=10, max_users=8):
     """A random (cache, graph, requests) triple for oracle-style checks.
 
@@ -62,7 +68,7 @@ def random_scenario(rng: random.Random, max_bs=3, max_files=10, max_users=8):
     for _ in range(users):
         k = rng.randint(1, bs_count)
         coverage.append(tuple(sorted(rng.sample(range(1, bs_count + 1), k))))
-    graph = AssociationGraph.synthetic(coverage, bs_count)
+    graph = synthetic_graph(coverage, bs_count)
     rows = tuple(
         tuple(rng.sample(range(1, library + 1), capacity)) for _ in range(bs_count)
     )
@@ -93,7 +99,7 @@ def scenarios(draw, peek_max=10, holes=False):
     library = max(capacities) + draw(st.integers(1, 5))
     users = draw(st.integers(1, 8))
     masks = draw(st.lists(st.integers(1, 2**bs_count - 1), min_size=users, max_size=users))
-    graph = AssociationGraph.synthetic(
+    graph = synthetic_graph(
         [[b + 1 for b in _bits(m)][:3] for m in masks], bs_count
     )
     rows = []
@@ -119,7 +125,7 @@ def observation(cache, requests) -> SlotObservation:
     return SlotObservation(1, cache, requests, FrequencyTracker.fresh((1,), (requests,)))
 
 
-_GOLDEN_GRAPH = AssociationGraph.synthetic(((1,), (1, 2), (1,), (2,)), bs_count=2)
+_GOLDEN_GRAPH = synthetic_graph(((1,), (1, 2), (1,), (2,)), bs_count=2)
 
 # user -> (file, slots) over the golden 100-slot trace. User 1, the only one
 # both BSs cover, carries the shared 5; users 0 and 2 fill BS 1, user 3 BS 2.

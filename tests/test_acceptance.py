@@ -24,10 +24,9 @@ from coopcache.reward import RewardConfig, joint_space_size, verify_pbrs
 from coopcache.traffic import InstanceConfig, build_instance, warm_start
 from coopcache.verification import first_decision_observation, fuzz_parser
 
-from conftest import observation, random_scenario
+from conftest import observation, random_scenario, synthetic_graph
 from test_core import brute_force_hit_rate
 from coopcache.core import CacheState, request_slot
-from coopcache.traffic import AssociationGraph
 
 SEEDS = (1, 2, 3)
 
@@ -143,7 +142,7 @@ def test_c5_joint_space(shaping_reports):
                 bound_slots += 1
                 assert size.product >= 2 ** len(size.factors)
     # B=5, C=10, four requested-and-uncached files per BS
-    graph = AssociationGraph.synthetic(
+    graph = synthetic_graph(
         tuple((b,) for b in range(1, 6) for _ in range(4)), 5
     )
     pairs, u = [], 0

@@ -23,9 +23,8 @@ from coopcache.core import (
     hit_rate,
     request_slot,
 )
-from coopcache.traffic import AssociationGraph
 
-from conftest import random_scenario, scenarios
+from conftest import random_scenario, scenarios, synthetic_graph
 
 
 def brute_force_hit_rate(rows, coverage, pairs) -> float:
@@ -46,14 +45,14 @@ def brute_force_hit_rate(rows, coverage, pairs) -> float:
 def test_hit_rate_neighborhood_example():
     # u0 -> BS1 wants 3 (cached at BS1), u1 -> both wants 7 (cached at BS2),
     # u2 -> BS2 wants 9 (uncached anywhere): two of three requests served.
-    graph = AssociationGraph.synthetic(((1,), (1, 2), (2,)), 2)
+    graph = synthetic_graph(((1,), (1, 2), (2,)), 2)
     cache = CacheState(((3, 0, 0), (7, 0, 0)))
     requests = request_slot(((0, 3), (1, 7), (2, 9)), graph)
     assert hit_rate(cache, requests, graph) == pytest.approx(2 / 3)
 
 
 def test_hit_rate_empty_cache_and_full_coverage():
-    graph = AssociationGraph.synthetic(((1,), (2,)), 2)
+    graph = synthetic_graph(((1,), (2,)), 2)
     requests = request_slot(((0, 1), (1, 2)), graph)
     assert hit_rate(CacheState.empty((2, 2)), requests, graph) == 0.0
     everything = CacheState(((1, 2), (1, 2)))
@@ -61,13 +60,13 @@ def test_hit_rate_empty_cache_and_full_coverage():
 
 
 def test_hit_rate_empty_requests_is_zero():
-    graph = AssociationGraph.synthetic(((1,),), 1)
+    graph = synthetic_graph(((1,),), 1)
     requests = request_slot((), graph)
     assert hit_rate(CacheState(((1, 2),)), requests, graph) == 0.0
 
 
 def test_hit_rate_dimension_mismatch():
-    graph = AssociationGraph.synthetic(((1,),), 1)
+    graph = synthetic_graph(((1,),), 1)
     requests = request_slot(((0, 1),), graph)
     with pytest.raises(StructuralError):
         hit_rate(CacheState(((1,), (2,))), requests, graph)
@@ -98,7 +97,7 @@ def test_hit_rate_monotone_under_enlargement():
 
 
 def _single_bs_requests(files, graph=None):
-    graph = graph or AssociationGraph.synthetic(tuple((1,) for _ in files), 1)
+    graph = graph or synthetic_graph(tuple((1,) for _ in files), 1)
     return graph, request_slot(tuple((u, f) for u, f in enumerate(files)), graph)
 
 
@@ -142,7 +141,7 @@ def test_apply_rejects_invalid_joint_action():
 
 
 def test_apply_leaves_noop_rows_untouched():
-    graph = AssociationGraph.synthetic(((1,), (2,)), 2)
+    graph = synthetic_graph(((1,), (2,)), 2)
     requests = request_slot(((0, 6), (1, 6)), graph)
     cache = CacheState(((4, 7), (1, 2)))
     out = apply(cache, JointAction.valid([NOOP, BsAction(1, 6, 1)]), requests)
@@ -152,7 +151,7 @@ def test_apply_leaves_noop_rows_untouched():
 
 def test_feasible_actions_counts():
     # 10 slots, 4 requested files none cached: 41 actions
-    graph = AssociationGraph.synthetic(tuple((1,) for _ in range(4)), 1)
+    graph = synthetic_graph(tuple((1,) for _ in range(4)), 1)
     requests = request_slot(((0, 11), (1, 12), (2, 13), (3, 14)), graph)
     cache = CacheState((tuple(range(1, 11)),))
     actions = feasible_actions(cache, 1, requests)
@@ -162,7 +161,7 @@ def test_feasible_actions_counts():
 
 
 def test_feasible_actions_all_requested_cached():
-    graph = AssociationGraph.synthetic(((1,), (1,)), 1)
+    graph = synthetic_graph(((1,), (1,)), 1)
     requests = request_slot(((0, 1), (1, 2)), graph)
     cache = CacheState(((1, 2, 3),))
     assert feasible_actions(cache, 1, requests) == [NOOP]
@@ -170,7 +169,7 @@ def test_feasible_actions_all_requested_cached():
 
 
 def test_feasible_actions_enumeration_order():
-    graph = AssociationGraph.synthetic(((1,), (1,)), 1)
+    graph = synthetic_graph(((1,), (1,)), 1)
     requests = request_slot(((0, 2), (1, 3)), graph)
     cache = CacheState(((1, 2),))
     actions = feasible_actions(cache, 1, requests)
@@ -178,7 +177,7 @@ def test_feasible_actions_enumeration_order():
 
 
 def test_feasible_actions_not_full_is_noop_only():
-    graph = AssociationGraph.synthetic(((1,),), 1)
+    graph = synthetic_graph(((1,),), 1)
     requests = request_slot(((0, 5),), graph)
     cache = CacheState(((1, EMPTY_SLOT),))
     assert feasible_actions(cache, 1, requests) == [NOOP]
@@ -229,7 +228,7 @@ def test_bs_action_validation():
 
 
 def test_request_slot_invariants():
-    graph = AssociationGraph.synthetic(((1,), (1, 2)), 2)
+    graph = synthetic_graph(((1,), (1, 2)), 2)
     requests = request_slot(((1, 7), (0, 7)), graph)
     assert requests.pairs == ((0, 7), (1, 7))
     assert requests.counts[0] == {7: 2}

@@ -540,6 +540,20 @@ def test_cli_sweep_parses_values_by_axis(tmp_path):
         assert [row["value"] for row in csv.DictReader(fh)] == ["1.0"]
 
 
+def test_sweep_rejects_a_non_finite_alpha_before_any_rollout(tmp_path, monkeypatch):
+    rollouts = []
+    monkeypatch.setattr(harness, "rollout", lambda *args: rollouts.append(args))
+    out = tmp_path / "out"
+    cfg = RunConfig(instance_config=small_config(), policies=("lru",), seeds=(1,),
+                    slots=5, out_dir=str(out))
+    with pytest.raises(ConfigurationError, match="alpha must be finite"):
+        sweep(cfg, "zipf_alpha", [1.0, float("nan")])
+    with pytest.raises(ConfigurationError, match="alpha must be finite"):
+        cli_main(["sweep", "--axis", "zipf_alpha", "--values", "1,inf", "--policy", "lru",
+                  "--seeds", "1", "--slots", "5", "--out", str(out)])
+    assert not rollouts and not out.exists()
+
+
 def _truncate_trace(payload):
     payload["trace"] = payload["trace"][:30]
 
@@ -584,6 +598,38 @@ def _bool_radius(payload):
     payload["config"]["radius"] = False
 
 
+def _text_alpha_nan(payload):
+    payload["config"]["alpha"] = "nan"
+
+
+def _infinite_radius(payload):
+    payload["config"]["radius"] = float("inf")
+
+
+def _bool_user_coordinate(payload):
+    payload["user_xy"][0][0] = True
+
+
+def _text_user_coordinate(payload):
+    payload["user_xy"][2][1] = "0.35"
+
+
+def _nan_user_coordinate(payload):
+    payload["user_xy"][1][0] = float("nan")
+
+
+def _user_coordinate_triple(payload):
+    payload["user_xy"][0].append(0.5)
+
+
+def _text_bs_coordinate(payload):
+    payload["config"]["bs_xy"][0][0] = "0.35"
+
+
+def _infinite_bs_coordinate(payload):
+    payload["config"]["bs_xy"][1][1] = float("-inf")
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_truncate_trace, "trace holds 30 slots"),
     (_request_file_5000, r"file ids outside 1\.\.12: \[5000\]"),
@@ -596,6 +642,15 @@ def _bool_radius(payload):
     (_fractional_trace_file, r"instance key 'trace': expected an integer, not 2\.7"),
     (_bool_alpha, "instance config key 'alpha': expected a number, not True"),
     (_bool_radius, "instance config key 'radius': expected a number, not False"),
+    (_text_alpha_nan, "alpha must be finite and > 0"),
+    (_infinite_radius, "radius must be finite"),
+    (_bool_user_coordinate,
+     r"instance key 'user_xy': expected an \[x, y\] pair of finite numbers, not \[True, "),
+    (_text_user_coordinate, r"instance key 'user_xy': expected .* not \[[0-9.]+, '0\.35'\]"),
+    (_nan_user_coordinate, r"instance key 'user_xy': expected .* not \[nan, "),
+    (_user_coordinate_triple, r"instance key 'user_xy': expected .* not \[[0-9.]+, [0-9.]+, 0\.5"),
+    (_text_bs_coordinate, r"instance config key 'bs_xy': expected .* not \['0\.35', 0\.5\]"),
+    (_infinite_bs_coordinate, r"instance config key 'bs_xy': expected .* not \[0\.65, -inf\]"),
 ])
 def test_corrupt_instance_file_fails_on_load(tmp_path, small_instance, corrupt, message):
     payload = json.loads(small_instance.to_canonical_json())

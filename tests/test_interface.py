@@ -28,16 +28,15 @@ from coopcache.interface import (
     parse_bytes,
     serialize,
 )
-from coopcache.traffic import AssociationGraph
 
-from conftest import golden_observation, observation, random_scenario
+from conftest import golden_observation, observation, random_scenario, synthetic_graph
 
 GOLDEN = Path(__file__).parent / "data" / "golden_prompt.txt"
 
 
 def swap_observation():
     """Two BSs; BS2 slot 3 holds 17, file 42 requested there and uncached."""
-    graph = AssociationGraph.synthetic(((1,), (2,), (2,)), 2)
+    graph = synthetic_graph(((1,), (2,), (2,)), 2)
     cache = CacheState(((4, 7, 9), (2, 5, 17)))
     requests = request_slot(((0, 4), (1, 42), (2, 9)), graph)
     return observation(cache, requests)

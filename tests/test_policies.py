@@ -39,9 +39,9 @@ from coopcache.policies import (
     write_frame,
 )
 from coopcache.reward import RewardConfig, delta_perf, lookahead_value
-from coopcache.traffic import AssociationGraph, HeuristicBooks, build_instance, warm_start
+from coopcache.traffic import HeuristicBooks, build_instance, warm_start
 
-from conftest import observation, random_scenario, scenarios, small_config
+from conftest import observation, random_scenario, scenarios, small_config, synthetic_graph
 
 
 def _decide(policy, obs, books):
@@ -59,7 +59,7 @@ def _books_single(last=None, totals=None, inserted=None):
 
 
 def test_lru_unique_victim():
-    graph = AssociationGraph.synthetic(((1,),), 1)
+    graph = synthetic_graph(((1,),), 1)
     cache = CacheState(((1, 2),))
     requests = request_slot(((0, 3),), graph)
     obs = observation(cache, requests)
@@ -68,7 +68,7 @@ def test_lru_unique_victim():
 
 
 def test_lru_noop_when_all_cached():
-    graph = AssociationGraph.synthetic(((1,),), 1)
+    graph = synthetic_graph(((1,),), 1)
     cache = CacheState(((1, 2),))
     requests = request_slot(((0, 2),), graph)
     books = _books_single(last={1: 45, 2: 49})
@@ -76,7 +76,7 @@ def test_lru_noop_when_all_cached():
 
 
 def test_lru_tie_breaks_to_lower_file_id():
-    graph = AssociationGraph.synthetic(((1,),), 1)
+    graph = synthetic_graph(((1,),), 1)
     cache = CacheState(((7, 2),))
     requests = request_slot(((0, 3),), graph)
     books = _books_single(last={7: 40, 2: 40})
@@ -84,7 +84,7 @@ def test_lru_tie_breaks_to_lower_file_id():
 
 
 def test_lfu_victim_by_count_and_tie():
-    graph = AssociationGraph.synthetic(((1,),), 1)
+    graph = synthetic_graph(((1,),), 1)
     cache = CacheState(((1, 2),))
     requests = request_slot(((0, 3),), graph)
     books = _books_single(totals={1: 9, 2: 4})
@@ -94,7 +94,7 @@ def test_lfu_victim_by_count_and_tie():
 
 
 def test_fifo_victim_by_insertion_and_arrival_insert():
-    graph = AssociationGraph.synthetic(((1,), (1,)), 1)
+    graph = synthetic_graph(((1,), (1,)), 1)
     cache = CacheState(((1, 2),))
     # user 0 asks for 9 first, user 1 asks for 3: queue inserts 9
     requests = request_slot(((0, 9), (1, 3)), graph)
@@ -116,7 +116,7 @@ def test_heuristics_emit_parseable_text():
 
 
 def test_oracle_inserts_upcoming_file():
-    graph = AssociationGraph.synthetic(((1,),), 1)
+    graph = synthetic_graph(((1,),), 1)
     cache = CacheState(((1, 2),))
     now = request_slot(((0, 5),), graph)
     nxt = request_slot(((0, 5),), graph)
@@ -126,7 +126,7 @@ def test_oracle_inserts_upcoming_file():
 
 
 def test_oracle_noop_when_future_cached():
-    graph = AssociationGraph.synthetic(((1,),), 1)
+    graph = synthetic_graph(((1,),), 1)
     cache = CacheState(((1, 2),))
     now = request_slot(((0, 5),), graph)
     nxt = request_slot(((0, 1),), graph)
@@ -134,7 +134,7 @@ def test_oracle_noop_when_future_cached():
 
 
 def test_oracle_requires_full_peek():
-    graph = AssociationGraph.synthetic(((1,),), 1)
+    graph = synthetic_graph(((1,),), 1)
     cache = CacheState(((1, 2),))
     now = request_slot(((0, 5),), graph)
     with pytest.raises(StructuralError):

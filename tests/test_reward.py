@@ -3,17 +3,21 @@
 from __future__ import annotations
 
 import random
+from itertools import islice
 
 import pytest
 
+from coopcache import reward
 from coopcache.core import (
     NOOP,
     BsAction,
     CacheState,
     JointAction,
     StructuralError,
+    feasible_actions,
     request_slot,
 )
+from coopcache.episode import expert_walk
 from coopcache.interface import serialize
 from coopcache.reward import (
     RewardConfig,
@@ -24,9 +28,9 @@ from coopcache.reward import (
     score_completion,
     verify_pbrs,
 )
-from coopcache.traffic import AssociationGraph, build_instance
+from coopcache.traffic import build_instance
 
-from conftest import observation, random_scenario, small_config
+from conftest import observation, random_scenario, small_config, synthetic_graph
 
 
 def _rate_slot(graph, hit_users, total_users, cached_file, other_file):
@@ -38,7 +42,7 @@ def _rate_slot(graph, hit_users, total_users, cached_file, other_file):
 
 
 def test_lookahead_value_unweighted_mean():
-    graph = AssociationGraph.synthetic(tuple((1,) for _ in range(10)), 1)
+    graph = synthetic_graph(tuple((1,) for _ in range(10)), 1)
     cache = CacheState(((1, 0, 0),))
     peek = (
         _rate_slot(graph, 5, 10, 1, 99),  # hit rate 0.5
@@ -48,7 +52,7 @@ def test_lookahead_value_unweighted_mean():
 
 
 def test_lookahead_value_discounted():
-    graph = AssociationGraph.synthetic(tuple((1,) for _ in range(4)), 1)
+    graph = synthetic_graph(tuple((1,) for _ in range(4)), 1)
     cache = CacheState(((1, 0),))
     peek = (
         _rate_slot(graph, 4, 4, 1, 99),  # 1.0
@@ -77,7 +81,7 @@ def test_lookahead_value_bounds_and_short_peek():
         cache, graph, requests = random_scenario(rng)
         value = lookahead_value(cache, (requests, requests), graph, 2, 0.7)
         assert 0.0 <= value <= 1.0
-    graph = AssociationGraph.synthetic(((1,),), 1)
+    graph = synthetic_graph(((1,),), 1)
     with pytest.raises(StructuralError):
         lookahead_value(CacheState(((1,),)), (), graph, 1, 0.9)
 
@@ -91,7 +95,7 @@ def test_delta_perf_noop_is_exactly_zero():
 
 
 def test_delta_perf_insert_everyones_file():
-    graph = AssociationGraph.synthetic(tuple((1,) for _ in range(5)), 1)
+    graph = synthetic_graph(tuple((1,) for _ in range(5)), 1)
     cache = CacheState(((1, 2),))
     cfg = RewardConfig(horizon=2, gamma=1.0)
     peek = (
@@ -106,7 +110,7 @@ def test_delta_perf_insert_everyones_file():
 
 
 def test_delta_perf_evicting_only_hit_is_negative():
-    graph = AssociationGraph.synthetic(tuple((1,) for _ in range(5)), 1)
+    graph = synthetic_graph(tuple((1,) for _ in range(5)), 1)
     cache = CacheState(((9, 2),))
     cfg = RewardConfig(horizon=2, gamma=1.0)
     peek = (
@@ -118,7 +122,7 @@ def test_delta_perf_evicting_only_hit_is_negative():
 
 
 def test_delta_perf_rejects_illegal_transition():
-    graph = AssociationGraph.synthetic(((1,),), 1)
+    graph = synthetic_graph(((1,),), 1)
     cfg = RewardConfig(horizon=1)
     requests = request_slot(((0, 1),), graph)
     with pytest.raises(StructuralError):
@@ -128,7 +132,7 @@ def test_delta_perf_rejects_illegal_transition():
 
 
 def _score_fixture():
-    graph = AssociationGraph.synthetic(((1,), (1,)), 1)
+    graph = synthetic_graph(((1,), (1,)), 1)
     cache = CacheState(((1, 2),))
     requests = request_slot(((0, 5), (1, 5)), graph)
     obs = observation(cache, requests)
@@ -184,6 +188,14 @@ def test_reward_config_validation():
     RewardConfig(lambda_opp=0.0)
 
 
+@pytest.mark.parametrize("name", ["gamma", "lambda_fmt", "lambda_opp", "clip_lo",
+                                  "clip_hi", "epsilon"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_reward_config_rejects_non_finite_floats(name, bad):
+    with pytest.raises(StructuralError, match=f"{name} must be finite"):
+        RewardConfig(**{name: bad})
+
+
 def test_group_advantage_examples():
     assert group_advantage([0.5, 0.5, 0.5], 1e-4) == [0.0, 0.0, 0.0]
     adv = group_advantage([1.0, -1.0], 1e-4)
@@ -212,7 +224,7 @@ def test_group_advantage_moments():
 
 def test_joint_space_exact_product():
     # five BSs, 10 slots each, 4 requested-and-uncached files: 41^5
-    graph = AssociationGraph.synthetic(
+    graph = synthetic_graph(
         tuple((b,) for b in range(1, 6) for _ in range(4)), 5
     )
     pairs = []
@@ -231,7 +243,7 @@ def test_joint_space_exact_product():
 
 
 def test_joint_space_lower_bound_tightness():
-    graph = AssociationGraph.synthetic(((1,), (2,), (3,)), 3)
+    graph = synthetic_graph(((1,), (2,), (3,)), 3)
     requests = request_slot(((0, 9), (1, 9), (2, 9)), graph)
     cache = CacheState(((1,), (2,), (3,)))
     size = joint_space_size(observation(cache, requests))
@@ -240,7 +252,7 @@ def test_joint_space_lower_bound_tightness():
 
 
 def test_joint_space_bound_skipped_when_noop_only():
-    graph = AssociationGraph.synthetic(((1,), (2,)), 2)
+    graph = synthetic_graph(((1,), (2,)), 2)
     requests = request_slot(((0, 1), (1, 9)), graph)
     cache = CacheState(((1,), (2,)))  # BS1's only request already cached
     size = joint_space_size(observation(cache, requests))
@@ -265,9 +277,55 @@ def test_verify_pbrs_flags_zero_opportunity_penalty():
     assert any("lambda_opp" in f for f in report.flags)
 
 
+def test_verify_pbrs_rows_equal_score_completion(monkeypatch):
+    """Each audit row is bit-for-bit the breakdown score_completion gives."""
+    instance = build_instance(small_config(rollout_slots=16), 3)
+    cfg = RewardConfig(horizon=3)
+    rows = []
+    shape = reward._breakdown
+
+    def record(*args):
+        rows.append(shape(*args))
+        return rows[-1]
+
+    monkeypatch.setattr(reward, "_breakdown", record)
+    report = verify_pbrs(instance, 6, cfg)
+    monkeypatch.undo()
+    bs_count = instance.config.bs_count
+    expected = [
+        score_completion(serialize(JointAction.valid(
+            [act if bb == b else NOOP for bb in range(1, bs_count + 1)]
+        )), obs, peek, expert, cfg, instance.graph)
+        for obs, expert, peek in islice(expert_walk(instance, cfg.horizon, cfg.gamma), 6)
+        for b in range(1, bs_count + 1)
+        for act in feasible_actions(obs.cache, b, obs.requests)
+    ]
+    assert len(rows) == len(expected) == report.actions_checked
+    assert any(r.gain != 0.0 for r in rows) and any(r.penalty != 0.0 for r in rows)
+    assert [(r.gain, r.penalty, r.total, r.classification, r.action) for r in rows] == [
+        (r.gain, r.penalty, r.total, r.classification, r.action) for r in expected
+    ]
+
+
+def test_verify_pbrs_scores_each_candidate_cache_once(monkeypatch):
+    calls = []
+    value = reward.lookahead_value
+
+    def counted(*args):
+        calls.append(args)
+        return value(*args)
+
+    monkeypatch.setattr(reward, "lookahead_value", counted)
+    instance = build_instance(small_config(rollout_slots=16), 3)
+    report = verify_pbrs(instance, 6, RewardConfig(horizon=3))
+    swaps = report.actions_checked - report.slots_checked * instance.config.bs_count
+    assert report.slots_checked == 6 and swaps > 0
+    assert len(calls) == report.slots_checked + swaps
+
+
 def test_noop_optimal_state_stays_unpenalized():
     """When nothing beats keeping the cache, the no-op is argmax and unpunished."""
-    graph = AssociationGraph.synthetic(((1,), (1,)), 1)
+    graph = synthetic_graph(((1,), (1,)), 1)
     cache = CacheState(((5, 6),))
     requests = request_slot(((0, 7), (1, 7)), graph)
     obs = observation(cache, requests)

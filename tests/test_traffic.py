@@ -13,7 +13,6 @@ from coopcache.core import EMPTY_SLOT, StructuralError, request_slot
 from coopcache.episode import Episode
 from coopcache.interface import encode
 from coopcache.traffic import (
-    AssociationGraph,
     ConfigurationError,
     FrequencyTracker,
     InstanceConfig,
@@ -26,7 +25,7 @@ from coopcache.traffic import (
     zipf_pmf,
 )
 
-from conftest import small_config
+from conftest import small_config, synthetic_graph
 
 
 def test_zipf_single_file():
@@ -105,6 +104,11 @@ def test_config_validation():
         InstanceConfig(library=10, cache_size=10)
     with pytest.raises(ConfigurationError):
         InstanceConfig(alpha=0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError, match="alpha must be finite"):
+            InstanceConfig(alpha=bad)
+        with pytest.raises(ConfigurationError, match="radius must be finite"):
+            InstanceConfig(radius=bad)
     cfg = InstanceConfig(cache_size=7, windows=(100, 10))
     assert cfg.cache_size == (7, 7)
     assert cfg.windows == (10, 100)
@@ -130,7 +134,7 @@ def test_instance_schema_guard(small_instance):
 
 
 def test_tracker_first_slot():
-    graph = AssociationGraph.synthetic(((1,),), 1)
+    graph = synthetic_graph(((1,),), 1)
     trace = (request_slot(((0, 3),), graph),)
     tracker = advance_tracker(FrequencyTracker.fresh((10,), trace), trace[0])
     assert tracker.rate(1, 3, 10) == 1.0
@@ -138,7 +142,7 @@ def test_tracker_first_slot():
 
 
 def test_tracker_three_of_last_ten():
-    graph = AssociationGraph.synthetic(((1,),), 1)
+    graph = synthetic_graph(((1,),), 1)
     # file 3 requested in 3 of the last 10 slots once 12 slots have passed
     trace = tuple(
         request_slot(((0, 3 if t in (3, 6, 11) else 5),), graph) for t in range(1, 13)
@@ -177,7 +181,7 @@ def small_traces(draw):
     bs = st.integers(1, bs_count)
     coverage = draw(st.lists(st.lists(bs, min_size=1, max_size=3, unique=True),
                              min_size=1, max_size=5))
-    graph = AssociationGraph.synthetic(coverage, bs_count)
+    graph = synthetic_graph(coverage, bs_count)
     library = draw(st.integers(1, 6))
     user = st.integers(0, len(coverage) - 1)
     slots = draw(st.lists(st.dictionaries(user, st.integers(1, library)),
@@ -209,7 +213,7 @@ def test_tracker_rate_counts_the_trace_up_to_its_slot(case):
 
 
 def test_advance_tracker_follows_the_trace_order():
-    graph = AssociationGraph.synthetic(((1,),), 1)
+    graph = synthetic_graph(((1,),), 1)
     trace = tuple(request_slot(((0, f),), graph) for f in (3, 4))
     tracker = FrequencyTracker.fresh((10,), trace)
     with pytest.raises(StructuralError, match="not trace slot 1"):
