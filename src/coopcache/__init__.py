@@ -37,7 +37,6 @@ from .reward import (
 from .traffic import (
     AssociationGraph,
     FrequencyTracker,
-    HeuristicBooks,
     Instance,
     InstanceConfig,
     advance_tracker,

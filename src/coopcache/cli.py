@@ -16,7 +16,7 @@ import os
 import sys
 from typing import Callable, NamedTuple
 
-from .core import atomic_write, real, whole
+from .core import StructuralError, atomic_write, real, whole
 from .dataset import audit_dataset, generate_sft, write_grpo_jsonl, write_sft_jsonl
 from .harness import (
     RUNCONFIG_SCHEMA,
@@ -27,6 +27,7 @@ from .harness import (
     write_latency,
     write_reports,
 )
+from .policies import AdapterError
 from .reward import RewardConfig
 from .traffic import SWEEP_AXES, InstanceConfig, build_instance, load_instance, save_instance
 from .verification import run_verification
@@ -309,7 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (StructuralError, AdapterError) as exc:
+        raise SystemExit(str(exc)) from exc
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -65,6 +66,28 @@ def real(value) -> float:
     if isinstance(value, bool) or not isinstance(value, (str, int, float)):
         raise TypeError(f"expected a number, not {value!r}")
     return float(value)
+
+
+def finite(value) -> float:
+    """A finite JSON number: an int or a float, but not a bool, NaN or an infinity."""
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise TypeError(f"expected a finite number, not {value!r}")
+    return float(value)
+
+
+def key_reader(payload: dict, what: str):
+    """``key(name, parse=whole)`` returns ``parse(payload[name])``; a missing
+    key or a value of the wrong type or shape raises a StructuralError naming it."""
+
+    def key(name, parse=whole):
+        if name not in payload:
+            raise StructuralError(f"{what} {name!r} is missing")
+        try:
+            return parse(payload[name])
+        except (TypeError, ValueError) as exc:
+            raise StructuralError(f"{what} {name!r}: {exc}") from None
+
+    return key
 
 
 class FeasibilityError(Exception):
@@ -348,6 +371,15 @@ def apply(cache: CacheState, action: JointAction, requests: RequestSlot) -> Cach
     return CacheState(tuple(rows))
 
 
+def hottest_uncached(cache: CacheState, b: int, requests: RequestSlot) -> int | None:
+    """The most requested file at BS ``b`` not cached there (ties to the lower id), or None."""
+    pool = requests.admissible[b - 1] - cache.files_at(b)
+    if not pool:
+        return None
+    counts = requests.counts[b - 1]
+    return min(pool, key=lambda f: (-counts[f], f))
+
+
 def feasible_actions(cache: CacheState, b: int, requests: RequestSlot) -> list[BsAction]:
     """No-op plus every feasible single-slot swap for BS ``b``.
 
@@ -366,17 +398,6 @@ def feasible_actions(cache: CacheState, b: int, requests: RequestSlot) -> list[B
         for f_in in candidates:
             actions.append(BsAction(z, f_in, f_out))
     return actions
-
-
-def action_space_counts(cache: CacheState, b: int, requests: RequestSlot) -> tuple[int, int]:
-    """(feasible count, nominal count) for one BS.
-
-    The nominal count is capacity * |request pool| + 1, which skips the
-    non-duplication exclusion; the feasible count honors it.
-    """
-    feasible = len(feasible_actions(cache, b, requests))
-    nominal = cache.capacity(b) * len(requests.admissible[b - 1]) + 1
-    return feasible, nominal
 
 
 def check_transition(prev: CacheState, next_state: CacheState) -> bool:

@@ -19,7 +19,15 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from .core import StructuralError, atomic_write, canonical_json, hit_rate
+from .core import (
+    StructuralError,
+    atomic_write,
+    canonical_json,
+    finite,
+    hit_rate,
+    key_reader,
+    whole,
+)
 from .episode import Episode
 from .interface import parse
 from .policies import Policy, make_policy
@@ -98,20 +106,32 @@ class EvalReport:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "EvalReport":
+        """Read a saved report; a value of the wrong type raises naming its key."""
         if payload.get("schema") != REPORT_SCHEMA:
             raise StructuralError(f"unsupported report schema: {payload.get('schema')!r}")
+        key = key_reader(payload, "report key")
+        p_hit = key("p_hit", lambda values: tuple(map(finite, values)))
+        if key("slots") != len(p_hit):
+            raise StructuralError(f"report key 'slots': not {len(p_hit)}, the p_hit count")
         return cls(
-            policy=payload["policy"],
-            seed=int(payload["seed"]),
-            instance_sha256=payload["instance_sha256"],
-            slots=int(payload["slots"]),
-            p_hit=tuple(float(x) for x in payload["p_hit"]),
-            checkpoints=tuple((int(s), float(v)) for s, v in payload["checkpoints"]),
-            table_mean=float(payload["table_mean"]),
-            overall_mean=float(payload["overall_mean"]),
-            invalid_actions=int(payload["invalid_actions"]),
+            policy=key("policy", _text),
+            seed=key("seed"),
+            instance_sha256=key("instance_sha256", _text),
+            slots=len(p_hit),
+            p_hit=p_hit,
+            checkpoints=key("checkpoints",
+                            lambda pairs: tuple((whole(s), finite(v)) for s, v in pairs)),
+            table_mean=key("table_mean", finite),
+            overall_mean=key("overall_mean", finite),
+            invalid_actions=key("invalid_actions"),
             latency_s=(),
         )
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, not {value!r}")
+    return value
 
 
 def checkpoint_slots(slots: int) -> tuple[int, ...]:
@@ -368,6 +388,10 @@ def load_reports(directory) -> list[EvalReport]:
     reports = []
     for name in sorted(os.listdir(directory)):
         if name.startswith("report_") and name.endswith(".json"):
-            with open(os.path.join(directory, name), "r", encoding="utf-8") as fh:
-                reports.append(EvalReport.from_dict(json.load(fh)))
+            path = os.path.join(directory, name)
+            try:
+                with open(path, "r", encoding="utf-8") as fh:
+                    reports.append(EvalReport.from_dict(json.load(fh)))
+            except ValueError as exc:  # bad JSON, or a StructuralError from from_dict
+                raise StructuralError(f"{path}: {exc}") from None
     return reports

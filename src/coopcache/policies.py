@@ -15,9 +15,15 @@ import shlex
 import subprocess
 import threading
 
-from .core import NOOP, BsAction, JointAction, StructuralError, oracle_best_action
+from .core import (
+    NOOP,
+    BsAction,
+    JointAction,
+    StructuralError,
+    hottest_uncached,
+    oracle_best_action,
+)
 from .interface import encode, serialize
-from .traffic import HeuristicBooks
 
 logger = logging.getLogger(__name__)
 
@@ -26,37 +32,30 @@ class AdapterError(Exception):
     """The external adapter process could not be started."""
 
 
-def _hottest_candidate(obs, b):
-    """Hottest uncached requested file; ties go to the lower file id."""
-    pool = obs.requests.admissible[b - 1] - obs.cache.files_at(b)
-    if not pool:
-        return None
-    counts = obs.requests.counts[b - 1]
-    return min(pool, key=lambda f: (-counts[f], f))
-
-
-def _first_missed_candidate(obs, b):
+def _first_missed_candidate(cache, b, requests):
     """Earliest missed insertable request in arrival (user) order.
 
     The queue policy processes requests as they arrive instead of peeking
     at slot-level popularity, mirroring classical insert-on-miss caches.
     """
-    cached = obs.cache.files_at(b)
-    admissible = obs.requests.admissible[b - 1]
-    for _u, f in obs.requests.pairs:
+    cached = cache.files_at(b)
+    admissible = requests.admissible[b - 1]
+    for _u, f in requests.pairs:
         if f in admissible and f not in cached:
             return f
     return None
 
 
-def _eviction_actions(obs, victim_key, candidate_fn) -> list[BsAction]:
+def _eviction_actions(obs, book, candidate_fn) -> list[BsAction]:
+    """Per full BS, swap the candidate in over the cached file least in ``book``."""
     actions = []
     for b in range(1, obs.bs_count + 1):
-        f_in = candidate_fn(obs, b)
+        f_in = candidate_fn(obs.cache, b, obs.requests)
         if f_in is None or not obs.cache.is_full(b):
             actions.append(NOOP)
             continue
-        victim = min(obs.cache.files_at(b), key=lambda f: victim_key(b, f))
+        score = book[b - 1]
+        victim = min(obs.cache.files_at(b), key=lambda f: (score.get(f, 0), f))
         z = obs.cache.slots[b - 1].index(victim) + 1
         actions.append(BsAction(z, f_in, victim))
     return actions
@@ -75,7 +74,7 @@ class Policy:
     peek_len = 0
 
     def reset(self, instance, warm=None) -> None:
-        """Bind instance metadata (and optionally the shared warm state)."""
+        """Bind instance metadata and the warm state the rollout starts from."""
 
     def decide(self, obs, peek=None) -> str:
         raise NotImplementedError
@@ -93,47 +92,60 @@ class NoopPolicy(Policy):
         return serialize(JointAction.valid([NOOP] * obs.bs_count))
 
 
-class _BookPolicy(Policy):
-    _victim_book = ""
-    _candidate = staticmethod(_hottest_candidate)
+class _RequestBookPolicy(Policy):
+    """Evicts by a per-BS book (file -> score) that ``_record`` derives from
+    the requests alone: rebuilt from the warm-up slots at reset, then moved
+    on by each decided slot."""
 
-    def __init__(self) -> None:
-        self._books: HeuristicBooks | None = None
+    book: list[dict]
 
     def reset(self, instance, warm=None) -> None:
-        if warm is not None:
-            self._books = warm.books.copy()
-        else:
-            self._books = HeuristicBooks.empty(instance.config.bs_count)
-
-    def _victim_key(self, b, f):
-        book = getattr(self._books, self._victim_book)
-        return (book[b - 1].get(f, 0), f)
+        self.book = [{} for _ in range(warm.cache.bs_count)]
+        for t, requests in enumerate(warm.tracker.trace[: warm.tracker.slots_seen], start=1):
+            self._record(t, requests)
 
     def decide(self, obs, peek=None) -> str:
-        books = self._books
-        books.record_requests(obs.slot, obs.requests)
-        actions = _eviction_actions(obs, self._victim_key, self._candidate)
-        for b, act in enumerate(actions, start=1):
-            if not act.is_noop:
-                books.record_swap(b, act.file_in, act.file_out, obs.slot)
-        return serialize(JointAction.valid(actions))
+        self._record(obs.slot, obs.requests)
+        return serialize(JointAction.valid(_eviction_actions(obs, self.book, hottest_uncached)))
 
 
-class LruPolicy(_BookPolicy):
+class LruPolicy(_RequestBookPolicy):
+    """Evicts the file requested longest ago: the book holds each file's last slot."""
+
     name = "lru"
-    _victim_book = "last_request"
+
+    def _record(self, slot, requests) -> None:
+        for book, pool in zip(self.book, requests.admissible):
+            book.update(dict.fromkeys(pool, slot))
 
 
-class LfuPolicy(_BookPolicy):
+class LfuPolicy(_RequestBookPolicy):
+    """Evicts the least requested file: the book holds each file's request total."""
+
     name = "lfu"
-    _victim_book = "request_totals"
+
+    def _record(self, slot, requests) -> None:
+        for book, counts in zip(self.book, requests.counts):
+            for f, c in counts.items():
+                book[f] = book.get(f, 0) + c
 
 
-class FifoPolicy(_BookPolicy):
+class FifoPolicy(Policy):
+    """Evicts the file cached longest ago, by the insertion slots of the warm state."""
+
     name = "fifo"
-    _victim_book = "inserted_at"
-    _candidate = staticmethod(_first_missed_candidate)
+    book: list[dict]
+
+    def reset(self, instance, warm=None) -> None:
+        self.book = [dict(d) for d in warm.inserted_at]
+
+    def decide(self, obs, peek=None) -> str:
+        actions = _eviction_actions(obs, self.book, _first_missed_candidate)
+        for book, act in zip(self.book, actions):
+            if not act.is_noop:
+                book.pop(act.file_out, None)
+                book[act.file_in] = obs.slot
+        return serialize(JointAction.valid(actions))
 
 
 class OraclePolicy(Policy):

@@ -19,7 +19,6 @@ from .core import (
     JointAction,
     NOOP,
     StructuralError,
-    action_space_counts,
     apply,
     check_transition,
     feasible_actions,
@@ -160,17 +159,10 @@ def group_advantage(rewards, epsilon: float) -> list[float]:
 
 @dataclass(frozen=True)
 class JointSpaceSize:
-    """Joint action-space cardinality with per-BS factors.
-
-    ``factors`` honor the non-duplication rule; ``nominal_factors`` use the
-    capacity * |pool| + 1 count that skips it. Both are reported because
-    they differ whenever a requested file is already cached.
-    """
+    """Per-BS feasible action counts (non-duplication honored) and their product."""
 
     factors: tuple[int, ...]
     product: int
-    nominal_factors: tuple[int, ...]
-    nominal_product: int
 
     @property
     def exponential_bound_applies(self) -> bool:
@@ -183,10 +175,10 @@ class JointSpaceSize:
 
 def joint_space_size(obs: SlotObservation) -> JointSpaceSize:
     """Per-BS feasible action counts and their product."""
-    factors, nominal = zip(*(
-        action_space_counts(obs.cache, b, obs.requests) for b in range(1, obs.bs_count + 1)
-    ))
-    size = JointSpaceSize(factors, math.prod(factors), nominal, math.prod(nominal))
+    factors = tuple(
+        len(feasible_actions(obs.cache, b, obs.requests)) for b in range(1, obs.bs_count + 1)
+    )
+    size = JointSpaceSize(factors, math.prod(factors))
     if size.exponential_bound_applies:
         assert size.exponential_bound_holds
     return size

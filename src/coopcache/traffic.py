@@ -25,6 +25,8 @@ from .core import (
     StructuralError,
     atomic_write,
     canonical_json,
+    hottest_uncached,
+    key_reader,
     oracle_best_action,
     real,
     request_slot,
@@ -168,8 +170,8 @@ class InstanceConfig:
         if len(bs_xy) != self.bs_count:
             raise ConfigurationError("bs_xy needs one coordinate pair per BS")
         radius = float(radius)
-        if not math.isfinite(radius):
-            raise ConfigurationError("radius must be finite")
+        if not math.isfinite(radius) or radius <= 0:
+            raise ConfigurationError("radius must be finite and > 0")
         object.__setattr__(self, "cache_size", cache)
         object.__setattr__(self, "windows", windows)
         object.__setattr__(self, "bs_xy", bs_xy)
@@ -181,9 +183,7 @@ class InstanceConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "InstanceConfig":
-        def key(name, parse=whole):
-            return _read(payload, name, parse, "instance config key")
-
+        key = key_reader(payload, "instance config key")
         return cls(
             bs_count=key("bs_count"),
             users=key("users"),
@@ -247,14 +247,6 @@ class Instance:
             digest = hashlib.sha256(self.to_canonical_json().encode("utf-8")).hexdigest()
             object.__setattr__(self, "_sha256", digest)
         return self._sha256
-
-
-def _read(payload: dict, name: str, parse, what: str):
-    """``parse(payload[name])``; a wrongly typed value raises naming the key."""
-    try:
-        return parse(payload[name])
-    except TypeError as exc:
-        raise StructuralError(f"{what} {name!r}: {exc}") from None
 
 
 def _wholes(values) -> tuple[int, ...]:
@@ -338,9 +330,7 @@ def instance_from_payload(payload: dict) -> Instance:
         raise StructuralError(f"unsupported instance schema: {payload.get('schema')!r}")
     config = InstanceConfig.from_dict(payload["config"])
 
-    def key(name, parse):
-        return _read(payload, name, parse, "instance key")
-
+    key = key_reader(payload, "instance key")
     graph = AssociationGraph.build(config.bs_xy, key("user_xy", _points), config.radius)
 
     demand = DemandModel(
@@ -432,54 +422,13 @@ def observe(slot: int, cache: CacheState, requests: RequestSlot,
 
 
 @dataclass
-class HeuristicBooks:
-    """Per-BS bookkeeping the eviction heuristics run on.
-
-    ``last_request`` holds the most recent slot each file was requested,
-    ``request_totals`` the cumulative request counts, and ``inserted_at``
-    the slot each cached file entered the cache. Updated once per slot.
-    """
-
-    last_request: list[dict]
-    request_totals: list[dict]
-    inserted_at: list[dict]
-
-    @classmethod
-    def empty(cls, bs_count: int) -> "HeuristicBooks":
-        return cls(
-            [{} for _ in range(bs_count)],
-            [{} for _ in range(bs_count)],
-            [{} for _ in range(bs_count)],
-        )
-
-    def copy(self) -> "HeuristicBooks":
-        return HeuristicBooks(
-            [dict(d) for d in self.last_request],
-            [dict(d) for d in self.request_totals],
-            [dict(d) for d in self.inserted_at],
-        )
-
-    def record_requests(self, slot, requests) -> None:
-        for b, counts in enumerate(requests.counts):
-            for f, c in counts.items():
-                self.last_request[b][f] = slot
-                self.request_totals[b][f] = self.request_totals[b].get(f, 0) + c
-
-    def record_swap(self, b, file_in, file_out, slot) -> None:
-        self.inserted_at[b - 1].pop(file_out, None)
-        self.inserted_at[b - 1][file_in] = slot
-
-    def record_fill(self, b, file_in, slot) -> None:
-        self.inserted_at[b - 1][file_in] = slot
-
-
-@dataclass
 class WarmState:
-    """Everything a controller inherits at rollout start."""
+    """Everything a controller inherits at rollout start. ``inserted_at[b-1]``
+    maps each file cached at BS b to the warm-up slot it entered."""
 
     cache: CacheState
     tracker: FrequencyTracker
-    books: HeuristicBooks
+    inserted_at: tuple[dict, ...]
 
 
 def warm_start(instance: Instance, oracle_horizon: int = 10,
@@ -488,39 +437,35 @@ def warm_start(instance: Instance, oracle_horizon: int = 10,
 
     Per slot, a BS with spare capacity inserts the most requested uncached
     file into its lowest empty slot (ties to the lower file id); a full BS
-    runs the look-ahead oracle. Recency/frequency/insertion books are
-    populated along the way so eviction heuristics start with the same
-    history every other controller saw.
+    runs the look-ahead oracle. Each insertion records its slot.
     """
     config = instance.config
     if config.warm_slots + oracle_horizon > instance.trace_len:
         raise StructuralError("warm-up must leave room for the oracle horizon")
     cache = CacheState.empty(config.cache_size)
     tracker = FrequencyTracker.fresh(config.windows, instance.trace)
-    books = HeuristicBooks.empty(config.bs_count)
+    inserted_at = tuple({} for _ in range(config.bs_count))
     for t in range(1, config.warm_slots + 1):
         requests = instance.request_slot(t)
         tracker = advance_tracker(tracker, requests)
-        books.record_requests(t, requests)
         for b in range(1, config.bs_count + 1):
             if not cache.is_full(b):
-                pool = requests.admissible[b - 1] - cache.files_at(b)
-                if not pool:
+                file_in = hottest_uncached(cache, b, requests)
+                if file_in is None:
                     continue
-                counts = requests.counts[b - 1]
-                file_in = min(pool, key=lambda f: (-counts[f], f))
-                z = cache.slots[b - 1].index(0) + 1
-                cache = cache.with_slot(b, z, file_in)
-                books.record_fill(b, file_in, t)
+                cache = cache.with_slot(b, cache.slots[b - 1].index(0) + 1, file_in)
             else:
                 act = oracle_best_action(
                     cache, b, requests, instance.peek(t, oracle_horizon),
                     instance.graph, oracle_horizon, oracle_gamma,
                 )
-                if not act.is_noop:
-                    cache = cache.with_slot(b, act.slot, act.file_in)
-                    books.record_swap(b, act.file_in, act.file_out, t)
-    return WarmState(cache, tracker, books)
+                if act.is_noop:
+                    continue
+                cache = cache.with_slot(b, act.slot, act.file_in)
+                file_in = act.file_in
+                inserted_at[b - 1].pop(act.file_out, None)
+            inserted_at[b - 1][file_in] = t
+    return WarmState(cache, tracker, inserted_at)
 
 
 #: Robustness sweep axes: axis name -> (InstanceConfig field, value parser).

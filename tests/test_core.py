@@ -16,7 +16,6 @@ from coopcache.core import (
     FeasibilityError,
     JointAction,
     StructuralError,
-    action_space_counts,
     apply,
     check_transition,
     feasible_actions,
@@ -157,7 +156,6 @@ def test_feasible_actions_counts():
     actions = feasible_actions(cache, 1, requests)
     assert len(actions) == 41
     assert actions[0] == NOOP
-    assert action_space_counts(cache, 1, requests) == (41, 41)
 
 
 def test_feasible_actions_all_requested_cached():
@@ -165,7 +163,6 @@ def test_feasible_actions_all_requested_cached():
     requests = request_slot(((0, 1), (1, 2)), graph)
     cache = CacheState(((1, 2, 3),))
     assert feasible_actions(cache, 1, requests) == [NOOP]
-    assert action_space_counts(cache, 1, requests) == (1, 7)
 
 
 def test_feasible_actions_enumeration_order():

@@ -162,6 +162,57 @@ def test_report_reemission_idempotent(tmp_path):
     ).read_bytes()
 
 
+_MISSING = object()
+
+
+@pytest.fixture(scope="module")
+def saved_report(instance, warm):
+    """The JSON payload of a 10-slot noop report, as ``run`` saves it."""
+    return rollout(instance, make_policy("noop"), 10, warm).to_dict()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("seed", 1.5, r"'seed': expected an integer, not 1\.5"),
+    ("invalid_actions", True, "'invalid_actions': expected an integer, not True"),
+    ("slots", "10", "'slots': expected an integer, not '10'"),
+    ("slots", 9, "'slots': not 10, the p_hit count"),
+    ("p_hit", [0.5] * 9 + [float("nan")], "'p_hit': expected a finite number, not nan"),
+    ("table_mean", "0.5", "'table_mean': expected a finite number, not '0.5'"),
+    ("overall_mean", float("inf"), "'overall_mean': expected a finite number, not inf"),
+    ("checkpoints", [[10.0, 0.5]], "'checkpoints': expected an integer, not 10.0"),
+    ("checkpoints", [[10, True]], "'checkpoints': expected a finite number, not True"),
+    ("checkpoints", [[10, 0.5, 1]], r"'checkpoints': too many values to unpack"),
+    ("policy", 3, "'policy': expected a string, not 3"),
+    ("instance_sha256", None, "'instance_sha256': expected a string, not None"),
+    ("table_mean", _MISSING, "'table_mean' is missing"),
+], ids=["seed-float", "invalid-bool", "slots-text", "slots-miscount", "p_hit-nan",
+        "table_mean-text", "overall_mean-inf", "checkpoint-float-slot",
+        "checkpoint-bool-value", "checkpoint-triple", "policy-number", "sha-null",
+        "table_mean-missing"])
+def test_report_rejects_an_ill_typed_report(tmp_path, monkeypatch, saved_report,
+                                            key, value, message):
+    monkeypatch.delenv("COOPCACHE_OUT_DIR", raising=False)
+    reports = tmp_path / "reports"
+    reports.mkdir()
+    path = reports / "report_noop_seed1.json"
+    payload = {**saved_report, key: value}
+    if value is _MISSING:
+        del payload[key]
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit, match="report key " + message) as exc:
+        cli_main(["report", "--reports", str(reports), "--out", str(out)])
+    assert str(exc.value).startswith(f"{path}: ")
+    assert not out.exists()
+
+
+def test_report_rejects_a_report_that_is_not_json(tmp_path):
+    (tmp_path / "report_noop_seed1.json").write_text("{")
+    with pytest.raises(SystemExit, match="report_noop_seed1.json: Expecting property name"):
+        cli_main(["report", "--reports", str(tmp_path), "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
 def test_paired_comparison_hash_guard(tmp_path, instance, warm):
     report = rollout(instance, make_policy("lru"), warm=warm)
     forged = EvalReport(
@@ -434,7 +485,7 @@ def test_cli_config_value_of_wrong_type_names_its_key(tmp_path, monkeypatch, key
 def test_cli_run_without_slots_writes_nothing(tmp_path, monkeypatch, slots):
     monkeypatch.delenv("COOPCACHE_OUT_DIR", raising=False)
     out = tmp_path / "out"
-    with pytest.raises(StructuralError, match="at least one slot"):
+    with pytest.raises(SystemExit, match="at least one slot"):
         cli_main(["run", *slots, "--seeds", "1", "--out", str(out)])
     assert not out.exists()
 
@@ -442,9 +493,26 @@ def test_cli_run_without_slots_writes_nothing(tmp_path, monkeypatch, slots):
 def test_cli_verify_without_seeds_writes_nothing(tmp_path, monkeypatch):
     monkeypatch.delenv("COOPCACHE_OUT_DIR", raising=False)
     out = tmp_path / "out"
-    with pytest.raises(StructuralError, match="at least one seed"):
+    with pytest.raises(SystemExit, match="at least one seed"):
         cli_main(["verify", "--seeds", "", "--out", str(out)])
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--gamma", "nan", "--seeds", "1"], "gamma must be finite"),
+    (["run", "--policy", "extern:/nonexistent/adapter", "--seeds", "1", "--slots", "1",
+      "--warm-slots", "12", "--rollout-slots", "30", "--horizon-reserve", "4"],
+     "cannot start adapter '/nonexistent/adapter'"),
+    (["gen-instance", "--radius", "-0.4", "--seed", "1"], "radius must be finite and > 0"),
+], ids=["run-gamma-nan", "run-missing-adapter", "gen-instance-negative-radius"])
+def test_cli_reports_an_error_in_one_line(tmp_path, monkeypatch, argv, message):
+    monkeypatch.delenv("COOPCACHE_OUT_DIR", raising=False)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit, match=message) as exc:
+        cli_main([*argv, "--out", str(out)])
+    assert "\n" not in str(exc.value)
+    if argv[0] == "gen-instance":
+        assert not out.exists()
 
 
 # Per setting: a flag text and the field value it sets, neither the default.
@@ -548,7 +616,7 @@ def test_sweep_rejects_a_non_finite_alpha_before_any_rollout(tmp_path, monkeypat
                     slots=5, out_dir=str(out))
     with pytest.raises(ConfigurationError, match="alpha must be finite"):
         sweep(cfg, "zipf_alpha", [1.0, float("nan")])
-    with pytest.raises(ConfigurationError, match="alpha must be finite"):
+    with pytest.raises(SystemExit, match="alpha must be finite"):
         cli_main(["sweep", "--axis", "zipf_alpha", "--values", "1,inf", "--policy", "lru",
                   "--seeds", "1", "--slots", "5", "--out", str(out)])
     assert not rollouts and not out.exists()
@@ -660,6 +728,6 @@ def test_corrupt_instance_file_fails_on_load(tmp_path, small_instance, corrupt, 
     with pytest.raises(StructuralError, match=message):
         load_instance(path)
     out = tmp_path / "out"
-    with pytest.raises(StructuralError, match=message):
+    with pytest.raises(SystemExit, match=message):
         cli_main(["run", "--instance", str(path), "--seeds", "1", "--out", str(out)])
     assert not out.exists()

@@ -25,7 +25,7 @@ from coopcache.core import (
 )
 from coopcache.episode import Episode
 from coopcache.harness import rollout
-from coopcache.interface import parse
+from coopcache.interface import SlotObservation, parse
 from coopcache.policies import (
     AdapterError,
     ExternPolicy,
@@ -39,23 +39,21 @@ from coopcache.policies import (
     write_frame,
 )
 from coopcache.reward import RewardConfig, delta_perf, lookahead_value
-from coopcache.traffic import HeuristicBooks, build_instance, warm_start
+from coopcache.traffic import FrequencyTracker, WarmState, build_instance, warm_start
 
 from conftest import observation, random_scenario, scenarios, small_config, synthetic_graph
 
 
-def _decide(policy, obs, books):
-    """One decision of a book policy that inherits ``books`` as its warm state."""
-    policy.reset(None, SimpleNamespace(books=books))
+def _warm(cache, trace=(), seen=0):
+    """A warm state whose tracker has seen ``seen`` slots and that records no insertion."""
+    return WarmState(cache, FrequencyTracker((1,), trace, seen), tuple({} for _ in cache.slots))
+
+
+def _decide(policy, obs, book=None):
+    """One decision of a book policy whose book at BS 1 starts as ``book``."""
+    policy.reset(None, _warm(obs.cache))
+    policy.book[0].update(book or {})
     return policy.decide(obs)
-
-
-def _books_single(last=None, totals=None, inserted=None):
-    books = HeuristicBooks.empty(1)
-    books.last_request[0].update(last or {})
-    books.request_totals[0].update(totals or {})
-    books.inserted_at[0].update(inserted or {})
-    return books
 
 
 def test_lru_unique_victim():
@@ -63,34 +61,32 @@ def test_lru_unique_victim():
     cache = CacheState(((1, 2),))
     requests = request_slot(((0, 3),), graph)
     obs = observation(cache, requests)
-    books = _books_single(last={1: 45, 2: 49})
-    assert _decide(LruPolicy(), obs, books) == "BS 1: SWAP slot=1 out=1 in=3"
+    assert _decide(LruPolicy(), obs, {1: 45, 2: 49}) == "BS 1: SWAP slot=1 out=1 in=3"
 
 
 def test_lru_noop_when_all_cached():
     graph = synthetic_graph(((1,),), 1)
     cache = CacheState(((1, 2),))
     requests = request_slot(((0, 2),), graph)
-    books = _books_single(last={1: 45, 2: 49})
-    assert _decide(LruPolicy(), observation(cache, requests), books) == "BS 1: NOOP"
+    assert _decide(LruPolicy(), observation(cache, requests), {1: 45, 2: 49}) == "BS 1: NOOP"
 
 
 def test_lru_tie_breaks_to_lower_file_id():
     graph = synthetic_graph(((1,),), 1)
     cache = CacheState(((7, 2),))
     requests = request_slot(((0, 3),), graph)
-    books = _books_single(last={7: 40, 2: 40})
-    assert _decide(LruPolicy(), observation(cache, requests), books) == "BS 1: SWAP slot=2 out=2 in=3"
+    assert _decide(LruPolicy(), observation(cache, requests), {7: 40, 2: 40}) == (
+        "BS 1: SWAP slot=2 out=2 in=3"
+    )
 
 
 def test_lfu_victim_by_count_and_tie():
     graph = synthetic_graph(((1,),), 1)
     cache = CacheState(((1, 2),))
     requests = request_slot(((0, 3),), graph)
-    books = _books_single(totals={1: 9, 2: 4})
-    assert _decide(LfuPolicy(), observation(cache, requests), books) == "BS 1: SWAP slot=2 out=2 in=3"
-    tie = _books_single(totals={1: 4, 2: 4})
-    assert _decide(LfuPolicy(), observation(cache, requests), tie) == "BS 1: SWAP slot=1 out=1 in=3"
+    obs = observation(cache, requests)
+    assert _decide(LfuPolicy(), obs, {1: 9, 2: 4}) == "BS 1: SWAP slot=2 out=2 in=3"
+    assert _decide(LfuPolicy(), obs, {1: 4, 2: 4}) == "BS 1: SWAP slot=1 out=1 in=3"
 
 
 def test_fifo_victim_by_insertion_and_arrival_insert():
@@ -98,8 +94,11 @@ def test_fifo_victim_by_insertion_and_arrival_insert():
     cache = CacheState(((1, 2),))
     # user 0 asks for 9 first, user 1 asks for 3: queue inserts 9
     requests = request_slot(((0, 9), (1, 3)), graph)
-    books = _books_single(inserted={1: 30, 2: 10})
-    assert _decide(FifoPolicy(), observation(cache, requests), books) == "BS 1: SWAP slot=2 out=2 in=9"
+    policy = FifoPolicy()
+    assert _decide(policy, observation(cache, requests), {1: 30, 2: 10}) == (
+        "BS 1: SWAP slot=2 out=2 in=9"
+    )
+    assert policy.book == [{1: 30, 9: 1}]  # the swap moves the book on
 
 
 def test_heuristics_emit_parseable_text():
@@ -107,10 +106,8 @@ def test_heuristics_emit_parseable_text():
     for _ in range(100):
         cache, graph, requests = random_scenario(rng)
         obs = observation(cache, requests)
-        books = HeuristicBooks.empty(cache.bs_count)
-        books.record_requests(49, requests)
         for policy in (LruPolicy(), LfuPolicy(), FifoPolicy()):
-            action = parse(_decide(policy, obs, books), obs)
+            action = parse(_decide(policy, obs), obs)
             assert action.is_valid
             apply(cache, action, requests)
 
@@ -295,17 +292,43 @@ def test_oracle_next_slot_weak_dominance(small_instance):
         cache = after
 
 
+def _brute_force_books(trace, graph):
+    """Per BS: the last slot in which each file was requested by a covered
+    user, and the number of such requests, recounted from the raw pairs."""
+    last = [{} for _ in range(graph.bs_count)]
+    totals = [{} for _ in range(graph.bs_count)]
+    for t, requests in enumerate(trace, start=1):
+        for u, f in requests.pairs:
+            for b in graph.coverage[u]:
+                last[b - 1][f] = t
+                totals[b - 1][f] = totals[b - 1].get(f, 0) + 1
+    return last, totals
+
+
 def test_frequency_book_matches_trace(small_instance):
     inst = small_instance
-    books = HeuristicBooks.empty(inst.config.bs_count)
-    for t in range(1, 21):
-        books.record_requests(t, inst.request_slot(t))
-    for b in range(inst.config.bs_count):
-        expected: dict = {}
-        for t in range(1, 21):
-            for f, c in inst.request_slot(t).counts[b].items():
-                expected[f] = expected.get(f, 0) + c
-        assert books.request_totals[b] == expected
+    warm = warm_start(inst, 4, 0.9)
+    last, totals = _brute_force_books(inst.trace[: inst.config.warm_slots], inst.graph)
+    for policy, expected in ((LruPolicy(), last), (LfuPolicy(), totals)):
+        policy.reset(inst, warm)
+        assert policy.book == expected
+
+
+@settings(max_examples=60)
+@given(scenario=scenarios(), seen=st.integers(0, 33), steps=st.integers(0, 33))
+def test_request_books_follow_the_trace(scenario, seen, steps):
+    """After reset plus k decides, LRU and LFU books equal a recount of slots 1..t."""
+    cache, graph, requests, peek = scenario
+    trace = ((requests,) + peek) * 3  # repeats, so files come back after a gap
+    seen = min(seen, len(trace))
+    t = min(seen + steps, len(trace))
+    warm = _warm(cache, trace, seen)
+    last, totals = _brute_force_books(trace[:t], graph)
+    for policy, expected in ((LruPolicy(), last), (LfuPolicy(), totals)):
+        policy.reset(None, warm)
+        for slot in range(seen + 1, t + 1):
+            policy.decide(SlotObservation(slot, cache, trace[slot - 1], warm.tracker))
+        assert policy.book == expected
 
 
 def test_make_policy_specs():

@@ -109,6 +109,9 @@ def test_config_validation():
             InstanceConfig(alpha=bad)
         with pytest.raises(ConfigurationError, match="radius must be finite"):
             InstanceConfig(radius=bad)
+    for bad in (0.0, -0.4):
+        with pytest.raises(ConfigurationError, match="radius must be finite and > 0"):
+            InstanceConfig(radius=bad)
     cfg = InstanceConfig(cache_size=7, windows=(100, 10))
     assert cfg.cache_size == (7, 7)
     assert cfg.windows == (10, 100)
@@ -267,19 +270,13 @@ def test_warm_start_deterministic():
     b = warm_start(build_instance(cfg, 5), 4, 0.9)
     assert a.cache == b.cache
     assert a.tracker == b.tracker
-    assert a.books.inserted_at == b.books.inserted_at
+    assert a.inserted_at == b.inserted_at
 
 
 def test_warm_start_books_cover_history():
     inst = build_instance(small_config(), 1)
     warm = warm_start(inst, 4, 0.9)
-    totals = [dict() for _ in range(inst.config.bs_count)]
-    for t in range(1, inst.config.warm_slots + 1):
-        for b in range(inst.config.bs_count):
-            for f, c in inst.request_slot(t).counts[b].items():
-                totals[b][f] = totals[b].get(f, 0) + c
-    assert warm.books.request_totals == totals
-    # every cached file has an insertion record
+    # exactly the cached files have an insertion record, from a warm-up slot
     for b in range(1, inst.config.bs_count + 1):
-        for f in warm.cache.files_at(b):
-            assert f in warm.books.inserted_at[b - 1]
+        assert set(warm.inserted_at[b - 1]) == warm.cache.files_at(b)
+        assert all(1 <= t <= inst.config.warm_slots for t in warm.inserted_at[b - 1].values())
