@@ -77,7 +77,10 @@ def finite(value) -> float:
 
 def key_reader(payload: dict, what: str):
     """``key(name, parse=whole)`` returns ``parse(payload[name])``; a missing
-    key or a value of the wrong type or shape raises a StructuralError naming it."""
+    key or a value of the wrong type or shape raises a StructuralError naming it,
+    as does a ``payload`` that is not a JSON object."""
+    if not isinstance(payload, dict):
+        raise StructuralError(f"{what}s must sit in a JSON object, not a {type(payload).__name__}")
 
     def key(name, parse=whole):
         if name not in payload:

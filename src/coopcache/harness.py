@@ -107,9 +107,9 @@ class EvalReport:
     @classmethod
     def from_dict(cls, payload: dict) -> "EvalReport":
         """Read a saved report; a value of the wrong type raises naming its key."""
+        key = key_reader(payload, "report key")
         if payload.get("schema") != REPORT_SCHEMA:
             raise StructuralError(f"unsupported report schema: {payload.get('schema')!r}")
-        key = key_reader(payload, "report key")
         p_hit = key("p_hit", lambda values: tuple(map(finite, values)))
         if key("slots") != len(p_hit):
             raise StructuralError(f"report key 'slots': not {len(p_hit)}, the p_hit count")
@@ -237,26 +237,27 @@ def _check_specs(cfg: RunConfig, configs) -> None:
 
 
 def run(cfg: RunConfig) -> list[EvalReport]:
-    """Evaluate every configured policy on every seed's frozen instance."""
+    """Evaluate every configured policy on every seed's frozen instance.
+
+    Files are written only once every rollout has succeeded.
+    """
     instances = [_instance_for_seed(cfg, seed) for seed in cfg.seeds]
     _check_specs(cfg, [instance.config for instance in instances])
     reports: list[EvalReport] = []
-    out = cfg.out_dir
-    if out:
-        os.makedirs(out, exist_ok=True)
-    for seed, instance in zip(cfg.seeds, instances):
-        if out:
-            save_instance(instance, os.path.join(out, f"instance_seed{seed}.json"))
+    for instance in instances:
         warm = warm_start(instance, cfg.reward.horizon, cfg.reward.gamma)
         for spec in cfg.policies:
             policy = make_policy(spec, cfg.reward.gamma, cfg.extern_timeout)
-            report = rollout(instance, policy, cfg.slots, warm)
-            reports.append(report)
-            if out:
-                name = f"report_{_safe_name(policy.name)}_seed{seed}.json"
-                with atomic_write(os.path.join(out, name)) as fh:
-                    fh.write(canonical_json(report.to_dict()) + "\n")
+            reports.append(rollout(instance, policy, cfg.slots, warm))
+    out = cfg.out_dir
     if out:
+        os.makedirs(out, exist_ok=True)
+        for instance in instances:
+            save_instance(instance, os.path.join(out, f"instance_seed{instance.seed}.json"))
+        for report in reports:
+            name = f"report_{_safe_name(report.policy)}_seed{report.seed}.json"
+            with atomic_write(os.path.join(out, name)) as fh:
+                fh.write(canonical_json(report.to_dict()) + "\n")
         write_reports(reports, out)
         write_latency(reports, out)
     return reports

@@ -87,6 +87,19 @@ class SlotObservation:
         return self.cache.bs_count
 
 
+#: Window w -> the FREQ text of k/w for k = 0..w. Filled once a view has
+#: passed w slots, so no table is longer than the trace. The tables hold
+#: constants only, so every caller in the process may share them.
+_RATE_TEXTS: dict[int, tuple[str, ...]] = {}
+
+
+def _rate_texts(w: int) -> tuple[str, ...]:
+    texts = _RATE_TEXTS.get(w)
+    if texts is None:
+        texts = _RATE_TEXTS[w] = tuple(f"{k / w:.3f}" for k in range(w + 1))
+    return texts
+
+
 def encode(obs: SlotObservation) -> str:
     """Render the canonical prompt; byte-identical for equal observations.
 
@@ -96,6 +109,7 @@ def encode(obs: SlotObservation) -> str:
     files (three decimals, ties-to-even), then the fixed instruction block.
     """
     lines = [f"SLOT {obs.slot}"]
+    t = obs.tracker.slots_seen
     for b in range(1, obs.bs_count + 1):
         row = obs.cache.slots[b - 1]
         cells = " ".join("-" if f == EMPTY_SLOT else str(f) for f in row)
@@ -105,8 +119,14 @@ def encode(obs: SlotObservation) -> str:
         body = " ".join(f"{f}:{c}" for f, c in ordered)
         lines.append(f"BS {b} REQUESTS: {body}" if body else f"BS {b} REQUESTS:")
         files = sorted(obs.cache.files_at(b) | obs.requests.admissible[b - 1])
-        for w in obs.tracker.windows:
-            body = " ".join(f"{f}:{obs.tracker.rate(b, f, w):.3f}" for f in files)
+        for w, held in zip(obs.tracker.windows, obs.tracker.window_counts(b, files)):
+            if w <= t:
+                texts = _rate_texts(w)
+                body = " ".join([f"{f}:{texts[k]}" for f, k in zip(files, held)])
+            elif t:  # the view has not yet passed w slots: rates over all t of them
+                body = " ".join([f"{f}:{k / t:.3f}" for f, k in zip(files, held)])
+            else:
+                body = " ".join([f"{f}:0.000" for f in files])
             lines.append(f"BS {b} FREQ w={w}: {body}" if body else f"BS {b} FREQ w={w}:")
     lines.append(INSTRUCTION_BLOCK)
     return "\n".join(lines)
@@ -181,6 +201,8 @@ _PROMPT_SLOT = re.compile(r"SLOT ([0-9]+)")
 _PROMPT_CACHE = re.compile(r"BS ([0-9]+) CACHE: (.*)")
 _PROMPT_REQ = re.compile(r"BS ([0-9]+) REQUESTS:(.*)")
 _PROMPT_FREQ = re.compile(r"BS [0-9]+ FREQ w=[0-9]+:(.*)")
+# Canonical FREQ tokens; every body it matches also passes _file_values.
+_FREQ_BODY = re.compile(r"(?: [0-9]+:[0-9]+\.[0-9]+)*")
 
 
 def _file_values(body: str, cast) -> dict:
@@ -217,7 +239,9 @@ def decode_prompt(text: str) -> SlotObservation:
             elif m := _PROMPT_REQ.fullmatch(line):
                 counts[int(m.group(1))] = _file_values(m.group(2), int)
             elif m := _PROMPT_FREQ.fullmatch(line):
-                _file_values(m.group(1), float)  # checked, not kept
+                # checked, not kept; only a non-canonical body needs the full check
+                if not _FREQ_BODY.fullmatch(m.group(1)):
+                    _file_values(m.group(1), float)
             else:
                 raise StructuralError(f"unrecognized prompt line: {line!r}")
     except ValueError as exc:

@@ -326,11 +326,10 @@ def build_instance(config: InstanceConfig, seed: int) -> Instance:
 
 
 def instance_from_payload(payload: dict) -> Instance:
+    key = key_reader(payload, "instance key")
     if payload.get("schema") != INSTANCE_SCHEMA:
         raise StructuralError(f"unsupported instance schema: {payload.get('schema')!r}")
     config = InstanceConfig.from_dict(payload["config"])
-
-    key = key_reader(payload, "instance key")
     graph = AssociationGraph.build(config.bs_xy, key("user_xy", _points), config.radius)
 
     demand = DemandModel(
@@ -359,8 +358,12 @@ def save_instance(instance: Instance, path) -> None:
 
 
 def load_instance(path) -> Instance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return instance_from_payload(json.load(fh))
+    """Read an instance file; bad JSON or a bad payload raises naming ``path``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return instance_from_payload(json.load(fh))
+    except ValueError as exc:  # bad JSON, or a StructuralError from the payload
+        raise StructuralError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -369,9 +372,10 @@ class FrequencyTracker:
 
     A read-only view of the frozen ``trace`` after its first ``slots_seen``
     slots: ``rate(b, f, w)`` is the share of the last min(w, t) slots whose
-    request pool at BS b contained f. Rates are counted from the trace when
-    read. The per-BS index behind them is built on the first read and shared
-    by every later view of the same trace.
+    request pool at BS b contained f. ``window_counts`` gives the integer
+    counts behind the rates, counted from the trace when read. The per-BS
+    index behind them is built on the first read and shared by every later
+    view of the same trace.
     """
 
     windows: tuple[int, ...]
@@ -389,6 +393,18 @@ class FrequencyTracker:
         t = self.slots_seen
         if t == 0:
             return 0.0
+        return self.window_counts(b, (f,), (w,))[0][0] / (w if w < t else t)
+
+    def window_counts(self, b: int, files, windows=None) -> list:
+        """Per window (default: ``self.windows``, ascending), the count for each
+        of ``files`` of the last min(w, t) slots whose pool at BS b held it.
+
+        Windows that reach back to slot 1 share one list; do not mutate it.
+        """
+        windows = self.windows if windows is None else windows
+        t = self.slots_seen
+        if t == 0:
+            return [[0] * len(files) for _ in windows]
         per_bs = self.index[0]
         if per_bs is None:
             per_bs = [{} for _ in self.trace[0].admissible]
@@ -397,9 +413,14 @@ class FrequencyTracker:
                     for g in pool:
                         slots.setdefault(g, []).append(tau)
             self.index[0] = per_bs
-        span = w if w < t else t
-        slots = per_bs[b - 1].get(f, ())
-        return (bisect_right(slots, t) - bisect_right(slots, t - span)) / span
+        at_bs = per_bs[b - 1]
+        held = [at_bs.get(f, ()) for f in files]
+        ends = [bisect_right(slots, t) for slots in held]
+        # slots are 1-based, so a window reaching slot 1 starts at count 0
+        return [
+            [end - bisect_right(slots, t - w) for slots, end in zip(held, ends)] if w < t else ends
+            for w in windows
+        ]
 
 
 def advance_tracker(tracker: FrequencyTracker, requests: RequestSlot) -> FrequencyTracker:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import sys
 
 import pytest
@@ -211,6 +212,63 @@ def test_report_rejects_a_report_that_is_not_json(tmp_path):
     with pytest.raises(SystemExit, match="report_noop_seed1.json: Expecting property name"):
         cli_main(["report", "--reports", str(tmp_path), "--out", str(tmp_path / "out")])
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text", ["[]", '"report"', "1", "null"])
+def test_report_rejects_a_report_that_is_not_an_object(tmp_path, text):
+    path = tmp_path / "report_x_seed1.json"
+    path.write_text(text)
+    with pytest.raises(StructuralError, match="report keys must sit in a JSON object"):
+        load_reports(tmp_path)
+    message = f"^{re.escape(str(path))}: report keys must sit in a JSON object"
+    with pytest.raises(SystemExit, match=message):
+        cli_main(["report", "--reports", str(tmp_path), "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{", "Expecting property name"),
+    ("[]", "instance keys must sit in a JSON object, not a list"),
+    ('"instance"', "instance keys must sit in a JSON object, not a str"),
+    ('{"schema": "coopcache.other"}', "unsupported instance schema: 'coopcache.other'"),
+    ('{"schema": "coopcache.instance.v1", "config": []}',
+     "instance config keys must sit in a JSON object, not a list"),
+], ids=["bad-json", "array", "string", "wrong-schema", "config-array"])
+def test_an_unreadable_instance_file_is_named(tmp_path, monkeypatch, text, message):
+    monkeypatch.delenv("COOPCACHE_OUT_DIR", raising=False)
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(StructuralError, match=f"^{re.escape(str(path))}: {message}"):
+        load_instance(path)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit, match=f"^{re.escape(str(path))}: {message}"):
+        cli_main(["run", "--instance", str(path), "--seeds", "1", "--out", str(out)])
+    assert not out.exists()
+
+
+def test_a_failed_run_writes_nothing(tmp_path, monkeypatch):
+    monkeypatch.delenv("COOPCACHE_OUT_DIR", raising=False)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit, match="cannot start adapter '/nonexistent/bin'"):
+        cli_main(["run", "--policy", "extern:/nonexistent/bin", "--slots", "1",
+                  "--seeds", "1", "--out", str(out)])
+    assert not out.exists()
+
+
+def test_run_writes_once_every_rollout_has_succeeded(tmp_path, monkeypatch):
+    """A rollout failing after others succeeded leaves no instance or report."""
+    def rollout_then_fail(instance, policy, slots, warm):
+        if policy.name == "fifo":
+            raise StructuralError("fifo failed")
+        return rollout(instance, policy, slots, warm)
+
+    monkeypatch.setattr(harness, "rollout", rollout_then_fail)
+    out = tmp_path / "out"
+    cfg = RunConfig(instance_config=small_config(), policies=("lru", "fifo"), seeds=(1, 2),
+                    slots=5, out_dir=str(out))
+    with pytest.raises(StructuralError, match="fifo failed"):
+        run(cfg)
+    assert not out.exists()
 
 
 def test_paired_comparison_hash_guard(tmp_path, instance, warm):

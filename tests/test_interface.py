@@ -19,6 +19,7 @@ from coopcache.core import (
     feasible_actions,
     request_slot,
 )
+from coopcache import interface
 from coopcache.interface import (
     PARSE_REASONS,
     SlotObservation,
@@ -29,7 +30,15 @@ from coopcache.interface import (
     serialize,
 )
 
-from conftest import golden_observation, observation, random_scenario, synthetic_graph
+from coopcache.traffic import FrequencyTracker
+
+from conftest import (
+    golden_observation,
+    observation,
+    random_scenario,
+    scenarios,
+    synthetic_graph,
+)
 
 GOLDEN = Path(__file__).parent / "data" / "golden_prompt.txt"
 
@@ -176,6 +185,95 @@ def test_decode_prompt_rejects_garbage(golden_obs):
     for bad in ("BS 1 FREQ w=10: 5:x", "BS 1 FREQ w=ten: 5:0.100"):
         with pytest.raises(StructuralError):
             decode_prompt("\n".join(lines[:at] + [bad] + lines[at + 1:]))
+
+
+def _freq_tokens(prompt: str, b: int, w: int) -> list[tuple[str, str]]:
+    line = next(x for x in prompt.splitlines() if x.startswith(f"BS {b} FREQ w={w}:"))
+    body = line.split(":", 1)[1]
+    return [tuple(tok.split(":")) for tok in body.split(" ")[1:]]
+
+
+@settings(max_examples=150)
+@given(scenarios(peek_max=11, holes=True),
+       st.lists(st.integers(1, 8), min_size=1, max_size=3, unique=True))
+def test_encode_freq_tokens_are_the_tracker_rates(case, windows):
+    """At views t = 0, t < w, t == w and t > w every FREQ token is the rate
+    the tracker reads, formatted :.3f, and decoding keeps cache and counts."""
+    cache, _, requests, peek = case
+    trace = (requests, *peek)
+    tracker = FrequencyTracker.fresh(windows, trace)
+    for t in range(len(trace) + 1):
+        view = FrequencyTracker(tracker.windows, trace, t, tracker.index)
+        obs = SlotObservation(t + 1, cache, trace[max(t - 1, 0)], view)
+        prompt = encode(obs)
+        for b in range(1, cache.bs_count + 1):
+            files = sorted(cache.files_at(b) | obs.requests.admissible[b - 1])
+            for w in tracker.windows:
+                tokens = _freq_tokens(prompt, b, w)
+                assert [int(f) for f, _ in tokens] == files
+                for f, text in tokens:
+                    f = int(f)
+                    held = sum(f in trace[tau - 1].admissible[b - 1]
+                               for tau in range(max(1, t - w + 1), t + 1))
+                    assert text == f"{view.rate(b, f, w):.3f}"
+                    assert text == (f"{held / min(w, t):.3f}" if t else "0.000")
+        decoded = decode_prompt(prompt)
+        assert decoded.cache == cache
+        assert decoded.requests.counts == obs.requests.counts
+
+
+def test_encode_keeps_no_rate_table_for_a_short_view(monkeypatch):
+    """Views that have not passed a window format their rates directly: only
+    a configured window that some view has passed gets a table."""
+    monkeypatch.setattr(interface, "_RATE_TEXTS", {})
+    graph = synthetic_graph(((1,), (1,)), 1)
+    trace = tuple(request_slot(((0, 1 + t % 3), (1, 2)), graph) for t in range(30))
+    tracker = FrequencyTracker.fresh((3, 50), trace)
+    cache = CacheState(((1, 2),))
+    for t in range(len(trace) + 1):
+        view = FrequencyTracker(tracker.windows, trace, t, tracker.index)
+        encode(SlotObservation(t + 1, cache, trace[max(t - 1, 0)], view))
+    assert set(interface._RATE_TEXTS) == {3}
+    assert len(interface._RATE_TEXTS[3]) == 4
+
+
+_FREQ_AT = "BS 1 FREQ w=10: 4:0.000 5:0.100 7:0.800 9:0.300"
+
+
+@pytest.mark.parametrize("line", [
+    "BS 1 FREQ w=10: 1:1e-3",
+    "BS 1 FREQ w=10: 1:.5",
+    "BS 1 FREQ w=10: 1:+0.5",
+    "BS 1 FREQ w=10: 1:nan",
+    "BS 1 FREQ w=10: 4:0.000 5:0.100 ",
+    "BS 1 FREQ w=10:4:0.000",
+    "BS 1 FREQ w=10: 4:0.000\t",
+    "BS 1 FREQ w=10: \u0664:0.000",
+    "BS 1 FREQ w=10:",
+], ids=["exponent", "no-int-part", "plus-sign", "nan", "trailing-space", "no-space",
+        "trailing-tab", "arabic-indic-digit", "empty"])
+def test_decode_prompt_accepts_non_canonical_freq_tokens(golden_obs, line):
+    lines = encode(golden_obs).splitlines()
+    at = lines.index(_FREQ_AT)
+    decoded = decode_prompt("\n".join(lines[:at] + [line] + lines[at + 1:]))
+    assert decoded.cache == golden_obs.cache
+
+
+@pytest.mark.parametrize("line", [
+    "BS 1 FREQ w=10: 1:0.1:2",
+    "BS 1 FREQ w=10: 1:",
+    "BS 1 FREQ w=10: :0.1",
+    "BS 1 FREQ w=10: x:0.1",
+    "BS 1 FREQ w=10: 4:0.000  5:0.100",
+    "BS 1 FREQ w=10: 4:0.000,5:0.100",
+    "BS 1 FREQ w=10: 4:0.1.0",
+], ids=["three-fields", "no-value", "no-file", "text-file", "double-space", "comma",
+        "two-points"])
+def test_decode_prompt_rejects_malformed_freq_tokens(golden_obs, line):
+    lines = encode(golden_obs).splitlines()
+    at = lines.index(_FREQ_AT)
+    with pytest.raises(StructuralError, match="malformed prompt field"):
+        decode_prompt("\n".join(lines[:at] + [line] + lines[at + 1:]))
 
 
 @settings(max_examples=300, deadline=None)
