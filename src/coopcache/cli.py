@@ -16,7 +16,7 @@ import os
 import sys
 from typing import Callable, NamedTuple
 
-from .core import StructuralError, atomic_write, real, whole
+from .core import StructuralError, atomic_write, read_json, real, whole
 from .dataset import audit_dataset, generate_sft, write_grpo_jsonl, write_sft_jsonl
 from .harness import (
     RUNCONFIG_SCHEMA,
@@ -152,8 +152,7 @@ def _supplied(config: str, args, file_cfg: dict) -> dict:
 def _load_file_cfg(path: str | None) -> dict:
     if not path:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
+    cfg = read_json(path, lambda payload: payload)
     if not isinstance(cfg, dict) or cfg.get("schema") != RUNCONFIG_SCHEMA:
         raise SystemExit(f"config file must declare schema {RUNCONFIG_SCHEMA!r}")
     unknown = sorted(set(cfg) - _CONFIG_KEYS)

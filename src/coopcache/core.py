@@ -6,8 +6,8 @@ only replace occupied slots; empty slots are filled by the warm-up prefill
 path in :mod:`coopcache.traffic`, never through a swap action.
 
 All types here are immutable values and all operations are pure functions,
-so they are safe to share across threads. The one exception is
-:func:`atomic_write`, through which every artifact file is written.
+so they are safe to share across threads. The exceptions are :func:`atomic_write`
+and :func:`read_json`, through which every artifact is written and every input read.
 """
 
 from __future__ import annotations
@@ -52,6 +52,15 @@ def atomic_write(path):
 
 class StructuralError(ValueError):
     """Malformed or dimensionally inconsistent inputs."""
+
+
+def read_json(path, parse):
+    """``parse`` of the JSON in ``path``; any read, JSON or parse error raises naming ``path``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(json.load(fh))
+    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and StructuralError
+        raise StructuralError(f"{path}: {exc}") from None
 
 
 def whole(value) -> int:

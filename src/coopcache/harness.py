@@ -5,6 +5,10 @@ against the frozen requests, then asks the controller, parses its text and
 applies the action (or skips the update and counts an invalid). Every
 controller in one evaluation consumes the identical instance bytes; the
 instance hash is recorded in each report and asserted equal on emission.
+``run`` and ``sweep`` build their policies once and reject repeated seeds or
+sweep points and look-ahead past the trace before the first rollout; each
+instance is warmed once for all its policies, and ``rollout`` checks its own
+slot budget before its first slot.
 
 Decision latency is measured but kept out of the deterministic report
 files: metric tables regenerate byte-identically, the latency sidecar
@@ -14,7 +18,6 @@ does not.
 from __future__ import annotations
 
 import csv
-import json
 import os
 import time
 from dataclasses import dataclass, field
@@ -26,6 +29,7 @@ from .core import (
     finite,
     hit_rate,
     key_reader,
+    read_json,
     whole,
 )
 from .episode import Episode
@@ -68,6 +72,8 @@ class RunConfig:
             raise StructuralError("need at least one policy spec")
         if not self.seeds:
             raise StructuralError("need at least one seed")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise StructuralError(f"seeds repeat: {list(self.seeds)}")
 
 
 @dataclass(frozen=True)
@@ -153,12 +159,7 @@ def rollout(instance: Instance, policy: Policy, slots: int | None = None,
     execute no update and are counted; every executed transition is
     audited against the single-swap budget.
     """
-    config = instance.config
-    slots = config.rollout_slots if slots is None else int(slots)
-    if slots < 1:
-        raise StructuralError("rollout needs at least one slot")
-    if config.warm_slots + slots + config.horizon_reserve > instance.trace_len:
-        raise StructuralError("trace too short for warm-up + rollout + reserve")
+    slots = _slot_budget(instance.config, policy, slots, instance.trace_len)
     if warm is None:
         warm = warm_start(instance)
     policy.reset(instance, warm)
@@ -194,24 +195,27 @@ def rollout(instance: Instance, policy: Policy, slots: int | None = None,
     )
 
 
-def _instance_for_seed(cfg: RunConfig, seed: int) -> Instance:
-    if cfg.instance_path is not None:
-        instance = load_instance(cfg.instance_path)
-        if instance.seed != seed:
-            raise StructuralError(
-                f"instance file holds seed {instance.seed}, run asked for {seed}"
-            )
-        return instance
-    return build_instance(cfg.instance_config, seed)
+def _slot_budget(config: InstanceConfig, policy: Policy, slots: int | None, trace_len: int) -> int:
+    """The rollout length; raises naming the policy unless warm-up, rollout and
+    the longer of reserve and peek fit in ``trace_len`` slots."""
+    slots = config.rollout_slots if slots is None else int(slots)
+    if slots < 1:
+        raise StructuralError(f"{policy.name}: rollout needs at least one slot")
+    tail = max(config.horizon_reserve, policy.peek_len)
+    if config.warm_slots + slots + tail > trace_len:
+        raise StructuralError(
+            f"{policy.name}: warm-up {config.warm_slots} + {slots} slots + "
+            f"look-ahead {tail} exceeds the {trace_len}-slot trace"
+        )
+    return slots
 
 
-def _check_specs(cfg: RunConfig, configs) -> None:
-    """Fail before the first rollout or file write on a spec that cannot run.
+def _preflight(cfg: RunConfig, configs) -> list[Policy]:
+    """Build the policies; fail before the first rollout or file write on a spec that cannot run.
 
-    Two specs with the same policy name would overwrite each other's
-    report files and be averaged into one table row; a warm-up oracle or a
-    policy whose peek reaches past the trace end would fail only when it
-    gets there, and an empty rollout only after its instance file is written.
+    Two specs with the same policy name would overwrite each other's report
+    files and be averaged into one table row; a warm-up oracle or a policy
+    whose peek passes the trace end would fail only when it gets there.
     """
     policies = [make_policy(spec, cfg.reward.gamma, cfg.extern_timeout)
                 for spec in cfg.policies]
@@ -224,31 +228,34 @@ def _check_specs(cfg: RunConfig, configs) -> None:
                 f"warm-up {config.warm_slots} + oracle horizon {cfg.reward.horizon} "
                 f"exceeds the {config.trace_slots}-slot trace"
             )
-        slots = config.rollout_slots if cfg.slots is None else int(cfg.slots)
-        if slots < 1:
-            raise StructuralError("rollout needs at least one slot")
         for p in policies:
-            tail = max(config.horizon_reserve, p.peek_len)
-            if config.warm_slots + slots + tail > config.trace_slots:
-                raise StructuralError(
-                    f"{p.name}: warm-up {config.warm_slots} + {slots} slots + "
-                    f"look-ahead {tail} exceeds the {config.trace_slots}-slot trace"
-                )
+            _slot_budget(config, p, cfg.slots, config.trace_slots)
+    return policies
+
+
+def _rollouts(cfg: RunConfig, instances, policies):
+    """Warm each instance once, then yield one report per policy rolled from it."""
+    for instance in instances:
+        warm = warm_start(instance, cfg.reward.horizon, cfg.reward.gamma)
+        for policy in policies:
+            yield rollout(instance, policy, cfg.slots, warm)
 
 
 def run(cfg: RunConfig) -> list[EvalReport]:
     """Evaluate every configured policy on every seed's frozen instance.
 
+    An instance file holds one seed, which must be the only one asked for.
     Files are written only once every rollout has succeeded.
     """
-    instances = [_instance_for_seed(cfg, seed) for seed in cfg.seeds]
-    _check_specs(cfg, [instance.config for instance in instances])
-    reports: list[EvalReport] = []
-    for instance in instances:
-        warm = warm_start(instance, cfg.reward.horizon, cfg.reward.gamma)
-        for spec in cfg.policies:
-            policy = make_policy(spec, cfg.reward.gamma, cfg.extern_timeout)
-            reports.append(rollout(instance, policy, cfg.slots, warm))
+    if cfg.instance_path is None:
+        instances = [build_instance(cfg.instance_config, seed) for seed in cfg.seeds]
+    else:
+        instances = [load_instance(cfg.instance_path)]
+        if list(cfg.seeds) != [instances[0].seed]:
+            raise StructuralError(f"instance file holds seed {instances[0].seed}, "
+                                  f"run asked for {list(cfg.seeds)}")
+    policies = _preflight(cfg, [instance.config for instance in instances])
+    reports = list(_rollouts(cfg, instances, policies))
     out = cfg.out_dir
     if out:
         os.makedirs(out, exist_ok=True)
@@ -273,26 +280,25 @@ def sweep(cfg: RunConfig, axis: str, values) -> list[dict]:
     if cfg.instance_config is None:
         raise StructuralError("sweeps need instance parameters, not an instance file")
     points = [(value, sweep_config(cfg.instance_config, axis, value)) for value in values]
-    _check_specs(cfg, [point for _, point in points])
+    configs = [point for _, point in points]
+    if len(set(configs)) < len(configs):
+        raise StructuralError(f"sweep values repeat a point: {[value for value, _ in points]}")
+    policies = _preflight(cfg, configs)
     rows: list[dict] = []
     for value, point in points:
-        for seed in cfg.seeds:
-            instance = build_instance(point, seed)
-            warm = warm_start(instance, cfg.reward.horizon, cfg.reward.gamma)
-            for spec in cfg.policies:
-                policy = make_policy(spec, cfg.reward.gamma, cfg.extern_timeout)
-                report = rollout(instance, policy, cfg.slots, warm)
-                rows.append(
-                    {
-                        "axis": axis,
-                        "value": value,
-                        "policy": report.policy,
-                        "seed": seed,
-                        "table_mean": report.table_mean,
-                        "overall_mean": report.overall_mean,
-                        "invalid_actions": report.invalid_actions,
-                    }
-                )
+        instances = (build_instance(point, seed) for seed in cfg.seeds)
+        for report in _rollouts(cfg, instances, policies):
+            rows.append(
+                {
+                    "axis": axis,
+                    "value": value,
+                    "policy": report.policy,
+                    "seed": report.seed,
+                    "table_mean": report.table_mean,
+                    "overall_mean": report.overall_mean,
+                    "invalid_actions": report.invalid_actions,
+                }
+            )
     if cfg.out_dir:
         os.makedirs(cfg.out_dir, exist_ok=True)
         write_sweep(rows, os.path.join(cfg.out_dir, f"sweep_{axis}.csv"))
@@ -386,13 +392,9 @@ def write_latency(reports, out_dir) -> str:
 
 def load_reports(directory) -> list[EvalReport]:
     """Read every report JSON a previous run left in ``directory``."""
-    reports = []
-    for name in sorted(os.listdir(directory)):
-        if name.startswith("report_") and name.endswith(".json"):
-            path = os.path.join(directory, name)
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    reports.append(EvalReport.from_dict(json.load(fh)))
-            except ValueError as exc:  # bad JSON, or a StructuralError from from_dict
-                raise StructuralError(f"{path}: {exc}") from None
-    return reports
+    try:
+        names = sorted(os.listdir(directory))
+    except OSError as exc:
+        raise StructuralError(f"{directory}: {exc}") from None
+    return [read_json(os.path.join(directory, name), EvalReport.from_dict)
+            for name in names if name.startswith("report_") and name.endswith(".json")]

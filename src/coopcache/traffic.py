@@ -11,7 +11,6 @@ trace draws, which keeps traces reproducible across machines.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import sys
 from bisect import bisect_right
@@ -28,6 +27,7 @@ from .core import (
     hottest_uncached,
     key_reader,
     oracle_best_action,
+    read_json,
     real,
     request_slot,
     whole,
@@ -329,7 +329,7 @@ def instance_from_payload(payload: dict) -> Instance:
     key = key_reader(payload, "instance key")
     if payload.get("schema") != INSTANCE_SCHEMA:
         raise StructuralError(f"unsupported instance schema: {payload.get('schema')!r}")
-    config = InstanceConfig.from_dict(payload["config"])
+    config = InstanceConfig.from_dict(key("config", lambda c: c))
     graph = AssociationGraph.build(config.bs_xy, key("user_xy", _points), config.radius)
 
     demand = DemandModel(
@@ -358,12 +358,8 @@ def save_instance(instance: Instance, path) -> None:
 
 
 def load_instance(path) -> Instance:
-    """Read an instance file; bad JSON or a bad payload raises naming ``path``."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return instance_from_payload(json.load(fh))
-    except ValueError as exc:  # bad JSON, or a StructuralError from the payload
-        raise StructuralError(f"{path}: {exc}") from None
+    """Read an instance file; a missing file, bad JSON or a bad payload raises naming ``path``."""
+    return read_json(path, instance_from_payload)
 
 
 @dataclass(frozen=True)

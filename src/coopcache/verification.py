@@ -152,17 +152,12 @@ def run_verification(seeds=(1, 2, 3), pbrs_slots: int = 20, fuzz_cases: int = 10
     shaping: list[ShapingReport] = [
         verify_pbrs(instance, pbrs_slots, reward) for instance in instances
     ]
-    space_ok = True
-    space_checked = 0
-    for report in shaping:
-        for size in report.spaces:
-            if size.exponential_bound_applies:
-                space_checked += 1
-                if not size.exponential_bound_holds:
-                    space_ok = False
+    bounded = [size for report in shaping for size in report.spaces
+               if size.exponential_bound_applies]
+    space_ok = all(size.exponential_bound_holds for size in bounded)
     return {
         "fuzz": fuzz.to_dict(),
         "shaping": [r.to_dict() for r in shaping],
-        "joint_space": {"slots_with_bound": space_checked, "ok": space_ok},
+        "joint_space": {"slots_with_bound": len(bounded), "ok": space_ok},
         "ok": fuzz.ok and all(r.ok for r in shaping) and space_ok,
     }

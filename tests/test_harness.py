@@ -99,6 +99,16 @@ def test_rollout_slot_budget_guard(instance):
         rollout(instance, make_policy("noop"), slots=10_000)
 
 
+def test_rollout_refuses_a_peek_past_the_trace_before_its_first_slot():
+    policy = make_policy("oracle:20")  # the default instance keeps a 10-slot reserve
+    calls = []
+    decide = policy.decide
+    policy.decide = lambda obs, peek: calls.append(obs.slot) or decide(obs, peek)
+    with pytest.raises(StructuralError, match="^oracle:20: .* look-ahead 20 exceeds"):
+        rollout(build_instance(InstanceConfig(), 1), policy)
+    assert calls == []
+
+
 def test_run_writes_deterministic_outputs(tmp_path):
     cfg = RunConfig(
         instance_config=small_config(),
@@ -233,11 +243,15 @@ def test_report_rejects_a_report_that_is_not_an_object(tmp_path, text):
     ('{"schema": "coopcache.other"}', "unsupported instance schema: 'coopcache.other'"),
     ('{"schema": "coopcache.instance.v1", "config": []}',
      "instance config keys must sit in a JSON object, not a list"),
-], ids=["bad-json", "array", "string", "wrong-schema", "config-array"])
+    ('{"schema": "coopcache.instance.v1"}', "instance key 'config' is missing"),
+    (None, r"\[Errno 2\] No such file or directory"),
+], ids=["bad-json", "array", "string", "wrong-schema", "config-array", "config-missing",
+        "no-file"])
 def test_an_unreadable_instance_file_is_named(tmp_path, monkeypatch, text, message):
     monkeypatch.delenv("COOPCACHE_OUT_DIR", raising=False)
     path = tmp_path / "bad.json"
-    path.write_text(text)
+    if text is not None:  # None leaves the path missing
+        path.write_text(text)
     with pytest.raises(StructuralError, match=f"^{re.escape(str(path))}: {message}"):
         load_instance(path)
     out = tmp_path / "out"
@@ -562,9 +576,15 @@ def test_cli_verify_without_seeds_writes_nothing(tmp_path, monkeypatch):
       "--warm-slots", "12", "--rollout-slots", "30", "--horizon-reserve", "4"],
      "cannot start adapter '/nonexistent/adapter'"),
     (["gen-instance", "--radius", "-0.4", "--seed", "1"], "radius must be finite and > 0"),
-], ids=["run-gamma-nan", "run-missing-adapter", "gen-instance-negative-radius"])
+    (["report", "--reports", "no-dir"], "^no-dir: .*No such file or directory"),
+    (["run", "--config", "no-file.json"], "^no-file.json: .*No such file or directory"),
+    (["run", "--config", "open-brace.json"], "^open-brace.json: Expecting property name"),
+], ids=["run-gamma-nan", "run-missing-adapter", "gen-instance-negative-radius",
+        "report-missing-dir", "run-missing-config", "run-config-not-json"])
 def test_cli_reports_an_error_in_one_line(tmp_path, monkeypatch, argv, message):
     monkeypatch.delenv("COOPCACHE_OUT_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)  # the input paths above are relative to it
+    (tmp_path / "open-brace.json").write_text("{")
     out = tmp_path / "out"
     with pytest.raises(SystemExit, match=message) as exc:
         cli_main([*argv, "--out", str(out)])
@@ -676,6 +696,19 @@ def test_sweep_rejects_a_non_finite_alpha_before_any_rollout(tmp_path, monkeypat
         sweep(cfg, "zipf_alpha", [1.0, float("nan")])
     with pytest.raises(SystemExit, match="alpha must be finite"):
         cli_main(["sweep", "--axis", "zipf_alpha", "--values", "1,inf", "--policy", "lru",
+                  "--seeds", "1", "--slots", "5", "--out", str(out)])
+    assert not rollouts and not out.exists()
+
+
+def test_repeated_seeds_and_sweep_points_fail_before_any_rollout(tmp_path, monkeypatch):
+    monkeypatch.delenv("COOPCACHE_OUT_DIR", raising=False)
+    rollouts = []
+    monkeypatch.setattr(harness, "rollout", lambda *args: rollouts.append(args))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit, match=r"seeds repeat: \[1, 1\]"):
+        cli_main(["run", "--seeds", "1,1", "--slots", "5", "--out", str(out)])
+    with pytest.raises(SystemExit, match=r"sweep values repeat a point: \[1\.2, 1\.2\]"):
+        cli_main(["sweep", "--axis", "zipf_alpha", "--values", "1.2,1.20", "--policy", "lru",
                   "--seeds", "1", "--slots", "5", "--out", str(out)])
     assert not rollouts and not out.exists()
 
