@@ -36,14 +36,22 @@ def atomic_write(path):
 
     The text goes to a temporary file in the same directory, which replaces
     ``path`` when the block ends and is removed if the block raises. A crash
-    mid-write thus leaves the previous file, not a truncated one.
+    mid-write thus leaves the previous file, not a truncated one. A path
+    that cannot be written raises a StructuralError naming ``path``.
     """
     path = os.fspath(path)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+        fh = open(tmp, "w", encoding="utf-8", newline="")
+    except OSError as exc:  # a missing directory, say: name the path, not the temporary
+        raise StructuralError(f"{path}: cannot write: {exc.strerror}") from None
+    try:
+        with fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:  # ``path`` is a directory, say
+            raise StructuralError(f"{path}: cannot write: {exc.strerror}") from None
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
@@ -195,6 +203,14 @@ class CacheState:
     def empty(cls, capacities) -> "CacheState":
         return cls(tuple((EMPTY_SLOT,) * int(c) for c in capacities))
 
+    @classmethod
+    def _trusted(cls, slots, sets) -> "CacheState":
+        """A state from rows and their file sets that the caller has already checked."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "slots", slots)
+        object.__setattr__(state, "_sets", sets)
+        return state
+
     @property
     def bs_count(self) -> int:
         return len(self.slots)
@@ -223,13 +239,27 @@ class RequestSlot:
 
     ``counts[b-1]`` maps file id to the number of covered users requesting
     it this slot; ``admissible[b-1]`` is the deduplicated insertion pool of
-    BS b (exactly the files with a positive count). Treat the dicts as
-    read-only.
+    BS b (exactly the files with a positive count), kept as the key view of
+    ``counts[b-1]``: it supports ``in``, ``-``, ``|`` and iteration, and a
+    set operation on it returns a plain set. Treat the dicts as read-only.
+
+    ``covered[b-1]`` is a pair of parallel tuples over the requests of the
+    users BS b covers, in pair order: their files, and for each request the
+    user's other covering BSs. A slot built without a graph (a decoded
+    prompt's) has no pairs and leaves ``covered`` empty.
     """
 
     pairs: tuple[tuple[int, int], ...]
     counts: tuple[dict, ...] = field(compare=False, repr=False)
-    admissible: tuple[frozenset, ...] = field(compare=False)
+    covered: tuple = field(default=(), compare=False, repr=False)
+    admissible: tuple = field(init=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "admissible", tuple(d.keys() for d in self.counts))
+
+    def __reduce__(self):
+        # key views do not pickle; the copy rebuilds them from its counts
+        return RequestSlot, (self.pairs, self.counts, self.covered)
 
     @property
     def bs_count(self) -> int:
@@ -241,22 +271,30 @@ class RequestSlot:
 
 
 def request_slot(pairs, graph) -> RequestSlot:
-    """Build a RequestSlot, deriving per-BS counts and admissible sets."""
+    """Build a RequestSlot, deriving per-BS counts, admissible sets and covered requests."""
     ordered = tuple(sorted((int(u), int(f)) for u, f in pairs))
-    users = [u for u, _ in ordered]
-    if len(set(users)) != len(users):
-        raise StructuralError("one request per user per slot")
-    counts: list[dict] = [{} for _ in range(graph.bs_count)]
+    bs_range = range(graph.bs_count)
+    counts: list[dict] = [{} for _ in bs_range]
+    files: list[list] = [[] for _ in bs_range]
+    others: list[list] = [[] for _ in bs_range]
+    cover_others = graph.cover_others
+    user_count = graph.user_count
+    last = None
     for u, f in ordered:
+        if u == last:  # sorted, so one user's requests sit side by side
+            raise StructuralError("one request per user per slot")
+        last = u
         if f < 1:
             raise StructuralError("file ids must be >= 1")
-        if not 0 <= u < graph.user_count:
+        if not 0 <= u < user_count:
             raise StructuralError(f"user {u} is not in the association graph")
-        for b in graph.coverage[u]:
-            d = counts[b - 1]
+        for i, other_bs in cover_others[u]:
+            d = counts[i]
             d[f] = d.get(f, 0) + 1
-    admissible = tuple(frozenset(d) for d in counts)
-    return RequestSlot(ordered, tuple(counts), admissible)
+            files[i].append(f)
+            others[i].append(other_bs)
+    covered = tuple(zip(map(tuple, files), map(tuple, others)))
+    return RequestSlot(ordered, tuple(counts), covered)
 
 
 def hit_rate(cache: CacheState, requests: RequestSlot, graph) -> float:
@@ -291,12 +329,14 @@ def oracle_best_action(cache, b, requests, peek, graph, horizon, gamma) -> BsAct
     only when strictly better, and ties between swaps resolve to the
     smallest (slot, file_in).
 
-    Only candidate files (requested here, not cached here) and files cached
-    here are tallied: no other file's tally is ever read, so every other
-    request is skipped after two set lookups. A request by a user this BS
-    covers counts when no other covering BS holds its file: as a gain for
-    a candidate, as a loss for a cached file. Each tally takes its
-    additions in peek order.
+    Each peek slot's ``covered[b-1]`` lists just the requests of the users
+    this BS covers, with each user's other covering BSs, so no other
+    request is visited and ``graph`` is not read. Only candidate files (requested here, not cached
+    here) and files cached here are tallied: no other file's tally is ever
+    read. A covered request counts when none of its other covering BSs
+    holds its file: as a gain for a candidate, as a loss for a cached file.
+    Each tally takes its additions in peek order, and each slot's weight is
+    divided by its full request count.
     """
     if horizon < 1:
         raise StructuralError("horizon must be >= 1")
@@ -310,7 +350,6 @@ def oracle_best_action(cache, b, requests, peek, graph, horizon, gamma) -> BsAct
     if not wanted:
         return NOOP
     candidates = sorted(wanted)
-    coverage = graph.coverage
     gain: dict = {}
     loss: dict = {}
     weight = 1.0
@@ -318,20 +357,19 @@ def oracle_best_action(cache, b, requests, peek, graph, horizon, gamma) -> BsAct
         slot_requests = peek[k]
         if slot_requests.pairs:
             scale = weight / len(slot_requests.pairs)
-            for u, f in slot_requests.pairs:
+            files, others = slot_requests.covered[b - 1]
+            for f, other_bs in zip(files, others):
                 if f in wanted:
                     tally = gain
                 elif f in cached_here:
                     tally = loss
                 else:
                     continue
-                cov = coverage[u]
-                if b in cov:
-                    for bb in cov:
-                        if bb != b and f in sets[bb - 1]:
-                            break
-                    else:
-                        tally[f] = tally.get(f, 0.0) + scale
+                for bb in other_bs:
+                    if f in sets[bb - 1]:
+                        break
+                else:
+                    tally[f] = tally.get(f, 0.0) + scale
         weight *= gamma
     winners = [f for f in candidates if gain.get(f, 0.0) > 0.0]
     if not winners:
@@ -355,12 +393,16 @@ def apply(cache: CacheState, action: JointAction, requests: RequestSlot) -> Cach
     already sit in that BS cache, and the named slot must currently hold
     the named eviction target. Invalid joint actions are rejected here;
     callers route them to the no-update path instead.
+
+    Once the rules pass, only the swapped rows and their file sets are
+    rebuilt; every untouched row and set is the input's own object, and an
+    all-no-op action returns ``cache`` itself.
     """
     if not action.is_valid:
         raise StructuralError("the invalid joint action cannot be applied")
     if len(action.actions) != cache.bs_count or requests.bs_count != cache.bs_count:
         raise StructuralError("joint action/cache/requests BS counts differ")
-    rows = list(cache.slots)
+    rows = None
     for b, act in enumerate(action.actions, start=1):
         if act.is_noop:
             continue
@@ -372,15 +414,20 @@ def apply(cache: CacheState, action: JointAction, requests: RequestSlot) -> Cach
             raise FeasibilityError(
                 b, RULE_DUPLICATION, f"file {act.file_in} already cached"
             )
-        row = rows[b - 1]
+        row = cache.slots[b - 1]
         if not 1 <= act.slot <= len(row) or row[act.slot - 1] != act.file_out:
             raise FeasibilityError(
                 b, RULE_CONSISTENCY, f"slot {act.slot} does not hold file {act.file_out}"
             )
+        if rows is None:
+            rows, sets = list(cache.slots), list(cache._sets)
         new_row = list(row)
         new_row[act.slot - 1] = act.file_in
         rows[b - 1] = tuple(new_row)
-    return CacheState(tuple(rows))
+        sets[b - 1] = sets[b - 1].difference((act.file_out,)).union((act.file_in,))
+    if rows is None:
+        return cache
+    return CacheState._trusted(tuple(rows), tuple(sets))
 
 
 def hottest_uncached(cache: CacheState, b: int, requests: RequestSlot) -> int | None:
@@ -416,7 +463,9 @@ def check_transition(prev: CacheState, next_state: CacheState) -> bool:
     """True iff every BS changed by at most one swap and capacity holds.
 
     Per BS the occupancy vectors of consecutive states may differ in at
-    most two positions (one eviction plus one insertion).
+    most two positions (one eviction plus one insertion). A row that is the
+    very same tuple object in both states, as :func:`apply` leaves an
+    untouched row, is equal and skipped; every other row is checked in full.
     """
     if prev.bs_count != next_state.bs_count or any(
         prev.capacity(b) != next_state.capacity(b)
@@ -424,6 +473,8 @@ def check_transition(prev: CacheState, next_state: CacheState) -> bool:
     ):
         raise StructuralError("cache states have different dimensions")
     for b in range(1, prev.bs_count + 1):
+        if prev.slots[b - 1] is next_state.slots[b - 1]:
+            continue
         if len(next_state.files_at(b)) > next_state.capacity(b):
             return False
         if len(prev.files_at(b) ^ next_state.files_at(b)) > 2:

@@ -250,9 +250,5 @@ def decode_prompt(text: str) -> SlotObservation:
     if sorted(rows) != list(range(1, b_count + 1)) or sorted(counts) != sorted(rows):
         raise StructuralError("prompt must describe BS 1..B exactly once")
     cache = CacheState(tuple(rows[b] for b in range(1, b_count + 1)))
-    requests = RequestSlot(
-        (),
-        tuple(counts[b] for b in range(1, b_count + 1)),
-        tuple(frozenset(counts[b]) for b in range(1, b_count + 1)),
-    )
+    requests = RequestSlot((), tuple(counts[b] for b in range(1, b_count + 1)))
     return SlotObservation(slot, cache, requests, None)

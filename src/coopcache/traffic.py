@@ -15,6 +15,7 @@ import math
 import sys
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -89,6 +90,15 @@ class AssociationGraph:
     @property
     def user_count(self) -> int:
         return len(self.user_xy)
+
+    @cached_property
+    def cover_others(self) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
+        """``cover_others[u]``: for each BS b covering user u, ascending, the
+        pair (b - 1, the other BSs covering u); computed once, then kept."""
+        return tuple(
+            tuple((b - 1, tuple(bb for bb in cov if bb != b)) for b in cov)
+            for cov in self.coverage
+        )
 
 
 @dataclass(frozen=True)
@@ -318,10 +328,7 @@ def build_instance(config: InstanceConfig, seed: int) -> Instance:
         np.clip(ranks, 0, config.library - 1, out=ranks)
         perm = np.asarray(rank_to_file[g], dtype=np.int64)
         files[:, members] = perm[ranks]
-    trace = tuple(
-        request_slot(tuple((u, int(files[i, u])) for u in range(config.users)), graph)
-        for i in range(length)
-    )
+    trace = tuple(request_slot(tuple(enumerate(row)), graph) for row in files.tolist())
     return Instance(config, int(seed), graph, demand, trace)
 
 

@@ -145,6 +145,8 @@ def run_verification(seeds=(1, 2, 3), pbrs_slots: int = 20, fuzz_cases: int = 10
     """
     if not seeds:
         raise StructuralError("verification needs at least one seed")
+    if len(set(seeds)) < len(seeds):
+        raise StructuralError(f"seeds repeat: {list(seeds)}")
     config = config or InstanceConfig()
     reward = reward or RewardConfig()
     instances = [build_instance(config, seed) for seed in seeds]

@@ -193,6 +193,40 @@ def test_feasible_actions_closure():
                 assert check_transition(cache, after)
 
 
+def _any_swaps(cache, b, requests):
+    """No-op plus every swap ``apply`` accepts at BS ``b``: also into a row with holes."""
+    pool = sorted(requests.admissible[b - 1] - cache.files_at(b))
+    return [NOOP] + [
+        BsAction(z, f_in, f_out)
+        for z, f_out in enumerate(cache.slots[b - 1], start=1) if f_out != EMPTY_SLOT
+        for f_in in pool
+    ]
+
+
+@settings(max_examples=200)
+@given(scenarios(peek_max=0, holes=True), st.data())
+def test_trusted_step_matches_the_validating_constructor(scenario, data):
+    """``apply`` rebuilds just the swapped rows: the result equals the state the
+    checking constructor builds from its rows, the untouched rows and sets are
+    the input's own objects, and the audit passes."""
+    cache, _graph, requests, _ = scenario
+    joint = [data.draw(st.sampled_from(_any_swaps(cache, b, requests)), label=f"BS {b}")
+             for b in range(1, cache.bs_count + 1)]
+    after = apply(cache, JointAction.valid(joint), requests)
+    checked = CacheState(after.slots)
+    for b, act in enumerate(joint, start=1):
+        assert after.files_at(b) == checked.files_at(b)
+        if act.is_noop:
+            assert after.slots[b - 1] is cache.slots[b - 1]
+            assert after.files_at(b) is cache.files_at(b)
+        else:
+            row = list(cache.slots[b - 1])
+            row[act.slot - 1] = act.file_in
+            assert after.slots[b - 1] == tuple(row)
+    assert check_transition(cache, after)
+    assert (after is cache) == all(act.is_noop for act in joint)
+
+
 def test_check_transition_cases():
     prev = CacheState(((1, 2), (3, 4)))
     assert check_transition(prev, prev)
@@ -200,6 +234,8 @@ def test_check_transition_cases():
     assert check_transition(prev, one_swap)
     two_swaps = CacheState(((5, 6), (3, 4)))
     assert not check_transition(prev, two_swaps)
+    shared_first_row = CacheState((prev.slots[0], (5, 6)))
+    assert not check_transition(prev, shared_first_row)
     with pytest.raises(StructuralError):
         check_transition(prev, CacheState(((1, 2),)))
 
@@ -235,6 +271,22 @@ def test_request_slot_invariants():
         assert set(requests.counts[b]) == set(requests.admissible[b])
     with pytest.raises(StructuralError):
         request_slot(((0, 1), (0, 2)), graph)
+
+
+@settings(max_examples=100)
+@given(scenarios(peek_max=3))
+def test_request_slot_lists_the_requests_each_bs_covers(scenario):
+    """``covered[b-1]`` is ``pairs`` filtered by coverage, in pair order, with
+    each user's other covering BSs; ``admissible`` is the key view of ``counts``."""
+    _cache, graph, requests, peek = scenario
+    for slot in (requests, *peek):
+        for b in range(1, graph.bs_count + 1):
+            mine = [(u, f) for u, f in slot.pairs if b in graph.coverage[u]]
+            assert slot.covered[b - 1] == (
+                tuple(f for _, f in mine),
+                tuple(tuple(bb for bb in graph.coverage[u] if bb != b) for u, _ in mine),
+            )
+            assert slot.admissible[b - 1] == slot.counts[b - 1].keys()
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,13 +3,24 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopcache import episode as episode_module
-from coopcache.core import NOOP, BsAction, JointAction
+from coopcache.core import NOOP, BsAction, FeasibilityError, JointAction, feasible_actions
 from coopcache.dataset import generate_grpo_states, generate_sft
 from coopcache.episode import Episode, expert_walk
 from coopcache.reward import RewardConfig, verify_pbrs
-from coopcache.traffic import advance_tracker, observe, warm_start
+from coopcache.traffic import (
+    FrequencyTracker,
+    Instance,
+    WarmState,
+    advance_tracker,
+    observe,
+    warm_start,
+)
+
+from conftest import scenarios
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +44,35 @@ def test_invalid_action_changes_nothing(small_instance, warm):
     assert episode.cache == warm.cache
     assert episode.step(JointAction.valid([NOOP] * small_instance.config.bs_count))
     assert episode.cache == warm.cache
+
+
+@settings(max_examples=100)
+@given(scenarios(peek_max=0), st.data())
+def test_an_infeasible_action_leaves_the_cache_unchanged(scenario, data):
+    """A joint action with one infeasible swap raises and changes nothing;
+    the same joint with that swap made a no-op is executed and passes the audit."""
+    cache, graph, requests, _ = scenario
+    instance = Instance(None, 0, graph, None, (requests,))
+    warm = WarmState(cache, FrequencyTracker.fresh((1,), (requests,)), ())
+    episode = Episode(instance, warm)
+    episode.advance()
+    joint = [data.draw(st.sampled_from(feasible_actions(cache, b, requests)))
+             for b in range(1, cache.bs_count + 1)]
+    b = data.draw(st.integers(1, cache.bs_count), label="b")
+    row = cache.slots[b - 1]
+    f_out = row[0]
+    unseen = max(requests.admissible[b - 1] | cache.files_at(b)) + 1
+    pool = sorted(requests.admissible[b - 1] - cache.files_at(b))
+    bad = data.draw(st.sampled_from(
+        [BsAction(1, unseen, f_out)]  # not requested here
+        + [BsAction(1, f, f_out) for f in row[1:]]  # already cached
+        + [BsAction(1, f, unseen) for f in pool]  # slot 1 holds another file
+        + [BsAction(len(row) + 1, f, f_out) for f in pool]  # no such slot
+    ), label="bad")
+    with pytest.raises(FeasibilityError):
+        episode.step(JointAction.valid(joint[: b - 1] + [bad] + joint[b:]))
+    assert episode.cache is cache
+    assert episode.step(JointAction.valid(joint[: b - 1] + [NOOP] + joint[b:]))
 
 
 def test_executed_transition_is_audited(small_instance, warm, monkeypatch):

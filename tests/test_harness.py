@@ -16,7 +16,7 @@ from coopcache.cli import (
     _run_config,
     build_parser,
 )
-from coopcache import episode, harness
+from coopcache import episode, harness, verification
 from coopcache.cli import main as cli_main
 from coopcache.core import StructuralError, hit_rate
 from coopcache.harness import (
@@ -711,6 +711,32 @@ def test_repeated_seeds_and_sweep_points_fail_before_any_rollout(tmp_path, monke
         cli_main(["sweep", "--axis", "zipf_alpha", "--values", "1.2,1.20", "--policy", "lru",
                   "--seeds", "1", "--slots", "5", "--out", str(out)])
     assert not rollouts and not out.exists()
+
+
+def test_repeated_verify_seeds_fail_before_any_audit(tmp_path, monkeypatch):
+    monkeypatch.delenv("COOPCACHE_OUT_DIR", raising=False)
+    audits = []
+    monkeypatch.setattr(verification, "build_instance", lambda *args: audits.append(args))
+    monkeypatch.setattr(verification, "verify_pbrs", lambda *args: audits.append(args))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit, match=r"^seeds repeat: \[1, 1\]$"):
+        cli_main(["verify", "--seeds", "1,1", "--out", str(out)])
+    assert not audits and not out.exists()
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["gen-instance", "--seed", "1", "--out", "nodir/x.json"], "No such file or directory"),
+    (["export-sft", "--records", "5", "--out", "nodir/s.jsonl"], "No such file or directory"),
+    (["gen-instance", "--seed", "1", "--out", "adir"], "Is a directory"),
+], ids=["gen-instance", "export-sft", "gen-instance-onto-a-directory"])
+def test_an_unwritable_output_path_is_one_error_line(tmp_path, monkeypatch, argv, reason):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert str(exc.value) == f"{argv[-1]}: cannot write: {reason}"
+    assert [p.name for p in tmp_path.iterdir()] == ["adir"]
+    assert not any((tmp_path / "adir").iterdir())
 
 
 def _truncate_trace(payload):

@@ -171,6 +171,8 @@ def test_decode_prompt_round_trip(golden_obs):
     assert decoded.cache == golden_obs.cache
     assert decoded.requests.counts == golden_obs.requests.counts
     assert decoded.requests.admissible == golden_obs.requests.admissible
+    assert decoded.requests.admissible == tuple(d.keys() for d in decoded.requests.counts)
+    assert decoded.requests.pairs == () and decoded.requests.covered == ()
     assert decoded.tracker is None
 
 

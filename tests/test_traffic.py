@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import numpy as np
@@ -125,6 +126,14 @@ def test_instance_round_trip(tmp_path, small_instance):
     again = tmp_path / "again.json"
     save_instance(loaded, again)
     assert path.read_bytes() == again.read_bytes()
+
+
+def test_instance_pickles():
+    instance = build_instance(small_config(), 2)
+    copy = pickle.loads(pickle.dumps(instance))
+    assert copy.sha256() == instance.sha256()
+    assert [s.admissible for s in copy.trace] == [s.admissible for s in instance.trace]
+    assert [s.covered for s in copy.trace] == [s.covered for s in instance.trace]
 
 
 def test_instance_schema_guard(small_instance):
