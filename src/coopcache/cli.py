@@ -17,7 +17,7 @@ import sys
 from typing import Callable, NamedTuple
 
 from .core import StructuralError, atomic_write, read_json, real, whole
-from .dataset import audit_dataset, generate_sft, write_grpo_jsonl, write_sft_jsonl
+from .dataset import audit_dataset, generate_sft, write_export
 from .harness import (
     RUNCONFIG_SCHEMA,
     RunConfig,
@@ -213,11 +213,10 @@ def _cmd_export_sft(args) -> int:
         instance = build_instance(config, args.seed)
     reward = RewardConfig(**_supplied("reward", args, {}))
     export = generate_sft(instance, args.records, reward.horizon, reward.gamma)
-    write_sft_jsonl(export, args.out)
+    write_export(export, args.out, args.grpo_out)
     status = "truncated" if export.truncated else "complete"
     print(f"wrote {args.out}: {len(export.records)} records ({status})")
     if args.grpo_out:
-        write_grpo_jsonl(export, args.grpo_out)
         print(f"wrote {args.grpo_out}: {len(export.records)} states")
     audit = audit_dataset(args.out)
     print(f"audit: {audit.records} records, {len(audit.invalid_indices)} invalid")

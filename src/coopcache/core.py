@@ -12,6 +12,7 @@ and :func:`read_json`, through which every artifact is written and every input r
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import sys
@@ -37,9 +38,12 @@ def atomic_write(path):
     The text goes to a temporary file in the same directory, which replaces
     ``path`` when the block ends and is removed if the block raises. A crash
     mid-write thus leaves the previous file, not a truncated one. A path
-    that cannot be written raises a StructuralError naming ``path``.
+    that cannot be written raises a StructuralError naming ``path``; a
+    directory or a missing parent directory raises on entry.
     """
     path = os.fspath(path)
+    if os.path.isdir(path):  # found before any write, so a caller's other files stay too
+        raise StructuralError(f"{path}: cannot write: {os.strerror(errno.EISDIR)}")
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         fh = open(tmp, "w", encoding="utf-8", newline="")
@@ -349,7 +353,6 @@ def oracle_best_action(cache, b, requests, peek, graph, horizon, gamma) -> BsAct
     wanted = requests.admissible[b - 1] - cached_here
     if not wanted:
         return NOOP
-    candidates = sorted(wanted)
     gain: dict = {}
     loss: dict = {}
     weight = 1.0
@@ -371,7 +374,7 @@ def oracle_best_action(cache, b, requests, peek, graph, horizon, gamma) -> BsAct
                 else:
                     tally[f] = tally.get(f, 0.0) + scale
         weight *= gamma
-    winners = [f for f in candidates if gain.get(f, 0.0) > 0.0]
+    winners = sorted(f for f, g in gain.items() if g > 0.0)
     if not winners:
         return NOOP
     best = NOOP
@@ -398,45 +401,49 @@ def apply(cache: CacheState, action: JointAction, requests: RequestSlot) -> Cach
     rebuilt; every untouched row and set is the input's own object, and an
     all-no-op action returns ``cache`` itself.
     """
-    if not action.is_valid:
+    actions = action.actions
+    if actions is None:
         raise StructuralError("the invalid joint action cannot be applied")
-    if len(action.actions) != cache.bs_count or requests.bs_count != cache.bs_count:
+    slots, sets = cache.slots, cache._sets
+    if len(actions) != len(slots) or len(requests.counts) != len(slots):
         raise StructuralError("joint action/cache/requests BS counts differ")
-    rows = None
-    for b, act in enumerate(action.actions, start=1):
-        if act.is_noop:
+    admissible = requests.admissible
+    new_rows = None
+    for b, act in enumerate(actions, start=1):
+        z = act.slot
+        if not z:
             continue
-        if act.file_in not in requests.admissible[b - 1]:
+        f_in = act.file_in
+        if f_in not in admissible[b - 1]:
             raise FeasibilityError(
-                b, RULE_ADMISSIBILITY, f"file {act.file_in} not requested this slot"
+                b, RULE_ADMISSIBILITY, f"file {f_in} not requested this slot"
             )
-        if act.file_in in cache.files_at(b):
+        if f_in in sets[b - 1]:
             raise FeasibilityError(
-                b, RULE_DUPLICATION, f"file {act.file_in} already cached"
+                b, RULE_DUPLICATION, f"file {f_in} already cached"
             )
-        row = cache.slots[b - 1]
-        if not 1 <= act.slot <= len(row) or row[act.slot - 1] != act.file_out:
+        row = slots[b - 1]
+        if not 1 <= z <= len(row) or row[z - 1] != act.file_out:
             raise FeasibilityError(
-                b, RULE_CONSISTENCY, f"slot {act.slot} does not hold file {act.file_out}"
+                b, RULE_CONSISTENCY, f"slot {z} does not hold file {act.file_out}"
             )
-        if rows is None:
-            rows, sets = list(cache.slots), list(cache._sets)
-        new_row = list(row)
-        new_row[act.slot - 1] = act.file_in
-        rows[b - 1] = tuple(new_row)
-        sets[b - 1] = sets[b - 1].difference((act.file_out,)).union((act.file_in,))
-    if rows is None:
+        if new_rows is None:
+            new_rows, new_sets = list(slots), list(sets)
+        new_rows[b - 1] = row[: z - 1] + (f_in,) + row[z:]
+        new_sets[b - 1] = sets[b - 1].difference((act.file_out,)).union((f_in,))
+    if new_rows is None:
         return cache
-    return CacheState._trusted(tuple(rows), tuple(sets))
+    return CacheState._trusted(tuple(new_rows), tuple(new_sets))
 
 
 def hottest_uncached(cache: CacheState, b: int, requests: RequestSlot) -> int | None:
     """The most requested file at BS ``b`` not cached there (ties to the lower id), or None."""
-    pool = requests.admissible[b - 1] - cache.files_at(b)
-    if not pool:
-        return None
-    counts = requests.counts[b - 1]
-    return min(pool, key=lambda f: (-counts[f], f))
+    cached = cache._sets[b - 1]
+    best = top = None
+    for f, c in requests.counts[b - 1].items():
+        if f not in cached and (best is None or c > top or c == top and f < best):
+            best, top = f, c
+    return best
 
 
 def feasible_actions(cache: CacheState, b: int, requests: RequestSlot) -> list[BsAction]:
@@ -467,16 +474,16 @@ def check_transition(prev: CacheState, next_state: CacheState) -> bool:
     very same tuple object in both states, as :func:`apply` leaves an
     untouched row, is equal and skipped; every other row is checked in full.
     """
-    if prev.bs_count != next_state.bs_count or any(
-        prev.capacity(b) != next_state.capacity(b)
-        for b in range(1, prev.bs_count + 1)
+    prev_rows, next_rows = prev.slots, next_state.slots
+    if len(prev_rows) != len(next_rows) or any(
+        len(p) != len(n) for p, n in zip(prev_rows, next_rows)
     ):
         raise StructuralError("cache states have different dimensions")
-    for b in range(1, prev.bs_count + 1):
-        if prev.slots[b - 1] is next_state.slots[b - 1]:
+    for p, n, p_set, n_set in zip(prev_rows, next_rows, prev._sets, next_state._sets):
+        if p is n:
             continue
-        if len(next_state.files_at(b)) > next_state.capacity(b):
+        if len(n_set) > len(n):
             return False
-        if len(prev.files_at(b) ^ next_state.files_at(b)) > 2:
+        if len(p_set ^ n_set) > 2:
             return False
     return True

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from itertools import islice
 
-from .core import EMPTY_SLOT, atomic_write, canonical_json
+from .core import EMPTY_SLOT, StructuralError, atomic_write, canonical_json
 from .episode import expert_walk
 from .interface import decode_prompt, encode, parse, serialize
 from .traffic import Instance
@@ -78,22 +80,26 @@ def generate_grpo_states(instance: Instance, records: int, horizon: int = 10,
     return generate_sft(instance, records, horizon, gamma)
 
 
-def _write_jsonl(export: SftExport, path, row) -> None:
-    """One canonical JSON object per record, then the truncation marker if any."""
-    with atomic_write(path) as fh:
-        for rec in export.records:
-            fh.write(canonical_json(row(rec)) + "\n")
-        if export.truncated:
-            marker = {
-                "marker": TRUNCATION_MARKER,
-                "emitted": len(export.records),
-                "requested": export.requested,
-            }
-            fh.write(canonical_json(marker) + "\n")
+def _write_jsonl(export: SftExport, files) -> None:
+    """Per ``(path, row)`` one canonical JSON object per record, then the
+    truncation marker if any. Every file is opened before any is written,
+    so no path changes unless every path can be written."""
+    with ExitStack() as stack:
+        handles = [(stack.enter_context(atomic_write(path)), row) for path, row in files]
+        for fh, row in handles:
+            for rec in export.records:
+                fh.write(canonical_json(row(rec)) + "\n")
+            if export.truncated:
+                marker = {
+                    "marker": TRUNCATION_MARKER,
+                    "emitted": len(export.records),
+                    "requested": export.requested,
+                }
+                fh.write(canonical_json(marker) + "\n")
 
 
-def write_sft_jsonl(export: SftExport, path) -> None:
-    _write_jsonl(export, path, lambda rec: {
+def _sft_row(rec: ExpertRecord) -> dict:
+    return {
         "prompt": rec.prompt,
         "completion": rec.completion,
         "meta": {
@@ -101,11 +107,11 @@ def write_sft_jsonl(export: SftExport, path) -> None:
             "slot": rec.slot,
             "instance_sha256": rec.instance_sha256,
         },
-    })
+    }
 
 
-def write_grpo_jsonl(export: SftExport, path) -> None:
-    _write_jsonl(export, path, lambda rec: {
+def _grpo_row(rec: ExpertRecord) -> dict:
+    return {
         "prompt": rec.prompt,
         "expert": rec.completion,
         "meta": {
@@ -114,7 +120,25 @@ def write_grpo_jsonl(export: SftExport, path) -> None:
             "instance_sha256": rec.instance_sha256,
             "peek_sha256": rec.peek_sha256,
         },
-    })
+    }
+
+
+def write_sft_jsonl(export: SftExport, path) -> None:
+    _write_jsonl(export, [(path, _sft_row)])
+
+
+def write_grpo_jsonl(export: SftExport, path) -> None:
+    _write_jsonl(export, [(path, _grpo_row)])
+
+
+def write_export(export: SftExport, sft_path, grpo_path=None) -> None:
+    """The SFT file and, given ``grpo_path``, the GRPO file: both or neither."""
+    files = [(sft_path, _sft_row)]
+    if grpo_path:
+        if os.path.realpath(grpo_path) == os.path.realpath(sft_path):
+            raise StructuralError(f"{grpo_path}: the GRPO file cannot be the SFT file")
+        files.append((grpo_path, _grpo_row))
+    _write_jsonl(export, files)
 
 
 @dataclass(frozen=True)

@@ -49,10 +49,8 @@ PARSE_REASONS = (
 )
 
 _INT = r"[1-9][0-9]{0,8}"
-_NOOP_LINE = re.compile(rf"BS ({_INT}): NOOP")
-_SWAP_LINE = re.compile(
-    rf"BS ({_INT}): SWAP slot=({_INT}) out=({_INT}) in=({_INT})"
-)
+# One decision line; a NOOP leaves the slot, out and in groups None.
+_LINE = re.compile(rf"BS ({_INT}): (?:NOOP|SWAP slot=({_INT}) out=({_INT}) in=({_INT}))")
 
 INSTRUCTION_BLOCK = (
     "INSTRUCTIONS:\n"
@@ -140,37 +138,34 @@ def parse(text: str, obs: SlotObservation) -> JointAction:
     observation. Never raises; the attached reason is one of
     ``PARSE_REASONS``.
     """
-    entries: list[tuple[int, tuple[int, int, int] | None]] = []
+    entries = []
     for raw in text.splitlines():
         line = raw.strip()
         if not line:
             continue
-        m = _NOOP_LINE.fullmatch(line)
-        if m:
-            entries.append((int(m.group(1)), None))
-            continue
-        m = _SWAP_LINE.fullmatch(line)
-        if m:
-            b, z, f_out, f_in = (int(g) for g in m.groups())
-            entries.append((b, (z, f_in, f_out)))
-            continue
-        return JointAction.invalid(REASON_SYNTAX)
-    ids = [b for b, _ in entries]
-    if sorted(ids) != list(range(1, obs.bs_count + 1)):
-        return JointAction.invalid(REASON_COUNT)
-    if ids != sorted(ids):
+        m = _LINE.fullmatch(line)
+        if m is None:
+            return JointAction.invalid(REASON_SYNTAX)
+        entries.append(m.groups())
+    ids = [int(b) for b, *_ in entries]
+    if ids != list(range(1, obs.bs_count + 1)):
+        if sorted(ids) != list(range(1, obs.bs_count + 1)):
+            return JointAction.invalid(REASON_COUNT)
         return JointAction.invalid(REASON_ORDER)
+    admissible = obs.requests.admissible
+    sets = obs.cache._sets
+    slots = obs.cache.slots
     actions = []
-    for b, swap in entries:
-        if swap is None:
+    for b, (_, z, f_out, f_in) in enumerate(entries, start=1):
+        if z is None:
             actions.append(NOOP)
             continue
-        z, f_in, f_out = swap
-        if f_in not in obs.requests.admissible[b - 1]:
+        z, f_out, f_in = int(z), int(f_out), int(f_in)
+        if f_in not in admissible[b - 1]:
             return JointAction.invalid(RULE_ADMISSIBILITY)
-        if f_in in obs.cache.files_at(b):
+        if f_in in sets[b - 1]:
             return JointAction.invalid(RULE_DUPLICATION)
-        row = obs.cache.slots[b - 1]
+        row = slots[b - 1]
         if z > len(row) or row[z - 1] != f_out:
             return JointAction.invalid(RULE_CONSISTENCY)
         actions.append(BsAction(z, f_in, f_out))

@@ -16,6 +16,7 @@ import subprocess
 import threading
 
 from .core import (
+    EMPTY_SLOT,
     NOOP,
     BsAction,
     JointAction,
@@ -47,18 +48,30 @@ def _first_missed_candidate(cache, b, requests):
 
 
 def _eviction_actions(obs, book, candidate_fn) -> list[BsAction]:
-    """Per full BS, swap the candidate in over the cached file least in ``book``."""
+    """Per full BS, swap the candidate in over the cached file least in ``book``
+    (ties to the lower file id), found with its slot in one pass over the row."""
+    cache, requests = obs.cache, obs.requests
     actions = []
-    for b in range(1, obs.bs_count + 1):
-        f_in = candidate_fn(obs.cache, b, obs.requests)
-        if f_in is None or not obs.cache.is_full(b):
+    for b, row in enumerate(cache.slots, start=1):
+        f_in = None if EMPTY_SLOT in row else candidate_fn(cache, b, requests)
+        if f_in is None:
             actions.append(NOOP)
             continue
         score = book[b - 1]
-        victim = min(obs.cache.files_at(b), key=lambda f: (score.get(f, 0), f))
-        z = obs.cache.slots[b - 1].index(victim) + 1
-        actions.append(BsAction(z, f_in, victim))
+        victim = None
+        for z, f in enumerate(row, start=1):
+            s = score.get(f, 0)
+            if victim is None or s < low or s == low and f < victim:
+                slot, victim, low = z, f, s
+        actions.append(BsAction(slot, f_in, victim))
     return actions
+
+
+def _warm_state(policy, warm):
+    """``warm``, which a policy that keeps a book cannot start without."""
+    if warm is None:
+        raise StructuralError(f"{policy.name}: reset needs the warm state the rollout starts from")
+    return warm
 
 
 class Policy:
@@ -100,6 +113,7 @@ class _RequestBookPolicy(Policy):
     book: list[dict]
 
     def reset(self, instance, warm=None) -> None:
+        warm = _warm_state(self, warm)
         self.book = [{} for _ in range(warm.cache.bs_count)]
         for t, requests in enumerate(warm.tracker.trace[: warm.tracker.slots_seen], start=1):
             self._record(t, requests)
@@ -137,7 +151,7 @@ class FifoPolicy(Policy):
     book: list[dict]
 
     def reset(self, instance, warm=None) -> None:
-        self.book = [dict(d) for d in warm.inserted_at]
+        self.book = [dict(d) for d in _warm_state(self, warm).inserted_at]
 
     def decide(self, obs, peek=None) -> str:
         actions = _eviction_actions(obs, self.book, _first_missed_candidate)

@@ -728,15 +728,30 @@ def test_repeated_verify_seeds_fail_before_any_audit(tmp_path, monkeypatch):
     (["gen-instance", "--seed", "1", "--out", "nodir/x.json"], "No such file or directory"),
     (["export-sft", "--records", "5", "--out", "nodir/s.jsonl"], "No such file or directory"),
     (["gen-instance", "--seed", "1", "--out", "adir"], "Is a directory"),
-], ids=["gen-instance", "export-sft", "gen-instance-onto-a-directory"])
-def test_an_unwritable_output_path_is_one_error_line(tmp_path, monkeypatch, argv, reason):
+    (["export-sft", "--records", "5", "--out", "s.jsonl", "--grpo-out", "nodir/g.jsonl"],
+     "No such file or directory"),
+    (["export-sft", "--records", "5", "--grpo-out", "g.jsonl", "--out", "adir"],
+     "Is a directory"),
+], ids=["gen-instance", "export-sft", "gen-instance-onto-a-directory",
+        "export-sft-grpo-out", "export-sft-onto-a-directory"])
+def test_an_unwritable_output_path_is_one_error_line(tmp_path, monkeypatch, capsys, argv, reason):
+    """The command writes no file and prints no ``wrote`` line, also when only
+    one of the export's two files cannot be written."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "adir").mkdir()
     with pytest.raises(SystemExit) as exc:
         cli_main(argv)
     assert str(exc.value) == f"{argv[-1]}: cannot write: {reason}"
+    assert "wrote" not in capsys.readouterr().out
     assert [p.name for p in tmp_path.iterdir()] == ["adir"]
     assert not any((tmp_path / "adir").iterdir())
+
+
+def test_export_sft_refuses_one_path_for_both_files(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit, match=r"^\./s\.jsonl: the GRPO file cannot be the SFT file$"):
+        cli_main(["export-sft", "--records", "5", "--out", "s.jsonl", "--grpo-out", "./s.jsonl"])
+    assert list(tmp_path.iterdir()) == []
 
 
 def _truncate_trace(payload):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -30,13 +31,15 @@ from coopcache.interface import (
     serialize,
 )
 
-from coopcache.traffic import FrequencyTracker
+from coopcache.traffic import FrequencyTracker, build_instance
+from coopcache.verification import NEAR_MISS_LINES, _mutate, first_decision_observation
 
 from conftest import (
     golden_observation,
     observation,
     random_scenario,
     scenarios,
+    small_config,
     synthetic_graph,
 )
 
@@ -301,3 +304,100 @@ def test_parse_total_on_megabyte_input(golden_obs):
     assert not parse(big, golden_obs).is_valid
     digits = "BS 1: SWAP slot=1 out=" + "9" * (1 << 20) + " in=5"
     assert parse(digits, golden_obs).reason == "syntax"
+
+
+# The two-pattern parser that ``parse`` replaced, kept as the reference it
+# must agree with on every text: the same joint action and the same reason.
+_REF_INT = r"[1-9][0-9]{0,8}"
+_REF_NOOP_LINE = re.compile(rf"BS ({_REF_INT}): NOOP")
+_REF_SWAP_LINE = re.compile(rf"BS ({_REF_INT}): SWAP slot=({_REF_INT}) out=({_REF_INT}) in=({_REF_INT})")
+
+
+def _reference_parse(text, obs):
+    entries = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line:
+            continue
+        m = _REF_NOOP_LINE.fullmatch(line)
+        if m:
+            entries.append((int(m.group(1)), None))
+            continue
+        m = _REF_SWAP_LINE.fullmatch(line)
+        if m:
+            b, z, f_out, f_in = (int(g) for g in m.groups())
+            entries.append((b, (z, f_in, f_out)))
+            continue
+        return JointAction.invalid("syntax")
+    ids = [b for b, _ in entries]
+    if sorted(ids) != list(range(1, obs.bs_count + 1)):
+        return JointAction.invalid("count")
+    if ids != sorted(ids):
+        return JointAction.invalid("order")
+    actions = []
+    for b, swap in entries:
+        if swap is None:
+            actions.append(NOOP)
+            continue
+        z, f_in, f_out = swap
+        if f_in not in obs.requests.admissible[b - 1]:
+            return JointAction.invalid("admissibility")
+        if f_in in obs.cache.files_at(b):
+            return JointAction.invalid("duplication")
+        row = obs.cache.slots[b - 1]
+        if z > len(row) or row[z - 1] != f_out:
+            return JointAction.invalid("consistency")
+        actions.append(BsAction(z, f_in, f_out))
+    return JointAction.valid(actions)
+
+
+def _differential_observations():
+    first = first_decision_observation(build_instance(small_config(), 1))
+    return (swap_observation(), golden_observation(), first)
+
+
+def _completions(obs, rng):
+    """Real completions: every feasible single swap, swaps that break each rule,
+    and the same lines reordered or cut short."""
+    noop = ["BS %d: NOOP" % b for b in range(1, obs.bs_count + 1)]
+    texts = ["\n".join(noop)]
+    for b in range(1, obs.bs_count + 1):
+        for act in feasible_actions(obs.cache, b, obs.requests)[1:]:
+            actions = [NOOP] * obs.bs_count
+            actions[b - 1] = act
+            texts.append(serialize(JointAction.valid(actions)))
+        for _ in range(4):
+            lines = list(noop)
+            z, f_out, f_in = (rng.randint(1, 12) for _ in range(3))
+            lines[b - 1] = f"BS {b}: SWAP slot={z} out={f_out} in={f_in}"
+            texts.append("\n".join(lines))
+    texts += ["\n".join(reversed(text.splitlines())) for text in texts[:3]]
+    texts += ["\n".join(text.splitlines()[1:]) for text in texts[:3]]
+    return texts
+
+
+def test_parse_matches_the_two_pattern_parser_on_real_and_mutated_completions():
+    rng = random.Random(13)
+    outcomes = set()
+    for obs in _differential_observations():
+        real = _completions(obs, rng)
+        cases = list(real)
+        for line in NEAR_MISS_LINES:
+            cases += [line, "BS 1: NOOP\n" + line, line + "\nBS 2: NOOP"]
+        for _ in range(3000):
+            data = rng.choice(real).encode("utf-8")
+            for _ in range(rng.randint(1, 3)):
+                data = _mutate(data, rng)
+            cases.append(data.decode("utf-8", errors="replace"))
+        for text in cases:
+            expected = _reference_parse(text, obs)
+            assert parse(text, obs) == expected, text
+            outcomes.add(expected.reason)
+    assert outcomes == {None, *PARSE_REASONS}  # every outcome is exercised
+
+
+@settings(max_examples=300)
+@given(st.text(alphabet="BS :NOPWAlotuin=0123456789+-\n\t\r x", max_size=160))
+def test_parse_matches_the_two_pattern_parser_on_random_text(text):
+    for obs in (swap_observation(), golden_observation()):
+        assert parse(text, obs) == _reference_parse(text, obs)

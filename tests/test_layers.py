@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "coopcache"
+PERFBENCH = PACKAGE.parent.parent / "perfbench"
 
 ENVIRONMENT = ("core", "interface", "traffic", "episode")
 UPPER = {"policies", "harness", "dataset", "reward", "verification", "cli"}
@@ -55,3 +56,61 @@ def test_json_input_is_read_only_by_core_read_json():
     readers = [(path.stem, caller) for path in sorted(PACKAGE.glob("*.py"))
                for caller in _json_load_callers(_tree(path))]
     assert readers == [("core", "read_json")]
+
+
+def _bound_names(tree: ast.Module) -> dict[str, ast.AST]:
+    """The names a module or class body binds at its own level: defs, classes,
+    assignments and imports."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update((t.id, node) for t in targets if isinstance(t, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(((a.asname or a.name).split(".")[0], node) for a in node.names)
+    return names
+
+
+def _perfbench_bound_names() -> list[tuple[str, str]]:
+    """(module, attribute path) of every name perfbench traces or imports from coopcache."""
+    bound = []
+    for node in _tree(PERFBENCH / "tracing.py").body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "FUNCTIONS" for t in node.targets):
+            bound += [(module, path) for module, path, _span in ast.literal_eval(node.value)]
+    for node in ast.walk(_tree(PERFBENCH / "workloads.py")):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("coopcache."):
+            bound += [(node.module.split(".")[1], alias.name) for alias in node.names]
+    return bound
+
+
+def _class_attribute(node, name: str, top: dict):
+    """``name`` on the class ``node`` or, as Python looks it up, on a base
+    class the same module defines; None when neither binds it."""
+    if not isinstance(node, ast.ClassDef):
+        return None
+    found = _bound_names(node).get(name)
+    for base in node.bases:
+        if found is None and isinstance(base, ast.Name):
+            found = _class_attribute(top.get(base.id), name, top)
+    return found
+
+
+def test_every_perfbench_bound_name_resolves_in_the_package():
+    """perfbench patches or imports these names; renaming or deleting one
+    fails the benchmark run, so it fails here first."""
+    bound = _perfbench_bound_names()
+    assert ("policies", "LruPolicy.decide") in bound  # read from tracing.py
+    assert ("traffic", "InstanceConfig") in bound  # read from workloads.py
+    missing = []
+    for module, path in bound:
+        top = _bound_names(_tree(PACKAGE / f"{module}.py"))
+        first, *rest = path.split(".")
+        node = top.get(first)
+        for part in rest:
+            node = _class_attribute(node, part, top)
+        if node is None:
+            missing.append(f"{module}.{path}")
+    assert missing == []

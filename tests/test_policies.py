@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coopcache.core import (
+    EMPTY_SLOT,
     NOOP,
     BsAction,
     CacheState,
@@ -20,12 +21,13 @@ from coopcache.core import (
     StructuralError,
     apply,
     feasible_actions,
+    hottest_uncached,
     oracle_best_action,
     request_slot,
 )
 from coopcache.episode import Episode
 from coopcache.harness import rollout
-from coopcache.interface import SlotObservation, parse
+from coopcache.interface import SlotObservation, decode_prompt, parse
 from coopcache.policies import (
     AdapterError,
     ExternPolicy,
@@ -34,6 +36,8 @@ from coopcache.policies import (
     LruPolicy,
     HEADER_LIMIT,
     OraclePolicy,
+    _eviction_actions,
+    _first_missed_candidate,
     make_policy,
     read_frame,
     write_frame,
@@ -99,6 +103,83 @@ def test_fifo_victim_by_insertion_and_arrival_insert():
         "BS 1: SWAP slot=2 out=2 in=9"
     )
     assert policy.book == [{1: 30, 9: 1}]  # the swap moves the book on
+
+
+# The ``min(..., key=...)`` forms the one-pass picks replaced, kept as the
+# references they must agree with, ties included.
+def _reference_hottest(cache, b, requests):
+    pool = requests.admissible[b - 1] - cache.files_at(b)
+    if not pool:
+        return None
+    counts = requests.counts[b - 1]
+    return min(pool, key=lambda f: (-counts[f], f))
+
+
+def _reference_eviction_actions(obs, book, candidate_fn):
+    actions = []
+    for b in range(1, obs.bs_count + 1):
+        f_in = candidate_fn(obs.cache, b, obs.requests)
+        if f_in is None or not obs.cache.is_full(b):
+            actions.append(NOOP)
+            continue
+        score = book[b - 1]
+        victim = min(obs.cache.files_at(b), key=lambda f: (score.get(f, 0), f))
+        z = obs.cache.slots[b - 1].index(victim) + 1
+        actions.append(BsAction(z, f_in, victim))
+    return actions
+
+
+def _draw_book(data, cache):
+    """Per BS, a score in -1..2 for some cached files, so scores tie and some default to 0."""
+    scores = st.one_of(st.none(), st.integers(-1, 2))
+    book = []
+    for row in cache.slots:
+        drawn = {f: data.draw(scores) for f in row if f != EMPTY_SLOT}
+        book.append({f: v for f, v in drawn.items() if v is not None})
+    return book
+
+
+def _assert_picks_match_the_references(obs, book):
+    for b in range(1, obs.bs_count + 1):
+        assert hottest_uncached(obs.cache, b, obs.requests) == (
+            _reference_hottest(obs.cache, b, obs.requests)
+        )
+    assert _eviction_actions(obs, book, hottest_uncached) == (
+        _reference_eviction_actions(obs, book, _reference_hottest)
+    )
+    assert _eviction_actions(obs, book, _first_missed_candidate) == (
+        _reference_eviction_actions(obs, book, _first_missed_candidate)
+    )
+
+
+@settings(max_examples=300)
+@given(scenarios(peek_max=0, holes=True), st.data())
+def test_picks_match_the_min_forms_on_scenarios(scenario, data):
+    cache, _graph, requests, _peek = scenario
+    _assert_picks_match_the_references(observation(cache, requests),
+                                       _draw_book(data, cache))
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_picks_match_the_min_forms_on_decoded_prompts(data):
+    """A decoded prompt's counts are the text's, so they may be 0 or negative."""
+    lines = ["SLOT 1"]
+    for b in range(1, data.draw(st.integers(1, 3)) + 1):
+        row = data.draw(st.lists(st.integers(1, 7), min_size=1, max_size=4, unique=True))
+        holes = data.draw(st.sets(st.integers(0, len(row) - 1)))
+        cells = " ".join("-" if z in holes else str(f) for z, f in enumerate(row))
+        counts = data.draw(st.dictionaries(st.integers(1, 8), st.integers(-2, 2), max_size=6))
+        lines.append(f"BS {b} CACHE: {cells}")
+        lines.append(f"BS {b} REQUESTS:" + "".join(f" {f}:{c}" for f, c in counts.items()))
+    obs = decode_prompt("\n".join(lines))
+    _assert_picks_match_the_references(obs, _draw_book(data, obs.cache))
+
+
+@pytest.mark.parametrize("spec", ["lru", "lfu", "fifo"])
+def test_a_book_policy_without_a_warm_state_names_itself(spec):
+    with pytest.raises(StructuralError, match=rf"^{spec}: reset needs the warm state"):
+        make_policy(spec).reset(None)
 
 
 def test_heuristics_emit_parseable_text():
