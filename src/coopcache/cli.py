@@ -65,6 +65,12 @@ def _cache(value):
     return _ints(value) if isinstance(value, (list, tuple)) else whole(value)
 
 
+def _nonnegative(flag: str, value: int | None) -> None:
+    """Reject a negative count given to ``flag`` in one line naming it."""
+    if value is not None and value < 0:
+        raise SystemExit(f"{flag} must be >= 0, not {value}")
+
+
 class Setting(NamedTuple):
     """One run setting: its ``--config`` key, flag, target field and parser.
 
@@ -206,6 +212,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_export_sft(args) -> int:
+    _nonnegative("--records", args.records)
     if args.instance:
         instance = load_instance(args.instance)
     else:
@@ -224,6 +231,8 @@ def _cmd_export_sft(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _nonnegative("--pbrs-slots", args.pbrs_slots)
+    _nonnegative("--fuzz-cases", args.fuzz_cases)
     given = {k: getattr(args, k) for k in ("seeds", "pbrs_slots", "fuzz_cases")}
     report = run_verification(**{k: v for k, v in given.items() if v is not None})
     out_dir = os.environ.get(_ENV_OUT) or args.out

@@ -8,6 +8,11 @@ path in :mod:`coopcache.traffic`, never through a swap action.
 All types here are immutable values and all operations are pure functions,
 so they are safe to share across threads. The exceptions are :func:`atomic_write`
 and :func:`read_json`, through which every artifact is written and every input read.
+
+The per-slot actions, :class:`BsAction` and :class:`JointAction`, are
+tuple-backed: each is the tuple of its fields, so building one costs no
+per-field ``object.__setattr__``. They are still immutable, and
+``BsAction`` still checks every value it is built from.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 EMPTY_SLOT = 0
 
@@ -123,58 +129,87 @@ class FeasibilityError(Exception):
         self.rule = rule
 
 
-@dataclass(frozen=True)
-class BsAction:
+_tuple_new = tuple.__new__
+
+
+class BsAction(tuple):
     """Decision of one BS: keep the cache as-is, or swap a single slot.
 
     ``slot == 0`` encodes the no-op. A swap names the 1-based slot index,
     the file to insert and the file expected to be evicted from that slot.
+    The value is the tuple ``(slot, file_in, file_out)``. Every way of
+    building one, pickle and copy included, passes the checks in ``__new__``.
     """
 
-    slot: int = 0
-    file_in: int = 0
-    file_out: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.slot == 0:
-            if self.file_in or self.file_out:
+    def __new__(cls, slot: int = 0, file_in: int = 0, file_out: int = 0) -> "BsAction":
+        if slot == 0:
+            if file_in or file_out:
                 raise StructuralError("no-op action must not name files")
         else:
-            if self.slot < 1 or self.file_in < 1 or self.file_out < 1:
+            if slot < 1 or file_in < 1 or file_out < 1:
                 raise StructuralError("swap needs slot >= 1 and file ids >= 1")
-            if self.file_in == self.file_out:
+            if file_in == file_out:
                 raise StructuralError("swap must change the slot content")
+        return _tuple_new(cls, (slot, file_in, file_out))
+
+    def __reduce__(self):
+        # tuple's own reduction would rebuild the value without __new__
+        return type(self), tuple(self)
+
+    def __repr__(self) -> str:
+        return f"BsAction(slot={self[0]!r}, file_in={self[1]!r}, file_out={self[2]!r})"
+
+    slot = property(itemgetter(0))
+    file_in = property(itemgetter(1))
+    file_out = property(itemgetter(2))
 
     @property
     def is_noop(self) -> bool:
-        return self.slot == 0
+        return self[0] == 0
 
 
 NOOP = BsAction()
 
 
-@dataclass(frozen=True)
-class JointAction:
-    """One action per BS (valid), or the distinguished invalid value."""
+class JointAction(tuple):
+    """One action per BS (valid), or the distinguished invalid value.
 
-    actions: tuple[BsAction, ...] | None
-    reason: str | None = None
+    The value is the tuple ``(actions, reason)``: a tuple of BsActions and
+    None, or None and the reason the completion was invalid.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, actions: tuple[BsAction, ...] | None,
+                reason: str | None = None) -> "JointAction":
+        return _tuple_new(cls, (actions, reason))
+
+    def __reduce__(self):
+        return type(self), tuple(self)
+
+    def __repr__(self) -> str:
+        return f"JointAction(actions={self[0]!r}, reason={self[1]!r})"
 
     @classmethod
     def valid(cls, actions) -> "JointAction":
-        return cls(tuple(actions), None)
+        return _tuple_new(cls, (tuple(actions), None))
 
     @classmethod
     def invalid(cls, reason: str) -> "JointAction":
-        return cls(None, reason)
+        return _tuple_new(cls, (None, reason))
+
+    actions = property(itemgetter(0))
+    reason = property(itemgetter(1))
 
     @property
     def is_valid(self) -> bool:
-        return self.actions is not None
+        return self[0] is not None
 
     @property
     def is_all_noop(self) -> bool:
-        return self.actions is not None and all(a.is_noop for a in self.actions)
+        return self[0] is not None and all(a.is_noop for a in self[0])
 
 
 @dataclass(frozen=True)
@@ -211,8 +246,9 @@ class CacheState:
     def _trusted(cls, slots, sets) -> "CacheState":
         """A state from rows and their file sets that the caller has already checked."""
         state = object.__new__(cls)
-        object.__setattr__(state, "slots", slots)
-        object.__setattr__(state, "_sets", sets)
+        fields = state.__dict__  # written directly: the frozen __setattr__ is per field and slow
+        fields["slots"] = slots
+        fields["_sets"] = sets
         return state
 
     @property
@@ -307,7 +343,8 @@ def hit_rate(cache: CacheState, requests: RequestSlot, graph) -> float:
     A request counts as a hit when the file sits in the cache of at least
     one BS covering that user. An empty request slot scores 0.
     """
-    if cache.bs_count != graph.bs_count or requests.bs_count != graph.bs_count:
+    bs_count = len(graph.bs_xy)
+    if len(cache.slots) != bs_count or len(requests.counts) != bs_count:
         raise StructuralError("cache/requests/graph BS counts differ")
     if not requests.pairs:
         return 0.0
@@ -409,11 +446,9 @@ def apply(cache: CacheState, action: JointAction, requests: RequestSlot) -> Cach
         raise StructuralError("joint action/cache/requests BS counts differ")
     admissible = requests.admissible
     new_rows = None
-    for b, act in enumerate(actions, start=1):
-        z = act.slot
+    for b, (z, f_in, f_out) in enumerate(actions, start=1):
         if not z:
             continue
-        f_in = act.file_in
         if f_in not in admissible[b - 1]:
             raise FeasibilityError(
                 b, RULE_ADMISSIBILITY, f"file {f_in} not requested this slot"
@@ -423,14 +458,14 @@ def apply(cache: CacheState, action: JointAction, requests: RequestSlot) -> Cach
                 b, RULE_DUPLICATION, f"file {f_in} already cached"
             )
         row = slots[b - 1]
-        if not 1 <= z <= len(row) or row[z - 1] != act.file_out:
+        if not 1 <= z <= len(row) or row[z - 1] != f_out:
             raise FeasibilityError(
-                b, RULE_CONSISTENCY, f"slot {z} does not hold file {act.file_out}"
+                b, RULE_CONSISTENCY, f"slot {z} does not hold file {f_out}"
             )
         if new_rows is None:
             new_rows, new_sets = list(slots), list(sets)
         new_rows[b - 1] = row[: z - 1] + (f_in,) + row[z:]
-        new_sets[b - 1] = sets[b - 1].difference((act.file_out,)).union((f_in,))
+        new_sets[b - 1] = sets[b - 1].difference((f_out,)).union((f_in,))
     if new_rows is None:
         return cache
     return CacheState._trusted(tuple(new_rows), tuple(new_sets))
@@ -475,9 +510,7 @@ def check_transition(prev: CacheState, next_state: CacheState) -> bool:
     untouched row, is equal and skipped; every other row is checked in full.
     """
     prev_rows, next_rows = prev.slots, next_state.slots
-    if len(prev_rows) != len(next_rows) or any(
-        len(p) != len(n) for p, n in zip(prev_rows, next_rows)
-    ):
+    if list(map(len, prev_rows)) != list(map(len, next_rows)):
         raise StructuralError("cache states have different dimensions")
     for p, n, p_set, n_set in zip(prev_rows, next_rows, prev._sets, next_state._sets):
         if p is n:

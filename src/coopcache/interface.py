@@ -15,8 +15,8 @@ to the invalid joint action with a machine-readable reason.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from functools import lru_cache
+from typing import TYPE_CHECKING, NamedTuple
 
 from .core import (
     EMPTY_SLOT,
@@ -65,14 +65,14 @@ INSTRUCTION_BLOCK = (
 )
 
 
-@dataclass(frozen=True)
-class SlotObservation:
+class SlotObservation(NamedTuple):
     """Immutable snapshot handed to policies at one decision slot.
 
     ``tracker`` views the frozen trace up to and including this slot;
     :func:`encode` reads the FREQ rates from it. A tracker never changes
     what it views, so the snapshot stays fixed. A decoded prompt has no
-    tracker.
+    tracker. The snapshot is the tuple of its four fields, so building one
+    per slot costs no dataclass ``__init__``.
     """
 
     slot: int
@@ -82,7 +82,13 @@ class SlotObservation:
 
     @property
     def bs_count(self) -> int:
-        return self.cache.bs_count
+        return len(self.cache.slots)
+
+
+@lru_cache(maxsize=None)
+def _bs_ids(bs_count: int) -> tuple[str, ...]:
+    """The decision-line BS ids "1".."B" as the grammar spells them."""
+    return tuple(str(b) for b in range(1, bs_count + 1))
 
 
 #: Window w -> the FREQ text of k/w for k = 0..w. Filled once a view has
@@ -147,14 +153,16 @@ def parse(text: str, obs: SlotObservation) -> JointAction:
         if m is None:
             return JointAction.invalid(REASON_SYNTAX)
         entries.append(m.groups())
-    ids = [int(b) for b, *_ in entries]
-    if ids != list(range(1, obs.bs_count + 1)):
-        if sorted(ids) != list(range(1, obs.bs_count + 1)):
+    cache = obs.cache
+    slots = cache.slots
+    # ids have no leading zeros, so equal text is an equal number; convert
+    # only to tell a wrong count from a wrong order
+    if tuple([groups[0] for groups in entries]) != _bs_ids(len(slots)):
+        if sorted([int(groups[0]) for groups in entries]) != list(range(1, len(slots) + 1)):
             return JointAction.invalid(REASON_COUNT)
         return JointAction.invalid(REASON_ORDER)
     admissible = obs.requests.admissible
-    sets = obs.cache._sets
-    slots = obs.cache.slots
+    sets = cache._sets
     actions = []
     for b, (_, z, f_out, f_in) in enumerate(entries, start=1):
         if z is None:
@@ -179,16 +187,15 @@ def parse_bytes(data: bytes, obs: SlotObservation) -> JointAction:
 
 def serialize(action: JointAction) -> str:
     """Render a valid joint action as grammar lines in ascending BS order."""
-    if not action.is_valid:
+    actions = action.actions
+    if actions is None:
         raise StructuralError("cannot serialize the invalid joint action")
     lines = []
-    for b, act in enumerate(action.actions, start=1):
-        if act.is_noop:
-            lines.append(f"BS {b}: NOOP")
+    for b, (z, f_in, f_out) in enumerate(actions, start=1):
+        if z:
+            lines.append(f"BS {b}: SWAP slot={z} out={f_out} in={f_in}")
         else:
-            lines.append(
-                f"BS {b}: SWAP slot={act.slot} out={act.file_out} in={act.file_in}"
-            )
+            lines.append(f"BS {b}: NOOP")
     return "\n".join(lines)
 
 

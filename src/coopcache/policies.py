@@ -155,10 +155,10 @@ class FifoPolicy(Policy):
 
     def decide(self, obs, peek=None) -> str:
         actions = _eviction_actions(obs, self.book, _first_missed_candidate)
-        for book, act in zip(self.book, actions):
-            if not act.is_noop:
-                book.pop(act.file_out, None)
-                book[act.file_in] = obs.slot
+        for book, (z, f_in, f_out) in zip(self.book, actions):
+            if z:
+                book.pop(f_out, None)
+                book[f_in] = obs.slot
         return serialize(JointAction.valid(actions))
 
 

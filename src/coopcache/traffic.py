@@ -373,12 +373,13 @@ def load_instance(path) -> Instance:
 class FrequencyTracker:
     """Sliding-window appearance rates of files in per-BS request pools.
 
-    A read-only view of the frozen ``trace`` after its first ``slots_seen``
-    slots: ``rate(b, f, w)`` is the share of the last min(w, t) slots whose
-    request pool at BS b contained f. ``window_counts`` gives the integer
-    counts behind the rates, counted from the trace when read. The per-BS
-    index behind them is built on the first read and shared by every later
-    view of the same trace.
+    A read-only view of the frozen ``trace`` after its first ``t =
+    slots_seen`` slots. The rate of file f at BS b over window w is the
+    share of the last min(w, t) slots whose request pool at BS b contained
+    f; ``window_counts`` gives the integer counts behind the rates, counted
+    from the trace when read. The per-BS index behind them is built on the
+    first read and shared by every later view of the same trace. Views are
+    equal, and hash equal, when their ``windows`` and ``slots_seen`` are.
     """
 
     windows: tuple[int, ...]
@@ -392,19 +393,13 @@ class FrequencyTracker:
     def fresh(cls, windows, trace) -> "FrequencyTracker":
         return cls(tuple(sorted(int(w) for w in windows)), tuple(trace))
 
-    def rate(self, b: int, f: int, w: int) -> float:
-        t = self.slots_seen
-        if t == 0:
-            return 0.0
-        return self.window_counts(b, (f,), (w,))[0][0] / (w if w < t else t)
-
-    def window_counts(self, b: int, files, windows=None) -> list:
-        """Per window (default: ``self.windows``, ascending), the count for each
-        of ``files`` of the last min(w, t) slots whose pool at BS b held it.
+    def window_counts(self, b: int, files) -> list:
+        """Per window of ``self.windows`` (ascending), the count for each of
+        ``files`` of the last min(w, t) slots whose pool at BS b held it.
 
         Windows that reach back to slot 1 share one list; do not mutate it.
         """
-        windows = self.windows if windows is None else windows
+        windows = self.windows
         t = self.slots_seen
         if t == 0:
             return [[0] * len(files) for _ in windows]
@@ -431,9 +426,15 @@ def advance_tracker(tracker: FrequencyTracker, requests: RequestSlot) -> Frequen
     t = tracker.slots_seen
     if t >= len(tracker.trace):
         raise StructuralError(f"tracker trace exhausted after {t} slots")
-    if requests != tracker.trace[t]:
+    expected = tracker.trace[t]
+    if requests is not expected and requests != expected:
         raise StructuralError(f"requests are not trace slot {t + 1}")
-    return FrequencyTracker(tracker.windows, tracker.trace, t + 1, tracker.index)
+    # a copy of the fields: the frozen dataclass __init__ pays a setattr per field
+    view = object.__new__(FrequencyTracker)
+    fields = view.__dict__
+    fields.update(tracker.__dict__)
+    fields["slots_seen"] = t + 1
+    return view
 
 
 def observe(slot: int, cache: CacheState, requests: RequestSlot,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -65,10 +67,17 @@ def test_hit_rate_empty_requests_is_zero():
 
 
 def test_hit_rate_dimension_mismatch():
-    graph = synthetic_graph(((1,),), 1)
-    requests = request_slot(((0, 1),), graph)
-    with pytest.raises(StructuralError):
-        hit_rate(CacheState(((1,), (2,))), requests, graph)
+    """A BS count that differs in any one of cache, requests and graph raises."""
+    one, two = synthetic_graph(((1,),), 1), synthetic_graph(((1, 2),), 2)
+    cache_1, cache_2 = CacheState(((1,),)), CacheState(((1,), (2,)))
+    requests_1, requests_2 = request_slot(((0, 1),), one), request_slot(((0, 1),), two)
+    for cache, requests, graph in (
+        (cache_2, requests_1, one),
+        (cache_1, requests_2, one),
+        (cache_1, requests_1, two),
+    ):
+        with pytest.raises(StructuralError, match="BS counts differ"):
+            hit_rate(cache, requests, graph)
 
 
 @settings(max_examples=200)
@@ -258,6 +267,60 @@ def test_bs_action_validation():
     with pytest.raises(StructuralError):
         BsAction(1, 0, 5)
     assert BsAction().is_noop
+
+
+def _rebuilds(value):
+    """Every way to copy ``value``, each a call: pickle at each protocol, copy and deepcopy."""
+    pickles = [lambda p=p: pickle.loads(pickle.dumps(value, p))
+               for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    return [*pickles, lambda: copy.copy(value), lambda: copy.deepcopy(value)]
+
+
+@pytest.mark.parametrize("fields", [(1, 5, 5), (0, 5, 0), (1, 0, 5)])
+def test_no_way_of_building_an_action_skips_its_checks(fields):
+    """An action forged around ``__new__`` cannot be pickled or copied back
+    into a value: each rebuild runs the constructor's checks."""
+    with pytest.raises(StructuralError):
+        BsAction(*fields)
+    forged = tuple.__new__(BsAction, fields)
+    joint = JointAction.valid([forged])
+    for rebuild in _rebuilds(forged) + [
+        lambda: pickle.loads(pickle.dumps(joint)),
+        lambda: copy.deepcopy(joint),
+    ]:
+        with pytest.raises(StructuralError):
+            rebuild()
+
+
+def test_action_values_survive_pickle_and_copy():
+    for value in (NOOP, BsAction(3, 42, 17), JointAction.valid([NOOP, BsAction(3, 42, 17)]),
+                  JointAction.invalid("syntax")):
+        for rebuild in _rebuilds(value):
+            rebuilt = rebuild()
+            assert type(rebuilt) is type(value)
+            assert rebuilt == value
+            assert repr(rebuilt) == repr(value)
+
+
+def test_action_reprs_name_their_fields():
+    assert repr(BsAction(3, 42, 17)) == "BsAction(slot=3, file_in=42, file_out=17)"
+    assert repr(JointAction.valid([NOOP])) == (
+        "JointAction(actions=(BsAction(slot=0, file_in=0, file_out=0),), reason=None)"
+    )
+    assert repr(JointAction.invalid("order")) == "JointAction(actions=None, reason='order')"
+
+
+def test_action_fields_read_back():
+    act = BsAction(3, 42, 17)
+    assert (act.slot, act.file_in, act.file_out, act.is_noop) == (3, 42, 17, False)
+    valid = JointAction.valid([NOOP, act])
+    assert (valid.actions, valid.reason, valid.is_valid) == ((NOOP, act), None, True)
+    assert not valid.is_all_noop and JointAction.valid([NOOP]).is_all_noop
+    invalid = JointAction.invalid("count")
+    assert (invalid.actions, invalid.reason, invalid.is_valid) == (None, "count", False)
+    assert not invalid.is_all_noop
+    with pytest.raises(AttributeError):
+        act.slot = 4
 
 
 def test_request_slot_invariants():

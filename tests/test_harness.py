@@ -16,7 +16,7 @@ from coopcache.cli import (
     _run_config,
     build_parser,
 )
-from coopcache import episode, harness, verification
+from coopcache import cli, episode, harness, verification
 from coopcache.cli import main as cli_main
 from coopcache.core import StructuralError, hit_rate
 from coopcache.harness import (
@@ -751,6 +751,28 @@ def test_export_sft_refuses_one_path_for_both_files(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit, match=r"^\./s\.jsonl: the GRPO file cannot be the SFT file$"):
         cli_main(["export-sft", "--records", "5", "--out", "s.jsonl", "--grpo-out", "./s.jsonl"])
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["export-sft", "--records", "-3", "--out", "s.jsonl"], "--records must be >= 0, not -3"),
+    (["verify", "--seeds", "1", "--fuzz-cases", "-5"], "--fuzz-cases must be >= 0, not -5"),
+    (["verify", "--seeds", "1", "--pbrs-slots", "-1"], "--pbrs-slots must be >= 0, not -1"),
+], ids=["export-sft-records", "verify-fuzz-cases", "verify-pbrs-slots"])
+def test_a_negative_count_flag_is_one_error_line(tmp_path, monkeypatch, capsys, argv, message):
+    """The refusal comes before any instance is built, file written or line printed."""
+    monkeypatch.delenv("COOPCACHE_OUT_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+
+    def no_instance(*args, **kwargs):
+        raise AssertionError("an instance was built")
+
+    monkeypatch.setattr(cli, "build_instance", no_instance)
+    monkeypatch.setattr(verification, "build_instance", no_instance)
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert str(exc.value) == message
+    assert capsys.readouterr().out == ""
     assert list(tmp_path.iterdir()) == []
 
 

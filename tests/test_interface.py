@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 import re
 from pathlib import Path
@@ -70,6 +71,12 @@ def test_encode_slot_index_changes_header_only(golden_obs):
     b = encode(other).splitlines()
     assert a[0] != b[0]
     assert a[1:] == b[1:]
+
+
+def test_an_observation_pickles(golden_obs):
+    copy = pickle.loads(pickle.dumps(golden_obs))
+    assert copy == golden_obs
+    assert encode(copy) == encode(golden_obs)
 
 
 def test_parse_valid_mixed_lines():
@@ -202,8 +209,9 @@ def _freq_tokens(prompt: str, b: int, w: int) -> list[tuple[str, str]]:
 @given(scenarios(peek_max=11, holes=True),
        st.lists(st.integers(1, 8), min_size=1, max_size=3, unique=True))
 def test_encode_freq_tokens_are_the_tracker_rates(case, windows):
-    """At views t = 0, t < w, t == w and t > w every FREQ token is the rate
-    the tracker reads, formatted :.3f, and decoding keeps cache and counts."""
+    """At views t = 0, t < w, t == w and t > w every FREQ token is the share
+    of the last min(w, t) trace slots whose pool held the file, formatted
+    :.3f, and decoding keeps cache and counts."""
     cache, _, requests, peek = case
     trace = (requests, *peek)
     tracker = FrequencyTracker.fresh(windows, trace)
@@ -220,7 +228,6 @@ def test_encode_freq_tokens_are_the_tracker_rates(case, windows):
                     f = int(f)
                     held = sum(f in trace[tau - 1].admissible[b - 1]
                                for tau in range(max(1, t - w + 1), t + 1))
-                    assert text == f"{view.rate(b, f, w):.3f}"
                     assert text == (f"{held / min(w, t):.3f}" if t else "0.000")
         decoded = decode_prompt(prompt)
         assert decoded.cache == cache
@@ -394,6 +401,40 @@ def test_parse_matches_the_two_pattern_parser_on_real_and_mutated_completions():
             assert parse(text, obs) == expected, text
             outcomes.add(expected.reason)
     assert outcomes == {None, *PARSE_REASONS}  # every outcome is exercised
+
+
+def _one_bs_per_user_observation(bs_count):
+    """``bs_count`` BSs; BS b caches files b and 100 + b, and its two users request 50 + b and b."""
+    ids = range(1, bs_count + 1)
+    graph = synthetic_graph([(b,) for b in ids for _ in range(2)], bs_count)
+    cache = CacheState(tuple((b, 100 + b) for b in ids))
+    pairs = [pair for b in ids for pair in ((2 * b - 2, 50 + b), (2 * b - 1, b))]
+    return observation(cache, request_slot(pairs, graph))
+
+
+@pytest.mark.parametrize("bs_count", [1, 2, 12])
+def test_parse_matches_the_two_pattern_parser_on_bs_ids(bs_count):
+    """Two-digit ids, text order unlike number order, a repeated BS 1 and an
+    id above B give the same joint action and reason as the reference."""
+    obs = _one_bs_per_user_observation(bs_count)
+    ids = range(1, bs_count + 1)
+    noop = [f"BS {b}: NOOP" for b in ids]
+    swap = [f"BS {b}: SWAP slot=1 out={b} in={50 + b}" for b in ids]
+    above = f"BS {bs_count + 1}: NOOP"
+    cases = [noop, swap, sorted(swap), swap[::-1], noop[1:] + noop[:1],
+             noop + ["BS 1: NOOP"], ["BS 1: NOOP"] + noop, noop[:-1] + ["BS 1: NOOP"],
+             noop + [above], noop[:-1] + [above], [above] + noop[1:], [],
+             swap[:-1] + [f"BS {bs_count}: SWAP slot=2 out={100 + bs_count} in={bs_count}"],
+             swap[:-1] + [f"BS {bs_count}: SWAP slot=2 out={bs_count} in={50 + bs_count}"],
+             swap[:-1] + [f"BS {bs_count}: SWAP slot=1 out={bs_count} in=7"]]
+    outcomes = set()
+    for lines in cases:
+        text = "\n".join(lines)
+        expected = _reference_parse(text, obs)
+        assert parse(text, obs) == expected, text
+        outcomes.add(expected.reason)
+    unreachable = {"syntax", "order"} if bs_count == 1 else {"syntax"}
+    assert outcomes == {None, *PARSE_REASONS} - unreachable
 
 
 @settings(max_examples=300)

@@ -145,12 +145,19 @@ def test_instance_schema_guard(small_instance):
         instance_from_payload(payload)
 
 
+def rates(tracker, b, f) -> dict:
+    """Window -> the rate of file ``f`` at BS ``b``: its count over min(w, t)."""
+    t = tracker.slots_seen
+    counts = tracker.window_counts(b, (f,))
+    return {w: k / min(w, t) if t else 0.0 for w, (k,) in zip(tracker.windows, counts)}
+
+
 def test_tracker_first_slot():
     graph = synthetic_graph(((1,),), 1)
     trace = (request_slot(((0, 3),), graph),)
     tracker = advance_tracker(FrequencyTracker.fresh((10,), trace), trace[0])
-    assert tracker.rate(1, 3, 10) == 1.0
-    assert tracker.rate(1, 4, 10) == 0.0
+    assert rates(tracker, 1, 3) == {10: 1.0}
+    assert rates(tracker, 1, 4) == {10: 0.0}
 
 
 def test_tracker_three_of_last_ten():
@@ -162,7 +169,7 @@ def test_tracker_three_of_last_ten():
     tracker = FrequencyTracker.fresh((10,), trace)
     for requests in trace:
         tracker = advance_tracker(tracker, requests)
-    assert tracker.rate(1, 3, 10) == pytest.approx(0.3)
+    assert rates(tracker, 1, 3) == pytest.approx({10: 0.3})
 
 
 def test_tracker_matches_trace_recomputation(small_instance):
@@ -183,7 +190,7 @@ def test_tracker_matches_trace_recomputation(small_instance):
                     for tau in range(lo, t + 1)
                     if f in inst.request_slot(tau).admissible[b - 1]
                 )
-                assert tracker.rate(b, f, w) == pytest.approx(member / min(w, t))
+                assert rates(tracker, b, f)[w] == pytest.approx(member / min(w, t))
 
 
 @st.composite
@@ -221,7 +228,7 @@ def test_tracker_rate_counts_the_trace_up_to_its_slot(case):
                         for tau in range(max(1, t - w + 1), t + 1)
                     )
                     expected = held / min(w, t) if t else 0.0
-                    assert tracker.rate(b, f, w) == expected
+                    assert rates(tracker, b, f)[w] == expected
 
 
 def test_advance_tracker_follows_the_trace_order():
@@ -233,6 +240,45 @@ def test_advance_tracker_follows_the_trace_order():
     tracker = advance_tracker(advance_tracker(tracker, trace[0]), trace[1])
     with pytest.raises(StructuralError, match="exhausted"):
         advance_tracker(tracker, trace[1])
+
+
+def test_tracker_views_are_equal_exactly_when_windows_and_slots_seen_are():
+    graph = synthetic_graph(((1,),), 1)
+    trace = tuple(request_slot(((0, f),), graph) for f in (3, 4))
+    other_trace = tuple(request_slot(((0, f),), graph) for f in (5, 6))
+    view = advance_tracker(FrequencyTracker.fresh((1, 5), trace), trace[0])
+    cases = [
+        (FrequencyTracker((1, 5), trace, 1), True),
+        (FrequencyTracker((1, 5), other_trace, 1, [{}]), True),  # trace and index do not count
+        (FrequencyTracker((1, 5), trace, 2), False),
+        (FrequencyTracker((1,), trace, 1), False),
+        (advance_tracker(view, trace[1]), False),
+    ]
+    for other, equal in cases:
+        assert (other == view) is equal
+        assert (hash(other) == hash(view)) is equal
+
+
+def test_a_view_shares_its_trackers_index_and_a_new_tracker_gets_its_own():
+    graph = synthetic_graph(((1,),), 1)
+    trace = tuple(request_slot(((0, f),), graph) for f in (3, 4))
+    first, second = FrequencyTracker((1,), trace), FrequencyTracker.fresh((1,), trace)
+    assert first.index is not second.index
+    view = advance_tracker(first, trace[0])
+    assert view.index is first.index
+    assert view.window_counts(1, (3,)) == [[1]]
+    assert first.index != [None] and second.index == [None]
+
+
+def test_a_tracker_view_pickles():
+    graph = synthetic_graph(((1,),), 1)
+    trace = tuple(request_slot(((0, f),), graph) for f in (3, 4, 3))
+    view = advance_tracker(FrequencyTracker.fresh((2,), trace), trace[0])
+    for t in range(2):
+        copy = pickle.loads(pickle.dumps(view))
+        assert copy == view and copy.trace == trace
+        assert copy.window_counts(1, (3, 4)) == view.window_counts(1, (3, 4))
+        view = advance_tracker(view, trace[t + 1])
 
 
 def test_prompt_freq_lines_read_the_tracker(small_instance):
@@ -250,8 +296,13 @@ def test_prompt_freq_lines_read_the_tracker(small_instance):
             assert head == f"BS {b} FREQ w={w}"
             tokens = [tok.split(":") for tok in body.split(" ")]
             assert [int(f) for f, _ in tokens] == relevant
+            t = episode.tracker.slots_seen
             for f, r in tokens:
-                assert r == f"{episode.tracker.rate(b, int(f), w):.3f}"
+                member = sum(
+                    int(f) in inst.request_slot(tau).admissible[b - 1]
+                    for tau in range(max(1, t - w + 1), t + 1)
+                )
+                assert r == f"{member / min(w, t):.3f}"
                 positive += float(r) > 0
     assert positive
 
