@@ -16,7 +16,7 @@ import os
 import sys
 from typing import Callable, NamedTuple
 
-from .core import StructuralError, atomic_write, read_json, real, whole
+from .core import StructuralError, atomic_write, nonnegative, read_json, real, whole
 from .dataset import audit_dataset, generate_sft, write_export
 from .harness import (
     RUNCONFIG_SCHEMA,
@@ -24,7 +24,6 @@ from .harness import (
     load_reports,
     run,
     sweep,
-    write_latency,
     write_reports,
 )
 from .policies import AdapterError
@@ -63,12 +62,6 @@ def _cache(value):
         parsed = _ints(value)
         return parsed[0] if len(parsed) == 1 else parsed
     return _ints(value) if isinstance(value, (list, tuple)) else whole(value)
-
-
-def _nonnegative(flag: str, value: int | None) -> None:
-    """Reject a negative count given to ``flag`` in one line naming it."""
-    if value is not None and value < 0:
-        raise SystemExit(f"{flag} must be >= 0, not {value}")
 
 
 class Setting(NamedTuple):
@@ -212,7 +205,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_export_sft(args) -> int:
-    _nonnegative("--records", args.records)
+    nonnegative("--records", args.records)
     if args.instance:
         instance = load_instance(args.instance)
     else:
@@ -231,8 +224,9 @@ def _cmd_export_sft(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _nonnegative("--pbrs-slots", args.pbrs_slots)
-    _nonnegative("--fuzz-cases", args.fuzz_cases)
+    for flag, count in (("--pbrs-slots", args.pbrs_slots), ("--fuzz-cases", args.fuzz_cases)):
+        if count is not None:
+            nonnegative(flag, count)
     given = {k: getattr(args, k) for k in ("seeds", "pbrs_slots", "fuzz_cases")}
     report = run_verification(**{k: v for k, v in given.items() if v is not None})
     out_dir = os.environ.get(_ENV_OUT) or args.out
@@ -262,8 +256,8 @@ def _cmd_report(args) -> int:
         raise SystemExit(f"no report_*.json files under {args.reports}")
     out_dir = os.environ.get(_ENV_OUT) or args.out
     os.makedirs(out_dir, exist_ok=True)
+    # saved reports carry no latency, so the measured latency.csv is left as it is
     results, series = write_reports(reports, out_dir)
-    write_latency(reports, out_dir)
     print(f"wrote {results} and {series}")
     return 0
 

@@ -102,6 +102,12 @@ def finite(value) -> float:
     return float(value)
 
 
+def nonnegative(name: str, value: int) -> None:
+    """Reject a negative count in one StructuralError naming ``name``; 0 is a count."""
+    if value < 0:
+        raise StructuralError(f"{name} must be >= 0, not {value}")
+
+
 def key_reader(payload: dict, what: str):
     """``key(name, parse=whole)`` returns ``parse(payload[name])``; a missing
     key or a value of the wrong type or shape raises a StructuralError naming it,
@@ -255,9 +261,6 @@ class CacheState:
     def bs_count(self) -> int:
         return len(self.slots)
 
-    def capacity(self, b: int) -> int:
-        return len(self.slots[b - 1])
-
     def files_at(self, b: int) -> frozenset[int]:
         return self._sets[b - 1]
 
@@ -300,14 +303,6 @@ class RequestSlot:
     def __reduce__(self):
         # key views do not pickle; the copy rebuilds them from its counts
         return RequestSlot, (self.pairs, self.counts, self.covered)
-
-    @property
-    def bs_count(self) -> int:
-        return len(self.counts)
-
-    @property
-    def user_count(self) -> int:
-        return len(self.pairs)
 
 
 def request_slot(pairs, graph) -> RequestSlot:
@@ -426,6 +421,19 @@ def oracle_best_action(cache, b, requests, peek, graph, horizon, gamma) -> BsAct
     return best
 
 
+def swap_fault(row, held, pool, z: int, f_in: int, f_out: int) -> str | None:
+    """The first rule a swap at one BS breaks, or None: ``f_in`` must be in the BS's
+    admissible ``pool`` and not in ``held``, its file set, and slot ``z`` of its
+    ``row`` must hold ``f_out``. The parser and :func:`apply` both ask here."""
+    if f_in not in pool:
+        return RULE_ADMISSIBILITY
+    if f_in in held:
+        return RULE_DUPLICATION
+    if not 1 <= z <= len(row) or row[z - 1] != f_out:
+        return RULE_CONSISTENCY
+    return None
+
+
 def apply(cache: CacheState, action: JointAction, requests: RequestSlot) -> CacheState:
     """Execute a valid joint action, enforcing the three feasibility rules.
 
@@ -449,19 +457,10 @@ def apply(cache: CacheState, action: JointAction, requests: RequestSlot) -> Cach
     for b, (z, f_in, f_out) in enumerate(actions, start=1):
         if not z:
             continue
-        if f_in not in admissible[b - 1]:
-            raise FeasibilityError(
-                b, RULE_ADMISSIBILITY, f"file {f_in} not requested this slot"
-            )
-        if f_in in sets[b - 1]:
-            raise FeasibilityError(
-                b, RULE_DUPLICATION, f"file {f_in} already cached"
-            )
         row = slots[b - 1]
-        if not 1 <= z <= len(row) or row[z - 1] != f_out:
-            raise FeasibilityError(
-                b, RULE_CONSISTENCY, f"slot {z} does not hold file {f_out}"
-            )
+        rule = swap_fault(row, sets[b - 1], admissible[b - 1], z, f_in, f_out)
+        if rule is not None:
+            raise FeasibilityError(b, rule, f"SWAP slot={z} out={f_out} in={f_in}")
         if new_rows is None:
             new_rows, new_sets = list(slots), list(sets)
         new_rows[b - 1] = row[: z - 1] + (f_in,) + row[z:]

@@ -15,7 +15,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field
 from itertools import islice
 
-from .core import EMPTY_SLOT, StructuralError, atomic_write, canonical_json
+from .core import EMPTY_SLOT, StructuralError, atomic_write, canonical_json, nonnegative
 from .episode import expert_walk
 from .interface import decode_prompt, encode, parse, serialize
 from .traffic import Instance
@@ -64,10 +64,12 @@ def generate_sft(instance: Instance, records: int, horizon: int = 10,
     """Collect expert records at full-cache slots; one export feeds both files.
 
     Stops after ``records`` records, or earlier with ``truncated`` set when
-    the trace cannot supply the look-ahead window anymore.
+    the trace cannot supply the look-ahead window anymore. A negative
+    ``records`` raises.
     """
+    nonnegative("records", records)
     sha = instance.sha256()
-    walk = islice(expert_walk(instance, horizon, gamma), max(records, 0))
+    walk = islice(expert_walk(instance, horizon, gamma), records)
     return SftExport(tuple(
         ExpertRecord(encode(obs), serialize(expert), instance.seed, obs.slot, sha, peek)
         for obs, expert, peek in walk

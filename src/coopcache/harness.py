@@ -42,6 +42,7 @@ from .traffic import (
     InstanceConfig,
     WarmState,
     build_instance,
+    check_warmup_fits,
     load_instance,
     save_instance,
     sweep_config,
@@ -223,11 +224,7 @@ def _preflight(cfg: RunConfig, configs) -> list[Policy]:
     if len(set(names)) < len(names):
         raise StructuralError(f"policy specs share a name: {names}")
     for config in configs:
-        if config.warm_slots + cfg.reward.horizon > config.trace_slots:
-            raise StructuralError(
-                f"warm-up {config.warm_slots} + oracle horizon {cfg.reward.horizon} "
-                f"exceeds the {config.trace_slots}-slot trace"
-            )
+        check_warmup_fits(config.warm_slots, cfg.reward.horizon, config.trace_slots)
         for p in policies:
             _slot_budget(config, p, cfg.slots, config.trace_slots)
     return policies

@@ -29,6 +29,7 @@ from .core import (
     JointAction,
     RequestSlot,
     StructuralError,
+    swap_fault,
 )
 
 if TYPE_CHECKING:  # traffic imports this module
@@ -114,6 +115,7 @@ def encode(obs: SlotObservation) -> str:
     """
     lines = [f"SLOT {obs.slot}"]
     t = obs.tracker.slots_seen
+    span = max(t, 1)  # a view short of a window rates over all t slots; every k is 0 at t = 0
     for b in range(1, obs.bs_count + 1):
         row = obs.cache.slots[b - 1]
         cells = " ".join("-" if f == EMPTY_SLOT else str(f) for f in row)
@@ -127,10 +129,8 @@ def encode(obs: SlotObservation) -> str:
             if w <= t:
                 texts = _rate_texts(w)
                 body = " ".join([f"{f}:{texts[k]}" for f, k in zip(files, held)])
-            elif t:  # the view has not yet passed w slots: rates over all t of them
-                body = " ".join([f"{f}:{k / t:.3f}" for f, k in zip(files, held)])
             else:
-                body = " ".join([f"{f}:0.000" for f in files])
+                body = " ".join([f"{f}:{k / span:.3f}" for f, k in zip(files, held)])
             lines.append(f"BS {b} FREQ w={w}: {body}" if body else f"BS {b} FREQ w={w}:")
     lines.append(INSTRUCTION_BLOCK)
     return "\n".join(lines)
@@ -169,20 +169,11 @@ def parse(text: str, obs: SlotObservation) -> JointAction:
             actions.append(NOOP)
             continue
         z, f_out, f_in = int(z), int(f_out), int(f_in)
-        if f_in not in admissible[b - 1]:
-            return JointAction.invalid(RULE_ADMISSIBILITY)
-        if f_in in sets[b - 1]:
-            return JointAction.invalid(RULE_DUPLICATION)
-        row = slots[b - 1]
-        if z > len(row) or row[z - 1] != f_out:
-            return JointAction.invalid(RULE_CONSISTENCY)
+        rule = swap_fault(slots[b - 1], sets[b - 1], admissible[b - 1], z, f_in, f_out)
+        if rule is not None:  # checked first: BsAction would raise on in == out
+            return JointAction.invalid(rule)
         actions.append(BsAction(z, f_in, f_out))
     return JointAction.valid(actions)
-
-
-def parse_bytes(data: bytes, obs: SlotObservation) -> JointAction:
-    """Parse raw bytes; undecodable sequences are replaced, never raised."""
-    return parse(data.decode("utf-8", errors="replace"), obs)
 
 
 def serialize(action: JointAction) -> str:

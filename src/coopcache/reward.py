@@ -23,6 +23,7 @@ from .core import (
     check_transition,
     feasible_actions,
     hit_rate,
+    nonnegative,
 )
 from .episode import expert_walk
 from .interface import SlotObservation, parse, serialize
@@ -34,23 +35,24 @@ CLASS_VALID_WRITE = "valid-write"
 
 _ARGMAX_TOL = 1e-12
 
+#: The band every shaped total is clipped to.
+CLIP_LO, CLIP_HI = -1.0, 1.0
+
 
 @dataclass(frozen=True)
 class RewardConfig:
-    """Scoring knobs: look-ahead depth, discount, penalties, clip band."""
+    """Scoring knobs: look-ahead depth, discount, penalties, advantage floor."""
 
     horizon: int = 10
     gamma: float = 0.9
     lambda_fmt: float = -1.0
     lambda_opp: float = -0.2
-    clip_lo: float = -1.0
-    clip_hi: float = 1.0
     epsilon: float = 1e-4
 
     def __post_init__(self) -> None:
         if self.horizon < 1:
             raise StructuralError("horizon must be >= 1")
-        for name in ("gamma", "lambda_fmt", "lambda_opp", "clip_lo", "clip_hi", "epsilon"):
+        for name in ("gamma", "lambda_fmt", "lambda_opp", "epsilon"):
             if not math.isfinite(getattr(self, name)):
                 raise StructuralError(f"{name} must be finite")
         if not 0.0 < self.gamma <= 1.0:
@@ -61,8 +63,6 @@ class RewardConfig:
         # so the degraded-demotion case can be constructed and flagged.
         if self.lambda_fmt > 0 or self.lambda_opp > 0:
             raise StructuralError("penalties must be <= 0")
-        if self.clip_lo >= self.clip_hi:
-            raise StructuralError("clip band must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ def score_completion(text: str, obs: SlotObservation, peek, expert: JointAction,
     Invalid output gets the format penalty and zero gain (no cache update
     is executed). A valid all-no-op is penalized only when the stored
     expert action proves a beneficial swap existed. Totals are clipped to
-    the configured band.
+    the fixed band [CLIP_LO, CLIP_HI].
     """
     action = parse(text, obs)
     gain = 0.0
@@ -142,7 +142,7 @@ def _breakdown(action: JointAction, gain: float, expert: JointAction,
         classification = CLASS_VALID_NOOP
     else:
         penalty, classification = 0.0, CLASS_VALID_WRITE
-    total = min(max(gain + penalty, cfg.clip_lo), cfg.clip_hi)
+    total = min(max(gain + penalty, CLIP_LO), CLIP_HI)
     return RewardBreakdown(gain, penalty, total, classification, expert_acted, action)
 
 
@@ -230,8 +230,10 @@ def verify_pbrs(instance: Instance, sample_slots: int, cfg: RewardConfig) -> Sha
     check, then ``score_completion``'s shaping. Each candidate cache is
     scored once, by a full look-ahead recount independent of the oracle's
     tallies; the no-ops reuse the slot cache's value, and a gain is
-    potential minus that value, as in ``delta_perf``.
+    potential minus that value, as in ``delta_perf``. A negative
+    ``sample_slots`` raises.
     """
+    nonnegative("sample_slots", sample_slots)
     bs_range = range(1, instance.config.bs_count + 1)
     graph = instance.graph
     flags = []
@@ -245,7 +247,7 @@ def verify_pbrs(instance: Instance, sample_slots: int, cfg: RewardConfig) -> Sha
     spaces: list[JointSpaceSize] = []
     actions_checked = 0
     walk = expert_walk(instance, cfg.horizon, cfg.gamma)
-    for obs, expert, peek in islice(walk, max(sample_slots, 0)):
+    for obs, expert, peek in islice(walk, sample_slots):
         cache, requests = obs.cache, obs.requests
         spaces.append(joint_space_size(obs))
         base = lookahead_value(cache, peek, graph, cfg.horizon, cfg.gamma)

@@ -20,6 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import (
+    EMPTY_SLOT,
     CacheState,
     RequestSlot,
     StructuralError,
@@ -401,8 +402,6 @@ class FrequencyTracker:
         """
         windows = self.windows
         t = self.slots_seen
-        if t == 0:
-            return [[0] * len(files) for _ in windows]
         per_bs = self.index[0]
         if per_bs is None:
             per_bs = [{} for _ in self.trace[0].admissible]
@@ -456,6 +455,15 @@ class WarmState:
     inserted_at: tuple[dict, ...]
 
 
+def check_warmup_fits(warm_slots: int, oracle_horizon: int, trace_len: int) -> None:
+    """Raise unless the warm-up and its oracle's look-ahead fit in ``trace_len`` slots."""
+    if warm_slots + oracle_horizon > trace_len:
+        raise StructuralError(
+            f"warm-up {warm_slots} + oracle horizon {oracle_horizon} "
+            f"exceeds the {trace_len}-slot trace"
+        )
+
+
 def warm_start(instance: Instance, oracle_horizon: int = 10,
                oracle_gamma: float = 0.9) -> WarmState:
     """Run the prefill policy and return the shared starting state.
@@ -465,8 +473,7 @@ def warm_start(instance: Instance, oracle_horizon: int = 10,
     runs the look-ahead oracle. Each insertion records its slot.
     """
     config = instance.config
-    if config.warm_slots + oracle_horizon > instance.trace_len:
-        raise StructuralError("warm-up must leave room for the oracle horizon")
+    check_warmup_fits(config.warm_slots, oracle_horizon, instance.trace_len)
     cache = CacheState.empty(config.cache_size)
     tracker = FrequencyTracker.fresh(config.windows, instance.trace)
     inserted_at = tuple({} for _ in range(config.bs_count))
@@ -478,7 +485,7 @@ def warm_start(instance: Instance, oracle_horizon: int = 10,
                 file_in = hottest_uncached(cache, b, requests)
                 if file_in is None:
                     continue
-                cache = cache.with_slot(b, cache.slots[b - 1].index(0) + 1, file_in)
+                cache = cache.with_slot(b, cache.slots[b - 1].index(EMPTY_SLOT) + 1, file_in)
             else:
                 act = oracle_best_action(
                     cache, b, requests, instance.peek(t, oracle_horizon),

@@ -12,11 +12,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .core import NOOP, JointAction, StructuralError, apply, feasible_actions
+from .core import NOOP, JointAction, StructuralError, apply, feasible_actions, nonnegative
 from .episode import Episode
-from .interface import SlotObservation, encode, parse, parse_bytes, serialize
+from .interface import SlotObservation, encode, parse, serialize
 from .reward import RewardConfig, ShapingReport, verify_pbrs
 from .traffic import Instance, InstanceConfig, build_instance, warm_start
+
+#: The fuzz corpus's seed, so every run hammers the parser with the same cases.
+FUZZ_SEED = 0xC0FFEE
 
 NEAR_MISS_LINES = (
     "BS 1: NOOP extra",
@@ -80,10 +83,9 @@ def _mutate(data: bytes, rng: random.Random) -> bytes:
 
 def _check_case(tag: str, text_or_bytes, obs, crashes, infeasible) -> None:
     try:
-        if isinstance(text_or_bytes, bytes):
-            action = parse_bytes(text_or_bytes, obs)
-        else:
-            action = parse(text_or_bytes, obs)
+        if isinstance(text_or_bytes, bytes):  # undecodable bytes are replaced, as an adapter's are
+            text_or_bytes = text_or_bytes.decode("utf-8", errors="replace")
+        action = parse(text_or_bytes, obs)
     except Exception as exc:  # the parser contract: never raise
         crashes.append(f"{tag}: {type(exc).__name__}: {exc}")
         return
@@ -94,9 +96,13 @@ def _check_case(tag: str, text_or_bytes, obs, crashes, infeasible) -> None:
             infeasible.append(f"{tag}: accepted infeasible action: {exc}")
 
 
-def fuzz_parser(obs: SlotObservation, cases: int, seed: int = 0xC0FFEE) -> FuzzReport:
-    """Hammer the parser; report crashes and valid-but-infeasible accepts."""
-    rng = random.Random(seed)
+def fuzz_parser(obs: SlotObservation, cases: int) -> FuzzReport:
+    """Hammer the parser; report crashes and valid-but-infeasible accepts.
+
+    Every near-miss line runs, even when ``cases`` is smaller; a negative ``cases`` raises.
+    """
+    nonnegative("cases", cases)
+    rng = random.Random(FUZZ_SEED)
     crashes: list[str] = []
     infeasible: list[str] = []
     prompt = encode(obs).encode("utf-8")
@@ -135,10 +141,8 @@ def _reference_swap_completion(obs: SlotObservation, bs: int) -> bytes:
     return serialize(JointAction.valid(actions)).encode("utf-8")
 
 
-def run_verification(seeds=(1, 2, 3), pbrs_slots: int = 20, fuzz_cases: int = 100_000,
-                     config: InstanceConfig | None = None,
-                     reward: RewardConfig | None = None) -> dict:
-    """Full self-check: fuzz + shaping audit + joint-space bound.
+def run_verification(seeds=(1, 2, 3), pbrs_slots: int = 20, fuzz_cases: int = 100_000) -> dict:
+    """Full self-check on default instances and reward: fuzz + shaping audit + joint-space bound.
 
     Returns a JSON-ready document with one entry per suite and a summary
     ``ok`` flag.
@@ -147,12 +151,10 @@ def run_verification(seeds=(1, 2, 3), pbrs_slots: int = 20, fuzz_cases: int = 10
         raise StructuralError("verification needs at least one seed")
     if len(set(seeds)) < len(seeds):
         raise StructuralError(f"seeds repeat: {list(seeds)}")
-    config = config or InstanceConfig()
-    reward = reward or RewardConfig()
-    instances = [build_instance(config, seed) for seed in seeds]
+    instances = [build_instance(InstanceConfig(), seed) for seed in seeds]
     fuzz = fuzz_parser(first_decision_observation(instances[0]), fuzz_cases)
     shaping: list[ShapingReport] = [
-        verify_pbrs(instance, pbrs_slots, reward) for instance in instances
+        verify_pbrs(instance, pbrs_slots, RewardConfig()) for instance in instances
     ]
     bounded = [size for report in shaping for size in report.spaces
                if size.exponential_bound_applies]

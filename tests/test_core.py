@@ -365,6 +365,6 @@ def test_random_transitions_stay_binary_and_capped(seed):
         joint[b - 1] = act
         cache = apply(cache, JointAction.valid(joint), requests)
         files = cache.files_at(b)
-        assert len(files) <= cache.capacity(b)
+        assert len(files) <= len(cache.slots[b - 1])
         row = [f for f in cache.slots[b - 1] if f != EMPTY_SLOT]
         assert len(set(row)) == len(row)

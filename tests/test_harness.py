@@ -19,6 +19,7 @@ from coopcache.cli import (
 from coopcache import cli, episode, harness, verification
 from coopcache.cli import main as cli_main
 from coopcache.core import StructuralError, hit_rate
+from coopcache.dataset import generate_sft
 from coopcache.harness import (
     RUNCONFIG_SCHEMA,
     EvalReport,
@@ -32,7 +33,7 @@ from coopcache.harness import (
     write_reports,
 )
 from coopcache.policies import make_policy
-from coopcache.reward import RewardConfig
+from coopcache.reward import RewardConfig, verify_pbrs
 from coopcache.traffic import (
     SWEEP_AXES,
     ConfigurationError,
@@ -477,6 +478,17 @@ def test_cli_export_sft_and_report(tmp_path):
     assert (re_dir / "results.csv").read_bytes() == (run_dir / "results.csv").read_bytes()
 
 
+def test_report_into_the_run_directory_keeps_the_measured_latency(tmp_path, monkeypatch):
+    monkeypatch.delenv("COOPCACHE_OUT_DIR", raising=False)
+    out = str(tmp_path / "rep")
+    cli_main(["run", "--bs", "2", "--policy", "lru", "--seeds", "1", "--slots", "50",
+              "--out", out])
+    latency = (tmp_path / "rep" / "latency.csv").read_bytes()
+    assert len(latency.splitlines()) == 51
+    assert cli_main(["report", "--reports", out, "--out", out]) == 0
+    assert (tmp_path / "rep" / "latency.csv").read_bytes() == latency
+
+
 @pytest.mark.parametrize("specs", [
     ("lru", "lfu", "lru"),
     (f"extern:{sys.executable} -m coopcache.extern_stub",
@@ -774,6 +786,29 @@ def test_a_negative_count_flag_is_one_error_line(tmp_path, monkeypatch, capsys, 
     assert str(exc.value) == message
     assert capsys.readouterr().out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name, call", [
+    ("records", lambda inst, n: generate_sft(inst, n)),
+    ("sample_slots", lambda inst, n: verify_pbrs(inst, n, RewardConfig())),
+    ("cases", lambda inst, n: verification.fuzz_parser(
+        verification.first_decision_observation(inst), n)),
+], ids=["generate_sft", "verify_pbrs", "fuzz_parser"])
+def test_the_api_refuses_a_negative_count_by_name(instance, name, call):
+    with pytest.raises(StructuralError) as exc:
+        call(instance, -3)
+    assert str(exc.value) == f"{name} must be >= 0, not -3"
+    call(instance, 0)  # 0 is a count
+
+
+def test_warm_start_refuses_a_short_trace_in_the_preflight_words():
+    config = small_config()  # 12 warm-up slots of a 46-slot trace
+    with pytest.raises(StructuralError) as preflight:
+        run(RunConfig(instance_config=config, seeds=(1,), reward=RewardConfig(horizon=40)))
+    with pytest.raises(StructuralError) as warm:
+        warm_start(build_instance(config, 1), 40)
+    assert str(warm.value) == str(preflight.value)
+    assert str(warm.value) == "warm-up 12 + oracle horizon 40 exceeds the 46-slot trace"
 
 
 def _truncate_trace(payload):

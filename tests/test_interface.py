@@ -12,9 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coopcache.core import (
+    EMPTY_SLOT,
     NOOP,
     BsAction,
     CacheState,
+    FeasibilityError,
     JointAction,
     StructuralError,
     apply,
@@ -28,7 +30,6 @@ from coopcache.interface import (
     decode_prompt,
     encode,
     parse,
-    parse_bytes,
     serialize,
 )
 
@@ -159,6 +160,35 @@ def test_round_trip_random_feasible_actions():
         text = serialize(joint)
         assert parse(text, obs) == joint
         done += 1
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_parse_and_apply_judge_every_swap_alike(data):
+    """A swap at one BS, NOOP elsewhere: ``parse`` either returns the action and
+    ``apply`` takes it, or gives the rule of the FeasibilityError ``apply`` raises.
+    Slots past the row, empty slots and unrequested files are all drawn."""
+    cache, _, requests, _ = data.draw(scenarios(peek_max=0, holes=True), label="scenario")
+    bs_count = len(cache.slots)
+    b = data.draw(st.integers(1, bs_count), label="b")
+    row, pool = cache.slots[b - 1], sorted(requests.admissible[b - 1])
+    files = st.integers(1, max(map(max, cache.slots)) + 2)
+    z = data.draw(st.integers(1, len(row) + 2), label="z")
+    f_in = data.draw(st.sampled_from(pool) | files if pool else files, label="f_in")
+    held = [f for f in row if f not in (EMPTY_SLOT, f_in)]
+    others = files.filter(lambda f: f != f_in)
+    f_out = data.draw(st.sampled_from(held) | others if held else others, label="f_out")
+    joint = JointAction.valid([BsAction(z, f_in, f_out) if bb == b else NOOP
+                               for bb in range(1, bs_count + 1)])
+    action = parse(serialize(joint), observation(cache, requests))
+    try:
+        after = apply(cache, joint, requests)
+    except FeasibilityError as exc:
+        assert exc.bs == b
+        assert action == JointAction.invalid(exc.rule)
+    else:
+        assert action == joint
+        assert apply(cache, action, requests) == after
 
 
 def test_serialization_injective_on_feasible_actions():
@@ -292,7 +322,7 @@ def test_decode_prompt_rejects_malformed_freq_tokens(golden_obs, line):
 @given(st.binary(max_size=4096))
 def test_parse_total_on_random_bytes(data):
     obs = golden_observation()
-    action = parse_bytes(data, obs)
+    action = parse(data.decode("utf-8", errors="replace"), obs)
     if action.is_valid:
         apply(obs.cache, action, obs.requests)
 

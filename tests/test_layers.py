@@ -58,6 +58,38 @@ def test_json_input_is_read_only_by_core_read_json():
     assert readers == [("core", "read_json")]
 
 
+RULES = {"RULE_ADMISSIBILITY", "RULE_DUPLICATION", "RULE_CONSISTENCY"}
+# the field holding the name a node mentions
+_NAME_FIELD = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+
+
+def _rule_uses(tree: ast.Module) -> list[tuple[str, str]]:
+    """(where, rule) for each mention of a feasibility rule constant: "import"
+    for an import, else the name the enclosing top-level statement binds."""
+    uses = []
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            where = "import"
+        elif isinstance(stmt, ast.Assign):
+            where = ast.unparse(stmt.targets[0])
+        else:
+            where = getattr(stmt, "name", type(stmt).__name__)
+        for node in ast.walk(stmt):
+            name = getattr(node, _NAME_FIELD.get(type(node), ""), None)
+            if name in RULES:
+                uses.append((where, name))
+    return sorted(uses)
+
+
+def test_the_swap_rules_live_in_core_and_interface_only_names_them():
+    """``core.swap_fault`` checks the three rules for ``parse`` and ``apply``;
+    another module naming a rule is the start of a second copy."""
+    uses = {path.stem: _rule_uses(_tree(path)) for path in sorted(PACKAGE.glob("*.py"))
+            if path.stem != "core"}
+    expected = sorted([("import", r) for r in RULES] + [("PARSE_REASONS", r) for r in RULES])
+    assert {module: found for module, found in uses.items() if found} == {"interface": expected}
+
+
 def _bound_names(tree: ast.Module) -> dict[str, ast.AST]:
     """The names a module or class body binds at its own level: defs, classes,
     assignments and imports."""

@@ -188,8 +188,7 @@ def test_reward_config_validation():
     RewardConfig(lambda_opp=0.0)
 
 
-@pytest.mark.parametrize("name", ["gamma", "lambda_fmt", "lambda_opp", "clip_lo",
-                                  "clip_hi", "epsilon"])
+@pytest.mark.parametrize("name", ["gamma", "lambda_fmt", "lambda_opp", "epsilon"])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_reward_config_rejects_non_finite_floats(name, bad):
     with pytest.raises(StructuralError, match=f"{name} must be finite"):

@@ -84,7 +84,7 @@ def test_instance_dimensions_and_coverage():
         assert all(len(cov) >= 1 for cov in inst.graph.coverage)
         assert any(len(cov) >= 2 for cov in inst.graph.coverage)
         for slot in inst.trace[:5]:
-            assert slot.user_count == users
+            assert len(slot.pairs) == users
             assert all(1 <= f <= cfg.library for _, f in slot.pairs)
 
 
@@ -220,7 +220,7 @@ def test_tracker_rate_counts_the_trace_up_to_its_slot(case):
         if t:
             tracker = advance_tracker(tracker, trace[t - 1])
         assert tracker.slots_seen == t
-        for b in range(1, trace[0].bs_count + 1):
+        for b in range(1, len(trace[0].counts) + 1):
             for f in range(1, library + 1):
                 for w in windows:
                     held = sum(
