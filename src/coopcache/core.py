@@ -267,13 +267,17 @@ class CacheState:
     def is_full(self, b: int) -> bool:
         return EMPTY_SLOT not in self.slots[b - 1]
 
-    def with_slot(self, b: int, z: int, file_id: int) -> "CacheState":
-        """Copy-on-write single-position update (1-based indices)."""
-        row = list(self.slots[b - 1])
-        row[z - 1] = file_id
-        rows = list(self.slots)
-        rows[b - 1] = tuple(row)
-        return CacheState(tuple(rows))
+    def insert(self, b: int, z: int, file_in: int, file_out: int = EMPTY_SLOT) -> "CacheState":
+        """The warm-up's insert: a copy with ``file_in`` in slot ``z`` of BS ``b``
+        (1-based), which must hold ``file_out``, EMPTY_SLOT for a fill. ``file_in``
+        must not be cached there. Only that row and its file set are rebuilt."""
+        row, held = self.slots[b - 1], self._sets[b - 1]
+        if file_in < 1 or file_in in held or not 1 <= z <= len(row) or row[z - 1] != file_out:
+            raise StructuralError(f"BS {b}: cannot insert {file_in} over {file_out} at slot {z}")
+        rows, sets = list(self.slots), list(self._sets)
+        rows[b - 1] = row[: z - 1] + (file_in,) + row[z:]
+        sets[b - 1] = held.difference((file_out,)).union((file_in,))
+        return CacheState._trusted(tuple(rows), tuple(sets))
 
 
 @dataclass(frozen=True)

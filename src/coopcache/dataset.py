@@ -18,7 +18,7 @@ from itertools import islice
 from .core import EMPTY_SLOT, StructuralError, atomic_write, canonical_json, nonnegative
 from .episode import expert_walk
 from .interface import decode_prompt, encode, parse, serialize
-from .traffic import Instance
+from .traffic import Instance, slots_json
 
 TRUNCATION_MARKER = "truncated"
 
@@ -45,8 +45,7 @@ class ExpertRecord:
     @property
     def peek_sha256(self) -> str:
         """Hashed when read, so an export that writes no GRPO file hashes nothing."""
-        payload = canonical_json([[list(p) for p in slot.pairs] for slot in self.peek])
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return hashlib.sha256(slots_json(self.peek).encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)

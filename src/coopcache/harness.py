@@ -3,8 +3,9 @@
 Per decision slot the engine measures the hit rate of the current cache
 against the frozen requests, then asks the controller, parses its text and
 applies the action (or skips the update and counts an invalid). Every
-controller in one evaluation consumes the identical instance bytes; the
-instance hash is recorded in each report and asserted equal on emission.
+controller in one evaluation consumes the identical instance bytes; each
+report carries the instance hash, asserted equal on emission and computed
+when first read, so ``sweep``, which writes no hash, hashes no instance.
 ``run`` and ``sweep`` build their policies once and reject repeated seeds or
 sweep points and look-ahead past the trace before the first rollout; each
 instance is warmed once for all its policies, and ``rollout`` checks its own
@@ -77,6 +78,21 @@ class RunConfig:
             raise StructuralError(f"seeds repeat: {list(self.seeds)}")
 
 
+class _InstanceSha256:
+    """``EvalReport.instance_sha256``: a digest, or a callable giving it such as
+    ``Instance.sha256``, called on the first read, so an unread report hashes nothing."""
+
+    def __get__(self, report, owner=None):
+        if report is None:  # no class default: the field stays required
+            raise AttributeError("instance_sha256")
+        if not isinstance(digest := report.__dict__["instance_sha256"], str):
+            digest = report.__dict__["instance_sha256"] = digest()
+        return digest
+
+    def __set__(self, report, digest) -> None:
+        report.__dict__["instance_sha256"] = digest
+
+
 @dataclass(frozen=True)
 class EvalReport:
     """Per-rollout metrics: hit series, prefix averages, invalid count.
@@ -88,7 +104,7 @@ class EvalReport:
 
     policy: str
     seed: int
-    instance_sha256: str
+    instance_sha256: str = _InstanceSha256()
     slots: int
     p_hit: tuple[float, ...]
     checkpoints: tuple[tuple[int, float], ...]
@@ -185,7 +201,7 @@ def rollout(instance: Instance, policy: Policy, slots: int | None = None,
     return EvalReport(
         policy=policy.name,
         seed=instance.seed,
-        instance_sha256=instance.sha256(),
+        instance_sha256=instance.sha256,
         slots=slots,
         p_hit=tuple(series),
         checkpoints=checkpoints,

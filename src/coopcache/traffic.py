@@ -241,16 +241,13 @@ class Instance:
         return self.trace[t : t + horizon]
 
     def to_canonical_json(self) -> str:
-        payload = {
-            "schema": INSTANCE_SCHEMA,
-            "seed": self.seed,
-            "config": asdict(self.config),
-            "user_xy": [list(p) for p in self.graph.user_xy],
-            "user_group": list(self.demand.user_group),
-            "rank_to_file": [list(row) for row in self.demand.rank_to_file],
-            "trace": [[list(p) for p in slot.pairs] for slot in self.trace],
-        }
-        return canonical_json(payload) + "\n"
+        """``canonical_json`` of the payload, with the trace formatted by :func:`slots_json`."""
+        parts = {"schema": INSTANCE_SCHEMA, "seed": self.seed, "config": asdict(self.config),
+                 "user_xy": self.graph.user_xy, "user_group": self.demand.user_group,
+                 "rank_to_file": self.demand.rank_to_file}
+        parts = {key: canonical_json(value) for key, value in parts.items()}
+        parts["trace"] = slots_json(self.trace)
+        return "{" + ",".join(f'"{key}":{parts[key]}' for key in sorted(parts)) + "}\n"
 
     def sha256(self) -> str:
         """Digest of the canonical JSON; computed on the first call, then kept."""
@@ -258,6 +255,13 @@ class Instance:
             digest = hashlib.sha256(self.to_canonical_json().encode("utf-8")).hexdigest()
             object.__setattr__(self, "_sha256", digest)
         return self._sha256
+
+
+def slots_json(slots) -> str:
+    """``canonical_json`` of the slots' request pairs, ``[[u,f],...]`` per slot,
+    formatted directly: the pairs are ints, which ``%d`` writes as ``json`` does."""
+    return "[" + ",".join("[" + ",".join(["[%d,%d]" % p for p in slot.pairs]) + "]"
+                          for slot in slots) + "]"
 
 
 def _wholes(values) -> tuple[int, ...]:
@@ -485,7 +489,7 @@ def warm_start(instance: Instance, oracle_horizon: int = 10,
                 file_in = hottest_uncached(cache, b, requests)
                 if file_in is None:
                     continue
-                cache = cache.with_slot(b, cache.slots[b - 1].index(EMPTY_SLOT) + 1, file_in)
+                cache = cache.insert(b, cache.slots[b - 1].index(EMPTY_SLOT) + 1, file_in)
             else:
                 act = oracle_best_action(
                     cache, b, requests, instance.peek(t, oracle_horizon),
@@ -493,9 +497,9 @@ def warm_start(instance: Instance, oracle_horizon: int = 10,
                 )
                 if act.is_noop:
                     continue
-                cache = cache.with_slot(b, act.slot, act.file_in)
-                file_in = act.file_in
-                inserted_at[b - 1].pop(act.file_out, None)
+                z, file_in, file_out = act
+                cache = cache.insert(b, z, file_in, file_out)
+                inserted_at[b - 1].pop(file_out, None)
             inserted_at[b - 1][file_in] = t
     return WarmState(cache, tracker, inserted_at)
 

@@ -145,12 +145,14 @@ def run_verification(seeds=(1, 2, 3), pbrs_slots: int = 20, fuzz_cases: int = 10
     """Full self-check on default instances and reward: fuzz + shaping audit + joint-space bound.
 
     Returns a JSON-ready document with one entry per suite and a summary
-    ``ok`` flag.
+    ``ok`` flag. Bad seeds or a negative count raise before any suite runs.
     """
     if not seeds:
         raise StructuralError("verification needs at least one seed")
     if len(set(seeds)) < len(seeds):
         raise StructuralError(f"seeds repeat: {list(seeds)}")
+    nonnegative("pbrs_slots", pbrs_slots)
+    nonnegative("fuzz_cases", fuzz_cases)
     instances = [build_instance(InstanceConfig(), seed) for seed in seeds]
     fuzz = fuzz_parser(first_decision_observation(instances[0]), fuzz_cases)
     shaping: list[ShapingReport] = [

@@ -259,6 +259,27 @@ def test_cache_state_validation():
     assert not cache.is_full(1)
 
 
+def test_insert_fills_or_swaps_one_slot_and_refuses_the_rest():
+    cache = CacheState(((4, EMPTY_SLOT), (7, 9)))
+    filled = cache.insert(1, 2, 5)
+    swapped = filled.insert(2, 1, 5, 7)
+    assert swapped.slots == ((4, 5), (5, 9))
+    assert [swapped.files_at(b) for b in (1, 2)] == [{4, 5}, {5, 9}]
+    assert swapped.slots[0] is filled.slots[0] and swapped.files_at(1) is filled.files_at(1)
+    assert not cache.is_full(1)  # the input is left as it was
+    for b, z, file_in, file_out in (
+        (1, 2, 4, EMPTY_SLOT),  # a file already cached there
+        (2, 1, 4, 9),  # a wrong occupant
+        (2, 1, 4, EMPTY_SLOT),  # a fill of a held slot
+        (1, 1, 5, EMPTY_SLOT),  # an occupied slot taken for empty
+        (1, 3, 5, EMPTY_SLOT),  # a slot past the row
+        (1, 0, 5, EMPTY_SLOT),  # slot 0, which indexes from the end
+        (1, 2, EMPTY_SLOT, EMPTY_SLOT),  # no file
+    ):
+        with pytest.raises(StructuralError, match=f"^BS {b}: cannot insert"):
+            cache.insert(b, z, file_in, file_out)
+
+
 def test_bs_action_validation():
     with pytest.raises(StructuralError):
         BsAction(1, 5, 5)

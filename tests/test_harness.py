@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
+import hashlib
 import json
 import re
 import sys
@@ -37,6 +39,7 @@ from coopcache.reward import RewardConfig, verify_pbrs
 from coopcache.traffic import (
     SWEEP_AXES,
     ConfigurationError,
+    Instance,
     InstanceConfig,
     build_instance,
     load_instance,
@@ -44,6 +47,7 @@ from coopcache.traffic import (
     warm_start,
 )
 
+import test_golden
 from conftest import small_config
 
 
@@ -920,3 +924,47 @@ def test_corrupt_instance_file_fails_on_load(tmp_path, small_instance, corrupt, 
     with pytest.raises(SystemExit, match=message):
         cli_main(["run", "--instance", str(path), "--seeds", "1", "--out", str(out)])
     assert not out.exists()
+
+
+def test_an_instance_is_hashed_only_where_a_report_is_written_or_compared(tmp_path, monkeypatch):
+    """``sweep`` writes no hash and computes none; ``run --out`` hashes each
+    instance once, as it saves it once, and writes the golden files; a fresh
+    rollout's report equals the copy read back from its file."""
+    monkeypatch.delenv("COOPCACHE_OUT_DIR", raising=False)
+    hashed, dumped = [], []
+    sha256, to_json = Instance.sha256, Instance.to_canonical_json
+    monkeypatch.setattr(Instance, "sha256", lambda self: hashed.append(self.seed) or sha256(self))
+    monkeypatch.setattr(Instance, "to_canonical_json",
+                        lambda self: dumped.append(self.seed) or to_json(self))
+    cfg = RunConfig(instance_config=small_config(), policies=("lru", "oracle:1"), seeds=(1, 2),
+                    slots=15)
+    sweep(cfg, "library_size", [12, 14])
+    sweep(dataclasses.replace(cfg, out_dir=str(tmp_path / "sweep")), "library_size", [12, 14])
+    assert (hashed, dumped) == ([], [])
+
+    case, argv = next(c for c in test_golden._cases() if c[0] == "run-2bs")
+    golden = json.loads(test_golden.GOLDEN_PATH.read_text(encoding="utf-8"))
+    out = tmp_path / case
+    assert cli_main(argv(str(out))) == 0
+    written = {f"{case}/{p.name}": test_golden._sha256(p)
+               for p in out.iterdir() if p.name != "latency.csv"}
+    assert written == {name: h for name, h in golden.items() if name.startswith(f"{case}/")}
+    assert sorted(dumped) == [1, 1, 2, 2, 3, 3]  # one save and one hash per instance
+    assert hashed
+
+    instance = build_instance(small_config(), 3)
+    report = rollout(instance, make_policy("lru"), 15)
+    assert EvalReport.from_dict(report.to_dict()) == rollout(instance, make_policy("lru"), 15)
+    assert report.instance_sha256 == hashlib.sha256(to_json(instance).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", ["pbrs_slots", "fuzz_cases"])
+def test_run_verification_refuses_a_negative_count_before_any_suite(monkeypatch, name):
+    def no_suite(*args, **kwargs):
+        raise AssertionError("a suite started")
+
+    for suite in ("build_instance", "fuzz_parser", "verify_pbrs"):
+        monkeypatch.setattr(verification, suite, no_suite)
+    with pytest.raises(StructuralError) as exc:
+        verification.run_verification(seeds=(1,), **{name: -1})
+    assert str(exc.value) == f"{name} must be >= 0, not -1"

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import json
 import pickle
 import random
 
@@ -10,18 +13,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopcache.core import EMPTY_SLOT, StructuralError, request_slot
+from coopcache.core import (
+    EMPTY_SLOT,
+    CacheState,
+    StructuralError,
+    canonical_json,
+    hottest_uncached,
+    oracle_best_action,
+    request_slot,
+)
 from coopcache.episode import Episode
 from coopcache.interface import encode
 from coopcache.traffic import (
     ConfigurationError,
     FrequencyTracker,
     InstanceConfig,
+    WarmState,
     advance_tracker,
     build_instance,
     instance_from_payload,
     load_instance,
     save_instance,
+    slots_json,
+    sweep_config,
     warm_start,
     zipf_pmf,
 )
@@ -340,3 +354,106 @@ def test_warm_start_books_cover_history():
     for b in range(1, inst.config.bs_count + 1):
         assert set(warm.inserted_at[b - 1]) == warm.cache.files_at(b)
         assert all(1 <= t <= inst.config.warm_slots for t in warm.inserted_at[b - 1].values())
+
+
+# The instances the warm-up and the trace formatter are checked on: the
+# README sweep's 18 points, the default 2-BS config and perfbench's 5-BS
+# export config, each on seeds 1-3.
+_SWEEP_BASE = InstanceConfig(bs_count=5, users=40)
+CHECKED_CONFIGS = (
+    *(sweep_config(_SWEEP_BASE, "library_size", f) for f in (100, 300, 500, 700, 900, 1100)),
+    InstanceConfig(),
+    InstanceConfig(bs_count=5, users=40, rollout_slots=520),
+)
+CHECKED = [(config, seed) for config in CHECKED_CONFIGS for seed in (1, 2, 3)]
+CHECKED_IDS = [f"{c.bs_count}bs-F{c.library}-T{c.trace_slots}-seed{seed}" for c, seed in CHECKED]
+
+
+@functools.cache
+def checked_instance(config, seed):
+    return build_instance(config, seed)
+
+
+def _reference_trace_json(slots) -> str:
+    return canonical_json([[list(p) for p in slot.pairs] for slot in slots])
+
+
+def _reference_instance_json(instance) -> str:
+    """The instance file as ``json.dumps`` writes the whole payload."""
+    return json.dumps({
+        "schema": "coopcache.instance.v1",
+        "seed": instance.seed,
+        "config": dataclasses.asdict(instance.config),
+        "user_xy": [list(p) for p in instance.graph.user_xy],
+        "user_group": list(instance.demand.user_group),
+        "rank_to_file": [list(row) for row in instance.demand.rank_to_file],
+        "trace": [[list(p) for p in slot.pairs] for slot in instance.trace],
+    }, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("config, seed", [CHECKED[i] for i in (0, 17, 18, 21)],
+                         ids=[CHECKED_IDS[i] for i in (0, 17, 18, 21)])
+def test_trace_json_is_the_canonical_json_of_the_pairs(tmp_path, config, seed):
+    instance = checked_instance(config, seed)
+    save_instance(instance, tmp_path / "instance.json")
+    loaded = load_instance(tmp_path / "instance.json")
+    for inst in (instance, loaded):
+        assert slots_json(inst.trace) == _reference_trace_json(inst.trace)
+        assert inst.to_canonical_json() == _reference_instance_json(inst)
+        for t, horizon in ((0, 1), (100, 10), (inst.trace_len - 10, 10), (5, 0)):
+            peek = inst.peek(t, horizon)
+            assert slots_json(peek) == _reference_trace_json(peek)
+
+
+@settings(max_examples=100)
+@given(st.lists(st.dictionaries(st.integers(0, 7), st.integers(1, 2**70), max_size=8),
+                max_size=6))
+def test_trace_json_matches_json_on_any_pairs(slots):
+    graph = synthetic_graph([(1,)] * 8, bs_count=1)
+    trace = [request_slot(sorted(requests.items()), graph) for requests in slots]
+    assert slots_json(trace) == _reference_trace_json(trace)
+
+
+def _with_slot(cache, b, z, file_id):
+    """The checking copy-on-write update the warm-up used before ``CacheState.insert``."""
+    rows = [list(row) for row in cache.slots]
+    rows[b - 1][z - 1] = file_id
+    return CacheState(tuple(map(tuple, rows)))
+
+
+def _reference_warm_start(instance, horizon=10, gamma=0.9):
+    """``warm_start`` with every insert rebuilt and checked by the CacheState constructor."""
+    config = instance.config
+    cache = CacheState.empty(config.cache_size)
+    tracker = FrequencyTracker.fresh(config.windows, instance.trace)
+    inserted_at = tuple({} for _ in range(config.bs_count))
+    for t in range(1, config.warm_slots + 1):
+        requests = instance.request_slot(t)
+        tracker = advance_tracker(tracker, requests)
+        for b in range(1, config.bs_count + 1):
+            if not cache.is_full(b):
+                file_in = hottest_uncached(cache, b, requests)
+                if file_in is None:
+                    continue
+                cache = _with_slot(cache, b, cache.slots[b - 1].index(EMPTY_SLOT) + 1, file_in)
+            else:
+                act = oracle_best_action(cache, b, requests, instance.peek(t, horizon),
+                                         instance.graph, horizon, gamma)
+                if act.is_noop:
+                    continue
+                cache = _with_slot(cache, b, act.slot, act.file_in)
+                file_in = act.file_in
+                inserted_at[b - 1].pop(act.file_out, None)
+            inserted_at[b - 1][file_in] = t
+    return WarmState(cache, tracker, inserted_at)
+
+
+@pytest.mark.parametrize("config, seed", CHECKED, ids=CHECKED_IDS)
+def test_warm_start_matches_the_checked_reference(config, seed):
+    instance = checked_instance(config, seed)
+    warm, reference = warm_start(instance), _reference_warm_start(instance)
+    assert warm.cache.slots == reference.cache.slots
+    assert [warm.cache.files_at(b) for b in range(1, config.bs_count + 1)] == \
+        [reference.cache.files_at(b) for b in range(1, config.bs_count + 1)]
+    assert warm.tracker == reference.tracker
+    assert warm.inserted_at == reference.inserted_at
