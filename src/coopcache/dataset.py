@@ -18,7 +18,7 @@ from itertools import islice
 from .core import EMPTY_SLOT, StructuralError, atomic_write, canonical_json, nonnegative
 from .episode import expert_walk
 from .interface import decode_prompt, encode, parse, serialize
-from .traffic import Instance, slots_json
+from .traffic import Instance, slot_json, slots_json
 
 TRUNCATION_MARKER = "truncated"
 
@@ -45,7 +45,12 @@ class ExpertRecord:
     @property
     def peek_sha256(self) -> str:
         """Hashed when read, so an export that writes no GRPO file hashes nothing."""
-        return hashlib.sha256(slots_json(self.peek).encode("utf-8")).hexdigest()
+        return _peek_sha256(self.peek)
+
+
+def _peek_sha256(peek, slot_text=slot_json) -> str:
+    """SHA-256 of the UTF-8 canonical JSON ``[[[u,f],...],...]`` of the peek slots."""
+    return hashlib.sha256(slots_json(peek, slot_text).encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -82,14 +87,14 @@ def generate_grpo_states(instance: Instance, records: int, horizon: int = 10,
 
 
 def _write_jsonl(export: SftExport, files) -> None:
-    """Per ``(path, row)`` one canonical JSON object per record, then the
+    """Per ``(path, grpo)`` one canonical JSON object per record, then the
     truncation marker if any. Every file is opened before any is written,
     so no path changes unless every path can be written."""
     with ExitStack() as stack:
-        handles = [(stack.enter_context(atomic_write(path)), row) for path, row in files]
-        for fh, row in handles:
-            for rec in export.records:
-                fh.write(canonical_json(row(rec)) + "\n")
+        handles = [(stack.enter_context(atomic_write(path)), grpo) for path, grpo in files]
+        for fh, grpo in handles:
+            for row in _rows(export, grpo):
+                fh.write(canonical_json(row) + "\n")
             if export.truncated:
                 marker = {
                     "marker": TRUNCATION_MARKER,
@@ -99,46 +104,35 @@ def _write_jsonl(export: SftExport, files) -> None:
                 fh.write(canonical_json(marker) + "\n")
 
 
-def _sft_row(rec: ExpertRecord) -> dict:
-    return {
-        "prompt": rec.prompt,
-        "completion": rec.completion,
-        "meta": {
-            "seed": rec.seed,
-            "slot": rec.slot,
-            "instance_sha256": rec.instance_sha256,
-        },
-    }
-
-
-def _grpo_row(rec: ExpertRecord) -> dict:
-    return {
-        "prompt": rec.prompt,
-        "expert": rec.completion,
-        "meta": {
-            "seed": rec.seed,
-            "slot": rec.slot,
-            "instance_sha256": rec.instance_sha256,
-            "peek_sha256": rec.peek_sha256,
-        },
-    }
+def _rows(export: SftExport, grpo: bool):
+    """SFT rows, or GRPO rows: ``expert`` for ``completion`` and a ``peek_sha256``."""
+    if grpo:  # peeks overlap: format each distinct slot once per call, by identity
+        slots = {id(slot): slot for rec in export.records for slot in rec.peek}
+        texts = {key: slot_json(slot) for key, slot in slots.items()}
+    for rec in export.records:
+        meta = {"seed": rec.seed, "slot": rec.slot, "instance_sha256": rec.instance_sha256}
+        if grpo:
+            meta["peek_sha256"] = _peek_sha256(rec.peek, lambda slot: texts[id(slot)])
+            yield {"prompt": rec.prompt, "expert": rec.completion, "meta": meta}
+        else:
+            yield {"prompt": rec.prompt, "completion": rec.completion, "meta": meta}
 
 
 def write_sft_jsonl(export: SftExport, path) -> None:
-    _write_jsonl(export, [(path, _sft_row)])
+    _write_jsonl(export, [(path, False)])
 
 
 def write_grpo_jsonl(export: SftExport, path) -> None:
-    _write_jsonl(export, [(path, _grpo_row)])
+    _write_jsonl(export, [(path, True)])
 
 
 def write_export(export: SftExport, sft_path, grpo_path=None) -> None:
     """The SFT file and, given ``grpo_path``, the GRPO file: both or neither."""
-    files = [(sft_path, _sft_row)]
+    files = [(sft_path, False)]
     if grpo_path:
         if os.path.realpath(grpo_path) == os.path.realpath(sft_path):
             raise StructuralError(f"{grpo_path}: the GRPO file cannot be the SFT file")
-        files.append((grpo_path, _grpo_row))
+        files.append((grpo_path, True))
     _write_jsonl(export, files)
 
 

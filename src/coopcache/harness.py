@@ -113,6 +113,10 @@ class EvalReport:
     invalid_actions: int
     latency_s: tuple[float, ...] = field(compare=False, repr=False)
 
+    def __getstate__(self) -> dict:
+        self.instance_sha256  # a pickle or copy holds the digest, not the instance
+        return self.__dict__
+
     def to_dict(self) -> dict:
         return {
             "schema": REPORT_SCHEMA,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from .core import (
@@ -112,25 +113,29 @@ def encode(obs: SlotObservation) -> str:
     deduplicated request counts sorted by descending count then file id,
     and one FREQ line per window with the rates of the cached and requested
     files (three decimals, ties-to-even), then the fixed instruction block.
+    An observation without a tracker, such as a decoded prompt's, raises.
     """
+    if obs.tracker is None:
+        raise StructuralError("the observation has no tracker, so it cannot be rendered")
     lines = [f"SLOT {obs.slot}"]
     t = obs.tracker.slots_seen
     span = max(t, 1)  # a view short of a window rates over all t slots; every k is 0 at t = 0
     for b in range(1, obs.bs_count + 1):
         row = obs.cache.slots[b - 1]
-        cells = " ".join("-" if f == EMPTY_SLOT else str(f) for f in row)
+        cells = " ".join(["-" if f == EMPTY_SLOT else str(f) for f in row])
         lines.append(f"BS {b} CACHE: {cells}")
-        counts = obs.requests.counts[b - 1]
-        ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        body = " ".join(f"{f}:{c}" for f, c in ordered)
+        ordered = sorted(obs.requests.counts[b - 1].items())
+        ordered.sort(key=itemgetter(1), reverse=True)  # stable: ties stay in file order
+        body = " ".join([f"{f}:{c}" for f, c in ordered])
         lines.append(f"BS {b} REQUESTS: {body}" if body else f"BS {b} REQUESTS:")
         files = sorted(obs.cache.files_at(b) | obs.requests.admissible[b - 1])
+        heads = [f"{f}:" for f in files]
         for w, held in zip(obs.tracker.windows, obs.tracker.window_counts(b, files)):
             if w <= t:
                 texts = _rate_texts(w)
-                body = " ".join([f"{f}:{texts[k]}" for f, k in zip(files, held)])
+                body = " ".join([h + texts[k] for h, k in zip(heads, held)])
             else:
-                body = " ".join([f"{f}:{k / span:.3f}" for f, k in zip(files, held)])
+                body = " ".join([f"{h}{k / span:.3f}" for h, k in zip(heads, held)])
             lines.append(f"BS {b} FREQ w={w}: {body}" if body else f"BS {b} FREQ w={w}:")
     lines.append(INSTRUCTION_BLOCK)
     return "\n".join(lines)
@@ -194,14 +199,14 @@ _PROMPT_SLOT = re.compile(r"SLOT ([0-9]+)")
 _PROMPT_CACHE = re.compile(r"BS ([0-9]+) CACHE: (.*)")
 _PROMPT_REQ = re.compile(r"BS ([0-9]+) REQUESTS:(.*)")
 _PROMPT_FREQ = re.compile(r"BS [0-9]+ FREQ w=[0-9]+:(.*)")
-# Canonical FREQ tokens; every body it matches also passes _file_values.
-_FREQ_BODY = re.compile(r"(?: [0-9]+:[0-9]+\.[0-9]+)*")
+# A canonical FREQ line: its body passes _file_values; no other line kind matches.
+_CANONICAL_FREQ = re.compile(r"BS [0-9]+ FREQ w=[0-9]+:(?: [0-9]+:[0-9]+\.[0-9]+)*")
 
 
 def _file_values(body: str, cast) -> dict:
     """Space separated ``<file>:<value>`` tokens; ValueError when malformed."""
     body = body.strip()
-    pairs = (tok.split(":") for tok in body.split(" ")) if body else ()
+    pairs = [tok.split(":") for tok in body.split(" ")] if body else ()
     return {int(f): cast(v) for f, v in pairs}
 
 
@@ -224,17 +229,17 @@ def decode_prompt(text: str) -> SlotObservation:
     counts: dict[int, dict] = {}
     try:
         for line in lines[1:]:
+            if _CANONICAL_FREQ.fullmatch(line):  # checked, not kept: most lines
+                continue
             if line == "INSTRUCTIONS:":
                 break
             if m := _PROMPT_CACHE.fullmatch(line):
                 cells = m.group(2).split(" ")
-                rows[int(m.group(1))] = tuple(EMPTY_SLOT if c == "-" else int(c) for c in cells)
+                rows[int(m.group(1))] = tuple([EMPTY_SLOT if c == "-" else int(c) for c in cells])
             elif m := _PROMPT_REQ.fullmatch(line):
                 counts[int(m.group(1))] = _file_values(m.group(2), int)
             elif m := _PROMPT_FREQ.fullmatch(line):
-                # checked, not kept; only a non-canonical body needs the full check
-                if not _FREQ_BODY.fullmatch(m.group(1)):
-                    _file_values(m.group(1), float)
+                _file_values(m.group(1), float)
             else:
                 raise StructuralError(f"unrecognized prompt line: {line!r}")
     except ValueError as exc:

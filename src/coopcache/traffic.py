@@ -257,11 +257,15 @@ class Instance:
         return self._sha256
 
 
-def slots_json(slots) -> str:
-    """``canonical_json`` of the slots' request pairs, ``[[u,f],...]`` per slot,
-    formatted directly: the pairs are ints, which ``%d`` writes as ``json`` does."""
-    return "[" + ",".join("[" + ",".join(["[%d,%d]" % p for p in slot.pairs]) + "]"
-                          for slot in slots) + "]"
+def slot_json(slot: RequestSlot) -> str:
+    """``canonical_json`` of one slot's request pairs, ``[[u,f],...]``, formatted
+    directly: the pairs are ints, which ``%d`` writes as ``json`` does."""
+    return "[" + ",".join(["[%d,%d]" % p for p in slot.pairs]) + "]"
+
+
+def slots_json(slots, slot_text=slot_json) -> str:
+    """``canonical_json`` of a run of slots: ``slot_text`` (:func:`slot_json`'s text) of each."""
+    return "[" + ",".join(map(slot_text, slots)) + "]"
 
 
 def _wholes(values) -> tuple[int, ...]:

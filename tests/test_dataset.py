@@ -2,20 +2,29 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
+from coopcache import dataset
 from coopcache.dataset import (
     DatasetFormatError,
     audit_dataset,
     generate_grpo_states,
     generate_sft,
+    write_export,
     write_grpo_jsonl,
     write_sft_jsonl,
 )
 from coopcache.interface import decode_prompt, parse
-from coopcache.traffic import build_instance
+from coopcache.traffic import (
+    InstanceConfig,
+    build_instance,
+    load_instance,
+    save_instance,
+    slots_json,
+)
 
 from conftest import small_config
 
@@ -134,3 +143,50 @@ def test_sft_and_grpo_share_prompts(instance):
     assert [r.completion for r in sft.records] == [
         r.completion for r in grpo.records
     ]
+
+
+def _digest(peek) -> str:
+    return hashlib.sha256(slots_json(peek).encode("utf-8")).hexdigest()
+
+
+def test_the_writer_digests_each_peek_as_the_record_does(tmp_path):
+    """The GRPO file's ``peek_sha256`` is the SHA-256 of the peek's canonical
+    JSON, for the golden 5-BS and truncated 2-BS exports and for an export of
+    a loaded copy of an instance, whose slots are other objects."""
+    five = build_instance(InstanceConfig(bs_count=5, users=40), 2)
+    save_instance(five, tmp_path / "five.json")
+    exports = {
+        "5bs": generate_sft(five, 60),
+        "truncated": generate_sft(build_instance(InstanceConfig(rollout_slots=30), 3), 100, 4),
+        "loaded": generate_sft(load_instance(tmp_path / "five.json"), 60),
+    }
+    assert exports["truncated"].truncated
+    for name, export in exports.items():
+        path = tmp_path / f"{name}.jsonl"
+        write_grpo_jsonl(export, path)
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        metas = [row["meta"] for row in rows if "meta" in row]
+        assert len(metas) == len(export.records) and len(rows) == len(metas) + export.truncated
+        for rec, meta in zip(export.records, metas):
+            assert meta["slot"] == rec.slot
+            assert meta["peek_sha256"] == _digest(rec.peek) == rec.peek_sha256
+    assert [r.peek_sha256 for r in exports["loaded"].records] == [
+        r.peek_sha256 for r in exports["5bs"].records]
+
+
+def test_a_write_formats_each_peek_slot_once_and_without_grpo_none(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        return lambda *args: calls.append(name) or fn(*args)
+
+    monkeypatch.setattr(dataset, "slot_json", counted("slot_json", dataset.slot_json))
+    monkeypatch.setattr(dataset, "slots_json", counted("slots_json", dataset.slots_json))
+    export = generate_sft(build_instance(small_config(), 1), 12, horizon=3)
+    write_export(export, tmp_path / "sft.jsonl")
+    write_sft_jsonl(export, tmp_path / "sft.jsonl")
+    assert calls == []
+    write_export(export, tmp_path / "sft.jsonl", tmp_path / "grpo.jsonl")
+    distinct = {id(slot) for rec in export.records for slot in rec.peek}
+    assert calls.count("slot_json") == len(distinct) < 3 * len(export.records)
+    assert calls.count("slots_json") == len(export.records)

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import copy
 import csv
 import dataclasses
 import hashlib
 import json
+import pickle
 import re
 import sys
 
@@ -956,6 +958,18 @@ def test_an_instance_is_hashed_only_where_a_report_is_written_or_compared(tmp_pa
     report = rollout(instance, make_policy("lru"), 15)
     assert EvalReport.from_dict(report.to_dict()) == rollout(instance, make_policy("lru"), 15)
     assert report.instance_sha256 == hashlib.sha256(to_json(instance).encode()).hexdigest()
+
+
+def test_a_report_pickles_and_copies_without_its_instance():
+    """A fresh report holds ``Instance.sha256`` until its digest is read; a
+    pickle or a copy holds the digest instead, not the instance behind it."""
+    instance = build_instance(InstanceConfig(bs_count=5, users=40, library=1100), 1)
+    report = rollout(instance, make_policy("lru"))
+    data = pickle.dumps(report)
+    assert len(data) < 10_000
+    for twin in (pickle.loads(data), copy.copy(report)):
+        assert twin.__dict__["instance_sha256"] == instance.sha256()
+        assert twin == report and twin.latency_s == report.latency_s
 
 
 @pytest.mark.parametrize("name", ["pbrs_slots", "fuzz_cases"])

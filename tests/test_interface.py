@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import pickle
 import random
 import re
@@ -18,6 +19,7 @@ from coopcache.core import (
     CacheState,
     FeasibilityError,
     JointAction,
+    RequestSlot,
     StructuralError,
     apply,
     feasible_actions,
@@ -33,7 +35,8 @@ from coopcache.interface import (
     serialize,
 )
 
-from coopcache.traffic import FrequencyTracker, build_instance
+from coopcache.episode import expert_walk
+from coopcache.traffic import FrequencyTracker, InstanceConfig, build_instance
 from coopcache.verification import NEAR_MISS_LINES, _mutate, first_decision_observation
 
 from conftest import (
@@ -472,3 +475,190 @@ def test_parse_matches_the_two_pattern_parser_on_bs_ids(bs_count):
 def test_parse_matches_the_two_pattern_parser_on_random_text(text):
     for obs in (swap_observation(), golden_observation()):
         assert parse(text, obs) == _reference_parse(text, obs)
+
+
+def test_encode_refuses_a_decoded_observation(golden_obs):
+    decoded = decode_prompt(encode(golden_obs))
+    with pytest.raises(StructuralError, match="no tracker, so it cannot be rendered"):
+        encode(decoded)
+
+
+# The encoder and prompt decoder before the export fast paths (one sort with a
+# (-count, file) key, the "<f>:" prefix formatted per token, the FREQ body
+# checked after the CACHE and REQUESTS patterns failed), kept as the references
+# ``encode`` and ``decode_prompt`` must agree with byte for byte and error for
+# error. Table rates are written k / w directly, which is what the table holds.
+def _reference_encode(obs):
+    lines = [f"SLOT {obs.slot}"]
+    t = obs.tracker.slots_seen
+    span = max(t, 1)
+    for b in range(1, obs.bs_count + 1):
+        row = obs.cache.slots[b - 1]
+        cells = " ".join("-" if f == EMPTY_SLOT else str(f) for f in row)
+        lines.append(f"BS {b} CACHE: {cells}")
+        counts = obs.requests.counts[b - 1]
+        ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+        body = " ".join(f"{f}:{c}" for f, c in ordered)
+        lines.append(f"BS {b} REQUESTS: {body}" if body else f"BS {b} REQUESTS:")
+        files = sorted(obs.cache.files_at(b) | obs.requests.admissible[b - 1])
+        for w, held in zip(obs.tracker.windows, obs.tracker.window_counts(b, files)):
+            if w <= t:
+                body = " ".join([f"{f}:{k / w:.3f}" for f, k in zip(files, held)])
+            else:
+                body = " ".join([f"{f}:{k / span:.3f}" for f, k in zip(files, held)])
+            lines.append(f"BS {b} FREQ w={w}: {body}" if body else f"BS {b} FREQ w={w}:")
+    lines.append(interface.INSTRUCTION_BLOCK)
+    return "\n".join(lines)
+
+
+_REF_PROMPT_SLOT = re.compile(r"SLOT ([0-9]+)")
+_REF_PROMPT_CACHE = re.compile(r"BS ([0-9]+) CACHE: (.*)")
+_REF_PROMPT_REQ = re.compile(r"BS ([0-9]+) REQUESTS:(.*)")
+_REF_PROMPT_FREQ = re.compile(r"BS [0-9]+ FREQ w=[0-9]+:(.*)")
+_REF_FREQ_BODY = re.compile(r"(?: [0-9]+:[0-9]+\.[0-9]+)*")
+
+
+def _reference_file_values(body, cast):
+    body = body.strip()
+    pairs = (tok.split(":") for tok in body.split(" ")) if body else ()
+    return {int(f): cast(v) for f, v in pairs}
+
+
+def _reference_decode_prompt(text):
+    lines = text.splitlines()
+    if not lines:
+        raise StructuralError("empty prompt")
+    m = _REF_PROMPT_SLOT.fullmatch(lines[0])
+    if not m:
+        raise StructuralError("prompt must open with a SLOT header")
+    slot = int(m.group(1))
+    rows, counts = {}, {}
+    try:
+        for line in lines[1:]:
+            if line == "INSTRUCTIONS:":
+                break
+            if m := _REF_PROMPT_CACHE.fullmatch(line):
+                cells = m.group(2).split(" ")
+                rows[int(m.group(1))] = tuple(EMPTY_SLOT if c == "-" else int(c) for c in cells)
+            elif m := _REF_PROMPT_REQ.fullmatch(line):
+                counts[int(m.group(1))] = _reference_file_values(m.group(2), int)
+            elif m := _REF_PROMPT_FREQ.fullmatch(line):
+                if not _REF_FREQ_BODY.fullmatch(m.group(1)):
+                    _reference_file_values(m.group(1), float)
+            else:
+                raise StructuralError(f"unrecognized prompt line: {line!r}")
+    except ValueError as exc:
+        raise StructuralError(f"malformed prompt field: {exc}") from exc
+    b_count = len(rows)
+    if sorted(rows) != list(range(1, b_count + 1)) or sorted(counts) != sorted(rows):
+        raise StructuralError("prompt must describe BS 1..B exactly once")
+    cache = CacheState(tuple(rows[b] for b in range(1, b_count + 1)))
+    requests = RequestSlot((), tuple(counts[b] for b in range(1, b_count + 1)))
+    return SlotObservation(slot, cache, requests, None)
+
+
+def _decoded(decode, text):
+    """What ``decode`` makes of ``text``: every field of the observation, or
+    the exception's type and message."""
+    try:
+        obs = decode(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    req = obs.requests
+    return (obs.slot, obs.cache.slots, req.pairs, req.counts, req.admissible, req.covered,
+            obs.tracker)
+
+
+@functools.lru_cache(maxsize=None)
+def _walk_observations():
+    """Every observation of the 5-BS export walk for seeds 1-4 and of a 2-BS
+    walk (H=10): full caches, tabled windows and a window past the view."""
+    configs = [(InstanceConfig(bs_count=5, users=40), seed) for seed in (1, 2, 3, 4)]
+    configs.append((InstanceConfig(), 1))
+    return tuple(obs for config, seed in configs
+                 for obs, _, _ in expert_walk(build_instance(config, seed), 10, 0.9))
+
+
+def test_encode_matches_the_reference_on_every_walk_observation():
+    observations = _walk_observations()
+    assert {obs.bs_count for obs in observations} == {2, 5}
+    assert len(observations) > 1000
+    for obs in observations:
+        assert encode(obs) == _reference_encode(obs)
+
+
+@settings(max_examples=150)
+@given(scenarios(peek_max=11, holes=True),
+       st.lists(st.integers(1, 8), min_size=1, max_size=3, unique=True))
+def test_encode_matches_the_reference_on_short_views_and_empty_slots(case, windows):
+    cache, _, requests, peek = case
+    trace = (requests, *peek)
+    tracker = FrequencyTracker.fresh(windows, trace)
+    for t in range(len(trace) + 1):
+        view = FrequencyTracker(tracker.windows, trace, t, tracker.index)
+        obs = SlotObservation(t + 1, cache, trace[max(t - 1, 0)], view)
+        assert encode(obs) == _reference_encode(obs)
+
+
+# FREQ lines that Python's int and float take but the encoder never writes,
+# and lines that are malformed, for splicing over a real FREQ line.
+_ODD_FREQ_LINES = (
+    "BS 1 FREQ w=10: 1:1e-3", "BS 1 FREQ w=10: 1:.5", "BS 1 FREQ w=10: 1:nan",
+    "BS 1 FREQ w=10: 1:+0.5", "BS 1 FREQ w=10: 1:inf", "BS 1 FREQ w=10: 4:0.000 5:0.100 ",
+    "BS 1 FREQ w=10:4:0.000", "BS 1 FREQ w=10: \u0664:0.000", "BS 1 FREQ w=10:",
+    "BS 1 FREQ w=10: 1:0.1:2", "BS 1 FREQ w=10: 1:", "BS 1 FREQ w=10: :0.1",
+    "BS 1 FREQ w=10: x:0.1", "BS 1 FREQ w=10: 4:0.000  5:0.100", "BS 1 FREQ w=10: 4:0.1.0",
+    "BS 1 FREQ w=ten: 5:0.100", "BS 1 FREQ w=10: 5:0.100 x", "BS x FREQ w=10: 5:0.100",
+    "BS 1 FREQ w=10: 5:0.1e", "BS 1 FREQ w=10: 5:1.", "BS 1  FREQ w=10: 5:0.100",
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _real_prompts():
+    walk = _walk_observations()
+    return (encode(golden_observation()), *(encode(obs) for obs in walk[::97]))
+
+
+def test_decode_prompt_matches_the_reference_on_real_and_odd_prompts():
+    outcomes = set()
+    for prompt in _real_prompts():
+        lines = prompt.splitlines()
+        cases = [prompt]
+        freq_at = [i for i, line in enumerate(lines) if " FREQ w=" in line]
+        for i, odd in enumerate(_ODD_FREQ_LINES):
+            at = freq_at[i % len(freq_at)]
+            cases.append("\n".join(lines[:at] + [odd] + lines[at + 1:]))
+        for text in cases:
+            expected = _decoded(_reference_decode_prompt, text)
+            assert _decoded(decode_prompt, text) == expected, text
+            outcomes.add(expected[0] if isinstance(expected[0], type) else "ok")
+    assert outcomes == {"ok", StructuralError}
+
+
+_SPLICE_HEADS = ("", "SLOT ", "BS 1 CACHE: ", "BS 2 REQUESTS:", "BS 1 FREQ w=10:",
+                 "BS 3 FREQ w=1000: ", "INSTRUCTIONS:")
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_decode_prompt_matches_the_reference_on_spliced_lines(data):
+    """Random lines put in or over the checked lines of a real prompt: near
+    misses of each line kind, real lines cut short or with one character
+    changed, and lines of another prompt."""
+    prompts = _real_prompts()
+    lines = data.draw(st.sampled_from(prompts)).splitlines()
+    end = lines.index("INSTRUCTIONS:")
+    tail = st.text(alphabet=" :.-+0123456789eainfxSBw=\t", max_size=24)
+    for _ in range(data.draw(st.integers(1, 3))):
+        donor = data.draw(st.sampled_from(data.draw(st.sampled_from(prompts)).splitlines()))
+        cut = st.integers(0, len(donor))
+        line = data.draw(st.one_of(
+            st.tuples(st.sampled_from(_SPLICE_HEADS), tail).map("".join),
+            st.tuples(cut, tail).map(lambda c: donor[:c[0]] + c[1]),
+            st.tuples(cut, tail).map(lambda c: donor[:c[0]] + c[1][:1] + donor[c[0] + 1:]),
+            st.just(donor),
+        ))
+        at = data.draw(st.integers(1, end))
+        lines[at:at + data.draw(st.integers(0, 1))] = [line]
+    text = "\n".join(lines)
+    assert _decoded(decode_prompt, text) == _decoded(_reference_decode_prompt, text)
