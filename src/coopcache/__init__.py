@@ -31,6 +31,7 @@ from .reward import (
     group_advantage,
     joint_space_size,
     lookahead_value,
+    lookahead_values,
     score_completion,
     verify_pbrs,
 )

@@ -242,6 +242,8 @@ def decode_prompt(text: str) -> SlotObservation:
                 _file_values(m.group(1), float)
             else:
                 raise StructuralError(f"unrecognized prompt line: {line!r}")
+    except StructuralError:  # an unrecognized line: its message stands alone
+        raise
     except ValueError as exc:
         raise StructuralError(f"malformed prompt field: {exc}") from exc
     b_count = len(rows)

@@ -13,9 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
+
+import numpy as np
 
 from .core import (
+    EMPTY_SLOT,
     JointAction,
     NOOP,
     StructuralError,
@@ -98,6 +101,63 @@ def lookahead_value(cache, peek, graph, horizon: int, gamma: float) -> float:
         den += weight
         weight *= gamma
     return num / den
+
+
+def lookahead_values(caches, peek, graph, horizon: int, gamma: float) -> list[float]:
+    """``[lookahead_value(c, peek, graph, horizon, gamma) for c in caches]``, bit for bit.
+
+    Every cache is still recounted in full, but all of them in one numpy
+    pass: a request hits a cache when a 0/1 membership table of that cache
+    holds the file at one of the user's covering BSs. Hits stay integers per
+    (cache, slot) until the floats are summed in ``lookahead_value``'s own
+    order, slot by slot, so each value rounds exactly as the single one does.
+    Bad inputs raise what ``lookahead_value`` raises, with the same messages.
+    """
+    if horizon < 1:
+        raise StructuralError("horizon must be >= 1")
+    if len(peek) < horizon:
+        raise StructuralError(f"peek holds {len(peek)} slots, horizon needs {horizon}")
+    bs_count = len(graph.bs_xy)
+    slots = peek[:horizon]
+    if any(len(c.slots) != bs_count for c in caches) or any(
+            len(s.counts) != bs_count for s in slots):
+        raise StructuralError("cache/requests/graph BS counts differ")
+    depth = max(len(s.pairs) for s in slots)
+    if not caches or not depth:  # no cache, or every slot empty: each rate is 0
+        return [0.0] * len(caches)
+    # Request j of slot k looks up file f at the 0-based BSs bs_at[k, j]:
+    # its user's covering BSs, padded with a phantom BS ``bs_count`` that
+    # holds nothing. Uncovered users and the padding to ``depth`` requests
+    # look up only the phantom.
+    width = max(1, max(map(len, graph.coverage)))
+    phantom = (bs_count,) * width
+    lookup = [tuple(b - 1 for b in cov) + phantom[len(cov):] for cov in graph.coverage]
+    bs_at = np.array([[lookup[u] for u, _ in s.pairs] + [phantom] * (depth - len(s.pairs))
+                      for s in slots], np.intp)
+    file_at = np.array([[f for _, f in s.pairs] + [EMPTY_SLOT] * (depth - len(s.pairs))
+                        for s in slots], np.intp)
+    # held[c, b, f]: cache c holds file f at 0-based BS b. Files above the
+    # largest one asked for are left out. An empty slot marks EMPTY_SLOT,
+    # which no request asks for: request file ids are >= 1.
+    top = int(file_at.max())
+    rows = [row for cache in caches for row in cache.slots]
+    lengths = list(map(len, rows))
+    files = np.fromiter(chain.from_iterable(rows), np.intp, sum(lengths))
+    row_of = np.repeat(np.arange(len(rows)), lengths)
+    asked = files <= top
+    row_of, files = row_of[asked], files[asked]
+    held = np.zeros((len(caches), bs_count + 1, top + 1), np.bool_)
+    held[row_of // bs_count, row_of % bs_count, files] = True
+    hits = held[:, bs_at, file_at[:, :, None]].any(axis=3).sum(axis=2)
+    num = np.zeros(len(caches))
+    den = 0.0
+    weight = 1.0
+    for k, s in enumerate(slots):
+        if s.pairs:  # an empty slot's rate is 0, and adding 0.0 changes no sum
+            num += weight * (hits[:, k] / len(s.pairs))
+        den += weight
+        weight *= gamma
+    return (num / den).tolist()
 
 
 def delta_perf(before, after, peek, graph, cfg: RewardConfig) -> float:
@@ -227,11 +287,12 @@ def verify_pbrs(instance: Instance, sample_slots: int, cfg: RewardConfig) -> Sha
       whenever the expert witnessed a beneficial swap.
 
     Each action takes the text round trip, ``apply`` and the transition
-    check, then ``score_completion``'s shaping. Each candidate cache is
-    scored once, by a full look-ahead recount independent of the oracle's
-    tallies; the no-ops reuse the slot cache's value, and a gain is
-    potential minus that value, as in ``delta_perf``. A negative
-    ``sample_slots`` raises.
+    check, then ``score_completion``'s shaping. A slot's candidate caches,
+    those of every BS, are scored together in one ``lookahead_values``
+    call, each once and each by a full look-ahead recount from hit counts,
+    independent of the oracle's tallies. The no-ops reuse the slot cache's
+    ``lookahead_value``, and a gain is potential minus that value, as in
+    ``delta_perf``. A negative ``sample_slots`` raises.
     """
     nonnegative("sample_slots", sample_slots)
     bs_range = range(1, instance.config.bs_count + 1)
@@ -250,10 +311,11 @@ def verify_pbrs(instance: Instance, sample_slots: int, cfg: RewardConfig) -> Sha
     for obs, expert, peek in islice(walk, sample_slots):
         cache, requests = obs.cache, obs.requests
         spaces.append(joint_space_size(obs))
-        base = lookahead_value(cache, peek, graph, cfg.horizon, cfg.gamma)
+        checked = []  # per BS: where, then (act, parsed action, cache changed) per action
+        moved = []  # the changed caches, in action order
         for b in bs_range:
             where = f"seed {instance.seed} slot {obs.slot} BS {b}"
-            rows = []
+            actions = []
             for act in feasible_actions(cache, b, requests):
                 joint = JointAction.valid([act if bb == b else NOOP for bb in bs_range])
                 action = parse(serialize(joint), obs)
@@ -262,10 +324,19 @@ def verify_pbrs(instance: Instance, sample_slots: int, cfg: RewardConfig) -> Sha
                 after = apply(cache, action, requests)
                 if not check_transition(cache, after):
                     raise StructuralError(f"{where}: transition exceeds the single-swap budget")
-                if after == cache:
-                    gain, potential = 0.0, base
-                else:
-                    potential = lookahead_value(after, peek, graph, cfg.horizon, cfg.gamma)
+                changed = after != cache
+                if changed:
+                    moved.append(after)
+                actions.append((act, action, changed))
+            checked.append((where, actions))
+        base = lookahead_value(cache, peek, graph, cfg.horizon, cfg.gamma)
+        values = iter(lookahead_values(moved, peek, graph, cfg.horizon, cfg.gamma))
+        for where, actions in checked:
+            rows = []
+            for act, action, changed in actions:
+                gain, potential = 0.0, base
+                if changed:
+                    potential = next(values)
                     gain = potential - base
                 rows.append((act, gain, potential, _breakdown(action, gain, expert, cfg)))
             actions_checked += len(rows)

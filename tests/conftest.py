@@ -84,21 +84,22 @@ def _bits(mask: int) -> list[int]:
 
 
 @st.composite
-def scenarios(draw, peek_max=10, holes=False):
+def scenarios(draw, peek_max=10, holes=False, uncovered=False):
     """A (cache, graph, requests, peek) quadruple of random small shape.
 
     1-4 BSs of unequal capacities over a library barely larger than the
     biggest cache, so several BSs often hold the same file; each user is
-    covered by 1-3 BSs, and any user may be absent from a slot, so slots
-    can be empty. ``peek`` holds 1..``peek_max`` slots (none when 0). With
-    ``holes`` cache slots may be empty; without, every cache is full.
-    Subsets are drawn as bit masks, which keeps generation cheap.
+    covered by 1-3 BSs (0-3 with ``uncovered``), and any user may be absent
+    from a slot, so slots can be empty. ``peek`` holds 1..``peek_max`` slots
+    (none when 0). With ``holes`` cache slots may be empty; without, every
+    cache is full. Subsets are drawn as bit masks, which keeps generation cheap.
     """
     bs_count = draw(st.integers(1, 4))
     capacities = draw(st.lists(st.integers(1, 4), min_size=bs_count, max_size=bs_count))
     library = max(capacities) + draw(st.integers(1, 5))
     users = draw(st.integers(1, 8))
-    masks = draw(st.lists(st.integers(1, 2**bs_count - 1), min_size=users, max_size=users))
+    masks = draw(st.lists(st.integers(0 if uncovered else 1, 2**bs_count - 1),
+                          min_size=users, max_size=users))
     graph = synthetic_graph(
         [[b + 1 for b in _bits(m)][:3] for m in masks], bs_count
     )

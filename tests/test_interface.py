@@ -321,6 +321,15 @@ def test_decode_prompt_rejects_malformed_freq_tokens(golden_obs, line):
         decode_prompt("\n".join(lines[:at] + [line] + lines[at + 1:]))
 
 
+def test_decode_prompt_names_an_unrecognized_line_once():
+    with pytest.raises(StructuralError) as info:
+        decode_prompt("SLOT 1\nfoo")
+    assert str(info.value) == "unrecognized prompt line: 'foo'"
+    with pytest.raises(StructuralError) as info:
+        decode_prompt("SLOT 1\nBS 1 REQUESTS: 1:x")
+    assert str(info.value) == "malformed prompt field: invalid literal for int() with base 10: 'x'"
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.binary(max_size=4096))
 def test_parse_total_on_random_bytes(data):
@@ -547,6 +556,8 @@ def _reference_decode_prompt(text):
                     _reference_file_values(m.group(1), float)
             else:
                 raise StructuralError(f"unrecognized prompt line: {line!r}")
+    except StructuralError:  # an unrecognized line: its message stands alone
+        raise
     except ValueError as exc:
         raise StructuralError(f"malformed prompt field: {exc}") from exc
     b_count = len(rows)

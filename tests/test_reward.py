@@ -6,9 +6,12 @@ import random
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopcache import reward
 from coopcache.core import (
+    EMPTY_SLOT,
     NOOP,
     BsAction,
     CacheState,
@@ -25,12 +28,13 @@ from coopcache.reward import (
     group_advantage,
     joint_space_size,
     lookahead_value,
+    lookahead_values,
     score_completion,
     verify_pbrs,
 )
-from coopcache.traffic import build_instance
+from coopcache.traffic import InstanceConfig, build_instance
 
-from conftest import observation, random_scenario, small_config, synthetic_graph
+from conftest import observation, random_scenario, scenarios, small_config, synthetic_graph
 
 
 def _rate_slot(graph, hit_users, total_users, cached_file, other_file):
@@ -84,6 +88,71 @@ def test_lookahead_value_bounds_and_short_peek():
     graph = synthetic_graph(((1,),), 1)
     with pytest.raises(StructuralError):
         lookahead_value(CacheState(((1,),)), (), graph, 1, 0.9)
+
+
+@st.composite
+def _batches(draw):
+    """A scenario's graph and peek, a horizon and gamma, and 1-7 caches of
+    the scenario's shape: its own cache and others drawn alike, holes included."""
+    cache, graph, _, peek = draw(scenarios(holes=True, uncovered=True))
+    library = max([len(row) + 1 for row in cache.slots] + [f for s in peek for _, f in s.pairs])
+    caches = [cache]
+    for _ in range(draw(st.integers(0, 6))):
+        rows = []
+        for row in cache.slots:
+            files = draw(st.lists(st.integers(1, library), min_size=len(row), max_size=len(row),
+                                  unique=True))
+            empty = draw(st.lists(st.booleans(), min_size=len(row), max_size=len(row)))
+            rows.append(tuple(EMPTY_SLOT if e else f for f, e in zip(files, empty)))
+        caches.append(CacheState(tuple(rows)))
+    horizon = draw(st.integers(1, len(peek)))
+    gamma = draw(st.floats(0.0, 1.0, exclude_min=True))
+    return caches, peek, graph, horizon, gamma
+
+
+@settings(max_examples=200)
+@given(_batches())
+def test_lookahead_values_equal_lookahead_value_bit_for_bit(batch):
+    caches, peek, graph, horizon, gamma = batch
+    values = lookahead_values(caches, peek, graph, horizon, gamma)
+    assert all(type(v) is float for v in values)
+    assert values == [lookahead_value(c, peek, graph, horizon, gamma) for c in caches]
+
+
+def test_lookahead_values_cover_the_edge_shapes():
+    """Uncovered users, empty slots and files no slot asks for score as one by one."""
+    graph = synthetic_graph(((1,), (), (1, 2)), 2)
+    peek = (request_slot(((0, 3), (1, 3), (2, 4)), graph), request_slot((), graph),
+            request_slot(((1, 9),), graph), request_slot(((2, 1),), graph))
+    caches = [CacheState(((3, 0), (4,))), CacheState(((0, 0), (0,))),
+              CacheState(((50, 1), (3,))), CacheState(((4, 3), (9,)))]
+    for horizon in range(1, 5):
+        expected = [lookahead_value(c, peek, graph, horizon, 0.7) for c in caches]
+        assert lookahead_values(caches, peek, graph, horizon, 0.7) == expected
+    assert lookahead_values([], peek, graph, 2, 0.7) == []
+    assert lookahead_values(caches, peek[1:3], graph, 1, 0.7) == [0.0] * 4
+
+
+def _error(fn, *args):
+    with pytest.raises(StructuralError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+def test_lookahead_values_raise_as_lookahead_value_does():
+    graph = synthetic_graph(((1,), (1, 2)), 2)
+    peek = (request_slot(((0, 1), (1, 2)), graph),) * 2
+    cache = CacheState(((1,), (2,)))
+    other = synthetic_graph(((1,), (1,)), 1)
+    cases = [
+        (cache, peek, graph, 3, 0.9),  # a short peek
+        (cache, peek, graph, 0, 0.9),  # horizon < 1
+        (CacheState(((1,),)), peek, graph, 2, 0.9),  # the cache's BS count
+        (cache, (request_slot(((0, 1),), other),), graph, 1, 0.9),  # the slot's
+        (cache, peek, other, 1, 0.9),  # the graph's
+    ]
+    for one, *rest in cases:
+        assert _error(lookahead_values, [cache, one], *rest) == _error(lookahead_value, one, *rest)
 
 
 def test_delta_perf_noop_is_exactly_zero():
@@ -278,7 +347,17 @@ def test_verify_pbrs_flags_zero_opportunity_penalty():
 
 def test_verify_pbrs_rows_equal_score_completion(monkeypatch):
     """Each audit row is bit-for-bit the breakdown score_completion gives."""
-    instance = build_instance(small_config(rollout_slots=16), 3)
+    _check_rows_equal_score_completion(monkeypatch, small_config(rollout_slots=16))
+
+
+def test_verify_pbrs_rows_equal_score_completion_on_5_bss(monkeypatch):
+    config = InstanceConfig(bs_count=5, users=40, library=60, warm_slots=20, rollout_slots=8,
+                            horizon_reserve=4)
+    _check_rows_equal_score_completion(monkeypatch, config)
+
+
+def _check_rows_equal_score_completion(monkeypatch, config):
+    instance = build_instance(config, 3)
     cfg = RewardConfig(horizon=3)
     rows = []
     shape = reward._breakdown
@@ -307,19 +386,25 @@ def test_verify_pbrs_rows_equal_score_completion(monkeypatch):
 
 
 def test_verify_pbrs_scores_each_candidate_cache_once(monkeypatch):
-    calls = []
-    value = reward.lookahead_value
+    """One value per slot cache and per swap's cache, through either entry point."""
+    scored = []
+    one, many = reward.lookahead_value, reward.lookahead_values
 
-    def counted(*args):
-        calls.append(args)
-        return value(*args)
+    def counted_one(cache, *rest):
+        scored.append(cache)
+        return one(cache, *rest)
 
-    monkeypatch.setattr(reward, "lookahead_value", counted)
+    def counted_many(caches, *rest):
+        scored.extend(caches)
+        return many(caches, *rest)
+
+    monkeypatch.setattr(reward, "lookahead_value", counted_one)
+    monkeypatch.setattr(reward, "lookahead_values", counted_many)
     instance = build_instance(small_config(rollout_slots=16), 3)
     report = verify_pbrs(instance, 6, RewardConfig(horizon=3))
     swaps = report.actions_checked - report.slots_checked * instance.config.bs_count
     assert report.slots_checked == 6 and swaps > 0
-    assert len(calls) == report.slots_checked + swaps
+    assert len(scored) == report.slots_checked + swaps
 
 
 def test_noop_optimal_state_stays_unpenalized():
