@@ -178,6 +178,9 @@ class BsAction(tuple):
 
 NOOP = BsAction()
 
+#: (class, reason) -> the shared invalid joint action ``JointAction.invalid`` returns.
+_INVALID: dict = {}
+
 
 class JointAction(tuple):
     """One action per BS (valid), or the distinguished invalid value.
@@ -204,7 +207,11 @@ class JointAction(tuple):
 
     @classmethod
     def invalid(cls, reason: str) -> "JointAction":
-        return _tuple_new(cls, (None, reason))
+        """The invalid value for ``reason``: one shared value per reason, as a value never changes."""
+        value = _INVALID.get((cls, reason))
+        if value is None:
+            value = _INVALID[cls, reason] = _tuple_new(cls, (None, reason))
+        return value
 
     actions = property(itemgetter(0))
     reason = property(itemgetter(1))

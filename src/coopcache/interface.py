@@ -50,6 +50,9 @@ PARSE_REASONS = (
     RULE_CONSISTENCY,
 )
 
+#: The answer to most malformed text, shared so a rejection builds nothing.
+_SYNTAX_ERROR = JointAction.invalid(REASON_SYNTAX)
+
 _INT = r"[1-9][0-9]{0,8}"
 # One decision line; a NOOP leaves the slot, out and in groups None.
 _LINE = re.compile(rf"BS ({_INT}): (?:NOOP|SWAP slot=({_INT}) out=({_INT}) in=({_INT}))")
@@ -147,8 +150,14 @@ def parse(text: str, obs: SlotObservation) -> JointAction:
     Valid output requires exactly one grammar line per BS, in ascending BS
     order, with every swap passing the three feasibility rules against the
     observation. Never raises; the attached reason is one of
-    ``PARSE_REASONS``.
+    ``PARSE_REASONS``. The first non-blank line outside the grammar decides
+    the answer; a text whose first non-blank line does not even start with
+    ``BS `` is refused before it is split into lines.
     """
+    if not text.startswith("BS "):
+        head = text.lstrip()
+        if head and not head.startswith("BS "):  # no grammar line starts so
+            return _SYNTAX_ERROR
     entries = []
     for raw in text.splitlines():
         line = raw.strip()
@@ -156,7 +165,7 @@ def parse(text: str, obs: SlotObservation) -> JointAction:
             continue
         m = _LINE.fullmatch(line)
         if m is None:
-            return JointAction.invalid(REASON_SYNTAX)
+            return _SYNTAX_ERROR
         entries.append(m.groups())
     cache = obs.cache
     slots = cache.slots

@@ -188,13 +188,17 @@ def score_completion(text: str, obs: SlotObservation, peek, expert: JointAction,
     if action.is_valid:
         after = apply(obs.cache, action, obs.requests)
         gain = delta_perf(obs.cache, after, peek, graph, cfg)
-    return _breakdown(action, gain, expert, cfg)
+    return _breakdown(action, gain, _acted(expert), cfg)
 
 
-def _breakdown(action: JointAction, gain: float, expert: JointAction,
+def _acted(expert: JointAction) -> bool:
+    """Whether the expert witnessed a beneficial swap: a valid action that is not all no-ops."""
+    return expert.is_valid and not expert.is_all_noop
+
+
+def _breakdown(action: JointAction, gain: float, expert_acted: bool,
                cfg: RewardConfig) -> RewardBreakdown:
     """The penalty, class and clipped total of a parsed action with its gain."""
-    expert_acted = expert.is_valid and not expert.is_all_noop
     if not action.is_valid:
         penalty, classification = cfg.lambda_fmt, CLASS_INVALID
     elif action.is_all_noop:
@@ -310,6 +314,7 @@ def verify_pbrs(instance: Instance, sample_slots: int, cfg: RewardConfig) -> Sha
     walk = expert_walk(instance, cfg.horizon, cfg.gamma)
     for obs, expert, peek in islice(walk, sample_slots):
         cache, requests = obs.cache, obs.requests
+        expert_acted = _acted(expert)
         spaces.append(joint_space_size(obs))
         checked = []  # per BS: where, then (act, parsed action, cache changed) per action
         moved = []  # the changed caches, in action order
@@ -338,7 +343,7 @@ def verify_pbrs(instance: Instance, sample_slots: int, cfg: RewardConfig) -> Sha
                 if changed:
                     potential = next(values)
                     gain = potential - base
-                rows.append((act, gain, potential, _breakdown(action, gain, expert, cfg)))
+                rows.append((act, gain, potential, _breakdown(action, gain, expert_acted, cfg)))
             actions_checked += len(rows)
             gains = [g for _, g, _, _ in rows]
             potentials = [p for _, _, p, _ in rows]
@@ -347,14 +352,14 @@ def verify_pbrs(instance: Instance, sample_slots: int, cfg: RewardConfig) -> Sha
             by_potential = {i for i, p in enumerate(potentials) if p >= top_p - _ARGMAX_TOL}
             if by_gain != by_potential:
                 argmax_bad.append(f"{where}: gain argmax != potential argmax")
-            writes = [(g, s.unclipped) for act, g, _, s in rows if not act.is_noop]
-            for i, (g_i, u_i) in enumerate(writes):
-                for g_j, u_j in writes[i + 1 :]:
-                    if g_i > g_j + _ARGMAX_TOL and not u_i > u_j:
-                        order_bad.append(f"{where}: swap ranking not preserved")
-                    if g_j > g_i + _ARGMAX_TOL and not u_j > u_i:
-                        order_bad.append(f"{where}: swap ranking not preserved")
-            if expert.is_valid and not expert.is_all_noop:
+            # one entry per ordered pair of swaps whose gains differ and whose
+            # shaped scores do not rank them alike
+            writes = np.array([(g, s.unclipped) for act, g, _, s in rows if not act.is_noop])
+            if len(writes) > 1:
+                gain, score = writes[:, :1], writes[:, 1:]
+                unranked = (gain > gain.T + _ARGMAX_TOL) & ~(score > score.T)
+                order_bad += [f"{where}: swap ranking not preserved"] * int(unranked.sum())
+            if expert_acted:
                 noop = next(s for act, _, _, s in rows if act.is_noop).unclipped
                 for act, g, _, s in rows:
                     if not act.is_noop and g > 0.0 and not s.unclipped > 0.0 > noop:

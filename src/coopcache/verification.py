@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import islice
 
 from .core import NOOP, JointAction, StructuralError, apply, feasible_actions, nonnegative
 from .episode import Episode
@@ -69,31 +70,69 @@ def first_decision_observation(instance: Instance) -> SlotObservation:
     return Episode(instance, warm_start(instance)).advance()
 
 
-def _mutate(data: bytes, rng: random.Random) -> bytes:
+def _below(getrandbits, n: int) -> int:
+    """``Random.randrange(n)`` as CPython 3.11 draws it: ``n.bit_length()`` bits, redrawn while >= n."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _mutate(data: bytes, getrandbits) -> bytes:
+    """Overwrite, insert or delete one byte at a random position.
+
+    Draws from ``getrandbits`` exactly what ``random.Random``'s ``randrange``
+    and ``randbytes`` would, so the mutants are those of the same generator.
+    """
     if not data:
-        return rng.randbytes(8)
-    kind = rng.randrange(3)
-    pos = rng.randrange(len(data))
-    if kind == 0:
-        return data[:pos] + bytes([rng.randrange(256)]) + data[pos + 1 :]
-    if kind == 1:
-        return data[:pos] + bytes([rng.randrange(256)]) + data[pos:]
-    return data[:pos] + data[pos + 1 :]
+        return getrandbits(64).to_bytes(8, "little")
+    kind = _below(getrandbits, 3)
+    pos = _below(getrandbits, len(data))
+    if kind == 2:
+        return data[:pos] + data[pos + 1 :]
+    byte = bytes((_below(getrandbits, 256),))
+    return data[:pos] + byte + data[pos + 1 - kind :]  # kind 0 overwrites, 1 inserts
 
 
-def _check_case(tag: str, text_or_bytes, obs, crashes, infeasible) -> None:
-    try:
-        if isinstance(text_or_bytes, bytes):  # undecodable bytes are replaced, as an adapter's are
-            text_or_bytes = text_or_bytes.decode("utf-8", errors="replace")
-        action = parse(text_or_bytes, obs)
-    except Exception as exc:  # the parser contract: never raise
-        crashes.append(f"{tag}: {type(exc).__name__}: {exc}")
-        return
-    if action.is_valid:
-        try:
-            apply(obs.cache, action, obs.requests)
-        except Exception as exc:
-            infeasible.append(f"{tag}: accepted infeasible action: {exc}")
+#: The tag of case n by family, n % 4.
+_FAMILIES = ("bytes", "prompt-mutant", "completion-mutant", "swap-mutant")
+
+
+def _fuzz_texts(obs: SlotObservation):
+    """The fuzz corpus, endless: the near-miss lines, then four families in turn.
+
+    Case n, counted from the first near-miss line, belongs to family n % 4:
+    1 to 255 random bytes, a mutant of the prompt, of the all-no-op
+    completion, or of a random BS's first feasible swap. Every draw comes
+    from one ``random.Random(FUZZ_SEED)``, and every byte case is decoded
+    with undecodable bytes replaced, as an adapter's are.
+    """
+    getrandbits = random.Random(FUZZ_SEED).getrandbits
+    prompt = encode(obs).encode("utf-8")
+    sample = serialize(JointAction.valid([NOOP] * obs.bs_count)).encode("utf-8")
+    swaps = [_reference_swap_completion(obs, b) for b in range(1, obs.bs_count + 1)]
+    yield from NEAR_MISS_LINES
+    n = len(NEAR_MISS_LINES)
+    while True:
+        family = n % 4
+        if family == 0:
+            size = 1 + _below(getrandbits, 255)
+            data = getrandbits(8 * size).to_bytes(size, "little")
+        elif family == 1:
+            data = _mutate(prompt, getrandbits)
+        elif family == 2:
+            data = _mutate(sample, getrandbits)
+        else:
+            data = _mutate(swaps[_below(getrandbits, len(swaps))], getrandbits)
+        yield data.decode("utf-8", errors="replace")
+        n += 1
+
+
+def _case_tag(n: int) -> str:
+    if n < len(NEAR_MISS_LINES):
+        return f"near-miss {NEAR_MISS_LINES[n]!r}"
+    return f"{_FAMILIES[n % 4]} #{n}"
 
 
 def fuzz_parser(obs: SlotObservation, cases: int) -> FuzzReport:
@@ -102,34 +141,22 @@ def fuzz_parser(obs: SlotObservation, cases: int) -> FuzzReport:
     Every near-miss line runs, even when ``cases`` is smaller; a negative ``cases`` raises.
     """
     nonnegative("cases", cases)
-    rng = random.Random(FUZZ_SEED)
+    total = max(cases, len(NEAR_MISS_LINES))
+    cache, requests = obs.cache, obs.requests
     crashes: list[str] = []
     infeasible: list[str] = []
-    prompt = encode(obs).encode("utf-8")
-    sample = serialize(
-        JointAction.valid([NOOP] * obs.bs_count)
-    ).encode("utf-8")
-    reference_swaps = [
-        _reference_swap_completion(obs, b) for b in range(1, obs.bs_count + 1)
-    ]
-    done = 0
-    for line in NEAR_MISS_LINES:
-        _check_case(f"near-miss {line!r}", line, obs, crashes, infeasible)
-        done += 1
-    while done < cases:
-        family = done % 4
-        if family == 0:
-            blob = rng.randbytes(rng.randrange(1, 256))
-            _check_case(f"bytes #{done}", blob, obs, crashes, infeasible)
-        elif family == 1:
-            _check_case(f"prompt-mutant #{done}", _mutate(prompt, rng), obs, crashes, infeasible)
-        elif family == 2:
-            _check_case(f"completion-mutant #{done}", _mutate(sample, rng), obs, crashes, infeasible)
-        else:
-            base = rng.choice(reference_swaps)
-            _check_case(f"swap-mutant #{done}", _mutate(base, rng), obs, crashes, infeasible)
-        done += 1
-    return FuzzReport(done, tuple(crashes), tuple(infeasible))
+    for n, text in enumerate(islice(_fuzz_texts(obs), total)):
+        try:
+            action = parse(text, obs)
+        except Exception as exc:  # the parser contract: never raise
+            crashes.append(f"{_case_tag(n)}: {type(exc).__name__}: {exc}")
+            continue
+        if action.is_valid:
+            try:
+                apply(cache, action, requests)
+            except Exception as exc:
+                infeasible.append(f"{_case_tag(n)}: accepted infeasible action: {exc}")
+    return FuzzReport(total, tuple(crashes), tuple(infeasible))
 
 
 def _reference_swap_completion(obs: SlotObservation, bs: int) -> bytes:

@@ -323,6 +323,22 @@ def test_action_values_survive_pickle_and_copy():
             assert repr(rebuilt) == repr(value)
 
 
+def test_an_invalid_value_is_shared_per_reason_and_rebuilds_as_before():
+    shared = JointAction.invalid("syntax")
+    assert JointAction.invalid("syntax") is shared
+    assert JointAction.invalid("count") is not shared
+    fresh = JointAction(None, "syntax")  # built around the shared table
+    assert fresh == shared and hash(fresh) == hash(shared) and fresh is not shared
+    assert shared != JointAction.invalid("count") and shared != JointAction.valid([NOOP])
+    for rebuild in _rebuilds(shared):
+        rebuilt = rebuild()
+        assert type(rebuilt) is JointAction
+        assert rebuilt == shared and hash(rebuilt) == hash(shared)
+        assert repr(rebuilt) == "JointAction(actions=None, reason='syntax')"
+        assert (rebuilt.actions, rebuilt.reason, rebuilt.is_valid) == (None, "syntax", False)
+    assert JointAction.invalid("syntax") is shared  # rebuilding changed nothing shared
+
+
 def test_action_reprs_name_their_fields():
     assert repr(BsAction(3, 42, 17)) == "BsAction(slot=3, file_in=42, file_out=17)"
     assert repr(JointAction.valid([NOOP])) == (

@@ -6,6 +6,7 @@ import functools
 import pickle
 import random
 import re
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -25,7 +26,7 @@ from coopcache.core import (
     feasible_actions,
     request_slot,
 )
-from coopcache import interface
+from coopcache import interface, verification
 from coopcache.interface import (
     PARSE_REASONS,
     SlotObservation,
@@ -436,7 +437,7 @@ def test_parse_matches_the_two_pattern_parser_on_real_and_mutated_completions():
         for _ in range(3000):
             data = rng.choice(real).encode("utf-8")
             for _ in range(rng.randint(1, 3)):
-                data = _mutate(data, rng)
+                data = _mutate(data, rng.getrandbits)  # the draws rng.randrange makes
             cases.append(data.decode("utf-8", errors="replace"))
         for text in cases:
             expected = _reference_parse(text, obs)
@@ -484,6 +485,56 @@ def test_parse_matches_the_two_pattern_parser_on_bs_ids(bs_count):
 def test_parse_matches_the_two_pattern_parser_on_random_text(text):
     for obs in (swap_observation(), golden_observation()):
         assert parse(text, obs) == _reference_parse(text, obs)
+
+
+# Every character ``str.splitlines`` breaks at, and its one two-character break.
+_LINE_BREAKS = ("\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                "\u2029", "\r\n")
+# Whitespace that ``strip`` removes but that breaks no line.
+_NON_BREAKING_SPACE = ("\t", " ", "\x1f", "\u3000")
+
+
+def test_parse_matches_the_two_pattern_parser_on_fuzz_texts():
+    """The fuzz corpus's random bytes, prompt mutants and completion mutants."""
+    outcomes = set()
+    for obs in _differential_observations():
+        for text in islice(verification._fuzz_texts(obs), 6000):
+            expected = _reference_parse(text, obs)
+            assert parse(text, obs) == expected, text
+            outcomes.add(expected.reason)
+    # one byte changed rarely reorders lines or names a cached file
+    assert outcomes == {None, *PARSE_REASONS} - {"order", "duplication"}
+
+
+def test_parse_matches_the_two_pattern_parser_around_the_first_line():
+    """Blank lines, line breaks and other whitespace before, after and inside
+    the first non-blank line, and texts with no non-blank line at all."""
+    every_break = {chr(c) for c in range(0x110000) if (chr(c) + "a").splitlines() == ["", "a"]}
+    assert every_break == set(_LINE_BREAKS[:-1])
+    rng = random.Random(29)
+    breaks = _LINE_BREAKS + ("\r\r\n", " \n\x1f")
+    spaces = _NON_BREAKING_SPACE + ("\t\x1f\u3000",)
+    blank = ["", *breaks, *spaces, *(b + s for b in breaks for s in spaces)]
+    outcomes = set()
+    for obs in _differential_observations():
+        picked = {}  # one real completion per outcome
+        for text in _completions(obs, rng):
+            picked.setdefault(_reference_parse(text, obs).reason, text)
+        lines = [text.splitlines() for text in picked.values()]
+        lines += [["SLOT 101", *lines[0]], ["BS 1: NOPE", *lines[0][1:]], ["xBS 1: NOOP"],
+                  [lines[0][0] + "\x1f" + lines[0][1]], [lines[0][0].replace(" ", "\x1f", 1)]]
+        for first, *rest in lines:
+            for lead in blank:
+                for end in breaks + spaces:
+                    sep = rng.choice(breaks)
+                    for text in (lead + first + end + sep.join(rest),
+                                 lead + rng.choice(spaces) + first + end + sep + sep.join(rest)):
+                        expected = _reference_parse(text, obs)
+                        assert parse(text, obs) == expected, repr(text)
+                        outcomes.add(expected.reason)
+        for text in blank:
+            assert parse(text, obs) == _reference_parse(text, obs) == JointAction.invalid("count")
+    assert outcomes == {None, *PARSE_REASONS}
 
 
 def test_encode_refuses_a_decoded_observation(golden_obs):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
+from collections import Counter
 from itertools import islice
 
 import pytest
@@ -383,6 +385,53 @@ def _check_rows_equal_score_completion(monkeypatch, config):
     assert [(r.gain, r.penalty, r.total, r.classification, r.action) for r in rows] == [
         (r.gain, r.penalty, r.total, r.classification, r.action) for r in expected
     ]
+
+
+def _reference_ranking_faults(writes):
+    """The pairwise loop ``verify_pbrs`` counted ranking faults with: one per
+    ordered pair of (gain, unclipped score) whose gains differ by more than
+    the tolerance and whose scores do not rank them alike."""
+    faults = 0
+    for i, (g_i, u_i) in enumerate(writes):
+        for g_j, u_j in writes[i + 1 :]:
+            if g_i > g_j + reward._ARGMAX_TOL and not u_i > u_j:
+                faults += 1
+            if g_j > g_i + reward._ARGMAX_TOL and not u_j > u_i:
+                faults += 1
+    return faults
+
+
+def test_verify_pbrs_counts_ranking_faults_as_the_pairwise_loop(monkeypatch):
+    """A planted penalty on BS 1's positive-gain swaps reverses some rankings
+    and not others; each BS gets as many ranking entries as the loop counts."""
+    shape = reward._breakdown
+    groups = []  # per audited BS: (gain, unclipped) of each swap
+
+    def planted(action, gain, expert_acted, cfg):
+        out = shape(action, gain, expert_acted, cfg)
+        if action.is_all_noop:  # each BS's actions open with its no-op
+            groups.append([])
+        elif out.classification == reward.CLASS_VALID_WRITE:
+            if not action.actions[0].is_noop and gain > 0.0:
+                out = dataclasses.replace(out, penalty=-2.5 * gain)
+            groups[-1].append((gain, out.unclipped))
+        return out
+
+    monkeypatch.setattr(reward, "_breakdown", planted)
+    instance = build_instance(InstanceConfig(), 2)
+    cfg = RewardConfig()
+    report = verify_pbrs(instance, 8, cfg)
+    monkeypatch.undo()
+    bs_range = range(1, instance.config.bs_count + 1)
+    where = [f"seed 2 slot {obs.slot} BS {b}"
+             for obs, _, _ in islice(expert_walk(instance, cfg.horizon, cfg.gamma), 8)
+             for b in bs_range]
+    expected = [_reference_ranking_faults(writes) for writes in groups]
+    assert len(expected) == len(where)
+    assert sum(expected) > 0 and expected[1::2] == [0] * 8  # BS 2's rankings hold
+    faults = Counter(entry.split(":")[0] for entry in report.order_violations)
+    assert [faults[w] for w in where] == expected
+    assert sum(faults.values()) == len(report.order_violations)
 
 
 def test_verify_pbrs_scores_each_candidate_cache_once(monkeypatch):
