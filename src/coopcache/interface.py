@@ -156,7 +156,7 @@ def parse(text: str, obs: SlotObservation) -> JointAction:
     """
     if not text.startswith("BS "):
         head = text.lstrip()
-        if head and not head.startswith("BS "):  # no grammar line starts so
+        if head and not head.startswith("BS "):  # every grammar line starts with "BS "
             return _SYNTAX_ERROR
     entries = []
     for raw in text.splitlines():
