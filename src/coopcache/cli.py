@@ -193,7 +193,12 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = _run_config(args, _load_file_cfg(args.config))
     parse = SWEEP_AXES[args.axis][1]
-    values = [parse(v) for v in args.values.split(",")]
+    values = []
+    for text in args.values.split(","):
+        try:
+            values.append(parse(text))
+        except ValueError:
+            raise SystemExit(f"--values: {text!r} is not a {args.axis} value") from None
     rows = sweep(cfg, args.axis, values)
     for row in rows:
         print(

@@ -12,7 +12,7 @@ import hashlib
 import json
 import os
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import islice
 
 from .core import EMPTY_SLOT, StructuralError, atomic_write, canonical_json, nonnegative
@@ -152,15 +152,7 @@ class DatasetAudit:
         return not self.invalid_indices and not self.gate_violations
 
     def to_dict(self) -> dict:
-        return {
-            "records": self.records,
-            "invalid_indices": list(self.invalid_indices),
-            "gate_violations": list(self.gate_violations),
-            "noop_fraction": self.noop_fraction,
-            "per_bs": [dict(d) for d in self.per_bs],
-            "truncated": self.truncated,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def audit_dataset(path) -> DatasetAudit:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .core import (
     StructuralError,
@@ -118,18 +118,9 @@ class EvalReport:
         return self.__dict__
 
     def to_dict(self) -> dict:
-        return {
-            "schema": REPORT_SCHEMA,
-            "policy": self.policy,
-            "seed": self.seed,
-            "instance_sha256": self.instance_sha256,
-            "slots": self.slots,
-            "p_hit": list(self.p_hit),
-            "checkpoints": [[s, v] for s, v in self.checkpoints],
-            "table_mean": self.table_mean,
-            "overall_mean": self.overall_mean,
-            "invalid_actions": self.invalid_actions,
-        }
+        payload = asdict(self)
+        del payload["latency_s"]
+        return {"schema": REPORT_SCHEMA, **payload}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "EvalReport":
@@ -336,6 +327,8 @@ def write_reports(reports, out_dir) -> tuple[str, str]:
     ``results.csv`` mirrors the headline table: one column per checkpoint
     slot then the mean; aggregate rows use seed="mean". ``series.csv`` is
     the plot-ready long format. Emission is a pure function of the reports.
+    Reports whose checkpoint slots differ share no columns: they are refused
+    before any file is written.
     """
     if not reports:
         raise StructuralError("nothing to report")
@@ -345,7 +338,11 @@ def write_reports(reports, out_dir) -> tuple[str, str]:
     for seed, hashes in by_seed.items():
         if len(hashes) != 1:
             raise StructuralError(f"seed {seed}: policies saw different instance bytes")
-    marks = [m for m, _ in reports[0].checkpoints]
+    slot_sets = sorted({tuple(m for m, _ in r.checkpoints) for r in reports})
+    if len(slot_sets) > 1:
+        raise StructuralError("reports differ in checkpoint slots: "
+                              + " and ".join(str(list(marks)) for marks in slot_sets))
+    marks = slot_sets[0]
     results_path = os.path.join(out_dir, "results.csv")
     with atomic_write(results_path) as fh:
         writer = csv.writer(fh)

@@ -10,10 +10,12 @@ a child process speaking length-prefixed frames.
 from __future__ import annotations
 
 import logging
+import math
 import queue
 import shlex
 import subprocess
 import threading
+import time
 
 from .core import (
     EMPTY_SLOT,
@@ -232,10 +234,12 @@ class ExternPolicy(Policy):
     Wire protocol, both directions: ``LEN <n>\\n`` followed by exactly n
     bytes of UTF-8 payload. One prompt frame out, one completion frame
     back per slot. A timeout or a closed pipe yields an empty completion
-    (which parses invalid); late frames from a timed-out slot are drained
-    before the next prompt is sent. A dead adapter is reported once, when
-    it is found, and the empty completions scored after that are counted
-    and reported once by :meth:`close`.
+    (which parses invalid); the frames owed to timed-out prompts are
+    discarded in order, whenever they arrive, so each slot gets the reply
+    to its own prompt. The timeout must be a finite number of seconds > 0.
+    A dead adapter is reported once, when it is found, and the empty
+    completions scored after that are counted and reported once by
+    :meth:`close`.
     """
 
     def __init__(self, command: str, timeout: float = 30.0) -> None:
@@ -244,9 +248,11 @@ class ExternPolicy(Policy):
         self.name = "extern"
         self._command = command
         self._timeout = float(timeout)
+        if not 0 < self._timeout < math.inf:
+            raise StructuralError(f"extern timeout must be a finite number > 0, not {timeout!r}")
         self._proc: subprocess.Popen | None = None
         self._frames: queue.Queue | None = None
-        self._stale = 0
+        self._stale = 0  # frames owed to timed-out prompts, not yet read
         self._dead_slots = 0  # empty completions scored since the adapter died
 
     def reset(self, instance, warm=None) -> None:
@@ -280,26 +286,25 @@ class ExternPolicy(Policy):
     def decide(self, obs, peek=None) -> str:
         if self._dead_slots or self._proc is None or self._proc.poll() is not None:
             return self._gone("process exited", obs.slot)
-        while self._stale:
-            try:
-                if self._frames.get_nowait() is None:
-                    return self._gone("end of output", obs.slot)
-            except queue.Empty:
-                break
-            self._stale -= 1
         try:
             write_frame(self._proc.stdin, encode(obs))
         except (BrokenPipeError, OSError):
             return self._gone("pipe closed", obs.slot)
-        try:
-            reply = self._frames.get(timeout=self._timeout)
-        except queue.Empty:
-            self._stale += 1
-            logger.warning(
-                "adapter timed out after %.1fs at slot %d", self._timeout, obs.slot
-            )
-            return ""
-        return reply if reply is not None else self._gone("end of output", obs.slot)
+        deadline = time.monotonic() + self._timeout
+        while True:
+            try:
+                reply = self._frames.get(timeout=max(0.0, deadline - time.monotonic()))
+            except queue.Empty:
+                self._stale += 1
+                logger.warning(
+                    "adapter timed out after %.1fs at slot %d", self._timeout, obs.slot
+                )
+                return ""
+            if reply is None:
+                return self._gone("end of output", obs.slot)
+            if not self._stale:
+                return reply
+            self._stale -= 1
 
     def close(self) -> None:
         if self._dead_slots:

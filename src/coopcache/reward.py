@@ -12,7 +12,7 @@ the joint action space whose exponential growth the ``verify`` suite checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain, islice
 
 import numpy as np
@@ -265,17 +265,9 @@ class ShapingReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "slots_checked": self.slots_checked,
-            "actions_checked": self.actions_checked,
-            "argmax_mismatches": list(self.argmax_mismatches),
-            "order_violations": list(self.order_violations),
-            "demotion_violations": list(self.demotion_violations),
-            "flags": list(self.flags),
-            "joint_space_products": [s.product for s in self.spaces],
-            "ok": self.ok,
-        }
+        payload = asdict(self)
+        payload["joint_space_products"] = [s["product"] for s in payload.pop("spaces")]
+        return {**payload, "ok": self.ok}
 
 
 def verify_pbrs(instance: Instance, sample_slots: int, cfg: RewardConfig) -> ShapingReport:

@@ -14,7 +14,7 @@ import hashlib
 import math
 import sys
 from bisect import bisect_right
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -195,20 +195,7 @@ class InstanceConfig:
     @classmethod
     def from_dict(cls, payload: dict) -> "InstanceConfig":
         key = key_reader(payload, "instance config key")
-        return cls(
-            bs_count=key("bs_count"),
-            users=key("users"),
-            library=key("library"),
-            cache_size=key("cache_size", _wholes),
-            groups=key("groups"),
-            alpha=key("alpha", real),
-            windows=key("windows", _wholes),
-            radius=key("radius", real),
-            bs_xy=key("bs_xy", _points),
-            warm_slots=key("warm_slots"),
-            rollout_slots=key("rollout_slots"),
-            horizon_reserve=key("horizon_reserve"),
-        )
+        return cls(**{f.name: key(f.name, _CONFIG_PARSERS.get(f.name, whole)) for f in fields(cls)})
 
 
 @dataclass(frozen=True)
@@ -280,6 +267,11 @@ def _points(values) -> tuple[tuple[float, float], ...]:
         ):
             raise TypeError(f"expected an [x, y] pair of finite numbers, not {p!r}")
     return tuple((float(x), float(y)) for x, y in values)
+
+
+#: ``InstanceConfig.from_dict``'s parser of each field that is not read by ``whole``.
+_CONFIG_PARSERS = {"cache_size": _wholes, "alpha": real, "windows": _wholes,
+                   "radius": real, "bs_xy": _points}
 
 
 def build_instance(config: InstanceConfig, seed: int) -> Instance:

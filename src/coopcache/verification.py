@@ -10,7 +10,7 @@ then rejects.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import islice
 
 from .core import NOOP, JointAction, StructuralError, apply, feasible_actions, nonnegative
@@ -57,12 +57,7 @@ class FuzzReport:
         return not self.crashes and not self.infeasible_accepts
 
     def to_dict(self) -> dict:
-        return {
-            "cases": self.cases,
-            "crashes": list(self.crashes),
-            "infeasible_accepts": list(self.infeasible_accepts),
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def first_decision_observation(instance: Instance) -> SlotObservation:

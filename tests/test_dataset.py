@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from coopcache import dataset
+from coopcache.core import canonical_json
 from coopcache.dataset import (
     DatasetFormatError,
     audit_dataset,
@@ -99,6 +101,32 @@ def test_audit_detects_corruption(tmp_path, instance):
     audit = audit_dataset(path)
     assert not audit.ok
     assert audit.invalid_indices == (3,)
+
+
+def test_audit_file_payload_is_pinned(tmp_path):
+    """An audit with a gate violation (record 1, the golden prompt, whose BS 2
+    has an empty slot), an invalid record (3) and a truncation marker writes
+    exactly this JSON payload."""
+    export = generate_sft(build_instance(small_config(rollout_slots=6), 1), 8, horizon=3)
+    assert export.truncated
+    path = tmp_path / "sft.jsonl"
+    write_sft_jsonl(export, path)
+    lines = path.read_text().splitlines()
+    golden = (Path(__file__).parent / "data" / "golden_prompt.txt").read_text()
+    lines.insert(1, canonical_json({"prompt": golden, "completion": "BS 1: NOOP\nBS 2: NOOP"}))
+    record = json.loads(lines[3])
+    record["completion"] = "BS 1: NOOP"
+    lines[3] = canonical_json(record)
+    path.write_text("\n".join(lines) + "\n")
+    assert json.loads(canonical_json(audit_dataset(path).to_dict())) == {
+        "records": 8,
+        "invalid_indices": [3],
+        "gate_violations": [1],
+        "noop_fraction": 0.6428571428571429,
+        "per_bs": [{"noop": 4, "swap": 3}, {"noop": 5, "swap": 2}],
+        "truncated": True,
+        "ok": False,
+    }
 
 
 def test_audit_empty_file(tmp_path):

@@ -22,7 +22,7 @@ from coopcache.cli import (
 )
 from coopcache import cli, episode, harness, verification
 from coopcache.cli import main as cli_main
-from coopcache.core import StructuralError, hit_rate
+from coopcache.core import StructuralError, canonical_json, hit_rate
 from coopcache.dataset import generate_sft
 from coopcache.harness import (
     RUNCONFIG_SCHEMA,
@@ -274,6 +274,39 @@ def test_a_failed_run_writes_nothing(tmp_path, monkeypatch):
         cli_main(["run", "--policy", "extern:/nonexistent/bin", "--slots", "1",
                   "--seeds", "1", "--out", str(out)])
     assert not out.exists()
+
+
+@pytest.mark.parametrize("timeout", ["-1", "0", "nan"])
+def test_cli_refuses_a_bad_extern_timeout_before_any_rollout(tmp_path, monkeypatch, timeout):
+    monkeypatch.delenv("COOPCACHE_OUT_DIR", raising=False)
+    rollouts = []
+    monkeypatch.setattr(harness, "rollout", lambda *args: rollouts.append(args))
+    out = tmp_path / "out"
+    message = f"^extern timeout must be a finite number > 0, not {re.escape(repr(float(timeout)))}$"
+    with pytest.raises(SystemExit, match=message):
+        cli_main(["run", "--policy", f"extern:{sys.executable} -m coopcache.extern_stub",
+                  "--extern-timeout", timeout, "--slots", "1", "--seeds", "1", "--out", str(out)])
+    assert not rollouts and not out.exists()
+
+
+@pytest.mark.parametrize("long_spec, short_spec", [("lru", "noop"), ("noop", "lru")])
+def test_report_refuses_reports_whose_checkpoint_slots_differ(tmp_path, monkeypatch,
+                                                              long_spec, short_spec):
+    """A 100-slot and a 60-slot report, read in either file order, are refused
+    in one line before any table is written."""
+    monkeypatch.delenv("COOPCACHE_OUT_DIR", raising=False)
+    instance = build_instance(InstanceConfig(), 1)
+    warm = warm_start(instance)
+    reports = tmp_path / "reports"
+    reports.mkdir()
+    for spec, slots in ((long_spec, 100), (short_spec, 60)):
+        report = rollout(instance, make_policy(spec), slots, warm)
+        (reports / f"report_{spec}_seed1.json").write_text(canonical_json(report.to_dict()))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit,
+                       match=r"^reports differ in checkpoint slots: \[50\] and \[50, 100\]$"):
+        cli_main(["report", "--reports", str(reports), "--out", str(out)])
+    assert not (out / "results.csv").exists() and not (out / "series.csv").exists()
 
 
 def test_run_writes_once_every_rollout_has_succeeded(tmp_path, monkeypatch):
@@ -702,6 +735,16 @@ def test_cli_sweep_parses_values_by_axis(tmp_path):
     assert code == 0
     with open(out_dir / "sweep_zipf_alpha.csv", encoding="utf-8", newline="") as fh:
         assert [row["value"] for row in csv.DictReader(fh)] == ["1.0"]
+
+
+@pytest.mark.parametrize("values, entry", [("100,abc", "'abc'"), ("100,", "''")])
+def test_cli_sweep_refuses_a_bad_value_in_one_line(tmp_path, monkeypatch, values, entry):
+    monkeypatch.delenv("COOPCACHE_OUT_DIR", raising=False)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit, match=f"^--values: {entry} is not a library_size value$"):
+        cli_main(["sweep", "--axis", "library_size", "--values", values, "--policy", "lru",
+                  "--seeds", "1", "--slots", "5", "--out", str(out)])
+    assert not out.exists()
 
 
 def test_sweep_rejects_a_non_finite_alpha_before_any_rollout(tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import logging
 import random
+import shlex
 import sys
 from types import SimpleNamespace
 
@@ -461,6 +462,31 @@ def test_extern_timeout_yields_empty(small_instance, golden_obs):
         text = policy.decide(golden_obs)
         assert text == ""
         assert not parse(text, golden_obs).is_valid
+    finally:
+        policy.close()
+
+
+def test_extern_matches_each_reply_to_its_own_prompt(small_instance, golden_obs, tmp_path):
+    """An adapter that answers prompt 1 only once prompt 2 has arrived: slot 1
+    times out, and slot 2 gets the reply to its own prompt, not to slot 1's."""
+    script = tmp_path / "late_adapter.py"
+    script.write_text(
+        "import sys\n"
+        "src, out = sys.stdin.buffer, sys.stdout.buffer\n"
+        "def prompt():\n"
+        "    return src.read(int(src.readline()[4:]))\n"
+        "for held in [prompt(), prompt()]:\n"
+        "    reply = b'reply to ' + held.splitlines()[0]\n"
+        "    out.write(b'LEN %d\\n' % len(reply) + reply)\n"
+        "out.flush()\n"
+        "src.read()\n"
+    )
+    command = f"{shlex.quote(sys.executable)} {shlex.quote(str(script))}"
+    policy = ExternPolicy(command, timeout=1.0)
+    policy.reset(small_instance, None)
+    try:
+        assert policy.decide(golden_obs) == ""
+        assert policy.decide(golden_obs._replace(slot=102)) == "reply to SLOT 102"
     finally:
         policy.close()
 
