@@ -260,7 +260,6 @@ def _cmd_report(args) -> int:
     if not reports:
         raise SystemExit(f"no report_*.json files under {args.reports}")
     out_dir = os.environ.get(_ENV_OUT) or args.out
-    os.makedirs(out_dir, exist_ok=True)
     # saved reports carry no latency, so the measured latency.csv is left as it is
     results, series = write_reports(reports, out_dir)
     print(f"wrote {results} and {series}")

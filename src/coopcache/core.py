@@ -317,16 +317,11 @@ class RequestSlot:
 
 
 def request_slot(pairs, graph) -> RequestSlot:
-    """Build a RequestSlot, deriving per-BS counts, admissible sets and covered requests."""
-    ordered = tuple(sorted((int(u), int(f)) for u, f in pairs))
-    bs_range = range(graph.bs_count)
-    counts: list[dict] = [{} for _ in bs_range]
-    files: list[list] = [[] for _ in bs_range]
-    others: list[list] = [[] for _ in bs_range]
-    cover_others = graph.cover_others
+    """Build a RequestSlot from (user, file) pairs, each checked in user order."""
     user_count = graph.user_count
+    row = [0] * user_count
     last = None
-    for u, f in ordered:
+    for u, f in sorted((int(u), int(f)) for u, f in pairs):
         if u == last:  # sorted, so one user's requests sit side by side
             raise StructuralError("one request per user per slot")
         last = u
@@ -334,13 +329,27 @@ def request_slot(pairs, graph) -> RequestSlot:
             raise StructuralError("file ids must be >= 1")
         if not 0 <= u < user_count:
             raise StructuralError(f"user {u} is not in the association graph")
-        for i, other_bs in cover_others[u]:
-            d = counts[i]
+        row[u] = f
+    return slot_from_row(row, graph)
+
+
+def slot_from_row(row, graph) -> RequestSlot:
+    """The RequestSlot of a checked row: ``row[u]`` is user u's file, 0 for none.
+    BS b's requests are gathered by ``graph.columns[b-1]``, so they follow pair
+    order, and share its other-BS tuple when all of b's users request."""
+    counts, covered = [], []
+    for users, others in graph.columns:
+        files = [row[u] for u in users]
+        if 0 in files:
+            present = [i for i, f in enumerate(files) if f]
+            files, others = [files[i] for i in present], tuple([others[i] for i in present])
+        d = {}
+        for f in files:
             d[f] = d.get(f, 0) + 1
-            files[i].append(f)
-            others[i].append(other_bs)
-    covered = tuple(zip(map(tuple, files), map(tuple, others)))
-    return RequestSlot(ordered, tuple(counts), covered)
+        counts.append(d)
+        covered.append((tuple(files), others))
+    pairs = tuple([(u, f) for u, f in enumerate(row) if f])
+    return RequestSlot(pairs, tuple(counts), tuple(covered))
 
 
 def hit_rate(cache: CacheState, requests: RequestSlot, graph) -> float:

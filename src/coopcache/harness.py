@@ -328,7 +328,7 @@ def write_reports(reports, out_dir) -> tuple[str, str]:
     slot then the mean; aggregate rows use seed="mean". ``series.csv`` is
     the plot-ready long format. Emission is a pure function of the reports.
     Reports whose checkpoint slots differ share no columns: they are refused
-    before any file is written.
+    before any file is written, and ``out_dir`` is made only once they pass.
     """
     if not reports:
         raise StructuralError("nothing to report")
@@ -343,6 +343,7 @@ def write_reports(reports, out_dir) -> tuple[str, str]:
         raise StructuralError("reports differ in checkpoint slots: "
                               + " and ".join(str(list(marks)) for marks in slot_sets))
     marks = slot_sets[0]
+    os.makedirs(out_dir, exist_ok=True)
     results_path = os.path.join(out_dir, "results.csv")
     with atomic_write(results_path) as fh:
         writer = csv.writer(fh)

@@ -32,6 +32,7 @@ from .core import (
     read_json,
     real,
     request_slot,
+    slot_from_row,
     whole,
 )
 from .interface import SlotObservation
@@ -93,12 +94,13 @@ class AssociationGraph:
         return len(self.user_xy)
 
     @cached_property
-    def cover_others(self) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
-        """``cover_others[u]``: for each BS b covering user u, ascending, the
-        pair (b - 1, the other BSs covering u); computed once, then kept."""
+    def columns(self) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
+        """``columns[b-1]``: the users BS b covers, ascending, and each one's other
+        covering BSs; computed once, then kept."""
         return tuple(
-            tuple((b - 1, tuple(bb for bb in cov if bb != b)) for b in cov)
-            for cov in self.coverage
+            (tuple(u for u, cov in enumerate(self.coverage) if b in cov),
+             tuple(tuple(bb for bb in cov if bb != b) for cov in self.coverage if b in cov))
+            for b in range(1, self.bs_count + 1)
         )
 
 
@@ -329,7 +331,9 @@ def build_instance(config: InstanceConfig, seed: int) -> Instance:
         np.clip(ranks, 0, config.library - 1, out=ranks)
         perm = np.asarray(rank_to_file[g], dtype=np.int64)
         files[:, members] = perm[ranks]
-    trace = tuple(request_slot(tuple(enumerate(row)), graph) for row in files.tolist())
+    if files.size and files.min() < 1:
+        raise StructuralError("file ids must be >= 1")
+    trace = tuple(slot_from_row(row, graph) for row in files.tolist())
     return Instance(config, int(seed), graph, demand, trace)
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from coopcache.core import EMPTY_SLOT, CacheState, request_slot
+from coopcache.core import EMPTY_SLOT, CacheState, RequestSlot, StructuralError, request_slot
 from coopcache.interface import SlotObservation
 from coopcache.traffic import (
     AssociationGraph,
@@ -53,6 +53,40 @@ def synthetic_graph(coverage, bs_count: int) -> AssociationGraph:
     """A graph with the coverage given directly; coordinates are placeholders."""
     cov = tuple(tuple(sorted(set(c))) for c in coverage)
     return AssociationGraph(((0.0, 0.0),) * bs_count, ((0.0, 0.0),) * len(cov), 0.0, cov)
+
+
+def reference_request_slot(pairs, graph) -> RequestSlot:
+    """The per-pair build ``request_slot`` made before slots came from a file
+    row, kept as a reference: sort the pairs, check each in user order, then
+    count each request at every BS covering its user."""
+    ordered = tuple(sorted((int(u), int(f)) for u, f in pairs))
+    counts = [{} for _ in range(graph.bs_count)]
+    files = [[] for _ in range(graph.bs_count)]
+    others = [[] for _ in range(graph.bs_count)]
+    last = None
+    for u, f in ordered:
+        if u == last:
+            raise StructuralError("one request per user per slot")
+        last = u
+        if f < 1:
+            raise StructuralError("file ids must be >= 1")
+        if not 0 <= u < graph.user_count:
+            raise StructuralError(f"user {u} is not in the association graph")
+        cov = graph.coverage[u]
+        for b in cov:
+            counts[b - 1][f] = counts[b - 1].get(f, 0) + 1
+            files[b - 1].append(f)
+            others[b - 1].append(tuple(bb for bb in cov if bb != b))
+    return RequestSlot(ordered, tuple(counts), tuple(zip(map(tuple, files), map(tuple, others))))
+
+
+def assert_same_slot(slot: RequestSlot, reference: RequestSlot) -> None:
+    """Equal pairs, covered requests and admissible pools, and equal counts
+    with the same key order."""
+    assert slot.pairs == reference.pairs
+    assert slot.covered == reference.covered
+    assert [list(a) for a in slot.admissible] == [list(a) for a in reference.admissible]
+    assert [list(d.items()) for d in slot.counts] == [list(d.items()) for d in reference.counts]
 
 
 def random_scenario(rng: random.Random, max_bs=3, max_files=10, max_users=8):

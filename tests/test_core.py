@@ -23,9 +23,16 @@ from coopcache.core import (
     feasible_actions,
     hit_rate,
     request_slot,
+    slot_from_row,
 )
 
-from conftest import random_scenario, scenarios, synthetic_graph
+from conftest import (
+    assert_same_slot,
+    random_scenario,
+    reference_request_slot,
+    scenarios,
+    synthetic_graph,
+)
 
 
 def brute_force_hit_rate(rows, coverage, pairs) -> float:
@@ -387,6 +394,56 @@ def test_request_slot_lists_the_requests_each_bs_covers(scenario):
                 tuple(tuple(bb for bb in graph.coverage[u] if bb != b) for u, _ in mine),
             )
             assert slot.admissible[b - 1] == slot.counts[b - 1].keys()
+
+
+@settings(max_examples=200)
+@given(scenarios(holes=True, uncovered=True))
+def test_request_slot_matches_the_per_pair_reference(scenario):
+    """Users absent from a slot, users no BS covers and pairs out of order."""
+    _cache, graph, requests, peek = scenario
+    for slot in (requests, *peek):
+        pairs = slot.pairs[::-1]
+        assert_same_slot(request_slot(pairs, graph), reference_request_slot(pairs, graph))
+
+
+# BS 2 covers nobody, BS 3 covers user 1 alone and no BS covers user 2.
+_SPARSE_GRAPH = synthetic_graph(((1,), (1, 3), (), (1,)), 3)
+
+
+@settings(max_examples=100)
+@given(st.lists(st.integers(0, 5), min_size=4, max_size=4))
+def test_a_file_row_builds_the_reference_slot(row):
+    """``row[u]`` is user u's file, 0 for no request."""
+    pairs = [(u, f) for u, f in enumerate(row) if f]
+    reference = reference_request_slot(pairs, _SPARSE_GRAPH)
+    assert_same_slot(slot_from_row(row, _SPARSE_GRAPH), reference)
+    assert_same_slot(request_slot(pairs, _SPARSE_GRAPH), reference)
+    assert reference.counts[1] == {} and reference.covered[1] == ((), ())
+
+
+_REFUSALS = [
+    (((0, 1), (0, 2)), "one request per user per slot"),
+    (((1, 0),), "file ids must be >= 1"),
+    (((3, 1),), "user 3 is not in the association graph"),
+    (((-1, 1),), "user -1 is not in the association graph"),
+    # the first pair in user order that breaks a rule decides
+    (((3, 0), (0, 1), (0, 2)), "one request per user per slot"),
+    (((3, 1), (1, 0)), "file ids must be >= 1"),
+    (((0, 4), (1, 1), (1, 0)), "file ids must be >= 1"),
+    (((2, 5), (5, 1), (2, 6)), "one request per user per slot"),
+    # and within one pair: the file before the user
+    (((3, 0),), "file ids must be >= 1"),
+    (((-2, -1),), "file ids must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("pairs, message", _REFUSALS)
+def test_request_slot_refuses_as_the_reference_does(pairs, message):
+    graph = synthetic_graph(((1,), (1, 2), (2,)), 2)
+    for build in (request_slot, reference_request_slot):
+        with pytest.raises(StructuralError) as exc:
+            build(pairs, graph)
+        assert str(exc.value) == message
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,8 +7,10 @@ import csv
 import dataclasses
 import hashlib
 import json
+import os
 import pickle
 import re
+import subprocess
 import sys
 
 import pytest
@@ -289,12 +291,8 @@ def test_cli_refuses_a_bad_extern_timeout_before_any_rollout(tmp_path, monkeypat
     assert not rollouts and not out.exists()
 
 
-@pytest.mark.parametrize("long_spec, short_spec", [("lru", "noop"), ("noop", "lru")])
-def test_report_refuses_reports_whose_checkpoint_slots_differ(tmp_path, monkeypatch,
-                                                              long_spec, short_spec):
-    """A 100-slot and a 60-slot report, read in either file order, are refused
-    in one line before any table is written."""
-    monkeypatch.delenv("COOPCACHE_OUT_DIR", raising=False)
+def _write_unequal_reports(tmp_path, long_spec, short_spec):
+    """A ``reports`` directory holding a 100-slot and a 60-slot report of seed 1."""
     instance = build_instance(InstanceConfig(), 1)
     warm = warm_start(instance)
     reports = tmp_path / "reports"
@@ -302,11 +300,63 @@ def test_report_refuses_reports_whose_checkpoint_slots_differ(tmp_path, monkeypa
     for spec, slots in ((long_spec, 100), (short_spec, 60)):
         report = rollout(instance, make_policy(spec), slots, warm)
         (reports / f"report_{spec}_seed1.json").write_text(canonical_json(report.to_dict()))
+    return reports
+
+
+@pytest.mark.parametrize("long_spec, short_spec", [("lru", "noop"), ("noop", "lru")])
+def test_report_refuses_reports_whose_checkpoint_slots_differ(tmp_path, monkeypatch,
+                                                              long_spec, short_spec):
+    """A 100-slot and a 60-slot report, read in either file order, are refused
+    in one line before any table is written."""
+    monkeypatch.delenv("COOPCACHE_OUT_DIR", raising=False)
+    reports = _write_unequal_reports(tmp_path, long_spec, short_spec)
     out = tmp_path / "out"
     with pytest.raises(SystemExit,
                        match=r"^reports differ in checkpoint slots: \[50\] and \[50, 100\]$"):
         cli_main(["report", "--reports", str(reports), "--out", str(out)])
     assert not (out / "results.csv").exists() and not (out / "series.csv").exists()
+
+
+@pytest.mark.parametrize("via", ["--out", "COOPCACHE_OUT_DIR"])
+def test_a_refused_report_creates_no_directory(tmp_path, via):
+    """``report`` over a 100-slot and a 60-slot report exits 1 in one line,
+    and neither the output directory it was given nor ``--out`` appears."""
+    reports = _write_unequal_reports(tmp_path, "lru", "noop")
+    out, flag_out = tmp_path / "out", tmp_path / "flag-out"
+    env = {k: v for k, v in os.environ.items() if k != "COOPCACHE_OUT_DIR"}
+    if via == "COOPCACHE_OUT_DIR":
+        env[via] = str(out)
+    else:
+        flag_out = out
+    done = subprocess.run(
+        [sys.executable, "-m", "coopcache.cli", "report", "--reports", str(reports),
+         "--out", str(flag_out)],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1
+    assert done.stderr == "reports differ in checkpoint slots: [50] and [50, 100]\n"
+    assert sorted(os.listdir(tmp_path)) == ["reports"]
+
+
+@pytest.mark.parametrize("slot, message", [
+    ([[0, 3], [0, 4]], "one request per user per slot"),
+    ([[0, 0]], "file ids must be >= 1"),
+    ([[6, 3]], "user 6 is not in the association graph"),
+], ids=["duplicate-user", "file-0", "user-outside"])
+def test_a_loaded_bad_slot_fails_in_one_line(tmp_path, monkeypatch, slot, message):
+    monkeypatch.delenv("COOPCACHE_OUT_DIR", raising=False)
+    payload = json.loads(build_instance(small_config(), 1).to_canonical_json())
+    payload["trace"][5] = slot
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(payload))
+    line = f"{path}: instance key 'trace': {message}"
+    with pytest.raises(StructuralError) as exc:
+        load_instance(path)
+    assert str(exc.value) == line
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["run", "--instance", str(path), "--seeds", "1", "--out", str(out)])
+    assert str(exc.value) == line and not out.exists()
 
 
 def test_run_writes_once_every_rollout_has_succeeded(tmp_path, monkeypatch):

@@ -40,7 +40,13 @@ from coopcache.traffic import (
     zipf_pmf,
 )
 
-from conftest import small_config, synthetic_graph
+from conftest import (
+    assert_same_slot,
+    reference_request_slot,
+    scenarios,
+    small_config,
+    synthetic_graph,
+)
 
 
 def test_zipf_single_file():
@@ -140,6 +146,47 @@ def test_instance_round_trip(tmp_path, small_instance):
     again = tmp_path / "again.json"
     save_instance(loaded, again)
     assert path.read_bytes() == again.read_bytes()
+
+
+def assert_columns_follow_coverage(graph) -> None:
+    """``columns[b-1]`` lists each user BS b covers once, ascending, with the
+    user's other covering BSs."""
+    assert len(graph.columns) == graph.bs_count
+    for b, (users, others) in enumerate(graph.columns, start=1):
+        assert list(users) == [u for u, cov in enumerate(graph.coverage) if b in cov]
+        assert others == tuple(tuple(bb for bb in graph.coverage[u] if bb != b) for u in users)
+
+
+@settings(max_examples=100)
+@given(scenarios(peek_max=0, uncovered=True))
+def test_columns_follow_coverage(scenario):
+    assert_columns_follow_coverage(scenario[1])
+
+
+_TRACE_CONFIGS = {
+    "2bs-default": InstanceConfig(),
+    "5bs-F100": InstanceConfig(bs_count=5, users=40, library=100),
+    "5bs-F1100": InstanceConfig(bs_count=5, users=40, library=1100),
+    # the third BS sits off the unit square, so it covers no user
+    "3bs-idle": InstanceConfig(bs_count=3, bs_xy=((0.35, 0.5), (0.65, 0.5), (5.0, 5.0)),
+                               radius=0.4),
+}
+
+
+@pytest.mark.parametrize("config", _TRACE_CONFIGS.values(), ids=_TRACE_CONFIGS.keys())
+def test_build_instance_slots_equal_the_per_pair_reference(config):
+    """Every user requests in every slot, so each BS's covered requests share
+    the graph's tuple of other covering BSs."""
+    instance = build_instance(config, 4)
+    graph = instance.graph
+    assert_columns_follow_coverage(graph)
+    if config.bs_count == 3:
+        assert graph.columns[2] == ((), ())
+    for slot in instance.trace:
+        assert [u for u, _ in slot.pairs] == list(range(config.users))
+        assert_same_slot(slot, reference_request_slot(slot.pairs, graph))
+        for (_files, others), (_users, layout) in zip(slot.covered, graph.columns):
+            assert others is layout
 
 
 def test_instance_pickles():
