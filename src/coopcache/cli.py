@@ -16,7 +16,16 @@ import os
 import sys
 from typing import Callable, NamedTuple
 
-from .core import StructuralError, atomic_write, nonnegative, read_json, real, whole
+from .core import (
+    StructuralError,
+    atomic_write,
+    check_out_dir,
+    make_out_dir,
+    nonnegative,
+    read_json,
+    real,
+    whole,
+)
 from .dataset import audit_dataset, generate_sft, write_export
 from .harness import (
     RUNCONFIG_SCHEMA,
@@ -232,10 +241,11 @@ def _cmd_verify(args) -> int:
     for flag, count in (("--pbrs-slots", args.pbrs_slots), ("--fuzz-cases", args.fuzz_cases)):
         if count is not None:
             nonnegative(flag, count)
+    out_dir = os.environ.get(_ENV_OUT) or args.out
+    check_out_dir(out_dir)
     given = {k: getattr(args, k) for k in ("seeds", "pbrs_slots", "fuzz_cases")}
     report = run_verification(**{k: v for k, v in given.items() if v is not None})
-    out_dir = os.environ.get(_ENV_OUT) or args.out
-    os.makedirs(out_dir, exist_ok=True)
+    make_out_dir(out_dir)
     path = os.path.join(out_dir, "verify_report.json")
     with atomic_write(path) as fh:
         json.dump(report, fh, sort_keys=True, indent=2)

@@ -81,6 +81,34 @@ def read_json(path, parse):
         raise StructuralError(f"{path}: {exc}") from None
 
 
+def check_out_dir(path) -> None:
+    """Raise a StructuralError naming ``path`` unless it is a directory or
+    could be made as one; nothing is made. An empty path, a file and a path
+    under a file are refused."""
+    path = os.fspath(path)
+    if not path:
+        reason = errno.ENOENT
+    else:
+        probe = os.path.abspath(path)
+        while not os.path.exists(probe):  # ends at the root, which exists
+            probe = os.path.dirname(probe)
+        if os.path.isdir(probe):
+            return
+        reason = errno.ENOTDIR
+    raise StructuralError(f"cannot make output directory {path!r}: {os.strerror(reason)}")
+
+
+def make_out_dir(path) -> None:
+    """Make the output directory ``path`` and its parents, unless it exists;
+    a path :func:`check_out_dir` refuses, or any other failure, raises a
+    StructuralError naming ``path``."""
+    check_out_dir(path)
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise StructuralError(f"cannot make output directory {path!r}: {exc.strerror}") from None
+
+
 def whole(value) -> int:
     """A JSON integer: an int, but not a bool or a float."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -292,28 +320,19 @@ class RequestSlot:
     """One slot of user requests plus per-BS views derived from coverage.
 
     ``counts[b-1]`` maps file id to the number of covered users requesting
-    it this slot; ``admissible[b-1]`` is the deduplicated insertion pool of
-    BS b (exactly the files with a positive count), kept as the key view of
-    ``counts[b-1]``: it supports ``in``, ``-``, ``|`` and iteration, and a
-    set operation on it returns a plain set. Treat the dicts as read-only.
+    it this slot, so its keys are the deduplicated insertion pool of BS b:
+    ``in`` and iteration read the dict, set algebra ``counts[b-1].keys()``.
+    Treat the dicts as read-only.
 
-    ``covered[b-1]`` is a pair of parallel tuples over the requests of the
-    users BS b covers, in pair order: their files, and for each request the
-    user's other covering BSs. A slot built without a graph (a decoded
-    prompt's) has no pairs and leaves ``covered`` empty.
+    ``covered[b-1]`` holds the file of each user in ``graph.columns[b-1]``,
+    in that order, with 0 for a user who made no request. A slot built
+    without a graph (a decoded prompt's) has no pairs and leaves ``covered``
+    empty.
     """
 
     pairs: tuple[tuple[int, int], ...]
     counts: tuple[dict, ...] = field(compare=False, repr=False)
     covered: tuple = field(default=(), compare=False, repr=False)
-    admissible: tuple = field(init=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "admissible", tuple(d.keys() for d in self.counts))
-
-    def __reduce__(self):
-        # key views do not pickle; the copy rebuilds them from its counts
-        return RequestSlot, (self.pairs, self.counts, self.covered)
 
 
 def request_slot(pairs, graph) -> RequestSlot:
@@ -335,19 +354,17 @@ def request_slot(pairs, graph) -> RequestSlot:
 
 def slot_from_row(row, graph) -> RequestSlot:
     """The RequestSlot of a checked row: ``row[u]`` is user u's file, 0 for none.
-    BS b's requests are gathered by ``graph.columns[b-1]``, so they follow pair
-    order, and share its other-BS tuple when all of b's users request."""
+    BS b's files are gathered by ``graph.columns[b-1]``, so its counts take
+    their keys in pair order."""
     counts, covered = [], []
-    for users, others in graph.columns:
-        files = [row[u] for u in users]
-        if 0 in files:
-            present = [i for i, f in enumerate(files) if f]
-            files, others = [files[i] for i in present], tuple([others[i] for i in present])
+    for users, _others in graph.columns:
+        files = tuple([row[u] for u in users])
         d = {}
         for f in files:
             d[f] = d.get(f, 0) + 1
+        d.pop(0, None)  # an absent user; the other keys keep their order
         counts.append(d)
-        covered.append((tuple(files), others))
+        covered.append(files)
     pairs = tuple([(u, f) for u, f in enumerate(row) if f])
     return RequestSlot(pairs, tuple(counts), tuple(covered))
 
@@ -385,11 +402,12 @@ def oracle_best_action(cache, b, requests, peek, graph, horizon, gamma) -> BsAct
     only when strictly better, and ties between swaps resolve to the
     smallest (slot, file_in).
 
-    Each peek slot's ``covered[b-1]`` lists just the requests of the users
-    this BS covers, with each user's other covering BSs, so no other
-    request is visited and ``graph`` is not read. Only candidate files (requested here, not cached
-    here) and files cached here are tallied: no other file's tally is ever
-    read. A covered request counts when none of its other covering BSs
+    Each peek slot's ``covered[b-1]`` lists just the files of the users
+    this BS covers, zipped with their other covering BSs from
+    ``graph.columns[b-1]``, so no other request is visited. Only candidate
+    files (requested here, not cached here) and files cached here are
+    tallied: no other file's tally is ever read, and an absent user's 0 is
+    neither. A covered request counts when none of its other covering BSs
     holds its file: as a gain for a candidate, as a loss for a cached file.
     Each tally takes its additions in peek order, and each slot's weight is
     divided by its full request count.
@@ -402,9 +420,10 @@ def oracle_best_action(cache, b, requests, peek, graph, horizon, gamma) -> BsAct
         return NOOP
     sets = cache._sets
     cached_here = sets[b - 1]
-    wanted = requests.admissible[b - 1] - cached_here
+    wanted = requests.counts[b - 1].keys() - cached_here
     if not wanted:
         return NOOP
+    others = graph.columns[b - 1][1]
     gain: dict = {}
     loss: dict = {}
     weight = 1.0
@@ -412,8 +431,7 @@ def oracle_best_action(cache, b, requests, peek, graph, horizon, gamma) -> BsAct
         slot_requests = peek[k]
         if slot_requests.pairs:
             scale = weight / len(slot_requests.pairs)
-            files, others = slot_requests.covered[b - 1]
-            for f, other_bs in zip(files, others):
+            for f, other_bs in zip(slot_requests.covered[b - 1], others):
                 if f in wanted:
                     tally = gain
                 elif f in cached_here:
@@ -443,7 +461,7 @@ def oracle_best_action(cache, b, requests, peek, graph, horizon, gamma) -> BsAct
 
 def swap_fault(row, held, pool, z: int, f_in: int, f_out: int) -> str | None:
     """The first rule a swap at one BS breaks, or None: ``f_in`` must be in the BS's
-    admissible ``pool`` and not in ``held``, its file set, and slot ``z`` of its
+    insertion ``pool`` and not in ``held``, its file set, and slot ``z`` of its
     ``row`` must hold ``f_out``. The parser and :func:`apply` both ask here."""
     if f_in not in pool:
         return RULE_ADMISSIBILITY
@@ -472,13 +490,13 @@ def apply(cache: CacheState, action: JointAction, requests: RequestSlot) -> Cach
     slots, sets = cache.slots, cache._sets
     if len(actions) != len(slots) or len(requests.counts) != len(slots):
         raise StructuralError("joint action/cache/requests BS counts differ")
-    admissible = requests.admissible
+    counts = requests.counts
     new_rows = None
     for b, (z, f_in, f_out) in enumerate(actions, start=1):
         if not z:
             continue
         row = slots[b - 1]
-        rule = swap_fault(row, sets[b - 1], admissible[b - 1], z, f_in, f_out)
+        rule = swap_fault(row, sets[b - 1], counts[b - 1], z, f_in, f_out)
         if rule is not None:
             raise FeasibilityError(b, rule, f"SWAP slot={z} out={f_out} in={f_in}")
         if new_rows is None:
@@ -511,7 +529,7 @@ def feasible_actions(cache: CacheState, b: int, requests: RequestSlot) -> list[B
     actions = [NOOP]
     if not cache.is_full(b):
         return actions
-    candidates = sorted(requests.admissible[b - 1] - cache.files_at(b))
+    candidates = sorted(requests.counts[b - 1].keys() - cache.files_at(b))
     if not candidates:
         return actions
     for z, f_out in enumerate(cache.slots[b - 1], start=1):

@@ -27,9 +27,11 @@ from .core import (
     StructuralError,
     atomic_write,
     canonical_json,
+    check_out_dir,
     finite,
     hit_rate,
     key_reader,
+    make_out_dir,
     read_json,
     whole,
 )
@@ -253,8 +255,11 @@ def run(cfg: RunConfig) -> list[EvalReport]:
     """Evaluate every configured policy on every seed's frozen instance.
 
     An instance file holds one seed, which must be the only one asked for.
-    Files are written only once every rollout has succeeded.
+    Files are written only once every rollout has succeeded, and an
+    ``out_dir`` that cannot be made is refused before the first rollout.
     """
+    if cfg.out_dir is not None:
+        check_out_dir(cfg.out_dir)
     if cfg.instance_path is None:
         instances = [build_instance(cfg.instance_config, seed) for seed in cfg.seeds]
     else:
@@ -265,8 +270,8 @@ def run(cfg: RunConfig) -> list[EvalReport]:
     policies = _preflight(cfg, [instance.config for instance in instances])
     reports = list(_rollouts(cfg, instances, policies))
     out = cfg.out_dir
-    if out:
-        os.makedirs(out, exist_ok=True)
+    if out is not None:
+        make_out_dir(out)
         for instance in instances:
             save_instance(instance, os.path.join(out, f"instance_seed{instance.seed}.json"))
         for report in reports:
@@ -283,6 +288,8 @@ def sweep(cfg: RunConfig, axis: str, values) -> list[dict]:
 
     Same seeds at every point; one tidy row per (value, policy, seed).
     """
+    if cfg.out_dir is not None:
+        check_out_dir(cfg.out_dir)
     if axis not in SWEEP_AXES:
         raise StructuralError(f"axis must be one of {tuple(SWEEP_AXES)}")
     if cfg.instance_config is None:
@@ -307,8 +314,8 @@ def sweep(cfg: RunConfig, axis: str, values) -> list[dict]:
                     "invalid_actions": report.invalid_actions,
                 }
             )
-    if cfg.out_dir:
-        os.makedirs(cfg.out_dir, exist_ok=True)
+    if cfg.out_dir is not None:
+        make_out_dir(cfg.out_dir)
         write_sweep(rows, os.path.join(cfg.out_dir, f"sweep_{axis}.csv"))
     return rows
 
@@ -343,7 +350,7 @@ def write_reports(reports, out_dir) -> tuple[str, str]:
         raise StructuralError("reports differ in checkpoint slots: "
                               + " and ".join(str(list(marks)) for marks in slot_sets))
     marks = slot_sets[0]
-    os.makedirs(out_dir, exist_ok=True)
+    make_out_dir(out_dir)
     results_path = os.path.join(out_dir, "results.csv")
     with atomic_write(results_path) as fh:
         writer = csv.writer(fh)

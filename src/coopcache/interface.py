@@ -131,7 +131,7 @@ def encode(obs: SlotObservation) -> str:
         ordered.sort(key=itemgetter(1), reverse=True)  # stable: ties stay in file order
         body = " ".join([f"{f}:{c}" for f, c in ordered])
         lines.append(f"BS {b} REQUESTS: {body}" if body else f"BS {b} REQUESTS:")
-        files = sorted(obs.cache.files_at(b) | obs.requests.admissible[b - 1])
+        files = sorted(obs.cache.files_at(b) | obs.requests.counts[b - 1].keys())
         heads = [f"{f}:" for f in files]
         for w, held in zip(obs.tracker.windows, obs.tracker.window_counts(b, files)):
             if w <= t:
@@ -175,7 +175,7 @@ def parse(text: str, obs: SlotObservation) -> JointAction:
         if sorted([int(groups[0]) for groups in entries]) != list(range(1, len(slots) + 1)):
             return JointAction.invalid(REASON_COUNT)
         return JointAction.invalid(REASON_ORDER)
-    admissible = obs.requests.admissible
+    counts = obs.requests.counts
     sets = cache._sets
     actions = []
     for b, (_, z, f_out, f_in) in enumerate(entries, start=1):
@@ -183,7 +183,7 @@ def parse(text: str, obs: SlotObservation) -> JointAction:
             actions.append(NOOP)
             continue
         z, f_out, f_in = int(z), int(f_out), int(f_in)
-        rule = swap_fault(slots[b - 1], sets[b - 1], admissible[b - 1], z, f_in, f_out)
+        rule = swap_fault(slots[b - 1], sets[b - 1], counts[b - 1], z, f_in, f_out)
         if rule is not None:  # checked first: BsAction would raise on in == out
             return JointAction.invalid(rule)
         actions.append(BsAction(z, f_in, f_out))

@@ -42,9 +42,9 @@ def _first_missed_candidate(cache, b, requests):
     at slot-level popularity, mirroring classical insert-on-miss caches.
     """
     cached = cache.files_at(b)
-    admissible = requests.admissible[b - 1]
+    pool = requests.counts[b - 1]
     for _u, f in requests.pairs:
-        if f in admissible and f not in cached:
+        if f in pool and f not in cached:
             return f
     return None
 
@@ -131,8 +131,8 @@ class LruPolicy(_RequestBookPolicy):
     name = "lru"
 
     def _record(self, slot, requests) -> None:
-        for book, pool in zip(self.book, requests.admissible):
-            book.update(dict.fromkeys(pool, slot))
+        for book, counts in zip(self.book, requests.counts):
+            book.update(dict.fromkeys(counts, slot))
 
 
 class LfuPolicy(_RequestBookPolicy):
@@ -186,6 +186,8 @@ class OraclePolicy(Policy):
     def decide(self, obs, peek=None) -> str:
         if peek is None:
             raise StructuralError("oracle policy needs a peek window")
+        if self._graph is None:
+            raise StructuralError(f"{self.name}: decide needs reset to bind the instance graph")
         actions = [
             oracle_best_action(
                 obs.cache, b, obs.requests, peek, self._graph, self.horizon, self.gamma

@@ -112,7 +112,6 @@ class DemandModel:
     each row is a bijection on the library.
     """
 
-    alpha: float
     rank_to_file: tuple[tuple[int, ...], ...]
     user_group: tuple[int, ...]
 
@@ -163,9 +162,12 @@ class InstanceConfig:
             raise ConfigurationError("cache_size needs one positive entry per BS")
         if self.library <= max(cache):
             raise ConfigurationError("library must exceed every cache size")
-        windows = tuple(sorted(int(w) for w in self.windows))
+        given = [int(w) for w in self.windows]
+        windows = tuple(sorted(given))
         if not windows or any(w < 1 for w in windows):
             raise ConfigurationError("windows must be positive")
+        if len(set(windows)) < len(windows):  # each would print its FREQ line twice
+            raise ConfigurationError(f"windows repeat: {given}")
         if min(self.warm_slots, self.rollout_slots, self.horizon_reserve) < 0:
             raise ConfigurationError("slot counts must be >= 0")
         bs_xy, radius = self.bs_xy, self.radius
@@ -317,7 +319,7 @@ def build_instance(config: InstanceConfig, seed: int) -> Instance:
         tuple(int(f) + 1 for f in rng_perm.permutation(config.library))
         for _ in range(config.groups)
     )
-    demand = DemandModel(config.alpha, rank_to_file, user_group)
+    demand = DemandModel(rank_to_file, user_group)
 
     cdf = np.cumsum(zipf_pmf(config.library, config.alpha))
     length = config.trace_slots
@@ -345,7 +347,6 @@ def instance_from_payload(payload: dict) -> Instance:
     graph = AssociationGraph.build(config.bs_xy, key("user_xy", _points), config.radius)
 
     demand = DemandModel(
-        config.alpha,
         key("rank_to_file", lambda rows: tuple(map(_wholes, rows))),
         key("user_group", _wholes),
     )
@@ -408,9 +409,9 @@ class FrequencyTracker:
         t = self.slots_seen
         per_bs = self.index[0]
         if per_bs is None:
-            per_bs = [{} for _ in self.trace[0].admissible]
+            per_bs = [{} for _ in self.trace[0].counts]
             for tau, requests in enumerate(self.trace, start=1):
-                for slots, pool in zip(per_bs, requests.admissible):
+                for slots, pool in zip(per_bs, requests.counts):
                     for g in pool:
                         slots.setdefault(g, []).append(tau)
             self.index[0] = per_bs

@@ -58,11 +58,11 @@ def synthetic_graph(coverage, bs_count: int) -> AssociationGraph:
 def reference_request_slot(pairs, graph) -> RequestSlot:
     """The per-pair build ``request_slot`` made before slots came from a file
     row, kept as a reference: sort the pairs, check each in user order, then
-    count each request at every BS covering its user."""
+    count each request at every BS covering its user. ``covered[b-1]`` lists
+    the file of every user BS b covers, ascending, 0 where the user is absent."""
     ordered = tuple(sorted((int(u), int(f)) for u, f in pairs))
     counts = [{} for _ in range(graph.bs_count)]
-    files = [[] for _ in range(graph.bs_count)]
-    others = [[] for _ in range(graph.bs_count)]
+    row = [0] * graph.user_count
     last = None
     for u, f in ordered:
         if u == last:
@@ -72,20 +72,20 @@ def reference_request_slot(pairs, graph) -> RequestSlot:
             raise StructuralError("file ids must be >= 1")
         if not 0 <= u < graph.user_count:
             raise StructuralError(f"user {u} is not in the association graph")
-        cov = graph.coverage[u]
-        for b in cov:
+        row[u] = f
+        for b in graph.coverage[u]:
             counts[b - 1][f] = counts[b - 1].get(f, 0) + 1
-            files[b - 1].append(f)
-            others[b - 1].append(tuple(bb for bb in cov if bb != b))
-    return RequestSlot(ordered, tuple(counts), tuple(zip(map(tuple, files), map(tuple, others))))
+    covered = tuple(
+        tuple(f for f, cov in zip(row, graph.coverage) if b in cov)
+        for b in range(1, graph.bs_count + 1)
+    )
+    return RequestSlot(ordered, tuple(counts), covered)
 
 
 def assert_same_slot(slot: RequestSlot, reference: RequestSlot) -> None:
-    """Equal pairs, covered requests and admissible pools, and equal counts
-    with the same key order."""
+    """Equal pairs and covered files, and equal counts with the same key order."""
     assert slot.pairs == reference.pairs
     assert slot.covered == reference.covered
-    assert [list(a) for a in slot.admissible] == [list(a) for a in reference.admissible]
     assert [list(d.items()) for d in slot.counts] == [list(d.items()) for d in reference.counts]
 
 

@@ -17,6 +17,7 @@ from coopcache.core import (
     CacheState,
     FeasibilityError,
     JointAction,
+    RequestSlot,
     StructuralError,
     apply,
     check_transition,
@@ -211,7 +212,7 @@ def test_feasible_actions_closure():
 
 def _any_swaps(cache, b, requests):
     """No-op plus every swap ``apply`` accepts at BS ``b``: also into a row with holes."""
-    pool = sorted(requests.admissible[b - 1] - cache.files_at(b))
+    pool = sorted(requests.counts[b - 1].keys() - cache.files_at(b))
     return [NOOP] + [
         BsAction(z, f_in, f_out)
         for z, f_out in enumerate(cache.slots[b - 1], start=1) if f_out != EMPTY_SLOT
@@ -373,27 +374,35 @@ def test_request_slot_invariants():
     assert requests.pairs == ((0, 7), (1, 7))
     assert requests.counts[0] == {7: 2}
     assert requests.counts[1] == {7: 1}
-    # n > 0 exactly for admissible files
+    # every file of the pool has n > 0
     for b in range(2):
-        assert set(requests.counts[b]) == set(requests.admissible[b])
+        assert all(n > 0 for n in requests.counts[b].values())
     with pytest.raises(StructuralError):
         request_slot(((0, 1), (0, 2)), graph)
 
 
 @settings(max_examples=100)
-@given(scenarios(peek_max=3))
+@given(scenarios(peek_max=3, uncovered=True))
 def test_request_slot_lists_the_requests_each_bs_covers(scenario):
-    """``covered[b-1]`` is ``pairs`` filtered by coverage, in pair order, with
-    each user's other covering BSs; ``admissible`` is the key view of ``counts``."""
+    """``covered[b-1]`` has one entry per user in ``graph.columns[b-1]``: the
+    user's file, or 0 exactly where the user made no request."""
     _cache, graph, requests, peek = scenario
     for slot in (requests, *peek):
+        files = dict(slot.pairs)
         for b in range(1, graph.bs_count + 1):
-            mine = [(u, f) for u, f in slot.pairs if b in graph.coverage[u]]
-            assert slot.covered[b - 1] == (
-                tuple(f for _, f in mine),
-                tuple(tuple(bb for bb in graph.coverage[u] if bb != b) for u, _ in mine),
-            )
-            assert slot.admissible[b - 1] == slot.counts[b - 1].keys()
+            users = graph.columns[b - 1][0]
+            assert len(slot.covered[b - 1]) == len(users)
+            assert list(slot.covered[b - 1]) == [files.get(u, 0) for u in users]
+
+
+def test_a_request_slot_pickles_and_copies_equal():
+    graph = synthetic_graph(((1,), (1, 2), (2,)), 2)
+    slot = request_slot(((2, 4), (0, 7)), graph)
+    for rebuild in _rebuilds(slot):
+        rebuilt = rebuild()
+        assert type(rebuilt) is RequestSlot and rebuilt == slot
+        assert [list(d.items()) for d in rebuilt.counts] == [list(d.items()) for d in slot.counts]
+        assert rebuilt.covered == slot.covered == ((7, 0), (0, 4))
 
 
 @settings(max_examples=200)
@@ -418,7 +427,7 @@ def test_a_file_row_builds_the_reference_slot(row):
     reference = reference_request_slot(pairs, _SPARSE_GRAPH)
     assert_same_slot(slot_from_row(row, _SPARSE_GRAPH), reference)
     assert_same_slot(request_slot(pairs, _SPARSE_GRAPH), reference)
-    assert reference.counts[1] == {} and reference.covered[1] == ((), ())
+    assert reference.counts[1] == {} and reference.covered[1] == ()
 
 
 _REFUSALS = [

@@ -61,8 +61,8 @@ def test_an_infeasible_action_leaves_the_cache_unchanged(scenario, data):
     b = data.draw(st.integers(1, cache.bs_count), label="b")
     row = cache.slots[b - 1]
     f_out = row[0]
-    unseen = max(requests.admissible[b - 1] | cache.files_at(b)) + 1
-    pool = sorted(requests.admissible[b - 1] - cache.files_at(b))
+    unseen = max(requests.counts[b - 1].keys() | cache.files_at(b)) + 1
+    pool = sorted(requests.counts[b - 1].keys() - cache.files_at(b))
     bad = data.draw(st.sampled_from(
         [BsAction(1, unseen, f_out)]  # not requested here
         + [BsAction(1, f, f_out) for f in row[1:]]  # already cached
@@ -79,8 +79,8 @@ def test_executed_transition_is_audited(small_instance, warm, monkeypatch):
     episode = Episode(small_instance, warm)
     obs = episode.advance()
     b = next(b for b in range(1, obs.bs_count + 1)
-             if obs.requests.admissible[b - 1] - obs.cache.files_at(b))
-    f_in = min(obs.requests.admissible[b - 1] - obs.cache.files_at(b))
+             if obs.requests.counts[b - 1].keys() - obs.cache.files_at(b))
+    f_in = min(obs.requests.counts[b - 1].keys() - obs.cache.files_at(b))
     actions = [NOOP] * obs.bs_count
     actions[b - 1] = BsAction(1, f_in, obs.cache.slots[b - 1][0])
     monkeypatch.setattr(episode_module, "check_transition", lambda prev, nxt: False)

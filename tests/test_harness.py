@@ -858,6 +858,50 @@ def test_an_unwritable_output_path_is_one_error_line(tmp_path, monkeypatch, caps
     assert not any((tmp_path / "adir").iterdir())
 
 
+_OUT_COMMANDS = {
+    "run": ["run", "--policy", "lru", "--seeds", "1", "--slots", "5"],
+    "sweep": ["sweep", "--axis", "library_size", "--values", "100", "--policy", "lru",
+              "--seeds", "1", "--slots", "5"],
+    "verify": ["verify", "--seeds", "1"],
+    "report": ["report", "--reports", "reports"],
+}
+_BAD_OUT_DIRS = {"a-file": ("afile", "Not a directory"),
+                 "under-a-file": ("afile/sub", "Not a directory"),
+                 "empty": ("", "No such file or directory")}
+
+
+@pytest.mark.parametrize("out, reason", _BAD_OUT_DIRS.values(), ids=_BAD_OUT_DIRS.keys())
+@pytest.mark.parametrize("command", _OUT_COMMANDS)
+def test_an_output_directory_that_cannot_be_made_is_one_error_line(
+        tmp_path, monkeypatch, capsys, saved_report, command, out, reason):
+    """Refused before the first rollout or audit, and nothing is made."""
+    monkeypatch.delenv("COOPCACHE_OUT_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("")
+    (tmp_path / "reports").mkdir()
+    (tmp_path / "reports" / "report_noop_seed1.json").write_text(json.dumps(saved_report))
+    work = []
+    monkeypatch.setattr(harness, "rollout", lambda *args: work.append(args))
+    monkeypatch.setattr(verification, "build_instance", lambda *args: work.append(args))
+    monkeypatch.setattr(verification, "fuzz_parser", lambda *args: work.append(args))
+    with pytest.raises(SystemExit) as exc:
+        cli_main(_OUT_COMMANDS[command] + ["--out", out])
+    assert str(exc.value) == f"cannot make output directory {out!r}: {reason}"
+    assert not work and "wrote" not in capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "reports"]
+    assert [p.name for p in (tmp_path / "reports").iterdir()] == ["report_noop_seed1.json"]
+
+
+def test_repeated_windows_are_refused_in_one_line(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["gen-instance", "--seed", "1", "--windows", "10,10", "--out", "i.json"])
+    assert str(exc.value) == "windows repeat: [10, 10]"
+    assert list(tmp_path.iterdir()) == []
+    assert cli_main(["gen-instance", "--seed", "1", "--windows", "100,10", "--out", "i.json"]) == 0
+    assert load_instance("i.json").config.windows == (10, 100)
+
+
 def test_export_sft_refuses_one_path_for_both_files(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit, match=r"^\./s\.jsonl: the GRPO file cannot be the SFT file$"):
@@ -926,6 +970,10 @@ def _fractional_window(payload):
     payload["config"]["windows"] = [5.5, 10]
 
 
+def _repeated_window(payload):
+    payload["config"]["windows"] = [10, 10]
+
+
 def _fractional_cache_size(payload):
     payload["config"]["cache_size"] = [3.9, 3]
 
@@ -991,6 +1039,7 @@ def _infinite_bs_coordinate(payload):
     (_request_file_5000, r"file ids outside 1\.\.12: \[5000\]"),
     (_fractional_groups, r"instance config key 'groups': expected an integer, not 2\.9"),
     (_fractional_window, r"instance config key 'windows': expected an integer, not 5\.5"),
+    (_repeated_window, r"windows repeat: \[10, 10\]"),
     (_fractional_cache_size, r"instance config key 'cache_size': expected an integer, not 3\.9"),
     (_fractional_seed, r"instance key 'seed': expected an integer, not 1\.5"),
     (_fractional_user_group, r"instance key 'user_group': expected an integer, not 1\.0"),

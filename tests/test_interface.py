@@ -175,7 +175,7 @@ def test_parse_and_apply_judge_every_swap_alike(data):
     cache, _, requests, _ = data.draw(scenarios(peek_max=0, holes=True), label="scenario")
     bs_count = len(cache.slots)
     b = data.draw(st.integers(1, bs_count), label="b")
-    row, pool = cache.slots[b - 1], sorted(requests.admissible[b - 1])
+    row, pool = cache.slots[b - 1], sorted(requests.counts[b - 1].keys())
     files = st.integers(1, max(map(max, cache.slots)) + 2)
     z = data.draw(st.integers(1, len(row) + 2), label="z")
     f_in = data.draw(st.sampled_from(pool) | files if pool else files, label="f_in")
@@ -214,8 +214,6 @@ def test_decode_prompt_round_trip(golden_obs):
     assert decoded.slot == golden_obs.slot
     assert decoded.cache == golden_obs.cache
     assert decoded.requests.counts == golden_obs.requests.counts
-    assert decoded.requests.admissible == golden_obs.requests.admissible
-    assert decoded.requests.admissible == tuple(d.keys() for d in decoded.requests.counts)
     assert decoded.requests.pairs == () and decoded.requests.covered == ()
     assert decoded.tracker is None
 
@@ -254,13 +252,13 @@ def test_encode_freq_tokens_are_the_tracker_rates(case, windows):
         obs = SlotObservation(t + 1, cache, trace[max(t - 1, 0)], view)
         prompt = encode(obs)
         for b in range(1, cache.bs_count + 1):
-            files = sorted(cache.files_at(b) | obs.requests.admissible[b - 1])
+            files = sorted(cache.files_at(b) | obs.requests.counts[b - 1].keys())
             for w in tracker.windows:
                 tokens = _freq_tokens(prompt, b, w)
                 assert [int(f) for f, _ in tokens] == files
                 for f, text in tokens:
                     f = int(f)
-                    held = sum(f in trace[tau - 1].admissible[b - 1]
+                    held = sum(f in trace[tau - 1].counts[b - 1].keys()
                                for tau in range(max(1, t - w + 1), t + 1))
                     assert text == (f"{held / min(w, t):.3f}" if t else "0.000")
         decoded = decode_prompt(prompt)
@@ -390,7 +388,7 @@ def _reference_parse(text, obs):
             actions.append(NOOP)
             continue
         z, f_in, f_out = swap
-        if f_in not in obs.requests.admissible[b - 1]:
+        if f_in not in obs.requests.counts[b - 1].keys():
             return JointAction.invalid("admissibility")
         if f_in in obs.cache.files_at(b):
             return JointAction.invalid("duplication")
@@ -560,7 +558,7 @@ def _reference_encode(obs):
         ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
         body = " ".join(f"{f}:{c}" for f, c in ordered)
         lines.append(f"BS {b} REQUESTS: {body}" if body else f"BS {b} REQUESTS:")
-        files = sorted(obs.cache.files_at(b) | obs.requests.admissible[b - 1])
+        files = sorted(obs.cache.files_at(b) | obs.requests.counts[b - 1].keys())
         for w, held in zip(obs.tracker.windows, obs.tracker.window_counts(b, files)):
             if w <= t:
                 body = " ".join([f"{f}:{k / w:.3f}" for f, k in zip(files, held)])
@@ -627,7 +625,7 @@ def _decoded(decode, text):
     except Exception as exc:
         return type(exc), str(exc)
     req = obs.requests
-    return (obs.slot, obs.cache.slots, req.pairs, req.counts, req.admissible, req.covered,
+    return (obs.slot, obs.cache.slots, req.pairs, req.counts, req.covered,
             obs.tracker)
 
 

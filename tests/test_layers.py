@@ -30,8 +30,8 @@ def _package_imports(tree: ast.Module) -> set[str]:
     return {name.split(".")[1] for name in dotted if name.startswith("coopcache.")}
 
 
-def _json_load_callers(tree: ast.Module) -> list[str | None]:
-    """The innermost enclosing function of each ``json.load(...)`` call."""
+def _callers(tree: ast.Module, call: str) -> list[str | None]:
+    """The innermost enclosing function of each ``call(...)``, such as ``json.load``."""
     callers = []
 
     def visit(node, where):
@@ -39,7 +39,7 @@ def _json_load_callers(tree: ast.Module) -> list[str | None]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Call) and ast.unparse(child.func) == "json.load":
+            if isinstance(child, ast.Call) and ast.unparse(child.func) == call:
                 callers.append(where)
             visit(child, where)
 
@@ -54,8 +54,14 @@ def test_the_environment_layer_imports_no_upper_layer(module):
 
 def test_json_input_is_read_only_by_core_read_json():
     readers = [(path.stem, caller) for path in sorted(PACKAGE.glob("*.py"))
-               for caller in _json_load_callers(_tree(path))]
+               for caller in _callers(_tree(path), "json.load")]
     assert readers == [("core", "read_json")]
+
+
+def test_output_directories_are_made_only_by_core_make_out_dir():
+    makers = [(path.stem, caller) for path in sorted(PACKAGE.glob("*.py"))
+              for caller in _callers(_tree(path), "os.makedirs")]
+    assert makers == [("core", "make_out_dir")]
 
 
 RULES = {"RULE_ADMISSIBILITY", "RULE_DUPLICATION", "RULE_CONSISTENCY"}

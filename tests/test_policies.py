@@ -109,7 +109,7 @@ def test_fifo_victim_by_insertion_and_arrival_insert():
 # The ``min(..., key=...)`` forms the one-pass picks replaced, kept as the
 # references they must agree with, ties included.
 def _reference_hottest(cache, b, requests):
-    pool = requests.admissible[b - 1] - cache.files_at(b)
+    pool = requests.counts[b - 1].keys() - cache.files_at(b)
     if not pool:
         return None
     counts = requests.counts[b - 1]
@@ -181,6 +181,13 @@ def test_picks_match_the_min_forms_on_decoded_prompts(data):
 def test_a_book_policy_without_a_warm_state_names_itself(spec):
     with pytest.raises(StructuralError, match=rf"^{spec}: reset needs the warm state"):
         make_policy(spec).reset(None)
+
+
+def test_an_oracle_deciding_before_reset_names_itself(small_instance):
+    obs = observation(CacheState.empty(small_instance.config.cache_size),
+                      small_instance.request_slot(1))
+    with pytest.raises(StructuralError, match=r"^oracle:2: decide needs reset"):
+        OraclePolicy(2).decide(obs, small_instance.peek(1, 2))
 
 
 def test_heuristics_emit_parseable_text():
@@ -266,7 +273,7 @@ def reference_oracle_best_action(cache, b, requests, peek, graph, horizon, gamma
     if not cache.is_full(b):
         return NOOP
     cached_here = cache.files_at(b)
-    candidates = sorted(requests.admissible[b - 1] - cached_here)
+    candidates = sorted(requests.counts[b - 1].keys() - cached_here)
     if not candidates:
         return NOOP
     gain: dict = {}

@@ -175,8 +175,7 @@ _TRACE_CONFIGS = {
 
 @pytest.mark.parametrize("config", _TRACE_CONFIGS.values(), ids=_TRACE_CONFIGS.keys())
 def test_build_instance_slots_equal_the_per_pair_reference(config):
-    """Every user requests in every slot, so each BS's covered requests share
-    the graph's tuple of other covering BSs."""
+    """Every user requests in every slot, so no BS's covered files hold a 0."""
     instance = build_instance(config, 4)
     graph = instance.graph
     assert_columns_follow_coverage(graph)
@@ -185,15 +184,14 @@ def test_build_instance_slots_equal_the_per_pair_reference(config):
     for slot in instance.trace:
         assert [u for u, _ in slot.pairs] == list(range(config.users))
         assert_same_slot(slot, reference_request_slot(slot.pairs, graph))
-        for (_files, others), (_users, layout) in zip(slot.covered, graph.columns):
-            assert others is layout
+        assert 0 not in [f for files in slot.covered for f in files]
 
 
 def test_instance_pickles():
     instance = build_instance(small_config(), 2)
     copy = pickle.loads(pickle.dumps(instance))
     assert copy.sha256() == instance.sha256()
-    assert [s.admissible for s in copy.trace] == [s.admissible for s in instance.trace]
+    assert [s.counts for s in copy.trace] == [s.counts for s in instance.trace]
     assert [s.covered for s in copy.trace] == [s.covered for s in instance.trace]
 
 
@@ -249,7 +247,7 @@ def test_tracker_matches_trace_recomputation(small_instance):
                 member = sum(
                     1
                     for tau in range(lo, t + 1)
-                    if f in inst.request_slot(tau).admissible[b - 1]
+                    if f in inst.request_slot(tau).counts[b - 1].keys()
                 )
                 assert rates(tracker, b, f)[w] == pytest.approx(member / min(w, t))
 
@@ -285,7 +283,7 @@ def test_tracker_rate_counts_the_trace_up_to_its_slot(case):
             for f in range(1, library + 1):
                 for w in windows:
                     held = sum(
-                        f in trace[tau - 1].admissible[b - 1]
+                        f in trace[tau - 1].counts[b - 1].keys()
                         for tau in range(max(1, t - w + 1), t + 1)
                     )
                     expected = held / min(w, t) if t else 0.0
@@ -349,7 +347,7 @@ def test_prompt_freq_lines_read_the_tracker(small_instance):
     lines = encode(obs).splitlines()
     positive = 0
     for b in range(1, inst.config.bs_count + 1):
-        relevant = sorted(obs.cache.files_at(b) | obs.requests.admissible[b - 1])
+        relevant = sorted(obs.cache.files_at(b) | obs.requests.counts[b - 1].keys())
         freq = [line for line in lines if line.startswith(f"BS {b} FREQ ")]
         assert len(freq) == len(inst.config.windows)
         for w, line in zip(inst.config.windows, freq):
@@ -360,7 +358,7 @@ def test_prompt_freq_lines_read_the_tracker(small_instance):
             t = episode.tracker.slots_seen
             for f, r in tokens:
                 member = sum(
-                    int(f) in inst.request_slot(tau).admissible[b - 1]
+                    int(f) in inst.request_slot(tau).counts[b - 1].keys()
                     for tau in range(max(1, t - w + 1), t + 1)
                 )
                 assert r == f"{member / min(w, t):.3f}"
