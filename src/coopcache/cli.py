@@ -20,6 +20,7 @@ from .core import (
     StructuralError,
     atomic_write,
     check_out_dir,
+    check_out_file,
     make_out_dir,
     nonnegative,
     read_json,
@@ -180,6 +181,7 @@ def _run_config(args, file_cfg: dict) -> RunConfig:
 
 
 def _cmd_gen_instance(args) -> int:
+    check_out_file(args.out)
     config = InstanceConfig(**_supplied("instance", args, {}))
     instance = build_instance(config, args.seed)
     save_instance(instance, args.out)
@@ -220,6 +222,9 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_export_sft(args) -> int:
     nonnegative("--records", args.records)
+    for path in (args.out, args.grpo_out):
+        if path is not None:
+            check_out_file(path)
     if args.instance:
         instance = load_instance(args.instance)
     else:

@@ -20,12 +20,18 @@ from __future__ import annotations
 import errno
 import json
 import os
+import stat
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import itemgetter
 
 EMPTY_SLOT = 0
+
+#: The demonstration expert's look-ahead depth and discount: the default of
+#: the reward config, the warm-up oracle, the expert walk and oracle specs.
+EXPERT_HORIZON = 10
+EXPERT_GAMMA = 0.9
 
 RULE_ADMISSIBILITY = "admissibility"
 RULE_DUPLICATION = "duplication"
@@ -44,12 +50,11 @@ def atomic_write(path):
     The text goes to a temporary file in the same directory, which replaces
     ``path`` when the block ends and is removed if the block raises. A crash
     mid-write thus leaves the previous file, not a truncated one. A path
-    that cannot be written raises a StructuralError naming ``path``; a
-    directory or a missing parent directory raises on entry.
+    that cannot be written raises a StructuralError naming ``path``; one
+    :func:`check_out_file` refuses raises on entry, before any write, so a
+    caller's other files stay too.
     """
-    path = os.fspath(path)
-    if os.path.isdir(path):  # found before any write, so a caller's other files stay too
-        raise StructuralError(f"{path}: cannot write: {os.strerror(errno.EISDIR)}")
+    path = check_out_file(path)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         fh = open(tmp, "w", encoding="utf-8", newline="")
@@ -79,6 +84,23 @@ def read_json(path, parse):
             return parse(json.load(fh))
     except (OSError, ValueError) as exc:  # ValueError covers bad JSON and StructuralError
         raise StructuralError(f"{path}: {exc}") from None
+
+
+def check_out_file(path) -> str:
+    """``path`` as a string, unless it cannot name a file to write: an empty
+    path, a directory, or one whose parent is missing or no directory raises
+    a StructuralError naming it (an empty path as ``''``). Nothing is made."""
+    path = os.fspath(path)
+    reason = errno.ENOENT if not path else errno.EISDIR if os.path.isdir(path) else None
+    if reason is None:
+        try:
+            if not stat.S_ISDIR(os.stat(os.path.dirname(path) or os.curdir).st_mode):
+                reason = errno.ENOTDIR
+        except OSError as exc:
+            reason = exc.errno
+    if reason is not None:
+        raise StructuralError(f"{path or repr(path)}: cannot write: {os.strerror(reason)}")
+    return path
 
 
 def check_out_dir(path) -> None:

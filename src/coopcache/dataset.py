@@ -15,7 +15,15 @@ from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field
 from itertools import islice
 
-from .core import EMPTY_SLOT, StructuralError, atomic_write, canonical_json, nonnegative
+from .core import (
+    EMPTY_SLOT,
+    EXPERT_GAMMA,
+    EXPERT_HORIZON,
+    StructuralError,
+    atomic_write,
+    canonical_json,
+    nonnegative,
+)
 from .episode import expert_walk
 from .interface import decode_prompt, encode, parse, serialize
 from .traffic import Instance, slot_json, slots_json
@@ -63,8 +71,8 @@ class SftExport:
         return len(self.records) < self.requested
 
 
-def generate_sft(instance: Instance, records: int, horizon: int = 10,
-                 gamma: float = 0.9) -> SftExport:
+def generate_sft(instance: Instance, records: int, horizon: int = EXPERT_HORIZON,
+                 gamma: float = EXPERT_GAMMA) -> SftExport:
     """Collect expert records at full-cache slots; one export feeds both files.
 
     Stops after ``records`` records, or earlier with ``truncated`` set when
@@ -80,8 +88,8 @@ def generate_sft(instance: Instance, records: int, horizon: int = 10,
     ), records)
 
 
-def generate_grpo_states(instance: Instance, records: int, horizon: int = 10,
-                         gamma: float = 0.9) -> SftExport:
+def generate_grpo_states(instance: Instance, records: int, horizon: int = EXPERT_HORIZON,
+                         gamma: float = EXPERT_GAMMA) -> SftExport:
     """The reward-stage states: the same export as :func:`generate_sft`."""
     return generate_sft(instance, records, horizon, gamma)
 
@@ -129,7 +137,7 @@ def write_grpo_jsonl(export: SftExport, path) -> None:
 def write_export(export: SftExport, sft_path, grpo_path=None) -> None:
     """The SFT file and, given ``grpo_path``, the GRPO file: both or neither."""
     files = [(sft_path, False)]
-    if grpo_path:
+    if grpo_path is not None:
         if os.path.realpath(grpo_path) == os.path.realpath(sft_path):
             raise StructuralError(f"{grpo_path}: the GRPO file cannot be the SFT file")
         files.append((grpo_path, True))
@@ -143,16 +151,22 @@ class DatasetAudit:
     records: int
     invalid_indices: tuple[int, ...]
     gate_violations: tuple[int, ...]
-    noop_fraction: float
     per_bs: tuple[dict, ...]
     truncated: bool
+
+    @property
+    def noop_fraction(self) -> float:
+        """The no-op share of the decisions of every valid completion, 0.0 for none."""
+        noops = sum(tally["noop"] for tally in self.per_bs)
+        decisions = noops + sum(tally["swap"] for tally in self.per_bs)
+        return noops / decisions if decisions else 0.0
 
     @property
     def ok(self) -> bool:
         return not self.invalid_indices and not self.gate_violations
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "ok": self.ok}
+        return {**asdict(self), "noop_fraction": self.noop_fraction, "ok": self.ok}
 
 
 def audit_dataset(path) -> DatasetAudit:
@@ -165,8 +179,6 @@ def audit_dataset(path) -> DatasetAudit:
     invalid: list[int] = []
     gate: list[int] = []
     per_bs: list[dict] = []
-    noop_lines = 0
-    total_lines = 0
     records = 0
     truncated = False
     with open(path, "r", encoding="utf-8") as fh:
@@ -200,13 +212,5 @@ def audit_dataset(path) -> DatasetAudit:
             invalid.append(i)
             continue
         for b, act in enumerate(action.actions):
-            total_lines += 1
-            if act.is_noop:
-                noop_lines += 1
-                per_bs[b]["noop"] += 1
-            else:
-                per_bs[b]["swap"] += 1
-    fraction = noop_lines / total_lines if total_lines else 0.0
-    return DatasetAudit(
-        records, tuple(invalid), tuple(gate), fraction, tuple(per_bs), truncated
-    )
+            per_bs[b]["noop" if act.is_noop else "swap"] += 1
+    return DatasetAudit(records, tuple(invalid), tuple(gate), tuple(per_bs), truncated)

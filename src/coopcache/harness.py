@@ -22,6 +22,7 @@ import csv
 import os
 import time
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 from .core import (
     StructuralError,
@@ -97,23 +98,34 @@ class _InstanceSha256:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Per-rollout metrics: hit series, prefix averages, invalid count.
-
-    ``table_mean`` averages the checkpoint prefix averages (the headline
-    table column); ``overall_mean`` averages the full per-slot series.
+    """Per-rollout data (hit series, invalid count, latency) and the summaries
+    derived from ``p_hit``: ``checkpoints`` are its prefix averages, ``table_mean``
+    averages them (the headline table column), ``overall_mean`` the full series.
     Latency is observational and excluded from equality.
     """
 
     policy: str
     seed: int
     instance_sha256: str = _InstanceSha256()
-    slots: int
     p_hit: tuple[float, ...]
-    checkpoints: tuple[tuple[int, float], ...]
-    table_mean: float
-    overall_mean: float
     invalid_actions: int
     latency_s: tuple[float, ...] = field(compare=False, repr=False)
+
+    @property
+    def slots(self) -> int:
+        return len(self.p_hit)
+
+    @cached_property
+    def checkpoints(self) -> tuple[tuple[int, float], ...]:
+        return tuple((m, prefix_average(self.p_hit, m)) for m in checkpoint_slots(self.slots))
+
+    @property
+    def table_mean(self) -> float:
+        return sum(v for _, v in self.checkpoints) / len(self.checkpoints)
+
+    @property
+    def overall_mean(self) -> float:
+        return sum(self.p_hit) / len(self.p_hit)
 
     def __getstate__(self) -> dict:
         self.instance_sha256  # a pickle or copy holds the digest, not the instance
@@ -122,36 +134,50 @@ class EvalReport:
     def to_dict(self) -> dict:
         payload = asdict(self)
         del payload["latency_s"]
+        payload.update((name, getattr(self, name)) for name, _, _ in _SUMMARIES)
         return {"schema": REPORT_SCHEMA, **payload}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "EvalReport":
-        """Read a saved report; a value of the wrong type raises naming its key."""
+        """Read a saved report; a wrong type or a summary that ``p_hit`` does not give
+        raises naming its key."""
         key = key_reader(payload, "report key")
         if payload.get("schema") != REPORT_SCHEMA:
             raise StructuralError(f"unsupported report schema: {payload.get('schema')!r}")
-        p_hit = key("p_hit", lambda values: tuple(map(finite, values)))
-        if key("slots") != len(p_hit):
-            raise StructuralError(f"report key 'slots': not {len(p_hit)}, the p_hit count")
-        return cls(
+        report = cls(
             policy=key("policy", _text),
             seed=key("seed"),
             instance_sha256=key("instance_sha256", _text),
-            slots=len(p_hit),
-            p_hit=p_hit,
-            checkpoints=key("checkpoints",
-                            lambda pairs: tuple((whole(s), finite(v)) for s, v in pairs)),
-            table_mean=key("table_mean", finite),
-            overall_mean=key("overall_mean", finite),
+            p_hit=key("p_hit", _series),
             invalid_actions=key("invalid_actions"),
             latency_s=(),
         )
+        for name, parse, what in _SUMMARIES:
+            if key(name, parse) != (derived := getattr(report, name)):
+                raise StructuralError(f"report key {name!r}: not {canonical_json(derived)}, {what}")
+        return report
 
 
 def _text(value) -> str:
     if not isinstance(value, str):
         raise TypeError(f"expected a string, not {value!r}")
     return value
+
+
+def _series(values) -> tuple[float, ...]:
+    if not (series := tuple(map(finite, values))):
+        raise ValueError("expected at least one hit rate")
+    return series
+
+
+#: The summary keys a saved report holds: how each is read, and what it must equal.
+_SUMMARIES = (
+    ("slots", whole, "the p_hit count"),
+    ("checkpoints", lambda pairs: tuple((whole(s), finite(v)) for s, v in pairs),
+     "the p_hit prefix averages"),
+    ("table_mean", finite, "the mean of the checkpoint averages"),
+    ("overall_mean", finite, "the p_hit mean"),
+)
 
 
 def checkpoint_slots(slots: int) -> tuple[int, ...]:
@@ -193,17 +219,11 @@ def rollout(instance: Instance, policy: Policy, slots: int | None = None,
                 invalid += 1
     finally:
         policy.close()
-    marks = checkpoint_slots(slots)
-    checkpoints = tuple((m, prefix_average(series, m)) for m in marks)
     return EvalReport(
         policy=policy.name,
         seed=instance.seed,
         instance_sha256=instance.sha256,
-        slots=slots,
         p_hit=tuple(series),
-        checkpoints=checkpoints,
-        table_mean=sum(v for _, v in checkpoints) / len(checkpoints),
-        overall_mean=sum(series) / len(series),
         invalid_actions=invalid,
         latency_s=tuple(latencies),
     )

@@ -19,6 +19,7 @@ import time
 
 from .core import (
     EMPTY_SLOT,
+    EXPERT_GAMMA,
     NOOP,
     BsAction,
     JointAction,
@@ -171,7 +172,7 @@ class OraclePolicy(Policy):
     default discount is the demonstration expert.
     """
 
-    def __init__(self, horizon: int, gamma: float = 0.9) -> None:
+    def __init__(self, horizon: int, gamma: float = EXPERT_GAMMA) -> None:
         if horizon < 1:
             raise StructuralError("oracle horizon must be >= 1")
         self.horizon = int(horizon)
@@ -330,7 +331,7 @@ def _pump_frames(stream, frames: queue.Queue) -> None:
             return
 
 
-def make_policy(spec: str, gamma: float = 0.9, extern_timeout: float = 30.0) -> Policy:
+def make_policy(spec: str, gamma: float = EXPERT_GAMMA, extern_timeout: float = 30.0) -> Policy:
     """Build a controller from its textual spec.
 
     Accepted specs: ``lru`` | ``lfu`` | ``fifo`` | ``noop`` |

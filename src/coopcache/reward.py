@@ -5,7 +5,7 @@ hit rate caused by the parsed action, plus a static penalty for malformed
 output and a dynamic penalty for passing on a known-beneficial swap,
 clipped to a fixed band. ``verify_pbrs`` turns the shaping guarantees
 (argmax invariance, order preservation among swaps, strict demotion of the
-penalized no-op) into an executable audit, and ``joint_space_size`` counts
+penalized no-op) into an executable audit, and ``JointSpaceSize`` counts
 the joint action space whose exponential growth the ``verify`` suite checks.
 """
 
@@ -19,6 +19,8 @@ import numpy as np
 
 from .core import (
     EMPTY_SLOT,
+    EXPERT_GAMMA,
+    EXPERT_HORIZON,
     JointAction,
     NOOP,
     StructuralError,
@@ -46,8 +48,8 @@ CLIP_LO, CLIP_HI = -1.0, 1.0
 class RewardConfig:
     """Scoring knobs: look-ahead depth, discount, penalties, advantage floor."""
 
-    horizon: int = 10
-    gamma: float = 0.9
+    horizon: int = EXPERT_HORIZON
+    gamma: float = EXPERT_GAMMA
     lambda_fmt: float = -1.0
     lambda_opp: float = -0.2
     epsilon: float = 1e-4
@@ -226,7 +228,10 @@ class JointSpaceSize:
     """Per-BS feasible action counts (non-duplication honored) and their product."""
 
     factors: tuple[int, ...]
-    product: int
+
+    @property
+    def product(self) -> int:
+        return math.prod(self.factors)
 
     @property
     def exponential_bound_applies(self) -> bool:
@@ -242,21 +247,27 @@ def joint_space_size(obs: SlotObservation) -> JointSpaceSize:
     factors = tuple(
         len(feasible_actions(obs.cache, b, obs.requests)) for b in range(1, obs.bs_count + 1)
     )
-    return JointSpaceSize(factors, math.prod(factors))
+    return JointSpaceSize(factors)
 
 
 @dataclass(frozen=True)
 class ShapingReport:
-    """Outcome of the shaping audit over sampled full-cache slots."""
+    """Outcome of the shaping audit: per sampled slot, the actions audited at each BS."""
 
     seed: int
-    slots_checked: int
-    actions_checked: int
     argmax_mismatches: tuple[str, ...]
     order_violations: tuple[str, ...]
     demotion_violations: tuple[str, ...]
     flags: tuple[str, ...]
     spaces: tuple[JointSpaceSize, ...]
+
+    @property
+    def slots_checked(self) -> int:
+        return len(self.spaces)
+
+    @property
+    def actions_checked(self) -> int:
+        return sum(sum(space.factors) for space in self.spaces)
 
     @property
     def ok(self) -> bool:
@@ -266,8 +277,10 @@ class ShapingReport:
 
     def to_dict(self) -> dict:
         payload = asdict(self)
-        payload["joint_space_products"] = [s["product"] for s in payload.pop("spaces")]
-        return {**payload, "ok": self.ok}
+        del payload["spaces"]
+        payload["joint_space_products"] = [space.product for space in self.spaces]
+        return {**payload, "slots_checked": self.slots_checked,
+                "actions_checked": self.actions_checked, "ok": self.ok}
 
 
 def verify_pbrs(instance: Instance, sample_slots: int, cfg: RewardConfig) -> ShapingReport:
@@ -302,12 +315,10 @@ def verify_pbrs(instance: Instance, sample_slots: int, cfg: RewardConfig) -> Sha
     order_bad: list[str] = []
     demote_bad: list[str] = []
     spaces: list[JointSpaceSize] = []
-    actions_checked = 0
     walk = expert_walk(instance, cfg.horizon, cfg.gamma)
     for obs, expert, peek in islice(walk, sample_slots):
         cache, requests = obs.cache, obs.requests
         expert_acted = _acted(expert)
-        spaces.append(joint_space_size(obs))
         checked = []  # per BS: where, then (act, parsed action, cache changed) per action
         moved = []  # the changed caches, in action order
         for b in bs_range:
@@ -326,6 +337,7 @@ def verify_pbrs(instance: Instance, sample_slots: int, cfg: RewardConfig) -> Sha
                     moved.append(after)
                 actions.append((act, action, changed))
             checked.append((where, actions))
+        spaces.append(JointSpaceSize(tuple(len(actions) for _, actions in checked)))
         base = lookahead_value(cache, peek, graph, cfg.horizon, cfg.gamma)
         values = iter(lookahead_values(moved, peek, graph, cfg.horizon, cfg.gamma))
         for where, actions in checked:
@@ -336,7 +348,6 @@ def verify_pbrs(instance: Instance, sample_slots: int, cfg: RewardConfig) -> Sha
                     potential = next(values)
                     gain = potential - base
                 rows.append((act, gain, potential, _breakdown(action, gain, expert_acted, cfg)))
-            actions_checked += len(rows)
             gains = [g for _, g, _, _ in rows]
             potentials = [p for _, _, p, _ in rows]
             top_g, top_p = max(gains), max(potentials)
@@ -356,5 +367,5 @@ def verify_pbrs(instance: Instance, sample_slots: int, cfg: RewardConfig) -> Sha
                 for act, g, _, s in rows:
                     if not act.is_noop and g > 0.0 and not s.unclipped > 0.0 > noop:
                         demote_bad.append(f"{where}: positive-gain swap does not dominate no-op")
-    return ShapingReport(instance.seed, len(spaces), actions_checked, tuple(argmax_bad),
-                         tuple(order_bad), tuple(demote_bad), tuple(flags), tuple(spaces))
+    return ShapingReport(instance.seed, tuple(argmax_bad), tuple(order_bad),
+                         tuple(demote_bad), tuple(flags), tuple(spaces))

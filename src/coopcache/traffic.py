@@ -21,6 +21,8 @@ import numpy as np
 
 from .core import (
     EMPTY_SLOT,
+    EXPERT_GAMMA,
+    EXPERT_HORIZON,
     CacheState,
     RequestSlot,
     StructuralError,
@@ -469,8 +471,8 @@ def check_warmup_fits(warm_slots: int, oracle_horizon: int, trace_len: int) -> N
         )
 
 
-def warm_start(instance: Instance, oracle_horizon: int = 10,
-               oracle_gamma: float = 0.9) -> WarmState:
+def warm_start(instance: Instance, oracle_horizon: int = EXPERT_HORIZON,
+               oracle_gamma: float = EXPERT_GAMMA) -> WarmState:
     """Run the prefill policy and return the shared starting state.
 
     Per slot, a BS with spare capacity inserts the most requested uncached

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from coopcache import dataset
-from coopcache.core import canonical_json
+from coopcache.core import StructuralError, canonical_json
 from coopcache.dataset import (
     DatasetFormatError,
     audit_dataset,
@@ -218,3 +218,12 @@ def test_a_write_formats_each_peek_slot_once_and_without_grpo_none(tmp_path, mon
     distinct = {id(slot) for rec in export.records for slot in rec.peek}
     assert calls.count("slot_json") == len(distinct) < 3 * len(export.records)
     assert calls.count("slots_json") == len(export.records)
+
+
+def test_write_export_refuses_an_empty_grpo_path(tmp_path, monkeypatch, instance):
+    """An empty GRPO path is a file that cannot be written, not a file left out."""
+    monkeypatch.chdir(tmp_path)
+    export = generate_sft(instance, 2, horizon=3)
+    with pytest.raises(StructuralError, match="^'': cannot write: No such file or directory$"):
+        write_export(export, "sft.jsonl", "")
+    assert list(tmp_path.iterdir()) == []

@@ -205,10 +205,16 @@ def saved_report(instance, warm):
     ("policy", 3, "'policy': expected a string, not 3"),
     ("instance_sha256", None, "'instance_sha256': expected a string, not None"),
     ("table_mean", _MISSING, "'table_mean' is missing"),
+    ("table_mean", 0.999, r"'table_mean': not [0-9.e-]+, the mean of the checkpoint averages$"),
+    ("overall_mean", 0.999, r"'overall_mean': not [0-9.e-]+, the p_hit mean$"),
+    ("checkpoints", [[10, 0.999]],
+     r"'checkpoints': not \[\[10,[0-9.e-]+\]\], the p_hit prefix averages$"),
+    ("p_hit", [], "'p_hit': expected at least one hit rate"),
 ], ids=["seed-float", "invalid-bool", "slots-text", "slots-miscount", "p_hit-nan",
         "table_mean-text", "overall_mean-inf", "checkpoint-float-slot",
         "checkpoint-bool-value", "checkpoint-triple", "policy-number", "sha-null",
-        "table_mean-missing"])
+        "table_mean-missing", "table_mean-differs", "overall_mean-differs",
+        "checkpoint-differs", "p_hit-empty"])
 def test_report_rejects_an_ill_typed_report(tmp_path, monkeypatch, saved_report,
                                             key, value, message):
     monkeypatch.delenv("COOPCACHE_OUT_DIR", raising=False)
@@ -222,7 +228,7 @@ def test_report_rejects_an_ill_typed_report(tmp_path, monkeypatch, saved_report,
     out = tmp_path / "out"
     with pytest.raises(SystemExit, match="report key " + message) as exc:
         cli_main(["report", "--reports", str(reports), "--out", str(out)])
-    assert str(exc.value).startswith(f"{path}: ")
+    assert str(exc.value).startswith(f"{path}: ") and "\n" not in str(exc.value)
     assert not out.exists()
 
 
@@ -381,11 +387,7 @@ def test_paired_comparison_hash_guard(tmp_path, instance, warm):
         policy="noop",
         seed=report.seed,
         instance_sha256="0" * 64,
-        slots=report.slots,
         p_hit=report.p_hit,
-        checkpoints=report.checkpoints,
-        table_mean=report.table_mean,
-        overall_mean=report.overall_mean,
         invalid_actions=0,
         latency_s=(),
     )
@@ -835,25 +837,37 @@ def test_repeated_verify_seeds_fail_before_any_audit(tmp_path, monkeypatch):
     assert not audits and not out.exists()
 
 
-@pytest.mark.parametrize("argv, reason", [
-    (["gen-instance", "--seed", "1", "--out", "nodir/x.json"], "No such file or directory"),
-    (["export-sft", "--records", "5", "--out", "nodir/s.jsonl"], "No such file or directory"),
-    (["gen-instance", "--seed", "1", "--out", "adir"], "Is a directory"),
-    (["export-sft", "--records", "5", "--out", "s.jsonl", "--grpo-out", "nodir/g.jsonl"],
+@pytest.mark.parametrize("argv, shown, reason", [
+    (["gen-instance", "--seed", "1", "--out", "nodir/x.json"], "nodir/x.json",
      "No such file or directory"),
-    (["export-sft", "--records", "5", "--grpo-out", "g.jsonl", "--out", "adir"],
+    (["export-sft", "--records", "5", "--out", "nodir/s.jsonl"], "nodir/s.jsonl",
+     "No such file or directory"),
+    (["gen-instance", "--seed", "1", "--out", "adir"], "adir", "Is a directory"),
+    (["export-sft", "--records", "5", "--out", "s.jsonl", "--grpo-out", "nodir/g.jsonl"],
+     "nodir/g.jsonl", "No such file or directory"),
+    (["export-sft", "--records", "5", "--grpo-out", "g.jsonl", "--out", "adir"], "adir",
      "Is a directory"),
+    (["gen-instance", "--seed", "1", "--out", ""], "''", "No such file or directory"),
+    (["export-sft", "--records", "5", "--out", ""], "''", "No such file or directory"),
+    (["export-sft", "--records", "5", "--out", "s.jsonl", "--grpo-out", ""], "''",
+     "No such file or directory"),
 ], ids=["gen-instance", "export-sft", "gen-instance-onto-a-directory",
-        "export-sft-grpo-out", "export-sft-onto-a-directory"])
-def test_an_unwritable_output_path_is_one_error_line(tmp_path, monkeypatch, capsys, argv, reason):
+        "export-sft-grpo-out", "export-sft-onto-a-directory", "gen-instance-empty",
+        "export-sft-empty", "export-sft-grpo-out-empty"])
+def test_an_unwritable_output_path_is_one_error_line(tmp_path, monkeypatch, capsys, argv,
+                                                     shown, reason):
     """The command writes no file and prints no ``wrote`` line, also when only
-    one of the export's two files cannot be written."""
+    one of the export's two files cannot be written; it refuses before it
+    builds an instance or walks the expert, and shows an empty path as ``''``."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "adir").mkdir()
+    work = []
+    monkeypatch.setattr(cli, "build_instance", lambda *args: work.append(args))
+    monkeypatch.setattr(cli, "generate_sft", lambda *args: work.append(args))
     with pytest.raises(SystemExit) as exc:
         cli_main(argv)
-    assert str(exc.value) == f"{argv[-1]}: cannot write: {reason}"
-    assert "wrote" not in capsys.readouterr().out
+    assert str(exc.value) == f"{shown}: cannot write: {reason}"
+    assert not work and "wrote" not in capsys.readouterr().out
     assert [p.name for p in tmp_path.iterdir()] == ["adir"]
     assert not any((tmp_path / "adir").iterdir())
 

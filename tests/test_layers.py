@@ -152,3 +152,43 @@ def test_every_perfbench_bound_name_resolves_in_the_package():
         if node is None:
             missing.append(f"{module}.{path}")
     assert missing == []
+
+
+LOOKAHEAD = {"horizon", "gamma", "oracle_horizon", "oracle_gamma"}
+
+
+def _number(node) -> bool:
+    try:
+        value = ast.literal_eval(node)
+    except ValueError:  # a name, a call: anything but a literal
+        return False
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _literal_lookahead_defaults(tree: ast.Module) -> list[str]:
+    """``name=default`` for each parameter or class field named in LOOKAHEAD
+    whose default is a literal number, sorted."""
+    pairs = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arguments):
+            positional = node.posonlyargs + node.args
+            pairs += [(arg.arg, default) for arg, default in
+                      zip(positional[len(positional) - len(node.defaults):], node.defaults)]
+            pairs += [(arg.arg, default) for arg, default in zip(node.kwonlyargs, node.kw_defaults)]
+        elif isinstance(node, ast.ClassDef):
+            pairs += [(stmt.target.id, stmt.value) for stmt in node.body
+                      if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    return sorted(f"{name}={ast.unparse(default)}" for name, default in pairs
+                  if name in LOOKAHEAD and default is not None and _number(default))
+
+
+def test_the_expert_lookahead_defaults_are_named_only_in_core():
+    """``core.EXPERT_HORIZON`` and ``EXPERT_GAMMA`` are the one copy of the
+    expert's look-ahead; a literal default elsewhere is the start of a second."""
+    sample = ("def f(horizon=10, *, gamma=-0.9, oracle_gamma=G): pass\n"
+              "class C:\n    oracle_horizon: int = 1\n    lambda_fmt: float = -1.0")
+    assert _literal_lookahead_defaults(ast.parse(sample)) == [
+        "gamma=-0.9", "horizon=10", "oracle_horizon=1"]
+    found = {path.stem: _literal_lookahead_defaults(_tree(path))
+             for path in sorted(PACKAGE.glob("*.py")) if path.stem != "core"}
+    assert {module: names for module, names in found.items() if names} == {}

@@ -339,6 +339,25 @@ def test_verify_pbrs_clean_on_random_instance():
     assert not report.flags
 
 
+def test_verify_pbrs_lists_each_audited_bs_once(monkeypatch):
+    """Each audited slot's joint space counts the actions audited at each BS,
+    from one ``feasible_actions`` call per BS, and equals ``joint_space_size``."""
+    instance = build_instance(small_config(rollout_slots=24), 9)
+    cfg = RewardConfig(horizon=3)
+    expected = [joint_space_size(obs)
+                for obs, _, _ in islice(expert_walk(instance, cfg.horizon, cfg.gamma), 6)]
+    calls = []
+    real = reward.feasible_actions
+    monkeypatch.setattr(reward, "feasible_actions",
+                        lambda *args: calls.append(args[1]) or real(*args))
+    report = verify_pbrs(instance, 6, cfg)
+    bs_count = instance.config.bs_count
+    assert report.slots_checked == 6 and list(report.spaces) == expected
+    assert calls == list(range(1, bs_count + 1)) * 6
+    assert report.actions_checked == sum(sum(space.factors) for space in expected)
+    assert report.actions_checked > 6 * bs_count  # some swaps were audited
+
+
 def test_verify_pbrs_flags_zero_opportunity_penalty():
     cfg = small_config(rollout_slots=12)
     report = verify_pbrs(
