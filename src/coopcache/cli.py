@@ -27,7 +27,7 @@ from .core import (
     real,
     whole,
 )
-from .dataset import audit_dataset, generate_sft, write_export
+from .dataset import audit_dataset, check_export_paths, generate_sft, write_export
 from .harness import (
     RUNCONFIG_SCHEMA,
     RunConfig,
@@ -222,9 +222,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_export_sft(args) -> int:
     nonnegative("--records", args.records)
-    for path in (args.out, args.grpo_out):
-        if path is not None:
-            check_out_file(path)
+    check_export_paths(args.out, args.grpo_out)
     if args.instance:
         instance = load_instance(args.instance)
     else:

@@ -22,11 +22,12 @@ from .core import (
     StructuralError,
     atomic_write,
     canonical_json,
+    check_out_file,
     nonnegative,
 )
 from .episode import expert_walk
 from .interface import decode_prompt, encode, parse, serialize
-from .traffic import Instance, slot_json, slots_json
+from .traffic import Instance, slot_json
 
 TRUNCATION_MARKER = "truncated"
 
@@ -37,32 +38,24 @@ class DatasetFormatError(ValueError):
 
 @dataclass(frozen=True)
 class ExpertRecord:
-    """One expert-walk slot: the prompt, the expert's completion, provenance.
+    """One expert-walk slot: the prompt and the expert's completion.
 
     The SFT file pairs the prompt with the completion; the GRPO file keeps
     the completion as the expert witness plus a fingerprint of the peek.
     """
 
+    slot: int
     prompt: str
     completion: str
-    seed: int
-    slot: int
-    instance_sha256: str
-    peek: tuple = field(repr=False)
-
-    @property
-    def peek_sha256(self) -> str:
-        """Hashed when read, so an export that writes no GRPO file hashes nothing."""
-        return _peek_sha256(self.peek)
-
-
-def _peek_sha256(peek, slot_text=slot_json) -> str:
-    """SHA-256 of the UTF-8 canonical JSON ``[[[u,f],...],...]`` of the peek slots."""
-    return hashlib.sha256(slots_json(peek, slot_text).encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
 class SftExport:
+    """The records of one expert walk over ``instance`` with look-ahead
+    ``horizon``, slots ascending, and the record count asked for."""
+
+    instance: Instance = field(repr=False)
+    horizon: int
     records: tuple
     requested: int
 
@@ -77,14 +70,12 @@ def generate_sft(instance: Instance, records: int, horizon: int = EXPERT_HORIZON
 
     Stops after ``records`` records, or earlier with ``truncated`` set when
     the trace cannot supply the look-ahead window anymore. A negative
-    ``records`` raises.
+    ``records`` raises. The instance is hashed only when a file is written.
     """
     nonnegative("records", records)
-    sha = instance.sha256()
     walk = islice(expert_walk(instance, horizon, gamma), records)
-    return SftExport(tuple(
-        ExpertRecord(encode(obs), serialize(expert), instance.seed, obs.slot, sha, peek)
-        for obs, expert, peek in walk
+    return SftExport(instance, horizon, tuple(
+        ExpertRecord(obs.slot, encode(obs), serialize(expert)) for obs, expert, _peek in walk
     ), records)
 
 
@@ -113,14 +104,19 @@ def _write_jsonl(export: SftExport, files) -> None:
 
 
 def _rows(export: SftExport, grpo: bool):
-    """SFT rows, or GRPO rows: ``expert`` for ``completion`` and a ``peek_sha256``."""
-    if grpo:  # peeks overlap: format each distinct slot once per call, by identity
-        slots = {id(slot): slot for rec in export.records for slot in rec.peek}
-        texts = {key: slot_json(slot) for key, slot in slots.items()}
+    """SFT rows, or GRPO rows: ``expert`` for ``completion`` and a ``peek_sha256``,
+    the digest of the canonical JSON of the ``horizon`` slots after the record's."""
+    if not export.records:
+        return
+    instance, horizon, first = export.instance, export.horizon, export.records[0].slot
+    seed, sha = instance.seed, instance.sha256()
+    if grpo:  # peeks overlap: format each slot of the walk's window once
+        texts = list(map(slot_json, instance.trace[first : export.records[-1].slot + horizon]))
     for rec in export.records:
-        meta = {"seed": rec.seed, "slot": rec.slot, "instance_sha256": rec.instance_sha256}
+        meta = {"seed": seed, "slot": rec.slot, "instance_sha256": sha}
         if grpo:
-            meta["peek_sha256"] = _peek_sha256(rec.peek, lambda slot: texts[id(slot)])
+            peek = "[" + ",".join(texts[rec.slot - first : rec.slot - first + horizon]) + "]"
+            meta["peek_sha256"] = hashlib.sha256(peek.encode("utf-8")).hexdigest()
             yield {"prompt": rec.prompt, "expert": rec.completion, "meta": meta}
         else:
             yield {"prompt": rec.prompt, "completion": rec.completion, "meta": meta}
@@ -134,12 +130,21 @@ def write_grpo_jsonl(export: SftExport, path) -> None:
     _write_jsonl(export, [(path, True)])
 
 
+def check_export_paths(sft_path, grpo_path=None) -> None:
+    """Refuse, naming it, an export path that cannot be written, or a GRPO
+    path naming the SFT file; nothing is made."""
+    for path in (sft_path, grpo_path):
+        if path is not None:
+            check_out_file(path)
+    if grpo_path is not None and os.path.realpath(grpo_path) == os.path.realpath(sft_path):
+        raise StructuralError(f"{grpo_path}: the GRPO file cannot be the SFT file")
+
+
 def write_export(export: SftExport, sft_path, grpo_path=None) -> None:
     """The SFT file and, given ``grpo_path``, the GRPO file: both or neither."""
+    check_export_paths(sft_path, grpo_path)
     files = [(sft_path, False)]
     if grpo_path is not None:
-        if os.path.realpath(grpo_path) == os.path.realpath(sft_path):
-            raise StructuralError(f"{grpo_path}: the GRPO file cannot be the SFT file")
         files.append((grpo_path, True))
     _write_jsonl(export, files)
 

@@ -371,64 +371,46 @@ def write_reports(reports, out_dir) -> tuple[str, str]:
                               + " and ".join(str(list(marks)) for marks in slot_sets))
     marks = slot_sets[0]
     make_out_dir(out_dir)
-    results_path = os.path.join(out_dir, "results.csv")
-    with atomic_write(results_path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["policy", "seed"] + [f"slot_{m}" for m in marks] + ["mean"])
-        ordered = sorted(reports, key=lambda r: (r.policy, r.seed))
-        for r in ordered:
-            writer.writerow(
-                [r.policy, r.seed]
-                + [_fmt(v) for _, v in r.checkpoints]
-                + [_fmt(r.table_mean)]
-            )
-        for policy in sorted({r.policy for r in reports}):
-            group = [r for r in reports if r.policy == policy]
-            row: list[str] = [policy, "mean"]
-            for i in range(len(marks)):
-                row.append(_fmt(sum(r.checkpoints[i][1] for r in group) / len(group)))
-            row.append(_fmt(sum(r.table_mean for r in group) / len(group)))
-            writer.writerow(row)
-    series_path = os.path.join(out_dir, "series.csv")
-    with atomic_write(series_path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["policy", "seed", "slot", "p_hit"])
-        for r in sorted(reports, key=lambda r: (r.policy, r.seed)):
-            for i, v in enumerate(r.p_hit, start=1):
-                writer.writerow([r.policy, r.seed, i, _fmt(v)])
-    return results_path, series_path
+    ordered = sorted(reports, key=lambda r: (r.policy, r.seed))
+    rows = [[r.policy, r.seed] + [_fmt(v) for _, v in r.checkpoints] + [_fmt(r.table_mean)]
+            for r in ordered]
+    for policy in sorted({r.policy for r in reports}):
+        group = [r for r in reports if r.policy == policy]
+        rows.append([policy, "mean"]
+                    + [_fmt(sum(r.checkpoints[i][1] for r in group) / len(group))
+                       for i in range(len(marks))]
+                    + [_fmt(sum(r.table_mean for r in group) / len(group))])
+    header = ["policy", "seed"] + [f"slot_{m}" for m in marks] + ["mean"]
+    return (_write_csv(os.path.join(out_dir, "results.csv"), header, rows),
+            _write_series(os.path.join(out_dir, "series.csv"), ordered, "p_hit"))
 
 
 def write_sweep(rows, path) -> str:
-    with atomic_write(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["axis", "value", "policy", "seed", "mean", "overall_mean", "invalid_actions"]
-        )
-        for row in rows:
-            writer.writerow(
-                [
-                    row["axis"],
-                    _fmt(row["value"]),
-                    row["policy"],
-                    row["seed"],
-                    _fmt(row["table_mean"]),
-                    _fmt(row["overall_mean"]),
-                    row["invalid_actions"],
-                ]
-            )
-    return path
+    header = ["axis", "value", "policy", "seed", "mean", "overall_mean", "invalid_actions"]
+    return _write_csv(path, header, (
+        [row["axis"], _fmt(row["value"]), row["policy"], row["seed"],
+         _fmt(row["table_mean"]), _fmt(row["overall_mean"]), row["invalid_actions"]]
+        for row in rows))
 
 
 def write_latency(reports, out_dir) -> str:
     """Observational sidecar; excluded from the byte-determinism contract."""
-    path = os.path.join(out_dir, "latency.csv")
+    return _write_series(os.path.join(out_dir, "latency.csv"), reports, "latency_s")
+
+
+def _write_series(path, reports, series: str) -> str:
+    """One ``policy,seed,slot,<series>`` row per slot of each report's ``series``."""
+    return _write_csv(path, ["policy", "seed", "slot", series], (
+        [r.policy, r.seed, i, _fmt(v)]
+        for r in reports for i, v in enumerate(getattr(r, series), start=1)))
+
+
+def _write_csv(path, header, rows) -> str:
+    """The one CSV table writer: ``header``, then ``rows``, replacing ``path`` atomically."""
     with atomic_write(path) as fh:
         writer = csv.writer(fh)
-        writer.writerow(["policy", "seed", "slot", "latency_s"])
-        for r in reports:
-            for i, v in enumerate(r.latency_s, start=1):
-                writer.writerow([r.policy, r.seed, i, _fmt(v)])
+        writer.writerow(header)
+        writer.writerows(rows)
     return path
 
 

@@ -256,9 +256,9 @@ def slot_json(slot: RequestSlot) -> str:
     return "[" + ",".join(["[%d,%d]" % p for p in slot.pairs]) + "]"
 
 
-def slots_json(slots, slot_text=slot_json) -> str:
-    """``canonical_json`` of a run of slots: ``slot_text`` (:func:`slot_json`'s text) of each."""
-    return "[" + ",".join(map(slot_text, slots)) + "]"
+def slots_json(slots) -> str:
+    """``canonical_json`` of a run of slots: :func:`slot_json`'s text of each."""
+    return "[" + ",".join(map(slot_json, slots)) + "]"
 
 
 def _wholes(values) -> tuple[int, ...]:
@@ -341,16 +341,42 @@ def build_instance(config: InstanceConfig, seed: int) -> Instance:
     return Instance(config, int(seed), graph, demand, trace)
 
 
+def _graph(config: InstanceConfig, user_xy) -> AssociationGraph:
+    """The coverage of ``user_xy``, refused unless :func:`build_instance` could
+    draw it: one point per user, each covered, some covered twice given two BSs."""
+    if len(user_xy) != config.users:
+        raise ValueError(f"expected {config.users} points, not {len(user_xy)}")
+    graph = AssociationGraph.build(config.bs_xy, user_xy, config.radius)
+    uncovered = [u for u, cov in enumerate(graph.coverage) if not cov]
+    if uncovered:
+        raise ValueError(f"no BS covers user {uncovered[0]}")
+    if config.bs_count >= 2 and all(len(cov) < 2 for cov in graph.coverage):
+        raise ValueError("no user is covered by two BSs")
+    return graph
+
+
+def _rankings(config: InstanceConfig, rows) -> tuple[tuple[int, ...], ...]:
+    library = list(range(1, config.library + 1))
+    if len(rows) != config.groups or any(sorted(row) != library for row in rows):
+        raise ValueError(f"expected {config.groups} permutations of 1..{config.library}")
+    return rows
+
+
+def _groups(config: InstanceConfig, groups) -> tuple[int, ...]:
+    if len(groups) != config.users or not all(0 <= g < config.groups for g in groups):
+        raise ValueError(f"expected {config.users} groups in 0..{config.groups - 1}")
+    return groups
+
+
 def instance_from_payload(payload: dict) -> Instance:
     key = key_reader(payload, "instance key")
     if payload.get("schema") != INSTANCE_SCHEMA:
         raise StructuralError(f"unsupported instance schema: {payload.get('schema')!r}")
     config = InstanceConfig.from_dict(key("config", lambda c: c))
-    graph = AssociationGraph.build(config.bs_xy, key("user_xy", _points), config.radius)
-
+    graph = key("user_xy", lambda points: _graph(config, _points(points)))
     demand = DemandModel(
-        key("rank_to_file", lambda rows: tuple(map(_wholes, rows))),
-        key("user_group", _wholes),
+        key("rank_to_file", lambda rows: _rankings(config, tuple(map(_wholes, rows)))),
+        key("user_group", lambda groups: _groups(config, _wholes(groups))),
     )
     trace = key("trace", lambda slots: tuple(
         request_slot(tuple((whole(u), whole(f)) for u, f in slot), graph) for slot in slots

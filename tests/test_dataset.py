@@ -21,6 +21,7 @@ from coopcache.dataset import (
 )
 from coopcache.interface import decode_prompt, parse
 from coopcache.traffic import (
+    Instance,
     InstanceConfig,
     build_instance,
     load_instance,
@@ -42,16 +43,24 @@ def test_generate_zero_records(instance):
     assert not export.truncated
 
 
-def test_generate_records_all_valid(instance):
+def _metas(path) -> list[dict]:
+    return [json.loads(line)["meta"] for line in Path(path).read_text().splitlines()]
+
+
+def test_generate_records_all_valid(tmp_path, instance):
     export = generate_sft(instance, 12, horizon=3)
     assert len(export.records) == 12
     assert not export.truncated
+    assert export.instance is instance and export.horizon == 3
     for rec in export.records:
         obs = decode_prompt(rec.prompt)
         action = parse(rec.completion, obs)
         assert action.is_valid
         assert all(obs.cache.is_full(b) for b in range(1, obs.bs_count + 1))
-        assert rec.instance_sha256 == instance.sha256()
+    write_sft_jsonl(export, tmp_path / "sft.jsonl")
+    assert _metas(tmp_path / "sft.jsonl") == [
+        {"seed": instance.seed, "slot": rec.slot, "instance_sha256": instance.sha256()}
+        for rec in export.records]
 
 
 def test_generate_deterministic_files(tmp_path, instance):
@@ -157,9 +166,10 @@ def test_grpo_states_carry_expert_witness(tmp_path, instance):
     for rec in export.records:
         obs = decode_prompt(rec.prompt)
         assert parse(rec.completion, obs).is_valid
-        assert len(rec.peek_sha256) == 64
     path = tmp_path / "grpo.jsonl"
     write_grpo_jsonl(export, path)
+    for meta in _metas(path):
+        assert len(meta["peek_sha256"]) == 64 and int(meta["peek_sha256"], 16) >= 0
     audit = audit_dataset(path)  # expert completions audit like completions
     assert audit.ok and audit.records == 9
 
@@ -177,10 +187,10 @@ def _digest(peek) -> str:
     return hashlib.sha256(slots_json(peek).encode("utf-8")).hexdigest()
 
 
-def test_the_writer_digests_each_peek_as_the_record_does(tmp_path):
-    """The GRPO file's ``peek_sha256`` is the SHA-256 of the peek's canonical
-    JSON, for the golden 5-BS and truncated 2-BS exports and for an export of
-    a loaded copy of an instance, whose slots are other objects."""
+def test_the_writer_digests_each_peek_window_of_the_trace(tmp_path):
+    """The GRPO file's ``peek_sha256`` is the SHA-256 of the canonical JSON of
+    ``trace[slot:slot+H]``, for the golden 5-BS and truncated 2-BS exports and
+    for an export of a loaded copy of an instance, whose slots are other objects."""
     five = build_instance(InstanceConfig(bs_count=5, users=40), 2)
     save_instance(five, tmp_path / "five.json")
     exports = {
@@ -189,35 +199,47 @@ def test_the_writer_digests_each_peek_as_the_record_does(tmp_path):
         "loaded": generate_sft(load_instance(tmp_path / "five.json"), 60),
     }
     assert exports["truncated"].truncated
+    digests = {}
     for name, export in exports.items():
         path = tmp_path / f"{name}.jsonl"
         write_grpo_jsonl(export, path)
         rows = [json.loads(line) for line in path.read_text().splitlines()]
         metas = [row["meta"] for row in rows if "meta" in row]
         assert len(metas) == len(export.records) and len(rows) == len(metas) + export.truncated
+        trace, horizon = export.instance.trace, export.horizon
         for rec, meta in zip(export.records, metas):
             assert meta["slot"] == rec.slot
-            assert meta["peek_sha256"] == _digest(rec.peek) == rec.peek_sha256
-    assert [r.peek_sha256 for r in exports["loaded"].records] == [
-        r.peek_sha256 for r in exports["5bs"].records]
+            assert meta["peek_sha256"] == _digest(trace[rec.slot : rec.slot + horizon])
+        digests[name] = [meta["peek_sha256"] for meta in metas]
+    assert digests["loaded"] == digests["5bs"]
 
 
 def test_a_write_formats_each_peek_slot_once_and_without_grpo_none(tmp_path, monkeypatch):
     calls = []
-
-    def counted(name, fn):
-        return lambda *args: calls.append(name) or fn(*args)
-
-    monkeypatch.setattr(dataset, "slot_json", counted("slot_json", dataset.slot_json))
-    monkeypatch.setattr(dataset, "slots_json", counted("slots_json", dataset.slots_json))
+    slot_json = dataset.slot_json
+    monkeypatch.setattr(dataset, "slot_json", lambda slot: calls.append(slot) or slot_json(slot))
     export = generate_sft(build_instance(small_config(), 1), 12, horizon=3)
     write_export(export, tmp_path / "sft.jsonl")
     write_sft_jsonl(export, tmp_path / "sft.jsonl")
     assert calls == []
     write_export(export, tmp_path / "sft.jsonl", tmp_path / "grpo.jsonl")
-    distinct = {id(slot) for rec in export.records for slot in rec.peek}
-    assert calls.count("slot_json") == len(distinct) < 3 * len(export.records)
-    assert calls.count("slots_json") == len(export.records)
+    trace = export.instance.trace
+    distinct = {t for rec in export.records for t in range(rec.slot, rec.slot + 3)}
+    assert len(calls) == len(distinct) < 3 * len(export.records)
+    assert [id(slot) for slot in calls] == [id(trace[t]) for t in sorted(distinct)]
+
+
+def test_generate_sft_hashes_no_instance(tmp_path, monkeypatch):
+    """The digest is read when a file is written, not when the export is built."""
+    hashed = []
+    sha256 = Instance.sha256
+    monkeypatch.setattr(Instance, "sha256", lambda self: hashed.append(self) or sha256(self))
+    instance = build_instance(small_config(), 2)
+    export = generate_sft(instance, 12, horizon=3)
+    generate_grpo_states(instance, 4, horizon=3)
+    assert hashed == []
+    write_export(export, tmp_path / "sft.jsonl", tmp_path / "grpo.jsonl")
+    assert hashed and all(inst is instance for inst in hashed)
 
 
 def test_write_export_refuses_an_empty_grpo_path(tmp_path, monkeypatch, instance):

@@ -25,7 +25,7 @@ from coopcache.cli import (
 from coopcache import cli, episode, harness, verification
 from coopcache.cli import main as cli_main
 from coopcache.core import StructuralError, canonical_json, hit_rate
-from coopcache.dataset import generate_sft
+from coopcache.dataset import generate_sft, write_export
 from coopcache.harness import (
     RUNCONFIG_SCHEMA,
     EvalReport,
@@ -916,10 +916,21 @@ def test_repeated_windows_are_refused_in_one_line(tmp_path, monkeypatch):
     assert load_instance("i.json").config.windows == (10, 100)
 
 
-def test_export_sft_refuses_one_path_for_both_files(tmp_path, monkeypatch):
+def test_export_sft_refuses_one_path_for_both_files(tmp_path, monkeypatch, capsys):
+    """Refused in one line before any instance is built or walked, and by
+    ``write_export`` before it opens a file."""
     monkeypatch.chdir(tmp_path)
-    with pytest.raises(SystemExit, match=r"^\./s\.jsonl: the GRPO file cannot be the SFT file$"):
-        cli_main(["export-sft", "--records", "5", "--out", "s.jsonl", "--grpo-out", "./s.jsonl"])
+    work = []
+    monkeypatch.setattr(cli, "build_instance", lambda *args: work.append(args))
+    monkeypatch.setattr(cli, "generate_sft", lambda *args: work.append(args))
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["export-sft", "--records", "5", "--out", "a.jsonl", "--grpo-out", "./a.jsonl"])
+    assert str(exc.value) == "./a.jsonl: the GRPO file cannot be the SFT file"
+    assert not work and capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
+    export = generate_sft(build_instance(small_config(), 1), 2, horizon=3)
+    with pytest.raises(StructuralError, match=r"^\./a\.jsonl: the GRPO file cannot be"):
+        write_export(export, "a.jsonl", "./a.jsonl")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -1048,6 +1059,34 @@ def _infinite_bs_coordinate(payload):
     payload["config"]["bs_xy"][1][1] = float("-inf")
 
 
+def _three_user_groups(payload):
+    payload["user_group"] = payload["user_group"][:3]
+
+
+def _user_group_past_groups(payload):
+    payload["user_group"][4] = 2
+
+
+def _one_repeating_ranking(payload):
+    payload["rank_to_file"] = [[1, 1, 1]]
+
+
+def _ranking_repeats_a_file(payload):
+    payload["rank_to_file"][1][0] = payload["rank_to_file"][1][1]
+
+
+def _extra_user_point(payload):
+    payload["user_xy"].append([0.5, 0.5])
+
+
+def _uncovered_user(payload):
+    payload["user_xy"][3] = [0.99, 0.01]
+
+
+def _no_shared_user(payload):
+    payload["user_xy"] = [[0.1, 0.5]] * len(payload["user_xy"])
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_truncate_trace, "trace holds 30 slots"),
     (_request_file_5000, r"file ids outside 1\.\.12: \[5000\]"),
@@ -1070,6 +1109,15 @@ def _infinite_bs_coordinate(payload):
     (_user_coordinate_triple, r"instance key 'user_xy': expected .* not \[[0-9.]+, [0-9.]+, 0\.5"),
     (_text_bs_coordinate, r"instance config key 'bs_xy': expected .* not \['0\.35', 0\.5\]"),
     (_infinite_bs_coordinate, r"instance config key 'bs_xy': expected .* not \[0\.65, -inf\]"),
+    (_three_user_groups, r"^\S+: instance key 'user_group': expected 6 groups in 0\.\.1$"),
+    (_user_group_past_groups, r"^\S+: instance key 'user_group': expected 6 groups in 0\.\.1$"),
+    (_one_repeating_ranking,
+     r"^\S+: instance key 'rank_to_file': expected 2 permutations of 1\.\.12$"),
+    (_ranking_repeats_a_file,
+     r"^\S+: instance key 'rank_to_file': expected 2 permutations of 1\.\.12$"),
+    (_extra_user_point, r"^\S+: instance key 'user_xy': expected 6 points, not 7$"),
+    (_uncovered_user, r"^\S+: instance key 'user_xy': no BS covers user 3$"),
+    (_no_shared_user, r"^\S+: instance key 'user_xy': no user is covered by two BSs$"),
 ])
 def test_corrupt_instance_file_fails_on_load(tmp_path, small_instance, corrupt, message):
     payload = json.loads(small_instance.to_canonical_json())

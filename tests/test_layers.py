@@ -64,6 +64,12 @@ def test_output_directories_are_made_only_by_core_make_out_dir():
     assert makers == [("core", "make_out_dir")]
 
 
+def test_csv_tables_are_written_only_by_harness_write_csv():
+    writers = [(path.stem, caller) for path in sorted(PACKAGE.glob("*.py"))
+               for caller in _callers(_tree(path), "csv.writer")]
+    assert writers == [("harness", "_write_csv")]
+
+
 RULES = {"RULE_ADMISSIBILITY", "RULE_DUPLICATION", "RULE_CONSISTENCY"}
 # the field holding the name a node mentions
 _NAME_FIELD = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
