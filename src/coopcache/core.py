@@ -413,6 +413,14 @@ def hit_rate(cache: CacheState, requests: RequestSlot, graph) -> float:
     return hits / len(requests.pairs)
 
 
+def check_peek(peek, horizon: int) -> None:
+    """Raise unless ``horizon`` is at least 1 and ``peek`` holds that many slots."""
+    if horizon < 1:
+        raise StructuralError("horizon must be >= 1")
+    if len(peek) < horizon:
+        raise StructuralError(f"peek holds {len(peek)} slots, horizon needs {horizon}")
+
+
 def oracle_best_action(cache, b, requests, peek, graph, horizon, gamma) -> BsAction:
     """Best single-BS action by discounted future-hit gain over ``peek``.
 
@@ -434,10 +442,7 @@ def oracle_best_action(cache, b, requests, peek, graph, horizon, gamma) -> BsAct
     Each tally takes its additions in peek order, and each slot's weight is
     divided by its full request count.
     """
-    if horizon < 1:
-        raise StructuralError("horizon must be >= 1")
-    if len(peek) < horizon:
-        raise StructuralError(f"peek holds {len(peek)} slots, horizon needs {horizon}")
+    check_peek(peek, horizon)
     if not cache.is_full(b):
         return NOOP
     sets = cache._sets
@@ -479,6 +484,12 @@ def oracle_best_action(cache, b, requests, peek, graph, horizon, gamma) -> BsAct
                 best, best_score = BsAction(z, f_in, f_out), score
     assert best_score >= 0.0  # the no-op floor: never worse than keeping the cache
     return best
+
+
+def oracle_joint_action(cache, requests, peek, graph, horizon, gamma) -> JointAction:
+    """Every BS's :func:`oracle_best_action` on the same ``cache``, as one joint action."""
+    return JointAction.valid([oracle_best_action(cache, b, requests, peek, graph, horizon, gamma)
+                              for b in range(1, cache.bs_count + 1)])
 
 
 def swap_fault(row, held, pool, z: int, f_in: int, f_out: int) -> str | None:

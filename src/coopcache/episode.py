@@ -10,7 +10,7 @@ budget.
 
 from __future__ import annotations
 
-from .core import CacheState, JointAction, apply, check_transition, oracle_best_action
+from .core import CacheState, JointAction, apply, check_transition, oracle_joint_action
 from .interface import SlotObservation
 from .traffic import Instance, WarmState, advance_tracker, observe, warm_start
 
@@ -64,14 +64,8 @@ def expert_walk(instance: Instance, horizon: int, gamma: float):
         while episode.slot + horizon < instance.trace_len:
             obs = episode.advance()
             peek = instance.peek(obs.slot, horizon)
-            expert = JointAction.valid(
-                [
-                    oracle_best_action(
-                        obs.cache, b, obs.requests, peek, instance.graph, horizon, gamma
-                    )
-                    for b in bs_range
-                ]
-            )
+            expert = oracle_joint_action(obs.cache, obs.requests, peek, instance.graph,
+                                         horizon, gamma)
             if all(obs.cache.is_full(b) for b in bs_range):
                 yield obs, expert, peek
             episode.step(expert)

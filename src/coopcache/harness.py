@@ -38,7 +38,7 @@ from .core import (
 )
 from .episode import Episode
 from .interface import parse
-from .policies import Policy, make_policy
+from .policies import EXTERN_TIMEOUT_S, Policy, make_policy
 from .reward import RewardConfig
 from .traffic import (
     SWEEP_AXES,
@@ -68,7 +68,7 @@ class RunConfig:
     slots: int | None = None
     reward: RewardConfig = field(default_factory=RewardConfig)
     out_dir: str | None = None
-    extern_timeout: float = 30.0
+    extern_timeout: float = EXTERN_TIMEOUT_S
 
     def __post_init__(self) -> None:
         if self.instance_config is None and self.instance_path is None:

@@ -25,7 +25,8 @@ from .core import (
     JointAction,
     StructuralError,
     hottest_uncached,
-    oracle_best_action,
+    oracle_best_action,  # not called here: perfbench traces the oracle under this name
+    oracle_joint_action,
 )
 from .interface import encode, serialize
 
@@ -189,15 +190,11 @@ class OraclePolicy(Policy):
             raise StructuralError("oracle policy needs a peek window")
         if self._graph is None:
             raise StructuralError(f"{self.name}: decide needs reset to bind the instance graph")
-        actions = [
-            oracle_best_action(
-                obs.cache, b, obs.requests, peek, self._graph, self.horizon, self.gamma
-            )
-            for b in range(1, obs.bs_count + 1)
-        ]
-        return serialize(JointAction.valid(actions))
+        return serialize(oracle_joint_action(obs.cache, obs.requests, peek, self._graph,
+                                             self.horizon, self.gamma))
 
 
+EXTERN_TIMEOUT_S = 30.0  # default seconds the extern adapter has to answer one prompt
 FRAME_LIMIT = 16 * 1024 * 1024  # refuse absurd frame sizes from adapters
 HEADER_LIMIT = 64  # a header line longer than this is malformed
 
@@ -245,7 +242,7 @@ class ExternPolicy(Policy):
     :meth:`close`.
     """
 
-    def __init__(self, command: str, timeout: float = 30.0) -> None:
+    def __init__(self, command: str, timeout: float = EXTERN_TIMEOUT_S) -> None:
         if not command.strip():
             raise AdapterError("empty adapter command")
         self.name = "extern"
@@ -331,7 +328,8 @@ def _pump_frames(stream, frames: queue.Queue) -> None:
             return
 
 
-def make_policy(spec: str, gamma: float = EXPERT_GAMMA, extern_timeout: float = 30.0) -> Policy:
+def make_policy(spec: str, gamma: float = EXPERT_GAMMA,
+                extern_timeout: float = EXTERN_TIMEOUT_S) -> Policy:
     """Build a controller from its textual spec.
 
     Accepted specs: ``lru`` | ``lfu`` | ``fifo`` | ``noop`` |

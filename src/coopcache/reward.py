@@ -25,6 +25,7 @@ from .core import (
     NOOP,
     StructuralError,
     apply,
+    check_peek,
     check_transition,
     feasible_actions,
     hit_rate,
@@ -91,10 +92,7 @@ def lookahead_value(cache, peek, graph, horizon: int, gamma: float) -> float:
 
     Normalized by the weight mass, so the value always lands in [0, 1].
     """
-    if horizon < 1:
-        raise StructuralError("horizon must be >= 1")
-    if len(peek) < horizon:
-        raise StructuralError(f"peek holds {len(peek)} slots, horizon needs {horizon}")
+    check_peek(peek, horizon)
     num = 0.0
     den = 0.0
     weight = 1.0
@@ -115,10 +113,7 @@ def lookahead_values(caches, peek, graph, horizon: int, gamma: float) -> list[fl
     order, slot by slot, so each value rounds exactly as the single one does.
     Bad inputs raise what ``lookahead_value`` raises, with the same messages.
     """
-    if horizon < 1:
-        raise StructuralError("horizon must be >= 1")
-    if len(peek) < horizon:
-        raise StructuralError(f"peek holds {len(peek)} slots, horizon needs {horizon}")
+    check_peek(peek, horizon)
     bs_count = len(graph.bs_xy)
     slots = peek[:horizon]
     if any(len(c.slots) != bs_count for c in caches) or any(
@@ -296,12 +291,12 @@ def verify_pbrs(instance: Instance, sample_slots: int, cfg: RewardConfig) -> Sha
       whenever the expert witnessed a beneficial swap.
 
     Each action takes the text round trip, ``apply`` and the transition
-    check, then ``score_completion``'s shaping. A slot's candidate caches,
-    those of every BS, are scored together in one ``lookahead_values``
-    call, each once and each by a full look-ahead recount from hit counts,
-    independent of the oracle's tallies. The no-ops reuse the slot cache's
-    ``lookahead_value``, and a gain is potential minus that value, as in
-    ``delta_perf``. A negative ``sample_slots`` raises.
+    check, then ``score_completion``'s shaping. A slot's own cache and the
+    candidate caches of every BS are scored together in one
+    ``lookahead_values`` call, each once and each by a full look-ahead
+    recount from hit counts, independent of the oracle's tallies. A no-op
+    keeps the slot cache, and a gain is potential minus the slot cache's
+    value, as in ``delta_perf``. A negative ``sample_slots`` raises.
     """
     nonnegative("sample_slots", sample_slots)
     bs_range = range(1, instance.config.bs_count + 1)
@@ -319,8 +314,8 @@ def verify_pbrs(instance: Instance, sample_slots: int, cfg: RewardConfig) -> Sha
     for obs, expert, peek in islice(walk, sample_slots):
         cache, requests = obs.cache, obs.requests
         expert_acted = _acted(expert)
-        checked = []  # per BS: where, then (act, parsed action, cache changed) per action
-        moved = []  # the changed caches, in action order
+        checked = []  # per BS: where, then (act, parsed action, index in caches) per action
+        caches = [cache]  # the slot's own cache, which every no-op keeps, then each changed one
         for b in bs_range:
             where = f"seed {instance.seed} slot {obs.slot} BS {b}"
             actions = []
@@ -332,22 +327,18 @@ def verify_pbrs(instance: Instance, sample_slots: int, cfg: RewardConfig) -> Sha
                 after = apply(cache, action, requests)
                 if not check_transition(cache, after):
                     raise StructuralError(f"{where}: transition exceeds the single-swap budget")
-                changed = after != cache
-                if changed:
-                    moved.append(after)
-                actions.append((act, action, changed))
+                at = 0 if after == cache else len(caches)
+                if at:
+                    caches.append(after)
+                actions.append((act, action, at))
             checked.append((where, actions))
         spaces.append(JointSpaceSize(tuple(len(actions) for _, actions in checked)))
-        base = lookahead_value(cache, peek, graph, cfg.horizon, cfg.gamma)
-        values = iter(lookahead_values(moved, peek, graph, cfg.horizon, cfg.gamma))
+        values = lookahead_values(caches, peek, graph, cfg.horizon, cfg.gamma)
         for where, actions in checked:
             rows = []
-            for act, action, changed in actions:
-                gain, potential = 0.0, base
-                if changed:
-                    potential = next(values)
-                    gain = potential - base
-                rows.append((act, gain, potential, _breakdown(action, gain, expert_acted, cfg)))
+            for act, action, at in actions:
+                gain = values[at] - values[0]  # exactly 0.0 for a no-op
+                rows.append((act, gain, values[at], _breakdown(action, gain, expert_acted, cfg)))
             gains = [g for _, g, _, _ in rows]
             potentials = [p for _, _, p, _ in rows]
             top_g, top_p = max(gains), max(potentials)

@@ -368,6 +368,14 @@ def _groups(config: InstanceConfig, groups) -> tuple[int, ...]:
     return groups
 
 
+def _full_slot(t: int, pairs, graph) -> RequestSlot:
+    """Checked trace slot ``t``; each user requests a file, as :func:`build_instance` draws."""
+    requests = request_slot(pairs, graph)
+    if len(requests.pairs) < graph.user_count:
+        raise ValueError(f"slot {t} holds {len(requests.pairs)} requests, not one per user")
+    return requests
+
+
 def instance_from_payload(payload: dict) -> Instance:
     key = key_reader(payload, "instance key")
     if payload.get("schema") != INSTANCE_SCHEMA:
@@ -379,7 +387,8 @@ def instance_from_payload(payload: dict) -> Instance:
         key("user_group", lambda groups: _groups(config, _wholes(groups))),
     )
     trace = key("trace", lambda slots: tuple(
-        request_slot(tuple((whole(u), whole(f)) for u, f in slot), graph) for slot in slots
+        _full_slot(t, tuple((whole(u), whole(f)) for u, f in slot), graph)
+        for t, slot in enumerate(slots, start=1)
     ))
     if len(trace) != config.trace_slots:
         raise StructuralError(
@@ -422,10 +431,6 @@ class FrequencyTracker:
     # One cell holding, per BS, file -> ascending 1-based slots whose pool
     # held it; set once, complete, so a concurrent reader sees all or none.
     index: list = field(default_factory=lambda: [None], repr=False, compare=False)
-
-    @classmethod
-    def fresh(cls, windows, trace) -> "FrequencyTracker":
-        return cls(tuple(sorted(int(w) for w in windows)), tuple(trace))
 
     def window_counts(self, b: int, files) -> list:
         """Per window of ``self.windows`` (ascending), the count for each of
@@ -508,11 +513,10 @@ def warm_start(instance: Instance, oracle_horizon: int = EXPERT_HORIZON,
     config = instance.config
     check_warmup_fits(config.warm_slots, oracle_horizon, instance.trace_len)
     cache = CacheState.empty(config.cache_size)
-    tracker = FrequencyTracker.fresh(config.windows, instance.trace)
     inserted_at = tuple({} for _ in range(config.bs_count))
     for t in range(1, config.warm_slots + 1):
         requests = instance.request_slot(t)
-        tracker = advance_tracker(tracker, requests)
+        peek = instance.peek(t, oracle_horizon)
         for b in range(1, config.bs_count + 1):
             if not cache.is_full(b):
                 file_in = hottest_uncached(cache, b, requests)
@@ -520,17 +524,16 @@ def warm_start(instance: Instance, oracle_horizon: int = EXPERT_HORIZON,
                     continue
                 cache = cache.insert(b, cache.slots[b - 1].index(EMPTY_SLOT) + 1, file_in)
             else:
-                act = oracle_best_action(
-                    cache, b, requests, instance.peek(t, oracle_horizon),
-                    instance.graph, oracle_horizon, oracle_gamma,
-                )
+                act = oracle_best_action(cache, b, requests, peek, instance.graph,
+                                         oracle_horizon, oracle_gamma)
                 if act.is_noop:
                     continue
                 z, file_in, file_out = act
                 cache = cache.insert(b, z, file_in, file_out)
                 inserted_at[b - 1].pop(file_out, None)
             inserted_at[b - 1][file_in] = t
-    return WarmState(cache, tracker, inserted_at)
+    return WarmState(cache, FrequencyTracker(config.windows, instance.trace, config.warm_slots),
+                     inserted_at)
 
 
 #: Robustness sweep axes: axis name -> (InstanceConfig field, value parser).

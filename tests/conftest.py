@@ -157,7 +157,7 @@ def scenarios(draw, peek_max=10, holes=False, uncovered=False):
 
 def observation(cache, requests) -> SlotObservation:
     """A slot-1 observation whose tracker has seen no slot; every rate is 0."""
-    return SlotObservation(1, cache, requests, FrequencyTracker.fresh((1,), (requests,)))
+    return SlotObservation(1, cache, requests, FrequencyTracker((1,), (requests,)))
 
 
 _GOLDEN_GRAPH = synthetic_graph(((1,), (1, 2), (1,), (2,)), bs_count=2)

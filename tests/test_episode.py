@@ -53,7 +53,7 @@ def test_an_infeasible_action_leaves_the_cache_unchanged(scenario, data):
     the same joint with that swap made a no-op is executed and passes the audit."""
     cache, graph, requests, _ = scenario
     instance = Instance(None, 0, graph, None, (requests,))
-    warm = WarmState(cache, FrequencyTracker.fresh((1,), (requests,)), ())
+    warm = WarmState(cache, FrequencyTracker((1,), (requests,)), ())
     episode = Episode(instance, warm)
     episode.advance()
     joint = [data.draw(st.sampled_from(feasible_actions(cache, b, requests)))
@@ -97,16 +97,16 @@ def test_expert_walk_yields_full_cache_slots_in_order(small_instance):
 
 @pytest.mark.parametrize("generate", [generate_sft, generate_grpo_states])
 def test_export_walk_stops_at_its_last_record(small_instance, monkeypatch, generate):
-    # the warm-up's oracle is bound in traffic, so only walk slots are counted
+    # the warm-up calls the per-BS oracle in traffic, so only walk slots are counted
     slot_of = {id(r): t for t, r in enumerate(small_instance.trace, start=1)}
     walked = set()
-    real = episode_module.oracle_best_action
+    real = episode_module.oracle_joint_action
 
-    def counted(cache, b, requests, *rest):
+    def counted(cache, requests, *rest):
         walked.add(slot_of[id(requests)])
-        return real(cache, b, requests, *rest)
+        return real(cache, requests, *rest)
 
-    monkeypatch.setattr(episode_module, "oracle_best_action", counted)
+    monkeypatch.setattr(episode_module, "oracle_joint_action", counted)
     export = generate(small_instance, 5, horizon=3)
     assert len(export.records) == 5
     assert max(walked) == export.records[-1].slot
@@ -114,8 +114,8 @@ def test_export_walk_stops_at_its_last_record(small_instance, monkeypatch, gener
 
 def test_zero_records_and_zero_samples_walk_nothing(small_instance, monkeypatch):
     calls = []
-    monkeypatch.setattr(episode_module, "oracle_best_action",
-                        lambda *args: calls.append(args) or NOOP)
+    monkeypatch.setattr(episode_module, "oracle_joint_action",
+                        lambda *args: calls.append(args) or JointAction.valid([NOOP, NOOP]))
     assert generate_sft(small_instance, 0, horizon=3).records == ()
     assert verify_pbrs(small_instance, 0, RewardConfig(horizon=3)).slots_checked == 0
     assert calls == []

@@ -348,7 +348,8 @@ def test_a_refused_report_creates_no_directory(tmp_path, via):
     ([[0, 3], [0, 4]], "one request per user per slot"),
     ([[0, 0]], "file ids must be >= 1"),
     ([[6, 3]], "user 6 is not in the association graph"),
-], ids=["duplicate-user", "file-0", "user-outside"])
+    ([[0, 3]], "slot 6 holds 1 requests, not one per user"),
+], ids=["duplicate-user", "file-0", "user-outside", "partial-slot"])
 def test_a_loaded_bad_slot_fails_in_one_line(tmp_path, monkeypatch, slot, message):
     monkeypatch.delenv("COOPCACHE_OUT_DIR", raising=False)
     payload = json.loads(build_instance(small_config(), 1).to_canonical_json())
@@ -523,8 +524,8 @@ def test_cli_export_sft_walks_the_expert_once(tmp_path, monkeypatch, small_insta
     inst_path = tmp_path / "inst.json"
     save_instance(small_instance, inst_path)
     calls = []
-    real = episode.oracle_best_action
-    monkeypatch.setattr(episode, "oracle_best_action",
+    real = episode.oracle_joint_action
+    monkeypatch.setattr(episode, "oracle_joint_action",
                         lambda *args: calls.append(1) or real(*args))
     argv = ["export-sft", "--instance", str(inst_path), "--records", "5", "--horizon", "3",
             "--out", str(tmp_path / "sft.jsonl")]

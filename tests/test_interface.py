@@ -246,7 +246,7 @@ def test_encode_freq_tokens_are_the_tracker_rates(case, windows):
     :.3f, and decoding keeps cache and counts."""
     cache, _, requests, peek = case
     trace = (requests, *peek)
-    tracker = FrequencyTracker.fresh(windows, trace)
+    tracker = FrequencyTracker(tuple(sorted(windows)), trace)
     for t in range(len(trace) + 1):
         view = FrequencyTracker(tracker.windows, trace, t, tracker.index)
         obs = SlotObservation(t + 1, cache, trace[max(t - 1, 0)], view)
@@ -272,7 +272,7 @@ def test_encode_keeps_no_rate_table_for_a_short_view(monkeypatch):
     monkeypatch.setattr(interface, "_RATE_TEXTS", {})
     graph = synthetic_graph(((1,), (1,)), 1)
     trace = tuple(request_slot(((0, 1 + t % 3), (1, 2)), graph) for t in range(30))
-    tracker = FrequencyTracker.fresh((3, 50), trace)
+    tracker = FrequencyTracker((3, 50), trace)
     cache = CacheState(((1, 2),))
     for t in range(len(trace) + 1):
         view = FrequencyTracker(tracker.windows, trace, t, tracker.index)
@@ -653,7 +653,7 @@ def test_encode_matches_the_reference_on_every_walk_observation():
 def test_encode_matches_the_reference_on_short_views_and_empty_slots(case, windows):
     cache, _, requests, peek = case
     trace = (requests, *peek)
-    tracker = FrequencyTracker.fresh(windows, trace)
+    tracker = FrequencyTracker(tuple(sorted(windows)), trace)
     for t in range(len(trace) + 1):
         view = FrequencyTracker(tracker.windows, trace, t, tracker.index)
         obs = SlotObservation(t + 1, cache, trace[max(t - 1, 0)], view)

@@ -30,21 +30,27 @@ def _package_imports(tree: ast.Module) -> set[str]:
     return {name.split(".")[1] for name in dotted if name.startswith("coopcache.")}
 
 
-def _callers(tree: ast.Module, call: str) -> list[str | None]:
-    """The innermost enclosing function of each ``call(...)``, such as ``json.load``."""
-    callers = []
+def _enclosing(tree: ast.Module, found) -> list[str | None]:
+    """The innermost enclosing function of each node for which ``found(node)`` holds."""
+    places = []
 
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Call) and ast.unparse(child.func) == call:
-                callers.append(where)
+            if found(child):
+                places.append(where)
             visit(child, where)
 
     visit(tree, None)
-    return callers
+    return places
+
+
+def _callers(tree: ast.Module, call: str) -> list[str | None]:
+    """The innermost enclosing function of each ``call(...)``, such as ``json.load``."""
+    return _enclosing(tree, lambda node: isinstance(node, ast.Call)
+                      and ast.unparse(node.func) == call)
 
 
 @pytest.mark.parametrize("module", ENVIRONMENT)
@@ -68,6 +74,21 @@ def test_csv_tables_are_written_only_by_harness_write_csv():
     writers = [(path.stem, caller) for path in sorted(PACKAGE.glob("*.py"))
                for caller in _callers(_tree(path), "csv.writer")]
     assert writers == [("harness", "_write_csv")]
+
+
+def test_the_per_bs_oracle_is_called_only_by_the_joint_oracle_and_the_warm_up():
+    """``warm_start`` asks one BS at a time, as BS b+1 must see BS b's swap;
+    every other look-ahead decision goes through ``core.oracle_joint_action``."""
+    callers = [(path.stem, caller) for path in sorted(PACKAGE.glob("*.py"))
+               for caller in _callers(_tree(path), "oracle_best_action")]
+    assert callers == [("core", "oracle_joint_action"), ("traffic", "warm_start")]
+
+
+def test_the_peek_is_checked_only_by_core_check_peek():
+    checkers = [(path.stem, where) for path in sorted(PACKAGE.glob("*.py"))
+                for where in _enclosing(_tree(path), lambda node: isinstance(node, ast.Constant)
+                                        and "peek holds" in str(node.value))]
+    assert checkers == [("core", "check_peek")]
 
 
 RULES = {"RULE_ADMISSIBILITY", "RULE_DUPLICATION", "RULE_CONSISTENCY"}
