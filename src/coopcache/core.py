@@ -24,7 +24,11 @@ import stat
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from operator import itemgetter
+
+import numpy as np
 
 EMPTY_SLOT = 0
 
@@ -356,6 +360,12 @@ class RequestSlot:
     counts: tuple[dict, ...] = field(compare=False, repr=False)
     covered: tuple = field(default=(), compare=False, repr=False)
 
+    @cached_property
+    def covered_row(self) -> np.ndarray:
+        """``covered`` concatenated in BS order, as an int64 array: one entry
+        per entry of ``graph.column_masks``. Built on first use, then kept."""
+        return np.fromiter(chain.from_iterable(self.covered), np.int64)
+
 
 def request_slot(pairs, graph) -> RequestSlot:
     """Build a RequestSlot from (user, file) pairs, each checked in user order."""
@@ -486,10 +496,101 @@ def oracle_best_action(cache, b, requests, peek, graph, horizon, gamma) -> BsAct
     return best
 
 
+#: The joint oracle answers a question in one numpy pass (:func:`oracle_batched`)
+#: when its peek block, ``horizon`` slots of every BS's covered users, holds at
+#: least this many entries, and by one :func:`oracle_best_action` call per BS
+#: below it. Measured per joint call on 2 CPUs (Python 3.11, numpy 2.4) on
+#: seed 4 with libraries of 100 and 1,100 files: on 5 BSs and 40 users (76
+#: entries a slot) the loop took 28-29 us at H=1 and 144-153 us at H=10, the
+#: pass 44-59 us and 89-97 us; at H=5 (380 entries) the pass was 0-22% faster.
+#: On 2 BSs at H=10 (260 entries) it tied or lost (54 against 55 us, 63
+#: against 52 us).
+ORACLE_BATCH_MIN = 512
+#: The pass sums one bit per BS into a float64 per file, exact for up to 53
+#: BSs; a graph with more BSs takes the per-BS loop.
+ORACLE_MASK_BSS = 53
+_BS_BITS = np.ldexp(1.0, np.arange(ORACLE_MASK_BSS))
+
+
 def oracle_joint_action(cache, requests, peek, graph, horizon, gamma) -> JointAction:
-    """Every BS's :func:`oracle_best_action` on the same ``cache``, as one joint action."""
+    """Every BS's :func:`oracle_best_action` on the same ``cache``, as one joint action.
+
+    The path is chosen by the size of the peek slice to read: with at most
+    ORACLE_MASK_BSS BSs and ``horizon`` times the entries of
+    ``graph.column_masks`` at least ORACLE_BATCH_MIN, :func:`oracle_batched`
+    scores all BSs at once; otherwise each BS is asked in turn, which is
+    faster for a short horizon or few covered users. Both give the same
+    action, bit for bit.
+    """
+    if (graph.bs_count <= ORACLE_MASK_BSS
+            and horizon * len(graph.column_masks[0]) >= ORACLE_BATCH_MIN):
+        return oracle_batched(cache, requests, peek, graph, horizon, gamma)
     return JointAction.valid([oracle_best_action(cache, b, requests, peek, graph, horizon, gamma)
                               for b in range(1, cache.bs_count + 1)])
+
+
+def oracle_batched(cache, requests, peek, graph, horizon, gamma) -> JointAction:
+    """:func:`oracle_joint_action` by one numpy pass over the peek block, for
+    up to ORACLE_MASK_BSS BSs; equal to the per-BS loop at any size.
+
+    The block stacks the ``covered_row`` of each of the ``horizon`` peek
+    slots, so an entry is a (peek slot, column of ``graph.column_masks``)
+    pair: one covered user of one BS. Each file gets the bit mask of the
+    BSs holding it and of the BSs whose users ask for it now. An entry
+    counts, as in oracle_best_action, when its BS holds or asks for its
+    file and none of the user's other covering BSs holds it. Its slot's
+    scale is then added to the tally of its (BS, file) by one weighted
+    bincount, in (peek slot, column) order, the loop's own order of
+    additions, so each tally rounds as the loop's does. A tally is a gain
+    where the BS lacks the file and a loss where it holds it, and the
+    loop's scoring runs on them. File 0, an absent user, is held and asked
+    for by no BS, so it is never tallied.
+    """
+    check_peek(peek, horizon)
+    rows, counts = cache.slots, requests.counts
+    n = len(rows)
+    if n != graph.bs_count or len(counts) != n:
+        raise StructuralError("cache/requests/graph BS counts differ")
+    if n > ORACLE_MASK_BSS:
+        raise StructuralError(f"the batched oracle takes at most {ORACLE_MASK_BSS} BSs, not {n}")
+    bs_of, bits, others = graph.column_masks
+    slots = peek[:horizon]
+    block = np.stack([s.covered_row for s in slots])
+    top = int(block.max(initial=EMPTY_SLOT))
+    held = np.bincount(np.fromiter(chain.from_iterable(rows), np.int64),
+                       np.repeat(_BS_BITS[:n], list(map(len, rows))), top + 1).astype(np.int64)
+    held[EMPTY_SLOT] = 0
+    asked = np.bincount(np.fromiter(chain.from_iterable(counts), np.int64),
+                        np.repeat(_BS_BITS[:n], list(map(len, counts))), top + 1).astype(np.int64)
+    held_at = held[block]
+    live = (((held_at | asked[block]) & bits) != 0) & ((held_at & others) == 0)
+    scales = []
+    weight = 1.0
+    for s in slots:
+        scales.append(weight / len(s.pairs) if s.pairs else 0.0)
+        weight *= gamma
+    tally = np.bincount((block * n + bs_of)[live], np.repeat(scales, len(bs_of))[live.ravel()])
+    keys = np.flatnonzero(tally)
+    tallies = dict(zip(keys.tolist(), tally[keys].tolist()))  # f * n + (b-1) -> tally, ascending
+    sets = cache._sets
+    gains = [[] for _ in rows]  # per BS, (file, gain) by file, ascending
+    for key, value in tallies.items():
+        f, b = divmod(key, n)
+        if value > 0.0 and f not in sets[b]:
+            gains[b].append((f, value))
+    actions = []
+    for b, (row, winners) in enumerate(zip(rows, gains)):
+        best = NOOP
+        if winners and EMPTY_SLOT not in row:
+            best_score = 0.0
+            for z, f_out in enumerate(row, start=1):
+                lose = tallies.get(f_out * n + b, 0.0)
+                for f_in, gain in winners:
+                    score = gain - lose
+                    if score > best_score:
+                        best, best_score = BsAction(z, f_in, f_out), score
+        actions.append(best)
+    return JointAction.valid(actions)
 
 
 def swap_fault(row, held, pool, z: int, f_in: int, f_out: int) -> str | None:

@@ -354,11 +354,21 @@ def write_reports(reports, out_dir) -> tuple[str, str]:
     ``results.csv`` mirrors the headline table: one column per checkpoint
     slot then the mean; aggregate rows use seed="mean". ``series.csv`` is
     the plot-ready long format. Emission is a pure function of the reports.
-    Reports whose checkpoint slots differ share no columns: they are refused
-    before any file is written, and ``out_dir`` is made only once they pass.
+    Reports whose checkpoint slots differ share no columns, and policies
+    whose seed sets differ would be averaged over different instances: both
+    are refused before any file is written, and ``out_dir`` is made only
+    once they pass.
     """
     if not reports:
         raise StructuralError("nothing to report")
+    seeds_of: dict[str, set] = {}
+    for r in reports:
+        seeds_of.setdefault(r.policy, set()).add(r.seed)
+    seeds = set().union(*seeds_of.values())
+    for policy, have in sorted(seeds_of.items()):
+        if have != seeds:
+            raise StructuralError(f"policy {policy} has no report for seed {min(seeds - have)}; "
+                                  "every policy needs the same seeds")
     by_seed: dict[int, set] = {}
     for r in reports:
         by_seed.setdefault(r.seed, set()).add(r.instance_sha256)

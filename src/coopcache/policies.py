@@ -13,6 +13,7 @@ import logging
 import math
 import queue
 import shlex
+import shutil
 import subprocess
 import threading
 import time
@@ -237,14 +238,23 @@ class ExternPolicy(Policy):
     (which parses invalid); the frames owed to timed-out prompts are
     discarded in order, whenever they arrive, so each slot gets the reply
     to its own prompt. The timeout must be a finite number of seconds > 0.
-    A dead adapter is reported once, when it is found, and the empty
-    completions scored after that are counted and reported once by
-    :meth:`close`.
+    The command is split as a shell would and its program looked up when
+    the policy is built, so a command that cannot start is refused before
+    any rollout; the process itself starts at :meth:`reset`. A dead
+    adapter is reported once, when it is found, and the empty completions
+    scored after that are counted and reported once by :meth:`close`.
     """
 
     def __init__(self, command: str, timeout: float = EXTERN_TIMEOUT_S) -> None:
         if not command.strip():
             raise AdapterError("empty adapter command")
+        try:
+            self._argv = shlex.split(command)
+        except ValueError as exc:  # an unclosed quote, say
+            raise AdapterError(f"cannot start adapter {command!r}: {exc}") from None
+        if shutil.which(self._argv[0]) is None:
+            raise AdapterError(f"cannot start adapter {command!r}: "
+                               f"no executable {self._argv[0]!r}")
         self.name = "extern"
         self._command = command
         self._timeout = float(timeout)
@@ -262,7 +272,7 @@ class ExternPolicy(Policy):
     def _spawn(self) -> None:
         try:
             self._proc = subprocess.Popen(
-                shlex.split(self._command),
+                self._argv,
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
             )

@@ -28,7 +28,6 @@ from .core import (
     check_peek,
     check_transition,
     feasible_actions,
-    hit_rate,
     nonnegative,
 )
 from .episode import expert_walk
@@ -91,27 +90,22 @@ def lookahead_value(cache, peek, graph, horizon: int, gamma: float) -> float:
     """Discount-weighted mean of hit rates over the next ``horizon`` slots.
 
     Normalized by the weight mass, so the value always lands in [0, 1].
+    The one-cache case of :func:`lookahead_values`.
     """
-    check_peek(peek, horizon)
-    num = 0.0
-    den = 0.0
-    weight = 1.0
-    for k in range(horizon):
-        num += weight * hit_rate(cache, peek[k], graph)
-        den += weight
-        weight *= gamma
-    return num / den
+    return lookahead_values([cache], peek, graph, horizon, gamma)[0]
 
 
 def lookahead_values(caches, peek, graph, horizon: int, gamma: float) -> list[float]:
-    """``[lookahead_value(c, peek, graph, horizon, gamma) for c in caches]``, bit for bit.
+    """The :func:`lookahead_value` of each of ``caches``: the discount-weighted
+    mean over the next ``horizon`` slots of its hit rate, as
+    :func:`~coopcache.core.hit_rate` counts it, normalized by the weight mass.
 
-    Every cache is still recounted in full, but all of them in one numpy
-    pass: a request hits a cache when a 0/1 membership table of that cache
-    holds the file at one of the user's covering BSs. Hits stay integers per
-    (cache, slot) until the floats are summed in ``lookahead_value``'s own
-    order, slot by slot, so each value rounds exactly as the single one does.
-    Bad inputs raise what ``lookahead_value`` raises, with the same messages.
+    Every cache is recounted in full, but all of them in one numpy pass: a
+    request hits a cache when a 0/1 membership table of that cache holds the
+    file at one of the user's covering BSs. Hits stay integers per (cache,
+    slot) until the floats are summed slot by slot, so each value rounds as
+    the sum of ``weight * hit_rate`` over the slots does. Bad inputs raise
+    what ``hit_rate`` and :func:`~coopcache.core.check_peek` raise.
     """
     check_peek(peek, horizon)
     bs_count = len(graph.bs_xy)
@@ -119,20 +113,26 @@ def lookahead_values(caches, peek, graph, horizon: int, gamma: float) -> list[fl
     if any(len(c.slots) != bs_count for c in caches) or any(
             len(s.counts) != bs_count for s in slots):
         raise StructuralError("cache/requests/graph BS counts differ")
-    depth = max(len(s.pairs) for s in slots)
+    sizes = np.array([len(s.pairs) for s in slots])
+    depth = int(sizes.max())
     if not caches or not depth:  # no cache, or every slot empty: each rate is 0
         return [0.0] * len(caches)
-    # Request j of slot k looks up file f at the 0-based BSs bs_at[k, j]:
-    # its user's covering BSs, padded with a phantom BS ``bs_count`` that
-    # holds nothing. Uncovered users and the padding to ``depth`` requests
-    # look up only the phantom.
+    # Request j of slot k is user_at[k, j] asking for file_at[k, j], and
+    # looks that file up at the 0-based BSs bs_at[k, j]: its user's covering
+    # BSs, padded with a phantom BS ``bs_count`` that holds nothing. The
+    # padding to ``depth`` requests is a phantom user, after the real ones,
+    # whom only the phantom BS covers, asking for EMPTY_SLOT.
     width = max(1, max(map(len, graph.coverage)))
     phantom = (bs_count,) * width
-    lookup = [tuple(b - 1 for b in cov) + phantom[len(cov):] for cov in graph.coverage]
-    bs_at = np.array([[lookup[u] for u, _ in s.pairs] + [phantom] * (depth - len(s.pairs))
-                      for s in slots], np.intp)
-    file_at = np.array([[f for _, f in s.pairs] + [EMPTY_SLOT] * (depth - len(s.pairs))
-                        for s in slots], np.intp)
+    lookup = np.array([tuple(b - 1 for b in cov) + phantom[len(cov):]
+                       for cov in graph.coverage] + [phantom], np.intp)
+    present = np.arange(depth) < sizes[:, None]
+    pairs = np.fromiter(chain.from_iterable(chain.from_iterable(s.pairs for s in slots)),
+                        np.intp).reshape(-1, 2)
+    user_at = np.full(present.shape, len(graph.coverage), np.intp)
+    file_at = np.full(present.shape, EMPTY_SLOT, np.intp)
+    user_at[present], file_at[present] = pairs[:, 0], pairs[:, 1]
+    bs_at = lookup[user_at]
     # held[c, b, f]: cache c holds file f at 0-based BS b. Files above the
     # largest one asked for are left out. An empty slot marks EMPTY_SLOT,
     # which no request asks for: request file ids are >= 1.
@@ -146,15 +146,16 @@ def lookahead_values(caches, peek, graph, horizon: int, gamma: float) -> list[fl
     held = np.zeros((len(caches), bs_count + 1, top + 1), np.bool_)
     held[row_of // bs_count, row_of % bs_count, files] = True
     hits = held[:, bs_at, file_at[:, :, None]].any(axis=3).sum(axis=2)
-    num = np.zeros(len(caches))
-    den = 0.0
+    # The rates, weighted, summed slot by slot: cumsum adds in order, and an
+    # empty slot's rate of 0 adds 0.0, which changes no sum.
+    weights = []
     weight = 1.0
-    for k, s in enumerate(slots):
-        if s.pairs:  # an empty slot's rate is 0, and adding 0.0 changes no sum
-            num += weight * (hits[:, k] / len(s.pairs))
-        den += weight
+    for _ in slots:
+        weights.append(weight)
         weight *= gamma
-    return (num / den).tolist()
+    rates = np.divide(hits, sizes, out=np.zeros(hits.shape), where=sizes > 0)
+    num = np.cumsum(np.array(weights) * rates, axis=1)[:, -1]
+    return (num / sum(weights)).tolist()
 
 
 def delta_perf(before, after, peek, graph, cfg: RewardConfig) -> float:
@@ -166,9 +167,9 @@ def delta_perf(before, after, peek, graph, cfg: RewardConfig) -> float:
         raise StructuralError("transition exceeds the per-BS single-swap budget")
     if after == before:
         return 0.0
-    return lookahead_value(after, peek, graph, cfg.horizon, cfg.gamma) - lookahead_value(
-        before, peek, graph, cfg.horizon, cfg.gamma
-    )
+    value_before, value_after = lookahead_values([before, after], peek, graph,
+                                                 cfg.horizon, cfg.gamma)
+    return value_after - value_before
 
 
 def score_completion(text: str, obs: SlotObservation, peek, expert: JointAction,

@@ -105,6 +105,17 @@ class AssociationGraph:
             for b in range(1, self.bs_count + 1)
         )
 
+    @cached_property
+    def column_masks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per entry of ``columns``, all BSs' entries in turn: its 0-based BS,
+        that BS's bit ``1 << (b-1)``, and the bit mask of the user's other
+        covering BSs; int64 arrays, computed once, then kept."""
+        bs_of = np.array([b for b, (users, _) in enumerate(self.columns) for _ in users],
+                         np.int64)
+        others = np.array([sum(1 << (bb - 1) for bb in other)
+                           for _, column in self.columns for other in column], np.int64)
+        return bs_of, np.left_shift(1, bs_of), others
+
 
 @dataclass(frozen=True)
 class DemandModel:

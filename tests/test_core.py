@@ -6,6 +6,7 @@ import copy
 import pickle
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -393,6 +394,21 @@ def test_request_slot_lists_the_requests_each_bs_covers(scenario):
             users = graph.columns[b - 1][0]
             assert len(slot.covered[b - 1]) == len(users)
             assert list(slot.covered[b - 1]) == [files.get(u, 0) for u in users]
+
+
+@settings(max_examples=100)
+@given(scenarios(peek_max=3, uncovered=True))
+def test_a_request_slot_row_lines_up_with_the_column_masks(scenario):
+    """``covered_row`` is ``covered`` concatenated in BS order, one entry per
+    entry of ``graph.column_masks``; building it changes no equality."""
+    _cache, graph, requests, peek = scenario
+    bs_of = graph.column_masks[0].tolist()
+    for slot in (requests, *peek):
+        row = slot.covered_row
+        assert row.dtype == np.int64
+        assert row.tolist() == [f for files in slot.covered for f in files]
+        assert [b for b, files in enumerate(slot.covered) for _ in files] == bs_of
+        assert slot == request_slot(slot.pairs, graph)
 
 
 def test_a_request_slot_pickles_and_copies_equal():

@@ -284,6 +284,54 @@ def test_a_failed_run_writes_nothing(tmp_path, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spec, message", [
+    ('extern:python "unterminated',
+     r"""cannot start adapter 'python "unterminated': No closing quotation"""),
+    ("extern:/nonexistent/adapter",
+     "cannot start adapter '/nonexistent/adapter': no executable '/nonexistent/adapter'"),
+], ids=["unclosed-quote", "missing-program"])
+def test_a_bad_adapter_command_is_refused_before_any_rollout(tmp_path, monkeypatch, spec,
+                                                            message):
+    """Listed after ``oracle:10``, an adapter command that cannot start ends
+    ``run`` with exit 1 and one line, before any warm-up or rollout, and
+    nothing is written."""
+    monkeypatch.delenv("COOPCACHE_OUT_DIR", raising=False)
+    calls = []
+    for name in ("warm_start", "rollout"):
+        monkeypatch.setattr(harness, name, lambda *args, _name=name: calls.append(_name))
+    argv = ["run", "--bs", "5", "--users", "40", "--seeds", "1", "--policy", "oracle:10",
+            "--policy", spec, "--out", "out"]
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert str(exc.value) == message and not calls
+    done = subprocess.run([sys.executable, "-m", "coopcache.cli", *argv], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (1, message + "\n")
+    assert os.listdir(tmp_path) == []
+
+
+def test_report_refuses_policies_with_different_seeds(tmp_path, monkeypatch):
+    """``lru`` run on seed 1 and ``fifo`` on seed 2 into one directory would
+    compare different instances in ``results.csv``: ``report`` refuses them
+    in one line naming a missing (policy, seed), and writes nothing."""
+    monkeypatch.delenv("COOPCACHE_OUT_DIR", raising=False)
+    reports = tmp_path / "d"
+    for seed, spec in (("1", "lru"), ("2", "fifo")):
+        cli_main(["run", "--seeds", seed, "--policy", spec, "--slots", "50",
+                  "--out", str(reports)])
+    out = tmp_path / "t"
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["report", "--reports", str(reports), "--out", str(out)])
+    assert str(exc.value) == ("policy fifo has no report for seed 1; "
+                              "every policy needs the same seeds")
+    assert not out.exists()
+    cli_main(["run", "--seeds", "1", "--policy", "fifo", "--slots", "50", "--out", str(reports)])
+    with pytest.raises(SystemExit, match="^policy lru has no report for seed 2;"):
+        cli_main(["report", "--reports", str(reports), "--out", str(out)])
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("timeout", ["-1", "0", "nan"])
 def test_cli_refuses_a_bad_extern_timeout_before_any_rollout(tmp_path, monkeypatch, timeout):
     monkeypatch.delenv("COOPCACHE_OUT_DIR", raising=False)

@@ -7,15 +7,20 @@ import logging
 import random
 import shlex
 import sys
+from collections import Counter
+from itertools import islice
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coopcache import core, traffic
 from coopcache.core import (
     EMPTY_SLOT,
     NOOP,
+    ORACLE_BATCH_MIN,
+    ORACLE_MASK_BSS,
     BsAction,
     CacheState,
     JointAction,
@@ -23,10 +28,12 @@ from coopcache.core import (
     apply,
     feasible_actions,
     hottest_uncached,
+    oracle_batched,
     oracle_best_action,
+    oracle_joint_action,
     request_slot,
 )
-from coopcache.episode import Episode
+from coopcache.episode import Episode, expert_walk
 from coopcache.harness import rollout
 from coopcache.interface import SlotObservation, decode_prompt, parse
 from coopcache.policies import (
@@ -44,7 +51,13 @@ from coopcache.policies import (
     write_frame,
 )
 from coopcache.reward import RewardConfig, delta_perf, lookahead_value
-from coopcache.traffic import FrequencyTracker, WarmState, build_instance, warm_start
+from coopcache.traffic import (
+    FrequencyTracker,
+    InstanceConfig,
+    WarmState,
+    build_instance,
+    warm_start,
+)
 
 from conftest import observation, random_scenario, scenarios, small_config, synthetic_graph
 
@@ -361,6 +374,109 @@ def test_oracle_decoupled_across_bs():
             assert act == solo
 
 
+def _per_bs(cache, requests, peek, graph, horizon, gamma) -> JointAction:
+    """The joint oracle's small-size path: one oracle_best_action per BS."""
+    return JointAction.valid([oracle_best_action(cache, b, requests, peek, graph, horizon, gamma)
+                              for b in range(1, cache.bs_count + 1)])
+
+
+def _widened(scenario, bs_count):
+    """The scenario with its BSs moved to the top of ``bs_count`` BSs. The BSs
+    below cover no user and each hold file 1, so file 1's holder mask spans
+    every bit up to the scenario's own."""
+    cache, graph, requests, peek = scenario
+    shift = bs_count - cache.bs_count
+    wide = synthetic_graph([[b + shift for b in cov] for cov in graph.coverage], bs_count)
+
+    def moved(slot):
+        return request_slot(slot.pairs, wide)
+
+    return CacheState(((1,),) * shift + cache.slots), wide, moved(requests), tuple(map(moved, peek))
+
+
+@settings(max_examples=200)
+@given(scenarios(holes=True, uncovered=True), st.data())
+def test_the_batched_oracle_equals_the_per_bs_loop(scenario, data):
+    """Called directly, whatever the size: every horizon the peek allows, on
+    the scenario's own 1-4 BSs and moved to the top of ORACLE_MASK_BSS BSs."""
+    if data.draw(st.booleans(), label="widened"):
+        scenario = _widened(scenario, ORACLE_MASK_BSS)
+    cache, graph, requests, peek = scenario
+    horizon = data.draw(st.integers(1, len(peek)), label="horizon")
+    gamma = data.draw(st.sampled_from((0.5, 0.8, 0.9, 1.0)), label="gamma")
+    assert oracle_batched(cache, requests, peek, graph, horizon, gamma) == _per_bs(
+        cache, requests, peek, graph, horizon, gamma)
+
+
+def test_the_batched_oracle_refuses_what_the_loop_refuses():
+    graph = synthetic_graph(((1,), (1, 2)), 2)
+    cache = CacheState(((1, 2), (3, 4)))
+    now = request_slot(((0, 5), (1, 6)), graph)
+    for peek, horizon, message in (((), 1, "peek holds 0 slots, horizon needs 1"),
+                                   ((now,), 0, "horizon must be >= 1")):
+        with pytest.raises(StructuralError, match=message):
+            oracle_batched(cache, now, peek, graph, horizon, 0.9)
+    cache, graph, now, peek = _widened((cache, graph, now, (now,)), ORACLE_MASK_BSS + 1)
+    with pytest.raises(StructuralError, match=f"at most {ORACLE_MASK_BSS} BSs"):
+        oracle_batched(cache, now, peek, graph, 1, 0.9)
+
+
+def test_the_golden_export_walk_agrees_with_the_per_bs_loop():
+    """Every state of the 5-BS export walk the goldens pin (seed 2), each
+    answered by the batched path, is the loop's answer."""
+    instance = build_instance(InstanceConfig(bs_count=5, users=40), 2)
+    states = 0
+    for obs, expert, peek in expert_walk(instance, 10, 0.9):
+        assert expert == _per_bs(obs.cache, obs.requests, peek, instance.graph, 10, 0.9)
+        states += 1
+    assert states == instance.config.rollout_slots
+
+
+def _count_paths(monkeypatch) -> Counter:
+    """Count the joint oracle's batched calls, its per-BS calls and the warm-up's."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(core, "oracle_batched", counted("batched", core.oracle_batched))
+    monkeypatch.setattr(core, "oracle_best_action", counted("loop", core.oracle_best_action))
+    monkeypatch.setattr(traffic, "oracle_best_action",
+                        counted("warm-up", traffic.oracle_best_action))
+    return calls
+
+
+def test_each_oracle_caller_takes_its_path(monkeypatch):
+    """The export walk at H=10 on 5 BSs (seed 2: 84 entries a peek slot, so
+    840) takes the batched path; ``oracle:1`` there (84), ``oracle:10`` on 2
+    BSs and the warm-up take the per-BS loop, and so does a graph past the mask."""
+    calls = _count_paths(monkeypatch)
+    five = build_instance(InstanceConfig(bs_count=5, users=40), 2)
+    entries = len(five.graph.column_masks[0])
+    assert entries == 84 and 10 * entries >= ORACLE_BATCH_MIN > entries
+    warm = warm_start(five)
+    assert calls.pop("warm-up") > 0 and not calls
+    assert len(list(islice(expert_walk(five, 10, 0.9), 3))) == 3
+    assert calls.pop("batched") >= 3 and calls.pop("warm-up") > 0 and not calls
+    rollout(five, make_policy("oracle:1"), 4, warm)
+    assert calls == {"loop": 4 * 5}
+    calls.clear()
+    two = build_instance(InstanceConfig(), 1)
+    rollout(two, make_policy("oracle:10"), 4, warm_start(two))
+    assert calls.pop("loop") == 4 * 2 and calls.pop("warm-up") > 0 and not calls
+    graph = synthetic_graph(((1,), (1, 2)), 2)
+    cache, graph, requests, _ = _widened(
+        (CacheState(((1, 2), (3, 4))), graph, request_slot(((0, 5), (1, 6)), graph), ()),
+        ORACLE_MASK_BSS + 1)
+    peek = (requests,) * ORACLE_BATCH_MIN
+    assert oracle_joint_action(cache, requests, peek, graph, len(peek), 0.9) == _per_bs(
+        cache, requests, peek, graph, len(peek), 0.9)
+    assert calls == {"loop": ORACLE_MASK_BSS + 1}
+
+
 def test_oracle_next_slot_weak_dominance(small_instance):
     """At H=1, the chosen action never loses next-slot hits to standing pat."""
     from coopcache.core import hit_rate
@@ -509,12 +625,21 @@ def test_dead_adapter_is_reported_once(small_instance, caplog):
     assert messages[1].startswith("adapter was gone for 20 slot(s)")
 
 
-def test_extern_spawn_failure():
-    policy = ExternPolicy("/nonexistent/binary/path")
-    with pytest.raises(AdapterError):
+def test_extern_spawn_failure(tmp_path):
+    """A command that cannot start is refused when the policy is built; one
+    that the system then fails to run is refused at ``reset``."""
+    for command, message in (
+            ("/nonexistent/binary/path", "no executable '/nonexistent/binary/path'"),
+            ('python "unterminated', "No closing quotation"),
+            ("   ", "empty adapter command")):
+        with pytest.raises(AdapterError, match=message):
+            ExternPolicy(command)
+    garbage = tmp_path / "adapter"  # executable, but in no format the system runs
+    garbage.write_bytes(b"\x00\x01 not a program\n")
+    garbage.chmod(0o755)
+    policy = ExternPolicy(str(garbage))
+    with pytest.raises(AdapterError, match="cannot start adapter"):
         policy.reset(None, None)
-    with pytest.raises(AdapterError):
-        ExternPolicy("   ")
 
 
 def test_read_frame_bounds_the_header_line():

@@ -20,6 +20,7 @@ from coopcache.core import (
     JointAction,
     StructuralError,
     feasible_actions,
+    hit_rate,
     request_slot,
 )
 from coopcache.episode import expert_walk
@@ -119,6 +120,26 @@ def test_lookahead_values_equal_lookahead_value_bit_for_bit(batch):
     values = lookahead_values(caches, peek, graph, horizon, gamma)
     assert all(type(v) is float for v in values)
     assert values == [lookahead_value(c, peek, graph, horizon, gamma) for c in caches]
+
+
+def reference_lookahead_value(cache, peek, graph, horizon, gamma) -> float:
+    """The per-slot ``hit_rate`` loop ``lookahead_value`` ran before it became
+    the one-cache case of ``lookahead_values``, kept as a reference."""
+    num = den = 0.0
+    weight = 1.0
+    for k in range(horizon):
+        num += weight * hit_rate(cache, peek[k], graph)
+        den += weight
+        weight *= gamma
+    return num / den
+
+
+@settings(max_examples=200)
+@given(_batches())
+def test_lookahead_values_equal_the_hit_rate_loop_bit_for_bit(batch):
+    caches, peek, graph, horizon, gamma = batch
+    assert lookahead_values(caches, peek, graph, horizon, gamma) == [
+        reference_lookahead_value(c, peek, graph, horizon, gamma) for c in caches]
 
 
 def test_lookahead_values_cover_the_edge_shapes():

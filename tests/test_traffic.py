@@ -155,6 +155,13 @@ def assert_columns_follow_coverage(graph) -> None:
     for b, (users, others) in enumerate(graph.columns, start=1):
         assert list(users) == [u for u, cov in enumerate(graph.coverage) if b in cov]
         assert others == tuple(tuple(bb for bb in graph.coverage[u] if bb != b) for u in users)
+    # column_masks: one entry per (BS, covered user) in the same order, by bits
+    bs_of, bits, other_bits = graph.column_masks
+    entries = [(b, others) for b, (_, column) in enumerate(graph.columns) for others in column]
+    assert bs_of.tolist() == [b for b, _ in entries]
+    assert [m.bit_length() - 1 for m in bits.tolist()] == bs_of.tolist()
+    assert [{i + 1 for i in range(m.bit_length()) if m >> i & 1} for m in other_bits.tolist()] \
+        == [set(others) for _, others in entries]
 
 
 @settings(max_examples=100)
