@@ -19,6 +19,8 @@ does not.
 from __future__ import annotations
 
 import csv
+import hashlib
+import json
 import os
 import time
 from dataclasses import asdict, dataclass, field
@@ -425,10 +427,35 @@ def _write_csv(path, header, rows) -> str:
 
 
 def load_reports(directory) -> list[EvalReport]:
-    """Read every report JSON a previous run left in ``directory``."""
+    """Read every report JSON a previous run left in ``directory``.
+
+    Where the instance file ``run`` writes for a report's seed lies beside
+    it, the file must hash to the report's ``instance_sha256``, and all such
+    files must share one config; otherwise the set is refused naming the
+    file, so one table never mixes instances or configurations.
+    """
     try:
         names = sorted(os.listdir(directory))
     except OSError as exc:
         raise StructuralError(f"{directory}: {exc}") from None
-    return [read_json(os.path.join(directory, name), EvalReport.from_dict)
-            for name in names if name.startswith("report_") and name.endswith(".json")]
+    loaded = [(name, read_json(os.path.join(directory, name), EvalReport.from_dict))
+              for name in names if name.startswith("report_") and name.endswith(".json")]
+    files: dict[str, bytes] = {}  # instance file -> its bytes
+    for name, report in loaded:
+        path = os.path.join(directory, f"instance_seed{report.seed}.json")
+        if path not in files and os.path.isfile(path):
+            try:
+                with open(path, "rb") as fh:
+                    files[path] = fh.read()
+            except OSError as exc:
+                raise StructuralError(f"{path}: {exc}") from None
+        if path in files and hashlib.sha256(files[path]).hexdigest() != report.instance_sha256:
+            raise StructuralError(f"{path}: not the instance {name} was run on "
+                                  "(its SHA-256 is not the report's instance_sha256)")
+    configs = {path: json.loads(raw)["config"] for path, raw in files.items()}
+    first = next(iter(configs), None)
+    for path, config in configs.items():
+        if config != configs[first]:
+            raise StructuralError(f"{path}: config differs from {first}'s; "
+                                  "one report set holds one configuration")
+    return [report for _, report in loaded]

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import logging
 import math
-import queue
+import os
+import selectors
 import shlex
 import shutil
 import subprocess
-import threading
 import time
 
 from .core import (
@@ -200,11 +200,27 @@ FRAME_LIMIT = 16 * 1024 * 1024  # refuse absurd frame sizes from adapters
 HEADER_LIMIT = 64  # a header line longer than this is malformed
 
 
-def write_frame(stream, payload: str) -> None:
-    """Emit one ``LEN <n>`` header line plus n bytes of UTF-8 payload."""
+def frame_bytes(payload: str) -> bytes:
+    """One frame: a ``LEN <n>`` header line plus n bytes of UTF-8 payload."""
     data = payload.encode("utf-8")
-    stream.write(b"LEN %d\n" % len(data))
-    stream.write(data)
+    return b"LEN %d\n" % len(data) + data
+
+
+def frame_length(header: bytes) -> int | None:
+    """The payload length a header line announces; None unless the line is
+    ``LEN <n>\\n`` within ``HEADER_LIMIT`` bytes, with 0 <= n <= ``FRAME_LIMIT``."""
+    if len(header) > HEADER_LIMIT or not header.endswith(b"\n") or not header.startswith(b"LEN "):
+        return None
+    try:
+        n = int(header[4:])
+    except ValueError:
+        return None
+    return n if 0 <= n <= FRAME_LIMIT else None
+
+
+def write_frame(stream, payload: str) -> None:
+    """Emit one frame (see :func:`frame_bytes`) and flush it."""
+    stream.write(frame_bytes(payload))
     stream.flush()
 
 
@@ -214,14 +230,8 @@ def read_frame(stream) -> str | None:
     The header read stops after ``HEADER_LIMIT`` bytes, so an adapter that
     never sends a newline cannot make the reader consume its whole output.
     """
-    header = stream.readline(HEADER_LIMIT)
-    if not header.endswith(b"\n") or not header.startswith(b"LEN "):
-        return None
-    try:
-        n = int(header[4:].strip())
-    except ValueError:
-        return None
-    if n < 0 or n > FRAME_LIMIT:
+    n = frame_length(stream.readline(HEADER_LIMIT))
+    if n is None:
         return None
     data = stream.read(n)
     if data is None or len(data) != n:
@@ -229,20 +239,36 @@ def read_frame(stream) -> str | None:
     return data.decode("utf-8", errors="replace")
 
 
+class _Hangup(Exception):
+    """The adapter broke the frame protocol or its pipes; the message names how."""
+
+
 class ExternPolicy(Policy):
     """Delegates decisions to a persistent child process.
 
     Wire protocol, both directions: ``LEN <n>\\n`` followed by exactly n
     bytes of UTF-8 payload. One prompt frame out, one completion frame
-    back per slot. A timeout or a closed pipe yields an empty completion
-    (which parses invalid); the frames owed to timed-out prompts are
-    discarded in order, whenever they arrive, so each slot gets the reply
-    to its own prompt. The timeout must be a finite number of seconds > 0.
-    The command is split as a shell would and its program looked up when
-    the policy is built, so a command that cannot start is refused before
-    any rollout; the process itself starts at :meth:`reset`. A dead
-    adapter is reported once, when it is found, and the empty completions
-    scored after that are counted and reported once by :meth:`close`.
+    back per slot. All adapter I/O runs on the calling thread over
+    non-blocking pipes, and one deadline per slot, ``timeout`` seconds (a
+    finite number > 0) after the prompt is ready, bounds writing the prompt
+    and reading its reply together. If no byte of the reply has come by
+    then, the slot scores an empty completion (which parses invalid) and
+    the prompt is owed a late reply: the next complete frames answer owed
+    prompts first, in order, and are dropped, so each slot gets the reply
+    to its own prompt.
+
+    The adapter is gone, and every later slot scores an empty completion,
+    when the deadline finds the prompt not fully written or part of a
+    frame read; on an extra frame: bytes beyond the owed late replies
+    that come before the prompt is fully written, or any bytes left after
+    the reply; on a bad header (not ``LEN <n>`` with n up to
+    ``FRAME_LIMIT``, within ``HEADER_LIMIT`` bytes); and when its output or
+    stdin closes or it exits. A gone adapter is reported once, in a warning
+    naming the cause, and the empty completions scored after that are
+    counted and reported once by :meth:`close`, which also closes the
+    pipes. The command is split as a shell would and its program looked up
+    when the policy is built, so a command that cannot start is refused
+    before any rollout; the process itself starts at :meth:`reset`.
     """
 
     def __init__(self, command: str, timeout: float = EXTERN_TIMEOUT_S) -> None:
@@ -261,12 +287,13 @@ class ExternPolicy(Policy):
         if not 0 < self._timeout < math.inf:
             raise StructuralError(f"extern timeout must be a finite number > 0, not {timeout!r}")
         self._proc: subprocess.Popen | None = None
-        self._frames: queue.Queue | None = None
-        self._stale = 0  # frames owed to timed-out prompts, not yet read
+        self._buf = bytearray()  # adapter output not yet taken as a frame
+        self._stale = 0  # replies owed to timed-out prompts, not yet read
         self._dead_slots = 0  # empty completions scored since the adapter died
 
     def reset(self, instance, warm=None) -> None:
         if self._proc is None or self._proc.poll() is not None:
+            self._stop()
             self._spawn()
 
     def _spawn(self) -> None:
@@ -278,12 +305,11 @@ class ExternPolicy(Policy):
             )
         except OSError as exc:
             raise AdapterError(f"cannot start adapter {self._command!r}: {exc}") from exc
-        self._frames = queue.Queue()
+        os.set_blocking(self._proc.stdin.fileno(), False)
+        os.set_blocking(self._proc.stdout.fileno(), False)
+        self._buf.clear()
         self._stale = 0
         self._dead_slots = 0
-        threading.Thread(
-            target=_pump_frames, args=(self._proc.stdout, self._frames), daemon=True
-        ).start()
 
     def _gone(self, how: str, slot: int) -> str:
         """Score an empty completion for a dead adapter; warn only the first time."""
@@ -297,45 +323,90 @@ class ExternPolicy(Policy):
         if self._dead_slots or self._proc is None or self._proc.poll() is not None:
             return self._gone("process exited", obs.slot)
         try:
-            write_frame(self._proc.stdin, encode(obs))
-        except (BrokenPipeError, OSError):
-            return self._gone("pipe closed", obs.slot)
+            return self._exchange(frame_bytes(encode(obs)), obs.slot)
+        except _Hangup as exc:
+            return self._gone(str(exc), obs.slot)
+
+    def _exchange(self, prompt: bytes, slot: int) -> str:
+        """Write ``prompt`` and read its reply in one selector loop against one
+        deadline; each round reads before it writes, so output already
+        waiting is matched before the prompt goes out."""
+        stdin, stdout = self._proc.stdin.fileno(), self._proc.stdout.fileno()
         deadline = time.monotonic() + self._timeout
-        while True:
-            try:
-                reply = self._frames.get(timeout=max(0.0, deadline - time.monotonic()))
-            except queue.Empty:
-                self._stale += 1
-                logger.warning(
-                    "adapter timed out after %.1fs at slot %d", self._timeout, obs.slot
-                )
-                return ""
-            if reply is None:
-                return self._gone("end of output", obs.slot)
-            if not self._stale:
-                return reply
-            self._stale -= 1
+        reply = None
+        with selectors.DefaultSelector() as sel:
+            sel.register(stdout, selectors.EVENT_READ)
+            sel.register(stdin, selectors.EVENT_WRITE)
+            while reply is None:
+                ready = {key.fd for key, _ in sel.select(deadline - time.monotonic())}
+                if not ready:
+                    break
+                if stdout in ready:
+                    chunk = os.read(stdout, 1 << 16)
+                    if not chunk:
+                        raise _Hangup("end of output")
+                    self._buf += chunk
+                    while self._stale and self._next_frame() is not None:
+                        self._stale -= 1
+                    if self._buf and not self._stale:
+                        if prompt:
+                            raise _Hangup("extra frame")
+                        reply = self._next_frame()
+                if stdin in ready:
+                    try:
+                        prompt = prompt[os.write(stdin, prompt):]
+                    except BlockingIOError:
+                        continue
+                    except OSError:
+                        raise _Hangup("pipe closed") from None
+                    if not prompt:
+                        sel.unregister(stdin)
+        if reply is not None:
+            if self._buf:
+                raise _Hangup("extra frame")
+            return reply
+        if prompt:
+            raise _Hangup("prompt not written by the deadline")
+        if self._buf:
+            raise _Hangup("partial frame at the deadline")
+        self._stale += 1
+        logger.warning("adapter timed out after %.1fs at slot %d", self._timeout, slot)
+        return ""
+
+    def _next_frame(self) -> str | None:
+        """Take the first complete frame off the buffer; None while it holds less."""
+        end = self._buf.find(b"\n", 0, HEADER_LIMIT) + 1
+        if not end and len(self._buf) < HEADER_LIMIT:
+            return None
+        n = frame_length(bytes(self._buf[:end]))
+        if n is None:
+            raise _Hangup("bad frame header")
+        if len(self._buf) < end + n:
+            return None
+        payload = self._buf[end:end + n].decode("utf-8", errors="replace")
+        del self._buf[:end + n]
+        return payload
 
     def close(self) -> None:
         if self._dead_slots:
             logger.warning("adapter was gone for %d slot(s); each scored an empty completion",
                            self._dead_slots)
             self._dead_slots = 0
-        if self._proc is not None:
-            self._proc.terminate()
-            try:
-                self._proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                self._proc.kill()
-            self._proc = None
+        self._stop()
 
-
-def _pump_frames(stream, frames: queue.Queue) -> None:
-    while True:
-        frame = read_frame(stream)
-        frames.put(frame)
-        if frame is None:
+    def _stop(self) -> None:
+        """End the adapter process, if any, and close its pipes."""
+        if self._proc is None:
             return
+        proc, self._proc = self._proc, None
+        proc.stdin.close()
+        proc.terminate()
+        try:
+            proc.wait(timeout=5)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
 
 
 def make_policy(spec: str, gamma: float = EXPERT_GAMMA,

@@ -332,6 +332,48 @@ def test_report_refuses_policies_with_different_seeds(tmp_path, monkeypatch):
     assert not out.exists()
 
 
+def test_report_refuses_a_report_whose_instance_file_differs(tmp_path, monkeypatch):
+    """An instance file beside a report that is not the instance the report
+    was run on (here a 5-BS instance written over the 2-BS one) is refused
+    in one line naming the file, and nothing is written."""
+    monkeypatch.delenv("COOPCACHE_OUT_DIR", raising=False)
+    reports = tmp_path / "d"
+    cli_main(["run", "--bs", "2", "--seeds", "1", "--policy", "lru", "--slots", "50",
+              "--out", str(reports)])
+    instance = reports / "instance_seed1.json"
+    cli_main(["gen-instance", "--bs", "5", "--users", "40", "--seed", "1", "--out", str(instance)])
+    out = tmp_path / "t"
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["report", "--reports", str(reports), "--out", str(out)])
+    assert str(exc.value) == (f"{instance}: not the instance report_lru_seed1.json was run on "
+                              "(its SHA-256 is not the report's instance_sha256)")
+    assert not out.exists()
+
+
+def test_report_refuses_instance_files_whose_configs_differ(tmp_path, monkeypatch):
+    """A 2-BS run on seed 1 and a 5-BS run on seed 2 into one directory would
+    average different configurations in one ``mean`` row: ``report`` refuses
+    them in one line naming the file, and writes nothing. Without the
+    instance files only the report checks apply, and the set passes them."""
+    monkeypatch.delenv("COOPCACHE_OUT_DIR", raising=False)
+    reports = tmp_path / "d"
+    cli_main(["run", "--bs", "2", "--seeds", "1", "--policy", "lru", "--slots", "50",
+              "--out", str(reports)])
+    cli_main(["run", "--bs", "5", "--users", "40", "--seeds", "2", "--policy", "lru",
+              "--slots", "50", "--out", str(reports)])
+    out = tmp_path / "t"
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["report", "--reports", str(reports), "--out", str(out)])
+    assert str(exc.value) == (f"{reports / 'instance_seed2.json'}: config differs from "
+                              f"{reports / 'instance_seed1.json'}'s; "
+                              "one report set holds one configuration")
+    assert not out.exists()
+    for seed in (1, 2):
+        (reports / f"instance_seed{seed}.json").unlink()
+    assert cli_main(["report", "--reports", str(reports), "--out", str(out)]) == 0
+    assert (out / "results.csv").exists()
+
+
 @pytest.mark.parametrize("timeout", ["-1", "0", "nan"])
 def test_cli_refuses_a_bad_extern_timeout_before_any_rollout(tmp_path, monkeypatch, timeout):
     monkeypatch.delenv("COOPCACHE_OUT_DIR", raising=False)

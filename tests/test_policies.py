@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import gc
 import io
+import json
 import logging
 import random
+import re
 import shlex
+import subprocess
 import sys
+import time
+import warnings
 from collections import Counter
 from itertools import islice
 from types import SimpleNamespace
@@ -38,6 +44,7 @@ from coopcache.harness import rollout
 from coopcache.interface import SlotObservation, decode_prompt, parse
 from coopcache.policies import (
     AdapterError,
+    FRAME_LIMIT,
     ExternPolicy,
     FifoPolicy,
     LfuPolicy,
@@ -623,6 +630,78 @@ def test_dead_adapter_is_reported_once(small_instance, caplog):
     assert len(messages) == 2, messages
     assert messages[0].startswith("adapter is gone")
     assert messages[1].startswith("adapter was gone for 20 slot(s)")
+
+
+def test_extern_closes_its_pipes(monkeypatch):
+    """Neither a respawn after the adapter exits nor ``close`` leaves a pipe
+    for the garbage collector to find open."""
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    policy = ExternPolicy(f"{sys.executable} -c pass", timeout=20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        policy.reset(None, None)
+        policy._proc.wait(timeout=20)
+        policy.reset(None, None)  # the child has exited, so this respawns it
+        policy.close()
+        gc.collect()
+    assert [u.exc_value for u in unraisable] == []
+
+
+_HOSTILE_PROLOGUE = (
+    "import sys, time\n"
+    "from coopcache.policies import read_frame, write_frame\n"
+    "src, out = sys.stdin.buffer, sys.stdout.buffer\n"
+    "def send(raw):\n"
+    "    out.write(raw)\n"
+    "    out.flush()\n"
+    "def drain():\n"
+    "    while src.read(1 << 16):\n"
+    "        pass\n"
+)
+
+
+@pytest.mark.parametrize("body, answered, cause, bound_s", [
+    pytest.param("time.sleep(600)\n",
+                 0, "prompt not written by the deadline", 20, id="deaf"),
+    pytest.param("read_frame(src)\nsend(b'LEN 100\\nBS 1')\ndrain()\n",
+                 0, "partial frame at the deadline", 10, id="stalled-mid-frame"),
+    pytest.param("while read_frame(src) is not None:\n    send(b'LEN 4\\nnope' * 2)\n",
+                 0, "extra frame", 10, id="double-reply"),
+    pytest.param(f"read_frame(src)\nsend(b'LEN {FRAME_LIMIT + 1}\\n')\ndrain()\n",
+                 0, "bad frame header", 10, id="oversized-header"),
+    pytest.param("read_frame(src)\nsend(b'HELLO THERE\\n')\ndrain()\n",
+                 0, "bad frame header", 10, id="garbage-header"),
+    pytest.param("for _ in range(10):\n"
+                 "    read_frame(src)\n"
+                 "    write_frame(out, 'BS 1: NOOP\\nBS 2: NOOP')\n",
+                 10, "end of output|pipe closed|process exited", 10, id="exit-mid-run"),
+])
+def test_a_hostile_adapter_ends_early_and_is_reported_once(tmp_path, body, answered, cause,
+                                                           bound_s):
+    """A full ``run`` against each hostile adapter, at a 0.05 s timeout, in a
+    child process that a hang fails by its own timeout. Every slot scores
+    invalid except the replies the adapter sent in time: a timed-out reply is
+    dropped as late, so each timeout costs one of them."""
+    script = tmp_path / "adapter.py"
+    script.write_text(_HOSTILE_PROLOGUE + body)
+    out = tmp_path / "out"
+    started = time.monotonic()
+    done = subprocess.run(
+        [sys.executable, "-m", "coopcache.cli", "run", "--bs", "2", "--seeds", "1",
+         "--policy", f"extern:{shlex.quote(sys.executable)} {shlex.quote(str(script))}",
+         "--extern-timeout", "0.05", "--out", str(out)],
+        capture_output=True, text=True, timeout=60)
+    elapsed = time.monotonic() - started
+    assert done.returncode == 0, done.stderr
+    report = json.loads((out / "report_extern_seed1.json").read_text())
+    timeouts = done.stderr.count("adapter timed out")
+    assert report["invalid_actions"] == report["slots"] - max(answered - timeouts, 0)
+    gone = [line for line in done.stderr.splitlines() if "adapter is gone" in line]
+    assert len(gone) == 1, done.stderr
+    assert re.search(cause, gone[0]), gone[0]
+    assert done.stderr.count("adapter was gone for") == 1, done.stderr
+    assert elapsed < bound_s
 
 
 def test_extern_spawn_failure(tmp_path):
