@@ -345,6 +345,11 @@ class CacheState:
 class RequestSlot:
     """One slot of user requests plus per-BS views derived from coverage.
 
+    ``row[u]`` is the file user u requests, 0 for a user who made no
+    request; the row is the slot's one store of its requests. ``size``, the
+    number of requests, and ``pairs``, the ``(user, file)`` pairs in user
+    order, are derived from it.
+
     ``counts[b-1]`` maps file id to the number of covered users requesting
     it this slot, so its keys are the deduplicated insertion pool of BS b:
     ``in`` and iteration read the dict, set algebra ``counts[b-1].keys()``.
@@ -352,13 +357,23 @@ class RequestSlot:
 
     ``covered[b-1]`` holds the file of each user in ``graph.columns[b-1]``,
     in that order, with 0 for a user who made no request. A slot built
-    without a graph (a decoded prompt's) has no pairs and leaves ``covered``
-    empty.
+    without a graph (a decoded prompt's) has an empty row and leaves
+    ``covered`` empty.
     """
 
-    pairs: tuple[tuple[int, int], ...]
+    row: tuple[int, ...]
     counts: tuple[dict, ...] = field(compare=False, repr=False)
     covered: tuple = field(default=(), compare=False, repr=False)
+
+    @cached_property
+    def size(self) -> int:
+        """The number of requests: the row's nonzero entries. Counted once, then kept."""
+        return len(self.row) - self.row.count(0)
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """The ``(user, file)`` request pairs in user order, built on each read."""
+        return tuple([(u, f) for u, f in enumerate(self.row) if f])
 
     @cached_property
     def covered_row(self) -> np.ndarray:
@@ -387,7 +402,8 @@ def request_slot(pairs, graph) -> RequestSlot:
 def slot_from_row(row, graph) -> RequestSlot:
     """The RequestSlot of a checked row: ``row[u]`` is user u's file, 0 for none.
     BS b's files are gathered by ``graph.columns[b-1]``, so its counts take
-    their keys in pair order."""
+    their keys in user order. The slot keeps the row's own int objects, so a
+    caller that hands in one object per file id shares it across the trace."""
     counts, covered = [], []
     for users, _others in graph.columns:
         files = tuple([row[u] for u in users])
@@ -397,8 +413,7 @@ def slot_from_row(row, graph) -> RequestSlot:
         d.pop(0, None)  # an absent user; the other keys keep their order
         counts.append(d)
         covered.append(files)
-    pairs = tuple([(u, f) for u, f in enumerate(row) if f])
-    return RequestSlot(pairs, tuple(counts), tuple(covered))
+    return RequestSlot(tuple(row), tuple(counts), tuple(covered))
 
 
 def hit_rate(cache: CacheState, requests: RequestSlot, graph) -> float:
@@ -410,17 +425,17 @@ def hit_rate(cache: CacheState, requests: RequestSlot, graph) -> float:
     bs_count = len(graph.bs_xy)
     if len(cache.slots) != bs_count or len(requests.counts) != bs_count:
         raise StructuralError("cache/requests/graph BS counts differ")
-    if not requests.pairs:
+    size = requests.size
+    if not size:
         return 0.0
     sets = cache._sets
-    coverage = graph.coverage
     hits = 0
-    for u, f in requests.pairs:
-        for b in coverage[u]:
+    for f, cov in zip(requests.row, graph.coverage):  # an absent user's 0 is in no set
+        for b in cov:
             if f in sets[b - 1]:
                 hits += 1
                 break
-    return hits / len(requests.pairs)
+    return hits / size
 
 
 def check_peek(peek, horizon: int) -> None:
@@ -466,8 +481,8 @@ def oracle_best_action(cache, b, requests, peek, graph, horizon, gamma) -> BsAct
     weight = 1.0
     for k in range(horizon):
         slot_requests = peek[k]
-        if slot_requests.pairs:
-            scale = weight / len(slot_requests.pairs)
+        if slot_requests.size:
+            scale = weight / slot_requests.size
             for f, other_bs in zip(slot_requests.covered[b - 1], others):
                 if f in wanted:
                     tally = gain
@@ -567,7 +582,7 @@ def oracle_batched(cache, requests, peek, graph, horizon, gamma) -> JointAction:
     scales = []
     weight = 1.0
     for s in slots:
-        scales.append(weight / len(s.pairs) if s.pairs else 0.0)
+        scales.append(weight / s.size if s.size else 0.0)
         weight *= gamma
     tally = np.bincount((block * n + bs_of)[live], np.repeat(scales, len(bs_of))[live.ravel()])
     keys = np.flatnonzero(tally)

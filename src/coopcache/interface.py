@@ -222,8 +222,8 @@ def _file_values(body: str, cast) -> dict:
 def decode_prompt(text: str) -> SlotObservation:
     """Rebuild the cache and request counts a prompt renders.
 
-    The result carries no user-level request pairs (prompts store per-BS
-    aggregates only) and no tracker, so it supports parsing and feasibility
+    The result's request row is empty (prompts store per-BS aggregates
+    only) and it has no tracker, so it supports parsing and feasibility
     auditing, not hit-rate evaluation or encoding. FREQ lines are checked
     and dropped. Raises StructuralError on malformed prompts.
     """

@@ -46,7 +46,7 @@ def _first_missed_candidate(cache, b, requests):
     """
     cached = cache.files_at(b)
     pool = requests.counts[b - 1]
-    for _u, f in requests.pairs:
+    for f in requests.row:  # an absent user's 0 is in no pool
         if f in pool and f not in cached:
             return f
     return None
@@ -370,7 +370,7 @@ class ExternPolicy(Policy):
         if self._buf:
             raise _Hangup("partial frame at the deadline")
         self._stale += 1
-        logger.warning("adapter timed out after %.1fs at slot %d", self._timeout, slot)
+        logger.warning("adapter timed out after %gs at slot %d", self._timeout, slot)
         return ""
 
     def _next_frame(self) -> str | None:

@@ -113,39 +113,30 @@ def lookahead_values(caches, peek, graph, horizon: int, gamma: float) -> list[fl
     if any(len(c.slots) != bs_count for c in caches) or any(
             len(s.counts) != bs_count for s in slots):
         raise StructuralError("cache/requests/graph BS counts differ")
-    sizes = np.array([len(s.pairs) for s in slots])
-    depth = int(sizes.max())
-    if not caches or not depth:  # no cache, or every slot empty: each rate is 0
+    sizes = np.array([s.size for s in slots])
+    if not caches or not sizes.any():  # no cache, or every slot empty: each rate is 0
         return [0.0] * len(caches)
-    # Request j of slot k is user_at[k, j] asking for file_at[k, j], and
-    # looks that file up at the 0-based BSs bs_at[k, j]: its user's covering
-    # BSs, padded with a phantom BS ``bs_count`` that holds nothing. The
-    # padding to ``depth`` requests is a phantom user, after the real ones,
-    # whom only the phantom BS covers, asking for EMPTY_SLOT.
+    # file_at[k, u] is the file user u asks for in slot k, EMPTY_SLOT when
+    # absent, and it is looked up at the 0-based BSs lookup[u]: the user's
+    # covering BSs, padded with a phantom BS ``bs_count`` that holds nothing.
+    file_at = np.array([s.row for s in slots], np.intp)
     width = max(1, max(map(len, graph.coverage)))
     phantom = (bs_count,) * width
     lookup = np.array([tuple(b - 1 for b in cov) + phantom[len(cov):]
-                       for cov in graph.coverage] + [phantom], np.intp)
-    present = np.arange(depth) < sizes[:, None]
-    pairs = np.fromiter(chain.from_iterable(chain.from_iterable(s.pairs for s in slots)),
-                        np.intp).reshape(-1, 2)
-    user_at = np.full(present.shape, len(graph.coverage), np.intp)
-    file_at = np.full(present.shape, EMPTY_SLOT, np.intp)
-    user_at[present], file_at[present] = pairs[:, 0], pairs[:, 1]
-    bs_at = lookup[user_at]
+                       for cov in graph.coverage], np.intp)
     # held[c, b, f]: cache c holds file f at 0-based BS b. Files above the
-    # largest one asked for are left out. An empty slot marks EMPTY_SLOT,
-    # which no request asks for: request file ids are >= 1.
+    # largest one asked for are left out, and no cache holds EMPTY_SLOT, so
+    # an absent user never hits.
     top = int(file_at.max())
     rows = [row for cache in caches for row in cache.slots]
     lengths = list(map(len, rows))
     files = np.fromiter(chain.from_iterable(rows), np.intp, sum(lengths))
     row_of = np.repeat(np.arange(len(rows)), lengths)
-    asked = files <= top
+    asked = (files != EMPTY_SLOT) & (files <= top)
     row_of, files = row_of[asked], files[asked]
     held = np.zeros((len(caches), bs_count + 1, top + 1), np.bool_)
     held[row_of // bs_count, row_of % bs_count, files] = True
-    hits = held[:, bs_at, file_at[:, :, None]].any(axis=3).sum(axis=2)
+    hits = held[:, lookup, file_at[:, :, None]].any(axis=3).sum(axis=2)
     # The rates, weighted, summed slot by slot: cumsum adds in order, and an
     # empty slot's rate of 0 adds 0.0, which changes no sum.
     weights = []

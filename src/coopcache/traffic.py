@@ -263,8 +263,8 @@ class Instance:
 
 def slot_json(slot: RequestSlot) -> str:
     """``canonical_json`` of one slot's request pairs, ``[[u,f],...]``, formatted
-    directly: the pairs are ints, which ``%d`` writes as ``json`` does."""
-    return "[" + ",".join(["[%d,%d]" % p for p in slot.pairs]) + "]"
+    directly from its row: the ids are ints, which ``%d`` writes as ``json`` does."""
+    return "[" + ",".join(["[%d,%d]" % (u, f) for u, f in enumerate(slot.row) if f]) + "]"
 
 
 def slots_json(slots) -> str:
@@ -348,7 +348,9 @@ def build_instance(config: InstanceConfig, seed: int) -> Instance:
         files[:, members] = perm[ranks]
     if files.size and files.min() < 1:
         raise StructuralError("file ids must be >= 1")
-    trace = tuple(slot_from_row(row, graph) for row in files.tolist())
+    # One int object per file id, shared by every slot's row, counts and covered.
+    ids = np.array(range(config.library + 1), dtype=object)
+    trace = tuple(slot_from_row(row, graph) for row in ids[files].tolist())
     return Instance(config, int(seed), graph, demand, trace)
 
 
@@ -379,11 +381,13 @@ def _groups(config: InstanceConfig, groups) -> tuple[int, ...]:
     return groups
 
 
-def _full_slot(t: int, pairs, graph) -> RequestSlot:
-    """Checked trace slot ``t``; each user requests a file, as :func:`build_instance` draws."""
-    requests = request_slot(pairs, graph)
-    if len(requests.pairs) < graph.user_count:
-        raise ValueError(f"slot {t} holds {len(requests.pairs)} requests, not one per user")
+def _full_slot(t: int, pairs, graph, ids: dict) -> RequestSlot:
+    """Checked trace slot ``t``; each user requests a file, as :func:`build_instance`
+    draws. Each file id is replaced by its object in ``ids``, which the first
+    slot to name that id sets, so the whole trace shares one object per id."""
+    requests = request_slot([(u, ids.setdefault(f, f)) for u, f in pairs], graph)
+    if requests.size < graph.user_count:
+        raise ValueError(f"slot {t} holds {requests.size} requests, not one per user")
     return requests
 
 
@@ -397,15 +401,16 @@ def instance_from_payload(payload: dict) -> Instance:
         key("rank_to_file", lambda rows: _rankings(config, tuple(map(_wholes, rows)))),
         key("user_group", lambda groups: _groups(config, _wholes(groups))),
     )
+    ids: dict = {}
     trace = key("trace", lambda slots: tuple(
-        _full_slot(t, tuple((whole(u), whole(f)) for u, f in slot), graph)
+        _full_slot(t, tuple((whole(u), whole(f)) for u, f in slot), graph, ids)
         for t, slot in enumerate(slots, start=1)
     ))
     if len(trace) != config.trace_slots:
         raise StructuralError(
             f"instance trace holds {len(trace)} slots, its config needs {config.trace_slots}"
         )
-    outside = sorted({f for slot in trace for _, f in slot.pairs if f > config.library})
+    outside = sorted({f for slot in trace for f in slot.row if f > config.library})
     if outside:
         raise StructuralError(
             f"instance trace requests file ids outside 1..{config.library}: {outside[:5]}"

@@ -59,7 +59,8 @@ def reference_request_slot(pairs, graph) -> RequestSlot:
     """The per-pair build ``request_slot`` made before slots came from a file
     row, kept as a reference: sort the pairs, check each in user order, then
     count each request at every BS covering its user. ``covered[b-1]`` lists
-    the file of every user BS b covers, ascending, 0 where the user is absent."""
+    the file of every user BS b covers, ascending, 0 where the user is absent;
+    the slot stores the row the pairs fill, 0 where the user is absent."""
     ordered = tuple(sorted((int(u), int(f)) for u, f in pairs))
     counts = [{} for _ in range(graph.bs_count)]
     row = [0] * graph.user_count
@@ -79,11 +80,12 @@ def reference_request_slot(pairs, graph) -> RequestSlot:
         tuple(f for f, cov in zip(row, graph.coverage) if b in cov)
         for b in range(1, graph.bs_count + 1)
     )
-    return RequestSlot(ordered, tuple(counts), covered)
+    return RequestSlot(tuple(row), tuple(counts), covered)
 
 
 def assert_same_slot(slot: RequestSlot, reference: RequestSlot) -> None:
-    """Equal pairs and covered files, and equal counts with the same key order."""
+    """Equal rows, pairs and covered files, and equal counts with the same key order."""
+    assert slot.row == reference.row
     assert slot.pairs == reference.pairs
     assert slot.covered == reference.covered
     assert [list(d.items()) for d in slot.counts] == [list(d.items()) for d in reference.counts]

@@ -90,12 +90,14 @@ def test_hit_rate_dimension_mismatch():
 
 
 @settings(max_examples=200)
-@given(scenarios(peek_max=0, holes=True))
+@given(scenarios(holes=True, uncovered=True))
 def test_hit_rate_matches_brute_force(scenario):
-    """Exact equality, also with empty slots and partly empty caches."""
-    cache, graph, requests, _ = scenario
-    expected = brute_force_hit_rate(cache.slots, graph.coverage, requests.pairs)
-    assert hit_rate(cache, requests, graph) == expected
+    """Exact equality, also with empty slots, absent and uncovered users and
+    partly empty caches."""
+    cache, graph, requests, peek = scenario
+    for slot in (requests, *peek):
+        expected = brute_force_hit_rate(cache.slots, graph.coverage, slot.pairs)
+        assert hit_rate(cache, slot, graph) == expected
 
 
 def test_hit_rate_monotone_under_enlargement():
@@ -429,6 +431,21 @@ def test_request_slot_matches_the_per_pair_reference(scenario):
     for slot in (requests, *peek):
         pairs = slot.pairs[::-1]
         assert_same_slot(request_slot(pairs, graph), reference_request_slot(pairs, graph))
+
+
+@settings(max_examples=200)
+@given(scenarios(peek_max=0, uncovered=True), st.data())
+def test_a_slot_stores_the_row_its_pairs_fill(scenario, data):
+    """``row`` holds each user's file, 0 for an absent one; ``pairs`` and
+    ``size`` derived from it give back the pairs the slot was built from."""
+    _cache, graph, _, _ = scenario
+    files = data.draw(st.lists(st.integers(0, 9), min_size=graph.user_count,
+                               max_size=graph.user_count), label="files")
+    pairs = [(u, f) for u, f in enumerate(files) if f]
+    slot = request_slot(data.draw(st.permutations(pairs), label="order"), graph)
+    assert slot.row == tuple(files)
+    assert slot.pairs == tuple(pairs)
+    assert slot.size == len(pairs)
 
 
 # BS 2 covers nobody, BS 3 covers user 1 alone and no BS covers user 2.

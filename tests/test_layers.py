@@ -91,6 +91,21 @@ def test_the_peek_is_checked_only_by_core_check_peek():
     assert checkers == [("core", "check_peek")]
 
 
+def _pairs_reads(tree: ast.Module) -> list[str | None]:
+    """The innermost enclosing function of each ``<expr>.pairs`` read."""
+    return _enclosing(tree, lambda node: isinstance(node, ast.Attribute)
+                      and node.attr == "pairs" and isinstance(node.ctx, ast.Load))
+
+
+def test_no_package_code_reads_a_slots_pairs():
+    """``RequestSlot.pairs`` rebuilds a tuple per request on every read, for
+    outside callers and tests; package code reads the slot's ``row``."""
+    assert _pairs_reads(ast.parse("def f(s):\n    return [p for p in s.pairs]")) == ["f"]
+    readers = [(path.stem, where) for path in sorted(PACKAGE.glob("*.py"))
+               for where in _pairs_reads(_tree(path))]
+    assert readers == []
+
+
 RULES = {"RULE_ADMISSIBILITY", "RULE_DUPLICATION", "RULE_CONSISTENCY"}
 # the field holding the name a node mentions
 _NAME_FIELD = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}

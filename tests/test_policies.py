@@ -415,6 +415,32 @@ def test_the_batched_oracle_equals_the_per_bs_loop(scenario, data):
         cache, requests, peek, graph, horizon, gamma)
 
 
+@settings(max_examples=200)
+@given(scenarios(holes=True, uncovered=True), st.data())
+def test_both_oracles_on_partial_slots_equal_the_pair_scan(scenario, data):
+    """Peek slots with absent and uncovered users, divided by their request
+    count, score as the per-request scan over their pairs scores them."""
+    cache, graph, requests, peek = scenario
+    horizon = data.draw(st.integers(1, len(peek)), label="horizon")
+    gamma = data.draw(st.sampled_from((0.5, 0.8, 0.9, 1.0)), label="gamma")
+    expected = [reference_oracle_best_action(cache, b, requests, peek, graph, horizon, gamma)
+                for b in range(1, cache.bs_count + 1)]
+    assert _per_bs(cache, requests, peek, graph, horizon, gamma) == JointAction.valid(expected)
+    assert oracle_batched(cache, requests, peek, graph, horizon, gamma) == \
+        JointAction.valid(expected)
+
+
+@settings(max_examples=200)
+@given(scenarios(peek_max=1, holes=True, uncovered=True))
+def test_the_fifo_candidate_on_partial_slots_is_the_first_missed_pair(scenario):
+    cache, graph, requests, peek = scenario
+    for slot in (requests, *peek):
+        for b in range(1, cache.bs_count + 1):
+            pool, cached = slot.counts[b - 1], cache.files_at(b)
+            expected = next((f for _u, f in slot.pairs if f in pool and f not in cached), None)
+            assert _first_missed_candidate(cache, b, slot) == expected
+
+
 def test_the_batched_oracle_refuses_what_the_loop_refuses():
     graph = synthetic_graph(((1,), (1, 2)), 2)
     cache = CacheState(((1, 2), (3, 4)))
@@ -594,6 +620,18 @@ def test_extern_timeout_yields_empty(small_instance, golden_obs):
         assert not parse(text, golden_obs).is_valid
     finally:
         policy.close()
+
+
+def test_extern_timeout_warning_prints_the_timeout_as_given(small_instance, golden_obs, caplog):
+    policy = ExternPolicy(f'{sys.executable} -c "import time; time.sleep(60)"', timeout=0.05)
+    policy.reset(small_instance, None)
+    try:
+        with caplog.at_level(logging.WARNING, logger="coopcache.policies"):
+            assert policy.decide(golden_obs) == ""
+    finally:
+        policy.close()
+    messages = [r.getMessage() for r in caplog.records]
+    assert messages[0] == f"adapter timed out after 0.05s at slot {golden_obs.slot}", messages
 
 
 def test_extern_matches_each_reply_to_its_own_prompt(small_instance, golden_obs, tmp_path):

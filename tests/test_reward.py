@@ -38,6 +38,7 @@ from coopcache.reward import (
 from coopcache.traffic import InstanceConfig, build_instance
 
 from conftest import observation, random_scenario, scenarios, small_config, synthetic_graph
+from test_core import brute_force_hit_rate
 
 
 def _rate_slot(graph, hit_users, total_users, cached_file, other_file):
@@ -122,13 +123,14 @@ def test_lookahead_values_equal_lookahead_value_bit_for_bit(batch):
     assert values == [lookahead_value(c, peek, graph, horizon, gamma) for c in caches]
 
 
-def reference_lookahead_value(cache, peek, graph, horizon, gamma) -> float:
+def reference_lookahead_value(cache, peek, graph, horizon, gamma, rate=hit_rate) -> float:
     """The per-slot ``hit_rate`` loop ``lookahead_value`` ran before it became
-    the one-cache case of ``lookahead_values``, kept as a reference."""
+    the one-cache case of ``lookahead_values``, kept as a reference; ``rate``
+    scores one slot."""
     num = den = 0.0
     weight = 1.0
     for k in range(horizon):
-        num += weight * hit_rate(cache, peek[k], graph)
+        num += weight * rate(cache, peek[k], graph)
         den += weight
         weight *= gamma
     return num / den
@@ -140,6 +142,21 @@ def test_lookahead_values_equal_the_hit_rate_loop_bit_for_bit(batch):
     caches, peek, graph, horizon, gamma = batch
     assert lookahead_values(caches, peek, graph, horizon, gamma) == [
         reference_lookahead_value(c, peek, graph, horizon, gamma) for c in caches]
+
+
+def _pair_hit_rate(cache, requests, graph) -> float:
+    return brute_force_hit_rate(cache.slots, graph.coverage, requests.pairs)
+
+
+@settings(max_examples=200)
+@given(_batches())
+def test_lookahead_values_equal_the_pair_hit_rate_sum_bit_for_bit(batch):
+    """The dense file matrix, absent users' 0 included, counts the hits the
+    scan over each slot's request pairs counts."""
+    caches, peek, graph, horizon, gamma = batch
+    assert lookahead_values(caches, peek, graph, horizon, gamma) == [
+        reference_lookahead_value(c, peek, graph, horizon, gamma, _pair_hit_rate)
+        for c in caches]
 
 
 def test_lookahead_values_cover_the_edge_shapes():

@@ -7,6 +7,7 @@ import functools
 import json
 import pickle
 import random
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from coopcache.traffic import (
     instance_from_payload,
     load_instance,
     save_instance,
+    slot_json,
     slots_json,
     sweep_config,
     warm_start,
@@ -192,6 +194,33 @@ def test_build_instance_slots_equal_the_per_pair_reference(config):
         assert [u for u, _ in slot.pairs] == list(range(config.users))
         assert_same_slot(slot, reference_request_slot(slot.pairs, graph))
         assert 0 not in [f for files in slot.covered for f in files]
+
+
+def test_a_trace_stores_one_row_per_slot_and_one_int_per_file_id(tmp_path):
+    """Each slot stores its row, counts and covered files, plus cached views,
+    and no request pairs; the trace holds one int object per file id."""
+    instance = build_instance(InstanceConfig(bs_count=5, users=40, library=1100), 4)
+    assert max(f for slot in instance.trace for f in slot.row) > 256  # past the small-int cache
+    save_instance(instance, tmp_path / "instance.json")
+    loaded = load_instance(tmp_path / "instance.json")
+    assert loaded == instance
+    for trace in (instance.trace, loaded.trace):
+        for slot in trace:
+            stored = set(vars(slot))
+            assert {"row", "counts", "covered"} <= stored <= {"row", "counts", "covered",
+                                                              "size", "covered_row"}
+            assert type(slot.row) is tuple and all(type(f) is int for f in slot.row)
+        ids = [f for slot in trace
+               for f in chain(slot.row, *slot.covered, *(d.keys() for d in slot.counts))]
+        assert len({id(f) for f in ids}) == len(set(ids))
+
+
+@settings(max_examples=200)
+@given(scenarios(holes=True, uncovered=True))
+def test_slot_json_on_partial_slots_is_the_canonical_json_of_the_pairs(scenario):
+    _cache, _graph, requests, peek = scenario
+    for slot in (requests, *peek):
+        assert slot_json(slot) == canonical_json([list(p) for p in slot.pairs])
 
 
 def test_instance_pickles():
