@@ -537,6 +537,8 @@ def oracle_joint_action(cache, requests, peek, graph, horizon, gamma) -> JointAc
     faster for a short horizon or few covered users. Both give the same
     action, bit for bit.
     """
+    if not cache.bs_count == len(requests.counts) == graph.bs_count:
+        raise StructuralError("cache/requests/graph BS counts differ")
     if (graph.bs_count <= ORACLE_MASK_BSS
             and horizon * len(graph.column_masks[0]) >= ORACLE_BATCH_MIN):
         return oracle_batched(cache, requests, peek, graph, horizon, gamma)

@@ -6,10 +6,10 @@ applies the action (or skips the update and counts an invalid). Every
 controller in one evaluation consumes the identical instance bytes; each
 report carries the instance hash, asserted equal on emission and computed
 when first read, so ``sweep``, which writes no hash, hashes no instance.
-``run`` and ``sweep`` build their policies once and reject repeated seeds or
-sweep points and look-ahead past the trace before the first rollout; each
-instance is warmed once for all its policies, and ``rollout`` checks its own
-slot budget before its first slot.
+``run`` and ``sweep`` build their policies once and reject negative or
+repeated seeds, repeated sweep points and look-ahead past the trace before
+the first rollout; each instance is warmed once for all its policies, and
+``rollout`` checks its own slot budget before its first slot.
 
 Decision latency is measured but kept out of the deterministic report
 files: metric tables regenerate byte-identically, the latency sidecar
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import json
 import os
 import time
 from dataclasses import asdict, dataclass, field
@@ -81,6 +80,8 @@ class RunConfig:
             raise StructuralError("need at least one seed")
         if len(set(self.seeds)) < len(self.seeds):
             raise StructuralError(f"seeds repeat: {list(self.seeds)}")
+        if min(self.seeds) < 0:
+            raise StructuralError("seed must be >= 0")
 
 
 class _InstanceSha256:
@@ -452,7 +453,8 @@ def load_reports(directory) -> list[EvalReport]:
         if path in files and hashlib.sha256(files[path]).hexdigest() != report.instance_sha256:
             raise StructuralError(f"{path}: not the instance {name} was run on "
                                   "(its SHA-256 is not the report's instance_sha256)")
-    configs = {path: json.loads(raw)["config"] for path, raw in files.items()}
+    configs = {path: read_json(path, lambda p: key_reader(p, "instance key")("config", lambda c: c))
+               for path in files}
     first = next(iter(configs), None)
     for path, config in configs.items():
         if config != configs[first]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import functools
 import os
 import random
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
+from coopcache import cli, episode, harness, traffic, verification
 from coopcache.core import EMPTY_SLOT, CacheState, RequestSlot, StructuralError, request_slot
 from coopcache.interface import SlotObservation
 from coopcache.traffic import (
@@ -205,3 +207,30 @@ def small_instance():
 @pytest.fixture(scope="session")
 def golden_obs():
     return golden_observation()
+
+
+#: The calls that do a command's work: a rollout, a walk's slot (rollouts,
+#: expert walks, the shaping audit), a warm-up slot's pick at a BS, a verify
+#: suite, and an instance a command builds or walks.
+_WORK = {
+    harness: ("rollout",),
+    episode.Episode: ("advance",),
+    traffic: ("hottest_uncached", "oracle_best_action"),
+    verification: ("build_instance", "fuzz_parser", "verify_pbrs"),
+    cli: ("build_instance", "generate_sft"),
+}
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """A Counter of the calls made to each ``_WORK`` function, by ``owner.name``."""
+    calls = collections.Counter()
+
+    def counted(name, real):
+        return lambda *args, **kwargs: calls.update((name,)) or real(*args, **kwargs)
+
+    for owner, names in _WORK.items():
+        prefix = owner.__name__.rpartition(".")[2]
+        for name in names:
+            monkeypatch.setattr(owner, name, counted(f"{prefix}.{name}", getattr(owner, name)))
+    return calls

@@ -59,9 +59,11 @@ def test_the_environment_layer_imports_no_upper_layer(module):
 
 
 def test_json_input_is_read_only_by_core_read_json():
-    readers = [(path.stem, caller) for path in sorted(PACKAGE.glob("*.py"))
-               for caller in _callers(_tree(path), "json.load")]
-    assert readers == [("core", "read_json")]
+    """Files go through ``read_json``; only the dataset audit parses JSONL lines itself."""
+    readers = [(path.stem, call, caller) for path in sorted(PACKAGE.glob("*.py"))
+               for call in ("json.load", "json.loads") for caller in _callers(_tree(path), call)]
+    assert readers == [("core", "json.load", "read_json"),
+                       ("dataset", "json.loads", "audit_dataset")]
 
 
 def test_output_directories_are_made_only_by_core_make_out_dir():

@@ -454,6 +454,17 @@ def test_the_batched_oracle_refuses_what_the_loop_refuses():
         oracle_batched(cache, now, peek, graph, 1, 0.9)
 
 
+def test_both_joint_oracle_bodies_refuse_mismatched_bs_counts_alike():
+    """A 2-BS cache on the 5-BS, 40-user seed-1 graph at slot 101: the per-BS
+    loop (H=1) and the batched pass (H=10) refuse it with one error."""
+    instance = build_instance(InstanceConfig(bs_count=5, users=40), 1)
+    cache = CacheState(warm_start(instance).cache.slots[:2])
+    for horizon in (1, 10):
+        with pytest.raises(StructuralError, match="^cache/requests/graph BS counts differ$"):
+            oracle_joint_action(cache, instance.request_slot(101), instance.peek(101, horizon),
+                                instance.graph, horizon, 0.9)
+
+
 def test_the_golden_export_walk_agrees_with_the_per_bs_loop():
     """Every state of the 5-BS export walk the goldens pin (seed 2), each
     answered by the batched path, is the loop's answer."""
