@@ -6,10 +6,10 @@ applies the action (or skips the update and counts an invalid). Every
 controller in one evaluation consumes the identical instance bytes; each
 report carries the instance hash, asserted equal on emission and computed
 when first read, so ``sweep``, which writes no hash, hashes no instance.
-``run`` and ``sweep`` build their policies once and reject negative or
-repeated seeds, repeated sweep points and look-ahead past the trace before
-the first rollout; each instance is warmed once for all its policies, and
-``rollout`` checks its own slot budget before its first slot.
+``run`` and ``sweep`` share one loop, ``_evaluate``: it builds the policies
+once and checks every point, seed and topology before the first rollout,
+then builds, warms and rolls one instance at a time; ``rollout`` checks its
+own slot budget before its first slot.
 
 Decision latency is measured but kept out of the deterministic report
 files: metric tables regenerate byte-identically, the latency sidecar
@@ -48,6 +48,7 @@ from .traffic import (
     WarmState,
     build_instance,
     check_warmup_fits,
+    draw_graph,
     load_instance,
     save_instance,
     sweep_config,
@@ -193,8 +194,7 @@ def prefix_average(series, upto: int) -> float:
     return sum(series[:upto]) / upto
 
 
-def rollout(instance: Instance, policy: Policy, slots: int | None = None,
-            warm: WarmState | None = None) -> EvalReport:
+def rollout(instance: Instance, policy: Policy, slots: int | None, warm: WarmState) -> EvalReport:
     """Roll one controller over the frozen trace from the warm state.
 
     Measure-then-update: the hit rate recorded for a slot uses the cache
@@ -203,8 +203,6 @@ def rollout(instance: Instance, policy: Policy, slots: int | None = None,
     audited against the single-swap budget.
     """
     slots = _slot_budget(instance.config, policy, slots, instance.trace_len)
-    if warm is None:
-        warm = warm_start(instance)
     policy.reset(instance, warm)
     episode = Episode(instance, warm)
     series: list[float] = []
@@ -247,55 +245,61 @@ def _slot_budget(config: InstanceConfig, policy: Policy, slots: int | None, trac
     return slots
 
 
-def _preflight(cfg: RunConfig, configs) -> list[Policy]:
-    """Build the policies; fail before the first rollout or file write on a spec that cannot run.
+def _evaluate(cfg: RunConfig, points):
+    """Yield ``(value, instance, reports)`` per point and seed, one report per policy.
 
-    Two specs with the same policy name would overwrite each other's report
-    files and be averaged into one table row; a warm-up oracle or a policy
-    whose peek passes the trace end would fail only when it gets there.
+    A point is a ``(value, source)`` pair whose source is an instance config,
+    built once per seed, or a loaded instance of the one seed asked for.
+    Everything is checked before the first build or rollout: the out dir,
+    the policy specs (two with one name would overwrite each other's report
+    files and be averaged into one table row), each point's warm-up oracle
+    and every policy's slot budget, and each config point's topology for
+    every seed. Then each instance is built, warmed once and rolled by every
+    policy in turn, so no more than one is held at a time.
     """
+    if cfg.out_dir is not None:
+        check_out_dir(cfg.out_dir)
     policies = [make_policy(spec, cfg.reward.gamma, cfg.extern_timeout)
                 for spec in cfg.policies]
     names = [p.name for p in policies]
     if len(set(names)) < len(names):
         raise StructuralError(f"policy specs share a name: {names}")
-    for config in configs:
+    for _, source in points:
+        config = source.config if isinstance(source, Instance) else source
         check_warmup_fits(config.warm_slots, cfg.reward.horizon, config.trace_slots)
         for p in policies:
             _slot_budget(config, p, cfg.slots, config.trace_slots)
-    return policies
-
-
-def _rollouts(cfg: RunConfig, instances, policies):
-    """Warm each instance once, then yield one report per policy rolled from it."""
-    for instance in instances:
-        warm = warm_start(instance, cfg.reward.horizon, cfg.reward.gamma)
-        for policy in policies:
-            yield rollout(instance, policy, cfg.slots, warm)
+        if config is source:
+            for seed in cfg.seeds:
+                draw_graph(config, seed)
+    for value, source in points:
+        for seed in cfg.seeds:
+            instance = source if isinstance(source, Instance) else build_instance(source, seed)
+            warm = warm_start(instance, cfg.reward.horizon, cfg.reward.gamma)
+            yield value, instance, [rollout(instance, p, cfg.slots, warm) for p in policies]
 
 
 def run(cfg: RunConfig) -> list[EvalReport]:
     """Evaluate every configured policy on every seed's frozen instance.
 
-    An instance file holds one seed, which must be the only one asked for.
-    Files are written only once every rollout has succeeded, and an
-    ``out_dir`` that cannot be made is refused before the first rollout.
+    An instance file holds one seed, which must be the only one asked for;
+    an ``out_dir`` that cannot be made is refused before the file is read.
+    Files are written only once every rollout has succeeded.
     """
-    if cfg.out_dir is not None:
-        check_out_dir(cfg.out_dir)
-    if cfg.instance_path is None:
-        instances = [build_instance(cfg.instance_config, seed) for seed in cfg.seeds]
-    else:
-        instances = [load_instance(cfg.instance_path)]
-        if list(cfg.seeds) != [instances[0].seed]:
-            raise StructuralError(f"instance file holds seed {instances[0].seed}, "
+    source = cfg.instance_config
+    if cfg.instance_path is not None:
+        if cfg.out_dir is not None:
+            check_out_dir(cfg.out_dir)
+        source = load_instance(cfg.instance_path)
+        if list(cfg.seeds) != [source.seed]:
+            raise StructuralError(f"instance file holds seed {source.seed}, "
                                   f"run asked for {list(cfg.seeds)}")
-    policies = _preflight(cfg, [instance.config for instance in instances])
-    reports = list(_rollouts(cfg, instances, policies))
+    evaluated = list(_evaluate(cfg, [(None, source)]))
+    reports = [report for _, _, per_policy in evaluated for report in per_policy]
     out = cfg.out_dir
     if out is not None:
         make_out_dir(out)
-        for instance in instances:
+        for _, instance, _ in evaluated:
             save_instance(instance, os.path.join(out, f"instance_seed{instance.seed}.json"))
         for report in reports:
             name = f"report_{_safe_name(report.policy)}_seed{report.seed}.json"
@@ -311,32 +315,25 @@ def sweep(cfg: RunConfig, axis: str, values) -> list[dict]:
 
     Same seeds at every point; one tidy row per (value, policy, seed).
     """
-    if cfg.out_dir is not None:
-        check_out_dir(cfg.out_dir)
     if axis not in SWEEP_AXES:
         raise StructuralError(f"axis must be one of {tuple(SWEEP_AXES)}")
     if cfg.instance_config is None:
         raise StructuralError("sweeps need instance parameters, not an instance file")
     points = [(value, sweep_config(cfg.instance_config, axis, value)) for value in values]
-    configs = [point for _, point in points]
-    if len(set(configs)) < len(configs):
+    if len({config for _, config in points}) < len(points):
         raise StructuralError(f"sweep values repeat a point: {[value for value, _ in points]}")
-    policies = _preflight(cfg, configs)
-    rows: list[dict] = []
-    for value, point in points:
-        instances = (build_instance(point, seed) for seed in cfg.seeds)
-        for report in _rollouts(cfg, instances, policies):
-            rows.append(
-                {
-                    "axis": axis,
-                    "value": value,
-                    "policy": report.policy,
-                    "seed": report.seed,
-                    "table_mean": report.table_mean,
-                    "overall_mean": report.overall_mean,
-                    "invalid_actions": report.invalid_actions,
-                }
-            )
+    rows = [
+        {
+            "axis": axis,
+            "value": value,
+            "policy": report.policy,
+            "seed": report.seed,
+            "table_mean": report.table_mean,
+            "overall_mean": report.overall_mean,
+            "invalid_actions": report.invalid_actions,
+        }
+        for value, _, reports in _evaluate(cfg, points) for report in reports
+    ]
     if cfg.out_dir is not None:
         make_out_dir(cfg.out_dir)
         write_sweep(rows, os.path.join(cfg.out_dir, f"sweep_{axis}.csv"))

@@ -291,8 +291,8 @@ _CONFIG_PARSERS = {"cache_size": _wholes, "alpha": real, "windows": _wholes,
                    "radius": real, "bs_xy": _points}
 
 
-def build_instance(config: InstanceConfig, seed: int) -> Instance:
-    """Deterministic instance from (config, seed).
+def draw_graph(config: InstanceConfig, seed: int) -> AssociationGraph:
+    """The coverage :func:`build_instance` draws for (config, seed).
 
     Users are drawn uniformly over the unit square; a draw landing outside
     all coverage disks is re-drawn per user, and with two or more BSs the
@@ -304,7 +304,6 @@ def build_instance(config: InstanceConfig, seed: int) -> Instance:
     rng_top = _stream(seed, _STREAM_TOPOLOGY)
     bs_xy, radius = config.bs_xy, config.radius
     r2 = radius * radius
-    graph = None
     for _round in range(_OVERLAP_ROUNDS):
         coords = []
         for _u in range(config.users):
@@ -317,13 +316,15 @@ def build_instance(config: InstanceConfig, seed: int) -> Instance:
                 raise ConfigurationError(
                     "cannot place a covered user; grow the radius or move the BSs"
                 )
-        candidate = AssociationGraph.build(bs_xy, coords, radius)
-        if config.bs_count < 2 or any(len(c) >= 2 for c in candidate.coverage):
-            graph = candidate
-            break
-    if graph is None:
-        raise ConfigurationError("no overlapping coverage after bounded resampling")
+        graph = AssociationGraph.build(bs_xy, coords, radius)
+        if config.bs_count < 2 or any(len(c) >= 2 for c in graph.coverage):
+            return graph
+    raise ConfigurationError("no overlapping coverage after bounded resampling")
 
+
+def build_instance(config: InstanceConfig, seed: int) -> Instance:
+    """Deterministic instance from (config, seed) on the :func:`draw_graph` coverage."""
+    graph = draw_graph(config, seed)
     user_group = tuple(
         int(g) for g in _stream(seed, _STREAM_GROUPS).integers(0, config.groups, size=config.users)
     )
@@ -355,7 +356,7 @@ def build_instance(config: InstanceConfig, seed: int) -> Instance:
 
 
 def _graph(config: InstanceConfig, user_xy) -> AssociationGraph:
-    """The coverage of ``user_xy``, refused unless :func:`build_instance` could
+    """The coverage of ``user_xy``, refused unless :func:`draw_graph` could
     draw it: one point per user, each covered, some covered twice given two BSs."""
     if len(user_xy) != config.users:
         raise ValueError(f"expected {config.users} points, not {len(user_xy)}")

@@ -209,11 +209,12 @@ def golden_obs():
     return golden_observation()
 
 
-#: The calls that do a command's work: a rollout, a walk's slot (rollouts,
-#: expert walks, the shaping audit), a warm-up slot's pick at a BS, a verify
-#: suite, and an instance a command builds or walks.
+#: The calls that do a command's work: an instance ``run`` or ``sweep``
+#: builds, a rollout, a walk's slot (rollouts, expert walks, the shaping
+#: audit), a warm-up slot's pick at a BS, a verify suite, and an instance
+#: another command builds or walks.
 _WORK = {
-    harness: ("rollout",),
+    harness: ("build_instance", "rollout"),
     episode.Episode: ("advance",),
     traffic: ("hottest_uncached", "oracle_best_action"),
     verification: ("build_instance", "fuzz_parser", "verify_pbrs"),

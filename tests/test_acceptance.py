@@ -161,7 +161,7 @@ def _mean_of_means(instances, spec):
     means = []
     for instance in instances.values():
         warm = warm_start(instance)
-        means.append(rollout(instance, make_policy(spec), warm=warm).table_mean)
+        means.append(rollout(instance, make_policy(spec), None, warm).table_mean)
     return statistics.mean(means)
 
 
@@ -173,7 +173,7 @@ def baseline_means(two_bs_instances):
         warms = {s: warm_start(i) for s, i in instances.items()}
         for spec in ("oracle:1", "lru", "lfu", "fifo"):
             vals = [
-                rollout(instances[s], make_policy(spec), warm=warms[s]).table_mean
+                rollout(instances[s], make_policy(spec), None, warms[s]).table_mean
                 for s in SEEDS
             ]
             out[scale][spec] = statistics.mean(vals)
@@ -264,9 +264,9 @@ def test_c9_extern_stub_rollout(two_bs_instances):
     policy = make_policy(
         f"extern:{sys.executable} -m coopcache.extern_stub", extern_timeout=60.0
     )
-    report = rollout(instance, policy, warm=warm)
+    report = rollout(instance, policy, None, warm)
     assert report.slots == 300
     assert report.invalid_actions == 0
-    noop = rollout(instance, make_policy("noop"), warm=warm)
+    noop = rollout(instance, make_policy("noop"), None, warm)
     assert report.p_hit == noop.p_hit  # all-no-op adapter mirrors the noop policy
     print("ACCEPTANCE 9 extern stub end-to-end: PASS")

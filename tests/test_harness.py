@@ -52,6 +52,7 @@ from coopcache.traffic import (
     build_instance,
     load_instance,
     save_instance,
+    sweep_config,
     warm_start,
 )
 
@@ -70,7 +71,7 @@ def warm(instance):
 
 
 def test_noop_policy_holds_cache_constant(instance, warm):
-    report = rollout(instance, make_policy("noop"), warm=warm)
+    report = rollout(instance, make_policy("noop"), None, warm)
     expected = [
         hit_rate(warm.cache, instance.request_slot(t), instance.graph)
         for t in range(
@@ -83,14 +84,14 @@ def test_noop_policy_holds_cache_constant(instance, warm):
 
 
 def test_rollout_deterministic(instance, warm):
-    a = rollout(instance, make_policy("lru"), warm=warm)
-    b = rollout(instance, make_policy("lru"), warm=warm)
+    a = rollout(instance, make_policy("lru"), None, warm)
+    b = rollout(instance, make_policy("lru"), None, warm)
     assert a == b  # latency excluded from equality
     assert len(a.latency_s) == a.slots
 
 
 def test_prefix_averages_recomputable(instance, warm):
-    report = rollout(instance, make_policy("lfu"), warm=warm)
+    report = rollout(instance, make_policy("lfu"), None, warm)
     for mark, value in report.checkpoints:
         assert value == pytest.approx(prefix_average(report.p_hit, mark))
     assert report.overall_mean == pytest.approx(
@@ -107,15 +108,15 @@ def test_checkpoint_slots_shape():
     assert checkpoint_slots(30) == (30,)
 
 
-def test_rollout_slot_budget_guard(instance):
+def test_rollout_slot_budget_guard(instance, warm):
     with pytest.raises(StructuralError):
-        rollout(instance, make_policy("noop"), slots=10_000)
+        rollout(instance, make_policy("noop"), 10_000, warm)
 
 
-def test_rollout_refuses_a_peek_past_the_trace_before_its_first_slot(work):
-    policy = make_policy("oracle:20")  # the default instance keeps a 10-slot reserve
-    with pytest.raises(StructuralError, match="^oracle:20: .* look-ahead 20 exceeds"):
-        rollout(build_instance(InstanceConfig(), 1), policy)
+def test_rollout_refuses_a_peek_past_the_trace_before_its_first_slot(instance, warm, work):
+    policy = make_policy("oracle:5")  # small_config keeps a 4-slot reserve
+    with pytest.raises(StructuralError, match="^oracle:5: .* look-ahead 5 exceeds"):
+        rollout(instance, policy, None, warm)
     assert not work
 
 
@@ -200,7 +201,7 @@ def test_run_writes_once_every_rollout_has_succeeded(tmp_path, monkeypatch):
 
 
 def test_paired_comparison_hash_guard(tmp_path, instance, warm):
-    report = rollout(instance, make_policy("lru"), warm=warm)
+    report = rollout(instance, make_policy("lru"), None, warm)
     forged = EvalReport(
         policy="noop",
         seed=report.seed,
@@ -214,7 +215,7 @@ def test_paired_comparison_hash_guard(tmp_path, instance, warm):
 
 
 def test_failed_write_keeps_the_previous_file(tmp_path, monkeypatch, instance, warm):
-    report = rollout(instance, make_policy("lru"), warm=warm)
+    report = rollout(instance, make_policy("lru"), None, warm)
     write_reports([report], tmp_path)
     before = (tmp_path / "results.csv").read_bytes()
 
@@ -246,6 +247,40 @@ def test_sweep_rows_and_table(tmp_path):
     assert len(table) == 5
     with pytest.raises(StructuralError):
         sweep(cfg, "nonsense", [1])
+
+
+def test_a_one_value_sweep_matches_run():
+    cfg = RunConfig(instance_config=small_config(), policies=("lru", "oracle:1"), seeds=(1, 2),
+                    slots=15)
+    rows = sweep(cfg, "cache_capacity", [4])
+    point = sweep_config(small_config(), "cache_capacity", 4)
+    reports = run(dataclasses.replace(cfg, instance_config=point))
+    assert [(row["policy"], row["seed"], row["table_mean"], row["overall_mean"],
+             row["invalid_actions"]) for row in rows] == [
+        (r.policy, r.seed, r.table_mean, r.overall_mean, r.invalid_actions) for r in reports]
+
+
+def test_a_sweep_builds_each_instance_after_the_last_ones_rollouts(monkeypatch):
+    """One instance is held at a time: a point's seeds are built, and each
+    is rolled by every policy before the next is built."""
+    events = []
+    build, roll = harness.build_instance, harness.rollout
+
+    def built(config, seed):
+        events.append(("build", config.cache_size[0], seed))
+        return build(config, seed)
+
+    def rolled(instance, policy, slots, warm):
+        events.append(("rollout", instance.config.cache_size[0], instance.seed))
+        return roll(instance, policy, slots, warm)
+
+    monkeypatch.setattr(harness, "build_instance", built)
+    monkeypatch.setattr(harness, "rollout", rolled)
+    cfg = RunConfig(instance_config=small_config(), policies=("lru", "fifo"), seeds=(1, 2),
+                    slots=5)
+    sweep(cfg, "cache_capacity", [3, 4])
+    assert events == [(kind, value, seed) for value in (3, 4) for seed in (1, 2)
+                      for kind in ("build", "rollout", "rollout")]
 
 
 def test_run_config_validation():
@@ -583,8 +618,9 @@ def test_an_instance_is_hashed_only_where_a_report_is_written_or_compared(tmp_pa
     assert hashed
 
     instance = build_instance(small_config(), 3)
-    report = rollout(instance, make_policy("lru"), 15)
-    assert EvalReport.from_dict(report.to_dict()) == rollout(instance, make_policy("lru"), 15)
+    warm = warm_start(instance)
+    report = rollout(instance, make_policy("lru"), 15, warm)
+    assert EvalReport.from_dict(report.to_dict()) == rollout(instance, make_policy("lru"), 15, warm)
     assert report.instance_sha256 == hashlib.sha256(to_json(instance).encode()).hexdigest()
 
 
@@ -592,7 +628,7 @@ def test_a_report_pickles_and_copies_without_its_instance():
     """A fresh report holds ``Instance.sha256`` until its digest is read; a
     pickle or a copy holds the digest instead, not the instance behind it."""
     instance = build_instance(InstanceConfig(bs_count=5, users=40, library=1100), 1)
-    report = rollout(instance, make_policy("lru"))
+    report = rollout(instance, make_policy("lru"), None, warm_start(instance))
     data = pickle.dumps(report)
     assert len(data) < 10_000
     for twin in (pickle.loads(data), copy.copy(report)):
@@ -1097,6 +1133,14 @@ REFUSALS = {
         "run-warm-up-peek-past-the-trace": Refusal(
             ["run", "--policy", "lru", "--seeds", "1", "--horizon", "400", "--out", "out"],
             "warm-up 100 + oracle horizon 400 exceeds the 410-slot trace"),
+        # seed 5 draws an overlap at 40 users, not at 1: no rollout of the first point runs
+        "sweep-a-later-point-has-no-overlap": Refusal(
+            ["sweep", "--bs", "2", "--radius", "0.16", "--axis", "users", "--values", "40,1",
+             "--seeds", "5", "--policy", "lru", "--slots", "5", "--out", "out"],
+            "no overlapping coverage after bounded resampling"),
+        "run-a-user-cannot-be-placed": Refusal(
+            ["run", "--radius", "0.001", "--seeds", "1", "--policy", "lru", "--out", "out"],
+            "cannot place a covered user; grow the radius or move the BSs"),
         "run-out-dir-from-the-environment": Refusal(
             ["run", "--policy", "lru", "--seeds", "1", "--slots", "5"],
             "cannot make output directory 'afile': Not a directory", {"afile": ""},

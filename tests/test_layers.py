@@ -86,6 +86,25 @@ def test_the_per_bs_oracle_is_called_only_by_the_joint_oracle_and_the_warm_up():
     assert callers == [("core", "oracle_joint_action"), ("traffic", "warm_start")]
 
 
+def test_harness_builds_warms_and_rolls_only_in_evaluate():
+    """``run`` and ``sweep`` share ``_evaluate``, the one loop that draws each
+    topology, builds, warms and rolls; a second caller is a second loop."""
+    tree = _tree(PACKAGE / "harness.py")
+    calls = ("draw_graph", "build_instance", "warm_start", "rollout")
+    assert {call: _callers(tree, call) for call in calls} == dict.fromkeys(calls, ["_evaluate"])
+
+
+def test_build_instance_places_users_only_through_draw_graph():
+    """The topology stream is read only by ``draw_graph``, so the graph
+    ``_evaluate`` checks first is the graph ``build_instance`` builds on."""
+    tree = _tree(PACKAGE / "traffic.py")
+    assert _callers(tree, "draw_graph") == ["build_instance"]
+    assert _enclosing(tree, lambda node: isinstance(node, ast.Name)
+                      and node.id == "_STREAM_TOPOLOGY" and isinstance(node.ctx, ast.Load)) == [
+        "draw_graph"]
+    assert _callers(tree, "AssociationGraph.build") == ["draw_graph", "_graph"]
+
+
 def test_the_peek_is_checked_only_by_core_check_peek():
     checkers = [(path.stem, where) for path in sorted(PACKAGE.glob("*.py"))
                 for where in _enclosing(_tree(path), lambda node: isinstance(node, ast.Constant)

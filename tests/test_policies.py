@@ -673,7 +673,7 @@ def test_extern_matches_each_reply_to_its_own_prompt(small_instance, golden_obs,
 def test_dead_adapter_is_reported_once(small_instance, caplog):
     policy = ExternPolicy(f"{sys.executable} -c pass", timeout=20)
     with caplog.at_level(logging.WARNING, logger="coopcache.policies"):
-        report = rollout(small_instance, policy, slots=20)
+        report = rollout(small_instance, policy, 20, warm_start(small_instance))
     assert report.invalid_actions == 20
     messages = [r.getMessage() for r in caplog.records]
     assert len(messages) == 2, messages
