@@ -11,9 +11,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from collections import deque
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field
-from itertools import islice
+from itertools import chain, islice
 
 from .core import (
     EMPTY_SLOT,
@@ -108,14 +109,18 @@ def _rows(export: SftExport, grpo: bool):
     the digest of the canonical JSON of the ``horizon`` slots after the record's."""
     if not export.records:
         return
-    instance, horizon, first = export.instance, export.horizon, export.records[0].slot
+    instance, horizon = export.instance, export.horizon
     seed, sha = instance.seed, instance.sha256()
-    if grpo:  # peeks overlap: format each slot of the walk's window once
-        texts = list(map(slot_json, instance.trace[first : export.records[-1].slot + horizon]))
+    # peeks overlap: format each slot once, keeping only the current record's window
+    window: deque[str] = deque(maxlen=horizon)
+    formatted = 0  # trace slots below this index are formatted already
     for rec in export.records:
         meta = {"seed": seed, "slot": rec.slot, "instance_sha256": sha}
         if grpo:
-            peek = "[" + ",".join(texts[rec.slot - first : rec.slot - first + horizon]) + "]"
+            end = rec.slot + horizon
+            window.extend(map(slot_json, instance.trace[max(formatted, rec.slot) : end]))
+            formatted = end
+            peek = "[" + ",".join(window) + "]"
             meta["peek_sha256"] = hashlib.sha256(peek.encode("utf-8")).hexdigest()
             yield {"prompt": rec.prompt, "expert": rec.completion, "meta": meta}
         else:
@@ -185,37 +190,37 @@ def audit_dataset(path) -> DatasetAudit:
     gate: list[int] = []
     per_bs: list[dict] = []
     records = 0
-    truncated = False
+    marker = None  # the truncation marker's record index; it must be the last line
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    for i, line in enumerate(lines):
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DatasetFormatError(f"record {i}: not JSON: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise DatasetFormatError(f"record {i}: expected an object")
-        if payload.get("marker") == TRUNCATION_MARKER:
-            if i != len(lines) - 1:
-                raise DatasetFormatError(f"record {i}: marker before end of file")
-            truncated = True
-            continue
-        completion = payload.get("completion", payload.get("expert"))
-        if not isinstance(payload.get("prompt"), str) or not isinstance(completion, str):
-            raise DatasetFormatError(f"record {i}: prompt/completion must be strings")
-        try:
-            obs = decode_prompt(payload["prompt"])
-        except ValueError as exc:
-            raise DatasetFormatError(f"record {i}: bad prompt: {exc}") from exc
-        records += 1
-        while len(per_bs) < obs.bs_count:
-            per_bs.append({"noop": 0, "swap": 0})
-        if any(EMPTY_SLOT in row for row in obs.cache.slots):
-            gate.append(i)
-        action = parse(completion, obs)
-        if not action.is_valid:
-            invalid.append(i)
-            continue
-        for b, act in enumerate(action.actions):
-            per_bs[b]["noop" if act.is_noop else "swap"] += 1
-    return DatasetAudit(records, tuple(invalid), tuple(gate), tuple(per_bs), truncated)
+        # one physical line at a time, split as ``fh.read().splitlines()`` would split it
+        for i, line in enumerate(chain.from_iterable(map(str.splitlines, fh))):
+            if marker is not None:
+                raise DatasetFormatError(f"record {marker}: marker before end of file")
+            try:
+                payload = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DatasetFormatError(f"record {i}: not JSON: {exc}") from exc
+            if not isinstance(payload, dict):
+                raise DatasetFormatError(f"record {i}: expected an object")
+            if payload.get("marker") == TRUNCATION_MARKER:
+                marker = i
+                continue
+            completion = payload.get("completion", payload.get("expert"))
+            if not isinstance(payload.get("prompt"), str) or not isinstance(completion, str):
+                raise DatasetFormatError(f"record {i}: prompt/completion must be strings")
+            try:
+                obs = decode_prompt(payload["prompt"])
+            except ValueError as exc:
+                raise DatasetFormatError(f"record {i}: bad prompt: {exc}") from exc
+            records += 1
+            while len(per_bs) < obs.bs_count:
+                per_bs.append({"noop": 0, "swap": 0})
+            if any(EMPTY_SLOT in row for row in obs.cache.slots):
+                gate.append(i)
+            action = parse(completion, obs)
+            if not action.is_valid:
+                invalid.append(i)
+                continue
+            for b, act in enumerate(action.actions):
+                per_bs[b]["noop" if act.is_noop else "swap"] += 1
+    return DatasetAudit(records, tuple(invalid), tuple(gate), tuple(per_bs), marker is not None)

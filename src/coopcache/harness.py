@@ -438,20 +438,23 @@ def load_reports(directory) -> list[EvalReport]:
         raise StructuralError(f"{directory}: {exc}") from None
     loaded = [(name, read_json(os.path.join(directory, name), EvalReport.from_dict))
               for name in names if name.startswith("report_") and name.endswith(".json")]
-    files: dict[str, bytes] = {}  # instance file -> its bytes
+    digests: dict[str, str] = {}  # instance file -> its SHA-256, hashed a chunk at a time
     for name, report in loaded:
         path = os.path.join(directory, f"instance_seed{report.seed}.json")
-        if path not in files and os.path.isfile(path):
+        if path not in digests and os.path.isfile(path):
+            digest = hashlib.sha256()
             try:
                 with open(path, "rb") as fh:
-                    files[path] = fh.read()
+                    while chunk := fh.read(1 << 16):
+                        digest.update(chunk)
             except OSError as exc:
                 raise StructuralError(f"{path}: {exc}") from None
-        if path in files and hashlib.sha256(files[path]).hexdigest() != report.instance_sha256:
+            digests[path] = digest.hexdigest()
+        if path in digests and digests[path] != report.instance_sha256:
             raise StructuralError(f"{path}: not the instance {name} was run on "
                                   "(its SHA-256 is not the report's instance_sha256)")
     configs = {path: read_json(path, lambda p: key_reader(p, "instance key")("config", lambda c: c))
-               for path in files}
+               for path in digests}
     first = next(iter(configs), None)
     for path, config in configs.items():
         if config != configs[first]:

@@ -9,13 +9,9 @@ a child process speaking length-prefixed frames.
 
 from __future__ import annotations
 
-import logging
 import math
 import os
-import selectors
-import shlex
 import shutil
-import subprocess
 import time
 
 from .core import (
@@ -30,8 +26,6 @@ from .core import (
     oracle_joint_action,
 )
 from .interface import encode, serialize
-
-logger = logging.getLogger(__name__)
 
 
 class AdapterError(Exception):
@@ -239,6 +233,14 @@ def read_frame(stream) -> str | None:
     return data.decode("utf-8", errors="replace")
 
 
+def _warn(message: str, *args) -> None:
+    """Log a warning on the ``coopcache.policies`` logger. Only the extern
+    adapter warns, so ``logging`` loads when it first does."""
+    import logging
+
+    logging.getLogger(__name__).warning(message, *args)
+
+
 class _Hangup(Exception):
     """The adapter broke the frame protocol or its pipes; the message names how."""
 
@@ -272,6 +274,8 @@ class ExternPolicy(Policy):
     """
 
     def __init__(self, command: str, timeout: float = EXTERN_TIMEOUT_S) -> None:
+        import shlex  # the adapter's modules load only when an extern policy is built
+
         if not command.strip():
             raise AdapterError("empty adapter command")
         try:
@@ -286,7 +290,7 @@ class ExternPolicy(Policy):
         self._timeout = float(timeout)
         if not 0 < self._timeout < math.inf:
             raise StructuralError(f"extern timeout must be a finite number > 0, not {timeout!r}")
-        self._proc: subprocess.Popen | None = None
+        self._proc = None  # the adapter's subprocess.Popen, from reset on
         self._buf = bytearray()  # adapter output not yet taken as a frame
         self._stale = 0  # replies owed to timed-out prompts, not yet read
         self._dead_slots = 0  # empty completions scored since the adapter died
@@ -297,6 +301,8 @@ class ExternPolicy(Policy):
             self._spawn()
 
     def _spawn(self) -> None:
+        import subprocess
+
         try:
             self._proc = subprocess.Popen(
                 self._argv,
@@ -314,8 +320,7 @@ class ExternPolicy(Policy):
     def _gone(self, how: str, slot: int) -> str:
         """Score an empty completion for a dead adapter; warn only the first time."""
         if not self._dead_slots:
-            logger.warning("adapter is gone (%s) at slot %d; scoring empty completions",
-                           how, slot)
+            _warn("adapter is gone (%s) at slot %d; scoring empty completions", how, slot)
         self._dead_slots += 1
         return ""
 
@@ -331,6 +336,8 @@ class ExternPolicy(Policy):
         """Write ``prompt`` and read its reply in one selector loop against one
         deadline; each round reads before it writes, so output already
         waiting is matched before the prompt goes out."""
+        import selectors
+
         stdin, stdout = self._proc.stdin.fileno(), self._proc.stdout.fileno()
         deadline = time.monotonic() + self._timeout
         reply = None
@@ -370,7 +377,7 @@ class ExternPolicy(Policy):
         if self._buf:
             raise _Hangup("partial frame at the deadline")
         self._stale += 1
-        logger.warning("adapter timed out after %gs at slot %d", self._timeout, slot)
+        _warn("adapter timed out after %gs at slot %d", self._timeout, slot)
         return ""
 
     def _next_frame(self) -> str | None:
@@ -389,8 +396,8 @@ class ExternPolicy(Policy):
 
     def close(self) -> None:
         if self._dead_slots:
-            logger.warning("adapter was gone for %d slot(s); each scored an empty completion",
-                           self._dead_slots)
+            _warn("adapter was gone for %d slot(s); each scored an empty completion",
+                  self._dead_slots)
             self._dead_slots = 0
         self._stop()
 
@@ -398,6 +405,8 @@ class ExternPolicy(Policy):
         """End the adapter process, if any, and close its pipes."""
         if self._proc is None:
             return
+        import subprocess
+
         proc, self._proc = self._proc, None
         proc.stdin.close()
         proc.terminate()

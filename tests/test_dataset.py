@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -249,3 +250,61 @@ def test_write_export_refuses_an_empty_grpo_path(tmp_path, monkeypatch, instance
     with pytest.raises(StructuralError, match="^'': cannot write: No such file or directory$"):
         write_export(export, "sft.jsonl", "")
     assert list(tmp_path.iterdir()) == []
+
+
+def _lines(instance) -> list[str]:
+    """Six SFT lines, the fourth with a completion that parses invalid, then the marker."""
+    lines = [canonical_json(row) for row in dataset._rows(generate_sft(instance, 6, horizon=3),
+                                                          grpo=False)]
+    record = json.loads(lines[3])
+    record["completion"] = "BS 1: NOOP"
+    lines[3] = canonical_json(record)
+    return [*lines, canonical_json({"marker": dataset.TRUNCATION_MARKER})]
+
+
+@pytest.mark.parametrize("separator", ["\r\n", "\r", "\x0b", "\x0c", "\x85", "\u2028"],
+                         ids=["crlf", "cr", "vt", "ff", "nel", "ls"])
+def test_each_line_break_of_str_splitlines_ends_a_record(tmp_path, instance, separator):
+    """The auditor splits lines as ``str.splitlines`` does: CRLF, a lone CR and
+    every other break audit as LF, with the same record indices."""
+    lines = _lines(instance)
+    lf, other = tmp_path / "lf.jsonl", tmp_path / "other.jsonl"
+    lf.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    other.write_bytes(separator.join(lines).encode("utf-8"))
+    audit = audit_dataset(lf)
+    assert audit.invalid_indices == (3,) and audit.truncated
+    assert audit_dataset(other) == audit
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{0}\n\n{1}\n", "record 1: not JSON"),  # a blank line takes a record index
+    ("{0}\x0c\n{1}\n", "record 1: not JSON"),  # a form feed then LF: a blank line between
+    ("{0}\n{m}\n{1}\n", "record 1: marker before end of file"),
+    ("{0}\n{m}\n\n", "record 1: marker before end of file"),
+    ("{0}\n{m}\nnot json\n", "record 1: marker before end of file"),
+    ("{0}\n{m}\n{m}\n", "record 1: marker before end of file"),  # the first of two markers
+], ids=["blank-line", "ff-lf", "marker-mid-file", "marker-then-blank", "marker-then-bad",
+        "two-markers"])
+def test_the_audit_names_the_record_a_line_rule_breaks(tmp_path, instance, text, message):
+    lines = _lines(instance)
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(text.format(lines[0], lines[1], m=lines[-1]).encode("utf-8"))
+    with pytest.raises(DatasetFormatError, match=f"^{message}"):
+        audit_dataset(path)
+
+
+def test_the_audit_holds_one_record_at_a_time(tmp_path, instance):
+    """Auditing ten times the records leaves the traced memory peak about where it was."""
+    lines = _lines(instance)[:3]
+    peaks = []
+    for copies in (40, 400):
+        path = tmp_path / f"x{copies}.jsonl"
+        path.write_text("\n".join(lines * copies) + "\n")
+        audit_dataset(path)  # fill every cache first
+        tracemalloc.start()
+        try:
+            assert audit_dataset(path).records == 3 * copies
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks

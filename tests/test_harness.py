@@ -365,6 +365,16 @@ def test_cli_verify_small(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "verify_report.json").exists()
 
 
+def test_cli_verify_asks_for_100000_fuzz_cases_by_default(tmp_path, monkeypatch):
+    monkeypatch.setenv("COOPCACHE_OUT_DIR", str(tmp_path))
+    asked = []
+    fuzz_parser = verification.fuzz_parser
+    monkeypatch.setattr(verification, "fuzz_parser",
+                        lambda obs, cases: asked.append(cases) or fuzz_parser(obs, 0))
+    assert cli_main(["verify", "--seeds", "1", "--pbrs-slots", "1"]) == 0
+    assert asked == [100_000]
+
+
 def test_cli_export_sft_walks_the_expert_once(tmp_path, monkeypatch, small_instance):
     inst_path = tmp_path / "inst.json"
     save_instance(small_instance, inst_path)
@@ -1123,6 +1133,8 @@ REFUSALS = {
                                        "seed must be >= 0"),
         "run-names-collide": Refusal(["run", "--policy", "lru", "--policy", "lru", "--seeds", "1",
                                       "--out", "out"], "policy specs share a name: ['lru', 'lru']"),
+        "run-bad-oracle-horizon": Refusal(["run", "--policy", "oracle:1:2", "--seeds", "1",
+                                           "--out", "out"], "bad oracle horizon in 'oracle:1:2'"),
         "sweep-names-collide": Refusal(["sweep", "--axis", "users", "--values", "20", "--policy",
                                         "oracle:1", "--policy", "oracle:01", "--seeds", "1",
                                         "--out", "out"],

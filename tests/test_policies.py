@@ -53,6 +53,7 @@ from coopcache.policies import (
     OraclePolicy,
     _eviction_actions,
     _first_missed_candidate,
+    frame_length,
     make_policy,
     read_frame,
     write_frame,
@@ -786,3 +787,19 @@ def test_read_frame_round_trip_and_bad_headers():
     assert read_frame(stream) is None  # EOF
     for raw in (b"LEN x\n", b"LEN -1\n", b"SIZE 3\nabc", b"LEN 3\nab", b"LEN 3"):
         assert read_frame(io.BytesIO(raw)) is None
+
+
+def test_frame_length_accepts_frame_limit_and_refuses_one_byte_more():
+    assert FRAME_LIMIT == 16 * 1024 * 1024  # README's wire limit
+    assert frame_length(b"LEN %d\n" % FRAME_LIMIT) == FRAME_LIMIT
+    assert frame_length(b"LEN %d\n" % (FRAME_LIMIT + 1)) is None
+
+
+def test_importing_the_package_loads_no_adapter_machinery():
+    """``subprocess``, ``selectors``, ``shlex`` and ``logging`` load only when
+    an extern policy is built or used."""
+    modules = ("subprocess", "selectors", "shlex", "logging")
+    probe = f"import sys, coopcache; print([m for m in {modules!r} if m in sys.modules])"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, timeout=60)  # conftest puts src on PYTHONPATH
+    assert done.stdout == "[]\n"
