@@ -82,7 +82,7 @@ class Setting(NamedTuple):
     """
 
     key: str
-    config: str  # the dataclass it sets: "instance", "reward" or "run"
+    config: str  # the dataclass it sets: "instance", "reward" or "run"; "source": the instance file
     field: str
     parse: Callable
     help: str
@@ -112,7 +112,7 @@ SETTINGS = (
     Setting("lambda_fmt", "reward", "lambda_fmt", real, "penalty for malformed output"),
     Setting("lambda_opp", "reward", "lambda_opp", real, "penalty for a missed swap"),
     Setting("epsilon", "reward", "epsilon", real, "group-advantage stability floor"),
-    Setting("instance", "run", "instance_path", str, "saved instance file to read"),
+    Setting("instance", "source", "instance_path", str, "saved instance file to read"),
     Setting("policies", "run", "policies", _specs,
             "lru | lfu | fifo | noop | oracle:<H> | extern:<command>; repeatable",
             flag="--policy"),
@@ -170,20 +170,30 @@ def _load_file_cfg(path: str | None) -> dict:
     return cfg
 
 
+def _instance_source(args, file_cfg: dict) -> str | InstanceConfig:
+    """``instance``, the file a flag or config key names, else the InstanceConfig
+    of the instance settings; a setting beside the file, which fixes them all, is refused."""
+    settings = _supplied("instance", args, file_cfg)
+    path = _supplied("source", args, file_cfg).get("instance_path")
+    if path is not None and settings:
+        given = ", ".join(s.key for s in SETTINGS if s.config == "instance" and s.field in settings)
+        raise SystemExit(f"instance settings given beside an instance file: {given}")
+    return InstanceConfig(**settings) if path is None else path
+
+
 def _run_config(args, file_cfg: dict) -> RunConfig:
     run_kw = _supplied("run", args, file_cfg)
     if not run_kw.get("policies"):
         run_kw.pop("policies", None)  # a missing or empty list runs the default
     run_kw["out_dir"] = os.environ.get(_ENV_OUT) or run_kw.get("out_dir", _DEFAULT_OUT)
-    if not run_kw.get("instance_path"):
-        run_kw["instance_config"] = InstanceConfig(**_supplied("instance", args, file_cfg))
+    source = _instance_source(args, file_cfg)
+    run_kw["instance_path" if isinstance(source, str) else "instance_config"] = source
     return RunConfig(reward=RewardConfig(**_supplied("reward", args, file_cfg)), **run_kw)
 
 
 def _cmd_gen_instance(args) -> int:
     check_out_file(args.out)
-    config = InstanceConfig(**_supplied("instance", args, {}))
-    instance = build_instance(config, args.seed)
+    instance = build_instance(_instance_source(args, {}), args.seed)
     save_instance(instance, args.out)
     print(f"wrote {args.out} (sha256 {instance.sha256()})")
     return 0
@@ -223,11 +233,14 @@ def _cmd_sweep(args) -> int:
 def _cmd_export_sft(args) -> int:
     nonnegative("--records", args.records)
     check_export_paths(args.out, args.grpo_out)
-    if args.instance:
-        instance = load_instance(args.instance)
+    source = _instance_source(args, {})
+    if isinstance(source, InstanceConfig):
+        instance = build_instance(source, 1 if args.seed is None else args.seed)
     else:
-        config = InstanceConfig(**_supplied("instance", args, {}))
-        instance = build_instance(config, args.seed)
+        instance = load_instance(source)
+        if args.seed not in (None, instance.seed):
+            raise SystemExit(f"instance file holds seed {instance.seed}, "
+                             f"export-sft asked for {args.seed}")
     reward = RewardConfig(**_supplied("reward", args, {}))
     export = generate_sft(instance, args.records, reward.horizon, reward.gamma)
     write_export(export, args.out, args.grpo_out)
@@ -303,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export-sft", help="export expert demonstration pairs")
     _add_settings(p, _INSTANCE_KEYS + ("instance", "horizon", "gamma"))
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=int, help="default: the --instance file's seed, else 1")
     p.add_argument("--records", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--grpo-out", default=None,

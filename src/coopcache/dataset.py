@@ -184,18 +184,24 @@ def audit_dataset(path) -> DatasetAudit:
 
     Checks grammar plus feasibility record by record, flags records whose
     underlying cache had an empty slot, and tallies the per-BS decision
-    mix. Schema violations raise DatasetFormatError naming the record.
+    mix. Schema violations and bytes that are not UTF-8 raise
+    DatasetFormatError naming the record.
     """
     invalid: list[int] = []
     gate: list[int] = []
     per_bs: list[dict] = []
     records = 0
     marker = None  # the truncation marker's record index; it must be the last line
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         # one physical line at a time, split as ``fh.read().splitlines()`` would split it
         for i, line in enumerate(chain.from_iterable(map(str.splitlines, fh))):
             if marker is not None:
                 raise DatasetFormatError(f"record {marker}: marker before end of file")
+            if not line.isascii():  # undecodable bytes arrive escaped: name their record
+                try:
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise DatasetFormatError(f"record {i}: not UTF-8: {exc}") from exc
             try:
                 payload = json.loads(line)
             except json.JSONDecodeError as exc:

@@ -73,8 +73,8 @@ class RunConfig:
     extern_timeout: float = EXTERN_TIMEOUT_S
 
     def __post_init__(self) -> None:
-        if self.instance_config is None and self.instance_path is None:
-            raise StructuralError("need instance parameters or an instance file")
+        if (self.instance_config is None) == (self.instance_path is None):
+            raise StructuralError("need one of instance parameters and an instance file")
         if not self.policies:
             raise StructuralError("need at least one policy spec")
         if not self.seeds:

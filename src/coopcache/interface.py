@@ -96,17 +96,12 @@ def _bs_ids(bs_count: int) -> tuple[str, ...]:
     return tuple(str(b) for b in range(1, bs_count + 1))
 
 
-#: Window w -> the FREQ text of k/w for k = 0..w. Filled once a view has
-#: passed w slots, so no table is longer than the trace. The tables hold
-#: constants only, so every caller in the process may share them.
-_RATE_TEXTS: dict[int, tuple[str, ...]] = {}
-
-
+@lru_cache(maxsize=None)
 def _rate_texts(w: int) -> tuple[str, ...]:
-    texts = _RATE_TEXTS.get(w)
-    if texts is None:
-        texts = _RATE_TEXTS[w] = tuple(f"{k / w:.3f}" for k in range(w + 1))
-    return texts
+    """The FREQ text of k/w for k = 0..w. Asked for once a view has passed w
+    slots, so no table is longer than the trace. The tables hold constants
+    only, so every caller in the process may share them."""
+    return tuple(f"{k / w:.3f}" for k in range(w + 1))
 
 
 def encode(obs: SlotObservation) -> str:

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from itertools import chain, islice
+from itertools import accumulate, chain, islice, repeat
+from operator import mul
 
 import numpy as np
 
@@ -139,11 +140,7 @@ def lookahead_values(caches, peek, graph, horizon: int, gamma: float) -> list[fl
     hits = held[:, lookup, file_at[:, :, None]].any(axis=3).sum(axis=2)
     # The rates, weighted, summed slot by slot: cumsum adds in order, and an
     # empty slot's rate of 0 adds 0.0, which changes no sum.
-    weights = []
-    weight = 1.0
-    for _ in slots:
-        weights.append(weight)
-        weight *= gamma
+    weights = list(accumulate(repeat(gamma, horizon - 1), mul, initial=1.0))  # products, not g**k
     rates = np.divide(hits, sizes, out=np.zeros(hits.shape), where=sizes > 0)
     num = np.cumsum(np.array(weights) * rates, axis=1)[:, -1]
     return (num / sum(weights)).tolist()

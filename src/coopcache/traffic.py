@@ -186,7 +186,7 @@ class InstanceConfig:
         bs_xy, radius = self.bs_xy, self.radius
         if bs_xy is None or radius is None:
             layout = DEFAULT_LAYOUTS.get(self.bs_count)
-            if layout is None and (bs_xy is None or radius is None):
+            if layout is None:
                 raise ConfigurationError(
                     f"no default layout for {self.bs_count} BSs; set bs_xy and radius"
                 )
@@ -224,7 +224,6 @@ class Instance:
     graph: AssociationGraph
     demand: DemandModel
     trace: tuple[RequestSlot, ...] = field(repr=False)
-    _sha256: str | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def trace_len(self) -> int:
@@ -255,10 +254,11 @@ class Instance:
 
     def sha256(self) -> str:
         """Digest of the canonical JSON; computed on the first call, then kept."""
-        if self._sha256 is None:
-            digest = hashlib.sha256(self.to_canonical_json().encode("utf-8")).hexdigest()
-            object.__setattr__(self, "_sha256", digest)
-        return self._sha256
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> str:
+        return hashlib.sha256(self.to_canonical_json().encode("utf-8")).hexdigest()
 
 
 def slot_json(slot: RequestSlot) -> str:
@@ -347,8 +347,6 @@ def build_instance(config: InstanceConfig, seed: int) -> Instance:
         np.clip(ranks, 0, config.library - 1, out=ranks)
         perm = np.asarray(rank_to_file[g], dtype=np.int64)
         files[:, members] = perm[ranks]
-    if files.size and files.min() < 1:
-        raise StructuralError("file ids must be >= 1")
     # One int object per file id, shared by every slot's row, counts and covered.
     ids = np.array(range(config.library + 1), dtype=object)
     trace = tuple(slot_from_row(row, graph) for row in ids[files].tolist())

@@ -75,13 +75,12 @@ def _below(getrandbits, n: int) -> int:
 
 
 def _mutate(data: bytes, getrandbits) -> bytes:
-    """Overwrite, insert or delete one byte at a random position.
+    """Overwrite, insert or delete one byte at a random position of ``data``,
+    which is never empty: the prompt, the no-op completion and every swap are not.
 
     Draws from ``getrandbits`` exactly what ``random.Random``'s ``randrange``
-    and ``randbytes`` would, so the mutants are those of the same generator.
+    would, so the mutants are those of the same generator.
     """
-    if not data:
-        return getrandbits(64).to_bytes(8, "little")
     kind = _below(getrandbits, 3)
     pos = _below(getrandbits, len(data))
     if kind == 2:

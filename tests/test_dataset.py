@@ -293,6 +293,23 @@ def test_the_audit_names_the_record_a_line_rule_breaks(tmp_path, instance, text,
         audit_dataset(path)
 
 
+@pytest.mark.parametrize("separator", ["\n", "\r"], ids=["lf", "cr"])
+@pytest.mark.parametrize("bad, shown", [(b"\xff", "0xff"), (b"\xc3(", "0xc3"),
+                                        (b"\xed\xb3\xbf", "0xed")],
+                         ids=["stray-byte", "cut-sequence", "encoded-surrogate"])
+def test_the_audit_names_the_record_that_is_not_utf8(tmp_path, instance, separator, bad, shown):
+    """Bytes that do not decode name their record, also when one physical
+    line holds several records; the records before it were read."""
+    lines = [line.encode("utf-8") for line in _lines(instance)]
+    lines[2] = lines[2][:20] + bad + lines[2][20:]
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(separator.encode().join(lines))
+    with pytest.raises(DatasetFormatError) as exc:
+        audit_dataset(path)
+    assert str(exc.value).startswith(
+        f"record 2: not UTF-8: 'utf-8' codec can't decode byte {shown} in position 20")
+
+
 def test_the_audit_holds_one_record_at_a_time(tmp_path, instance):
     """Auditing ten times the records leaves the traced memory peak about where it was."""
     lines = _lines(instance)[:3]

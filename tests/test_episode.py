@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coopcache import episode as episode_module
-from coopcache.core import NOOP, BsAction, FeasibilityError, JointAction, feasible_actions
+from coopcache.core import (
+    EMPTY_SLOT,
+    NOOP,
+    BsAction,
+    FeasibilityError,
+    JointAction,
+    feasible_actions,
+)
 from coopcache.dataset import generate_grpo_states, generate_sft
 from coopcache.episode import Episode, expert_walk
 from coopcache.reward import RewardConfig, verify_pbrs
@@ -16,11 +23,12 @@ from coopcache.traffic import (
     Instance,
     WarmState,
     advance_tracker,
+    build_instance,
     observe,
     warm_start,
 )
 
-from conftest import scenarios
+from conftest import scenarios, small_config
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +101,16 @@ def test_expert_walk_yields_full_cache_slots_in_order(small_instance):
     slots = [obs.slot for obs, _, _ in expert_walk(small_instance, 3, 0.9)]
     assert slots == sorted(set(slots))
     assert slots[-1] + 3 <= small_instance.trace_len
+
+
+@pytest.mark.parametrize("cache_size", [(1, 3), (3, 1)])
+def test_expert_walk_skips_a_slot_where_any_bs_has_an_empty_slot(cache_size):
+    """One warm-up slot fills only the 1-slot BS; the expert never fills the
+    other BS's empty slots, so no slot of the walk has every cache full."""
+    instance = build_instance(small_config(cache_size=cache_size, warm_slots=1), 1)
+    assert [row.count(EMPTY_SLOT) for row in warm_start(instance, 3, 0.9).cache.slots] == [
+        0 if size == 1 else 2 for size in cache_size]
+    assert list(expert_walk(instance, 3, 0.9)) == []
 
 
 @pytest.mark.parametrize("generate", [generate_sft, generate_grpo_states])

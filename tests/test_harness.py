@@ -11,6 +11,7 @@ import json
 import os
 import pickle
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -284,8 +285,9 @@ def test_a_sweep_builds_each_instance_after_the_last_ones_rollouts(monkeypatch):
 
 
 def test_run_config_validation():
-    with pytest.raises(StructuralError):
-        RunConfig(instance_config=None, instance_path=None)
+    for source in ({}, {"instance_config": small_config(), "instance_path": "i.json"}):
+        with pytest.raises(StructuralError, match="^need one of instance parameters and an"):
+            RunConfig(**source)
     with pytest.raises(StructuralError):
         RunConfig(instance_config=small_config(), policies=())
 
@@ -503,7 +505,7 @@ _SAMPLES = {
 def _built_field(command, setting, argv, file_cfg):
     extra = ["--axis", "users", "--values", "4"] if command == "sweep" else []
     cfg = _run_config(build_parser().parse_args([command, *extra, *argv]), file_cfg)
-    target = {"instance": cfg.instance_config, "reward": cfg.reward, "run": cfg}
+    target = {"instance": cfg.instance_config, "reward": cfg.reward, "run": cfg, "source": cfg}
     return getattr(target[setting.config], setting.field)
 
 
@@ -526,6 +528,7 @@ def test_setting_flag_and_config_key_set_the_same_field(tmp_path, monkeypatch, c
         "reward": RewardConfig(),
         "run": RunConfig(instance_config=InstanceConfig()),
     }
+    defaults["source"] = defaults["run"]  # instance_path, a RunConfig field
     # out_dir=None writes nothing; the CLI writes to results/ unless told otherwise
     default = "results" if setting.key == "out" else getattr(defaults[setting.config],
                                                              setting.field)
@@ -947,6 +950,9 @@ _UNWRITABLE = {
     "export-sft-grpo-out-empty": (["export-sft", "--records", "5", "--out", "s.jsonl",
                                    "--grpo-out", ""], "''", "No such file or directory"),
 }
+_BESIDE = "instance settings given beside an instance file: "
+_SWEEP_100 = ["sweep", "--axis", "library_size", "--values", "100", "--policy", "lru",
+              "--seeds", "1", "--slots", "5"]
 _UNEQUAL_SLOTS = "reports differ in checkpoint slots: [50] and [50, 100]"
 
 REFUSALS = {
@@ -1125,6 +1131,38 @@ REFUSALS = {
              "--pbrs-slots must be >= 0, not -1"),
         ]
     },
+    # An instance file fixes every instance setting and its seed, so one given beside it is refused.
+    "test_an_instance_file_refuses_the_settings_it_fixes": {
+        name: Refusal([*argv, "--out", out], message, lambda config=config: {
+            "i.json": _instance_json(),
+            "c.json": json.dumps({"schema": RUNCONFIG_SCHEMA, "instance": "i.json", **config})})
+        for name, argv, config, out, message in [
+            ("run-flags", ["run", "--instance", "i.json", "--seeds", "1", "--bs", "5",
+                           "--users", "3"], {}, "out", _BESIDE + "bs, users"),
+            ("run-config-keys", ["run", "--config", "c.json", "--seeds", "1"],
+             {"cache": 4, "alpha": 1.5}, "out", _BESIDE + "cache, alpha"),
+            ("run-flag-beside-config-key", ["run", "--config", "c.json", "--seeds", "1",
+                                            "--windows", "5,10"], {}, "out", _BESIDE + "windows"),
+            # sweep would refuse the file itself; the settings beside it are named first
+            ("sweep-flag", [*_SWEEP_100, "--instance", "i.json", "--bs", "2"], {}, "out",
+             _BESIDE + "bs"),
+            ("sweep-config-key", [*_SWEEP_100, "--config", "c.json"], {"users": 8}, "out",
+             _BESIDE + "users"),
+            ("export-sft-flags", ["export-sft", "--instance", "i.json", "--bs", "2",
+                                  "--records", "3"], {}, "s.jsonl", _BESIDE + "bs"),
+            ("export-sft-seed", ["export-sft", "--instance", "i.json", "--seed", "7",
+                                 "--records", "3"], {}, "s.jsonl",
+             "instance file holds seed 1, export-sft asked for 7"),
+        ]
+    },
+    "test_an_instance_file_serves_run_for_its_own_seed_and_no_sweep": {
+        "run-default-seeds": Refusal(["run", "--instance", "i.json", "--out", "out"],
+                                     "instance file holds seed 1, run asked for [1, 2, 3]",
+                                     lambda: {"i.json": _instance_json()}),
+        "sweep": Refusal([*_SWEEP_100, "--instance", "i.json", "--out", "out"],
+                         "sweeps need instance parameters, not an instance file",
+                         lambda: {"i.json": _instance_json()}),
+    },
     "test_run_sweep_and_report_refuse_before_any_work": {
         "run-negative-seed": Refusal(["run", "--seeds", "1,-1", "--policy", "lru", "--out", "out"],
                                      "seed must be >= 0"),
@@ -1270,3 +1308,18 @@ def test_gen_instance_saves_its_windows_sorted(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert cli_main(["gen-instance", "--seed", "1", "--windows", "100,10", "--out", "i.json"]) == 0
     assert load_instance("i.json").config.windows == (10, 100)
+
+
+def _quick_start_commands() -> list[list[str]]:
+    """The ``coopcache`` commands of README's Quick start block, continuation lines joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Quick start", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("coopcache ")]
+
+
+def test_readme_quick_start_commands_parse():
+    commands = _quick_start_commands()
+    assert len(commands) == 6
+    for argv in commands:
+        assert build_parser().parse_args(argv).command == argv[0]

@@ -269,7 +269,13 @@ def test_encode_freq_tokens_are_the_tracker_rates(case, windows):
 def test_encode_keeps_no_rate_table_for_a_short_view(monkeypatch):
     """Views that have not passed a window format their rates directly: only
     a configured window that some view has passed gets a table."""
-    monkeypatch.setattr(interface, "_RATE_TEXTS", {})
+    tables, build = {}, interface._rate_texts.__wrapped__
+
+    def rate_texts(w):
+        tables[w] = build(w)
+        return tables[w]
+
+    monkeypatch.setattr(interface, "_rate_texts", rate_texts)
     graph = synthetic_graph(((1,), (1,)), 1)
     trace = tuple(request_slot(((0, 1 + t % 3), (1, 2)), graph) for t in range(30))
     tracker = FrequencyTracker((3, 50), trace)
@@ -277,8 +283,8 @@ def test_encode_keeps_no_rate_table_for_a_short_view(monkeypatch):
     for t in range(len(trace) + 1):
         view = FrequencyTracker(tracker.windows, trace, t, tracker.index)
         encode(SlotObservation(t + 1, cache, trace[max(t - 1, 0)], view))
-    assert set(interface._RATE_TEXTS) == {3}
-    assert len(interface._RATE_TEXTS[3]) == 4
+    assert set(tables) == {3}
+    assert len(tables[3]) == 4
 
 
 _FREQ_AT = "BS 1 FREQ w=10: 4:0.000 5:0.100 7:0.800 9:0.300"

@@ -140,6 +140,36 @@ def test_config_validation():
     assert cfg.windows == (10, 100)
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"bs_count": 0}, "bs_count, users and groups must be >= 1"),
+    ({"users": 0}, "bs_count, users and groups must be >= 1"),
+    ({"groups": 0}, "bs_count, users and groups must be >= 1"),
+    ({"windows": ()}, "windows must be positive"),
+    ({"windows": (0, 10)}, "windows must be positive"),
+    ({"warm_slots": -1}, "slot counts must be >= 0"),
+    ({"rollout_slots": -1}, "slot counts must be >= 0"),
+    ({"horizon_reserve": -1}, "slot counts must be >= 0"),
+    ({"bs_xy": ((0.5, 0.5),)}, "bs_xy needs one coordinate pair per BS"),
+])
+def test_config_refusals_name_their_rule(overrides, message):
+    with pytest.raises(ConfigurationError) as exc:
+        InstanceConfig(**overrides)
+    assert str(exc.value) == message
+
+
+def test_instance_refuses_slots_outside_its_trace(small_instance):
+    end = small_instance.trace_len
+    assert small_instance.request_slot(end) is small_instance.trace[-1]
+    for t in (0, end + 1):
+        with pytest.raises(StructuralError) as exc:
+            small_instance.request_slot(t)
+        assert str(exc.value) == f"slot {t} outside trace of length {end}"
+    assert small_instance.peek(end - 3, 3) == small_instance.trace[-3:]
+    with pytest.raises(StructuralError) as exc:
+        small_instance.peek(end - 2, 3)
+    assert str(exc.value) == f"peek past trace end: slot {end - 2} + horizon 3 > {end}"
+
+
 def test_instance_round_trip(tmp_path, small_instance):
     path = tmp_path / "instance.json"
     save_instance(small_instance, path)
