@@ -3,7 +3,9 @@
 Exports are line-delimited JSON with canonical key order, one record per
 line, so fine-tuning frameworks can stream them. Records are emitted only
 at slots where every BS cache is full; regeneration from the same instance
-and parameters is byte-identical.
+and parameters is byte-identical. An export holds each record's cache rows,
+not its prompt: the prompts are rendered as the files are written, once per
+record however many files are written.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .core import (
     EMPTY_SLOT,
     EXPERT_GAMMA,
     EXPERT_HORIZON,
+    CacheState,
     StructuralError,
     atomic_write,
     canonical_json,
@@ -27,8 +30,8 @@ from .core import (
     nonnegative,
 )
 from .episode import expert_walk
-from .interface import decode_prompt, encode, parse, serialize
-from .traffic import Instance, slot_json
+from .interface import SlotObservation, decode_prompt, encode, parse, serialize
+from .traffic import FrequencyTracker, Instance, slot_json
 
 TRUNCATION_MARKER = "truncated"
 
@@ -37,16 +40,20 @@ class DatasetFormatError(ValueError):
     """A dataset file violates the record schema."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExpertRecord:
-    """One expert-walk slot: the prompt and the expert's completion.
+    """One expert-walk slot: the cache rows its prompt is rendered from and
+    the expert's completion.
 
-    The SFT file pairs the prompt with the completion; the GRPO file keeps
-    the completion as the expert witness plus a fingerprint of the peek.
+    ``rows`` are the walk's ``CacheState.slots`` at ``slot``, already checked;
+    a row the expert left alone is the tuple of the state before, so the rows
+    cost far less than the prompt. The SFT file pairs the prompt with the
+    completion; the GRPO file keeps the completion as the expert witness plus
+    a fingerprint of the peek.
     """
 
     slot: int
-    prompt: str
+    rows: tuple
     completion: str
 
 
@@ -64,6 +71,18 @@ class SftExport:
     def truncated(self) -> bool:
         return len(self.records) < self.requested
 
+    def prompts(self):
+        """Each record's prompt, in record order, as :func:`encode` renders the
+        walk's observation at its slot. The pass builds one tracker index,
+        shared by its views and freed when the pass ends."""
+        windows, trace = self.instance.config.windows, self.instance.trace
+        index = [None]
+        for rec in self.records:
+            sets = tuple(frozenset(row).difference((EMPTY_SLOT,)) for row in rec.rows)
+            tracker = FrequencyTracker(windows, trace, rec.slot, index)
+            yield encode(SlotObservation(rec.slot, CacheState._trusted(rec.rows, sets),
+                                         trace[rec.slot - 1], tracker))
+
 
 def generate_sft(instance: Instance, records: int, horizon: int = EXPERT_HORIZON,
                  gamma: float = EXPERT_GAMMA) -> SftExport:
@@ -71,12 +90,13 @@ def generate_sft(instance: Instance, records: int, horizon: int = EXPERT_HORIZON
 
     Stops after ``records`` records, or earlier with ``truncated`` set when
     the trace cannot supply the look-ahead window anymore. A negative
-    ``records`` raises. The instance is hashed only when a file is written.
+    ``records`` raises. The instance is hashed and the prompts are rendered
+    only when a file is written.
     """
     nonnegative("records", records)
     walk = islice(expert_walk(instance, horizon, gamma), records)
     return SftExport(instance, horizon, tuple(
-        ExpertRecord(obs.slot, encode(obs), serialize(expert)) for obs, expert, _peek in walk
+        ExpertRecord(obs.slot, obs.cache.slots, serialize(expert)) for obs, expert, _peek in walk
     ), records)
 
 
@@ -89,42 +109,47 @@ def generate_grpo_states(instance: Instance, records: int, horizon: int = EXPERT
 def _write_jsonl(export: SftExport, files) -> None:
     """Per ``(path, grpo)`` one canonical JSON object per record, then the
     truncation marker if any. Every file is opened before any is written,
-    so no path changes unless every path can be written."""
+    so no path changes unless every path can be written; the records are
+    walked once, each row going to every file."""
     with ExitStack() as stack:
-        handles = [(stack.enter_context(atomic_write(path)), grpo) for path, grpo in files]
-        for fh, grpo in handles:
-            for row in _rows(export, grpo):
+        handles = [stack.enter_context(atomic_write(path)) for path, _grpo in files]
+        for rows in _rows(export, [grpo for _path, grpo in files]):
+            for fh, row in zip(handles, rows):
                 fh.write(canonical_json(row) + "\n")
-            if export.truncated:
-                marker = {
-                    "marker": TRUNCATION_MARKER,
-                    "emitted": len(export.records),
-                    "requested": export.requested,
-                }
-                fh.write(canonical_json(marker) + "\n")
+        if export.truncated:
+            marker = canonical_json({
+                "marker": TRUNCATION_MARKER,
+                "emitted": len(export.records),
+                "requested": export.requested,
+            })
+            for fh in handles:
+                fh.write(marker + "\n")
 
 
-def _rows(export: SftExport, grpo: bool):
-    """SFT rows, or GRPO rows: ``expert`` for ``completion`` and a ``peek_sha256``,
-    the digest of the canonical JSON of the ``horizon`` slots after the record's."""
+def _rows(export: SftExport, kinds):
+    """Per record, one row per flag of ``kinds``, the prompt rendered once for
+    all: an SFT row for False, a GRPO row for True, with ``expert`` for
+    ``completion`` and a ``peek_sha256``, the digest of the canonical JSON of
+    the ``horizon`` slots after the record's."""
     if not export.records:
         return
     instance, horizon = export.instance, export.horizon
     seed, sha = instance.seed, instance.sha256()
+    peeks = any(kinds)
     # peeks overlap: format each slot once, keeping only the current record's window
     window: deque[str] = deque(maxlen=horizon)
     formatted = 0  # trace slots below this index are formatted already
-    for rec in export.records:
+    for rec, prompt in zip(export.records, export.prompts()):
         meta = {"seed": seed, "slot": rec.slot, "instance_sha256": sha}
-        if grpo:
+        if peeks:
             end = rec.slot + horizon
             window.extend(map(slot_json, instance.trace[max(formatted, rec.slot) : end]))
             formatted = end
             peek = "[" + ",".join(window) + "]"
-            meta["peek_sha256"] = hashlib.sha256(peek.encode("utf-8")).hexdigest()
-            yield {"prompt": rec.prompt, "expert": rec.completion, "meta": meta}
-        else:
-            yield {"prompt": rec.prompt, "completion": rec.completion, "meta": meta}
+            grpo_meta = {**meta, "peek_sha256": hashlib.sha256(peek.encode("utf-8")).hexdigest()}
+        yield [{"prompt": prompt, "expert": rec.completion, "meta": grpo_meta} if grpo
+               else {"prompt": prompt, "completion": rec.completion, "meta": meta}
+               for grpo in kinds]
 
 
 def write_sft_jsonl(export: SftExport, path) -> None:

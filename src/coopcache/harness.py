@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import json
 import os
 import time
 from dataclasses import asdict, dataclass, field
@@ -424,13 +425,43 @@ def _write_csv(path, header, rows) -> str:
     return path
 
 
+_CONFIG_OPENING = b'{"config":'
+_DECODER = json.JSONDecoder()
+
+
+def _hash_instance_file(path) -> tuple:
+    """The SHA-256 of the file at ``path``, read one 16 KiB chunk at a time,
+    and the config it opens with, decoded from the first chunk; None when it
+    does not open with one. A file that hashes to a report's digest is in
+    canonical form, whose sorted keys open with ``{"config":``."""
+    digest, config = hashlib.sha256(), None
+    chunk = bytearray(1 << 14)
+    try:
+        with open(path, "rb") as fh, memoryview(chunk) as view:
+            size = fh.readinto(chunk)
+            end = chunk.find(b"}", 0, size) + 1  # a config holds no object: its first "}" ends it
+            if end and chunk.startswith(_CONFIG_OPENING, 0, size):
+                try:
+                    config = _DECODER.raw_decode(chunk[:end].decode(), len(_CONFIG_OPENING))[0]
+                except ValueError:
+                    pass
+            while size:
+                digest.update(view[:size])
+                size = fh.readinto(chunk)
+    except OSError as exc:
+        raise StructuralError(f"{path}: {exc}") from None
+    return digest.hexdigest(), config
+
+
 def load_reports(directory) -> list[EvalReport]:
     """Read every report JSON a previous run left in ``directory``.
 
     Where the instance file ``run`` writes for a report's seed lies beside
     it, the file must hash to the report's ``instance_sha256``, and all such
     files must share one config; otherwise the set is refused naming the
-    file, so one table never mixes instances or configurations.
+    file, so one table never mixes instances or configurations. Only the
+    config each file opens with is decoded, so a hash-matched file that does
+    not open with it is refused too.
     """
     try:
         names = sorted(os.listdir(directory))
@@ -438,23 +469,20 @@ def load_reports(directory) -> list[EvalReport]:
         raise StructuralError(f"{directory}: {exc}") from None
     loaded = [(name, read_json(os.path.join(directory, name), EvalReport.from_dict))
               for name in names if name.startswith("report_") and name.endswith(".json")]
-    digests: dict[str, str] = {}  # instance file -> its SHA-256, hashed a chunk at a time
+    digests: dict[str, str] = {}  # instance file -> its SHA-256
+    configs: dict = {}  # instance file -> the config it opens with, or None
     for name, report in loaded:
         path = os.path.join(directory, f"instance_seed{report.seed}.json")
         if path not in digests and os.path.isfile(path):
-            digest = hashlib.sha256()
-            try:
-                with open(path, "rb") as fh:
-                    while chunk := fh.read(1 << 16):
-                        digest.update(chunk)
-            except OSError as exc:
-                raise StructuralError(f"{path}: {exc}") from None
-            digests[path] = digest.hexdigest()
+            digests[path], configs[path] = _hash_instance_file(path)
         if path in digests and digests[path] != report.instance_sha256:
             raise StructuralError(f"{path}: not the instance {name} was run on "
                                   "(its SHA-256 is not the report's instance_sha256)")
-    configs = {path: read_json(path, lambda p: key_reader(p, "instance key")("config", lambda c: c))
-               for path in digests}
+    for path, config in configs.items():
+        if config is None:  # a malformed file is refused as a whole file read would refuse it
+            read_json(path, lambda p: key_reader(p, "instance key")("config", lambda c: c))
+            raise StructuralError(f"{path}: not an instance file in canonical form "
+                                  "(it must open with its config, as {\"config\":{...})")
     first = next(iter(configs), None)
     for path, config in configs.items():
         if config != configs[first]:

@@ -14,8 +14,10 @@ import hashlib
 import math
 import sys
 from bisect import bisect_right
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -140,6 +142,21 @@ def zipf_pmf(library: int, alpha: float) -> np.ndarray:
     return weights / weights.sum()
 
 
+#: The ``InstanceConfig`` fields that hold one count each.
+_COUNT_FIELDS = ("bs_count", "users", "library", "groups", "warm_slots", "rollout_slots",
+                 "horizon_reserve")
+
+
+def _integers(name: str, values) -> tuple[int, ...]:
+    """``values`` as ints; a float, a bool or text among them raises naming
+    the field ``name``. numpy integers pass."""
+    values = tuple(values)
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise ConfigurationError(f"{name}: expected an integer, not {value!r}")
+    return tuple(map(int, values))
+
+
 @dataclass(frozen=True)
 class InstanceConfig:
     """Frozen parameter set; layout defaults resolve to explicit values.
@@ -163,19 +180,21 @@ class InstanceConfig:
     horizon_reserve: int = 10
 
     def __post_init__(self) -> None:
+        for name in _COUNT_FIELDS:
+            object.__setattr__(self, name, _integers(name, (getattr(self, name),))[0])
         if self.bs_count < 1 or self.users < 1 or self.groups < 1:
             raise ConfigurationError("bs_count, users and groups must be >= 1")
         if not math.isfinite(self.alpha) or self.alpha <= 0:
             raise ConfigurationError("alpha must be finite and > 0")
         cache = self.cache_size
-        if isinstance(cache, int):
+        if isinstance(cache, str) or not isinstance(cache, Iterable):
             cache = (cache,) * self.bs_count
-        cache = tuple(int(c) for c in cache)
+        cache = _integers("cache_size", cache)
         if len(cache) != self.bs_count or any(c < 1 for c in cache):
             raise ConfigurationError("cache_size needs one positive entry per BS")
         if self.library <= max(cache):
             raise ConfigurationError("library must exceed every cache size")
-        given = [int(w) for w in self.windows]
+        given = list(_integers("windows", self.windows))
         windows = tuple(sorted(given))
         if not windows or any(w < 1 for w in windows):
             raise ConfigurationError("windows must be positive")

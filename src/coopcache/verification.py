@@ -74,9 +74,17 @@ def _below(getrandbits, n: int) -> int:
     return r
 
 
-def _mutate(data: bytes, getrandbits) -> bytes:
+#: What a drawn byte b puts into a mutant: the byte itself; in ASCII text, its
+#: character, or the one U+FFFD that a lone byte >= 0x80 among ASCII bytes
+#: decodes to, so a text mutant is the decoded byte mutant of the same draws.
+_BYTE_CELLS = tuple(bytes((b,)) for b in range(256))
+_ASCII_CELLS = tuple(chr(b) if b < 0x80 else "\ufffd" for b in range(256))
+
+
+def _mutate(data, getrandbits, cells=_BYTE_CELLS):
     """Overwrite, insert or delete one byte at a random position of ``data``,
-    which is never empty: the prompt, the no-op completion and every swap are not.
+    which is never empty: the prompt, the no-op completion and every swap are
+    not. ``data`` is bytes, or ASCII text with ``cells=_ASCII_CELLS``.
 
     Draws from ``getrandbits`` exactly what ``random.Random``'s ``randrange``
     would, so the mutants are those of the same generator.
@@ -85,8 +93,8 @@ def _mutate(data: bytes, getrandbits) -> bytes:
     pos = _below(getrandbits, len(data))
     if kind == 2:
         return data[:pos] + data[pos + 1 :]
-    byte = bytes((_below(getrandbits, 256),))
-    return data[:pos] + byte + data[pos + 1 - kind :]  # kind 0 overwrites, 1 inserts
+    cell = cells[_below(getrandbits, 256)]
+    return data[:pos] + cell + data[pos + 1 - kind :]  # kind 0 overwrites, 1 inserts
 
 
 #: The tag of case n by family, n % 4.
@@ -99,27 +107,29 @@ def _fuzz_texts(obs: SlotObservation):
     Case n, counted from the first near-miss line, belongs to family n % 4:
     1 to 255 random bytes, a mutant of the prompt, of the all-no-op
     completion, or of a random BS's first feasible swap. Every draw comes
-    from one ``random.Random(FUZZ_SEED)``, and every byte case is decoded
-    with undecodable bytes replaced, as an adapter's are.
+    from one ``random.Random(FUZZ_SEED)``, and every case is the text of
+    its bytes with undecodable bytes replaced, as an adapter's are. The
+    mutated seeds are ASCII, so their mutants are made as text directly.
     """
     getrandbits = random.Random(FUZZ_SEED).getrandbits
-    prompt = encode(obs).encode("utf-8")
-    sample = serialize(JointAction.valid([NOOP] * obs.bs_count)).encode("utf-8")
-    swaps = [_reference_swap_completion(obs, b) for b in range(1, obs.bs_count + 1)]
+    prompt = encode(obs)
+    sample = serialize(JointAction.valid([NOOP] * obs.bs_count))
+    swaps = [_reference_swap_completion(obs, b).decode() for b in range(1, obs.bs_count + 1)]
+    if not all(seed.isascii() for seed in (prompt, sample, *swaps)):
+        raise StructuralError("the fuzz seeds must be ASCII text")
     yield from NEAR_MISS_LINES
     n = len(NEAR_MISS_LINES)
     while True:
         family = n % 4
         if family == 0:
             size = 1 + _below(getrandbits, 255)
-            data = getrandbits(8 * size).to_bytes(size, "little")
+            yield getrandbits(8 * size).to_bytes(size, "little").decode("utf-8", errors="replace")
         elif family == 1:
-            data = _mutate(prompt, getrandbits)
+            yield _mutate(prompt, getrandbits, _ASCII_CELLS)
         elif family == 2:
-            data = _mutate(sample, getrandbits)
+            yield _mutate(sample, getrandbits, _ASCII_CELLS)
         else:
-            data = _mutate(swaps[_below(getrandbits, len(swaps))], getrandbits)
-        yield data.decode("utf-8", errors="replace")
+            yield _mutate(swaps[_below(getrandbits, len(swaps))], getrandbits, _ASCII_CELLS)
         n += 1
 
 

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import tracemalloc
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -20,7 +22,8 @@ from coopcache.dataset import (
     write_grpo_jsonl,
     write_sft_jsonl,
 )
-from coopcache.interface import decode_prompt, parse
+from coopcache.episode import expert_walk
+from coopcache.interface import decode_prompt, encode, parse
 from coopcache.traffic import (
     Instance,
     InstanceConfig,
@@ -53,8 +56,8 @@ def test_generate_records_all_valid(tmp_path, instance):
     assert len(export.records) == 12
     assert not export.truncated
     assert export.instance is instance and export.horizon == 3
-    for rec in export.records:
-        obs = decode_prompt(rec.prompt)
+    for rec, prompt in zip(export.records, export.prompts(), strict=True):
+        obs = decode_prompt(prompt)
         action = parse(rec.completion, obs)
         assert action.is_valid
         assert all(obs.cache.is_full(b) for b in range(1, obs.bs_count + 1))
@@ -164,8 +167,8 @@ def test_audit_schema_violation_names_record(tmp_path, instance):
 def test_grpo_states_carry_expert_witness(tmp_path, instance):
     export = generate_grpo_states(instance, 9, horizon=3)
     assert len(export.records) == 9
-    for rec in export.records:
-        obs = decode_prompt(rec.prompt)
+    for rec, prompt in zip(export.records, export.prompts(), strict=True):
+        obs = decode_prompt(prompt)
         assert parse(rec.completion, obs).is_valid
     path = tmp_path / "grpo.jsonl"
     write_grpo_jsonl(export, path)
@@ -178,10 +181,55 @@ def test_grpo_states_carry_expert_witness(tmp_path, instance):
 def test_sft_and_grpo_share_prompts(instance):
     sft = generate_sft(instance, 5, horizon=3)
     grpo = generate_grpo_states(instance, 5, horizon=3)
-    assert [r.prompt for r in sft.records] == [r.prompt for r in grpo.records]
+    assert list(sft.prompts()) == list(grpo.prompts())
     assert [r.completion for r in sft.records] == [
         r.completion for r in grpo.records
     ]
+
+
+@pytest.mark.parametrize("config, records, horizon", [
+    (small_config(), 12, 3),
+    (small_config(rollout_slots=6), 8, 3),
+    (InstanceConfig(bs_count=5, users=40, rollout_slots=60), 40, 10),
+    (InstanceConfig(bs_count=5, users=40, rollout_slots=30), 100, 10),
+], ids=["2bs", "2bs-truncated", "5bs", "5bs-truncated"])
+def test_the_prompts_are_the_walks_observations_rendered(config, records, horizon):
+    """Rendered from the kept rows, each prompt is ``encode`` of the walk's
+    observation at the record's slot, byte for byte."""
+    instance = build_instance(config, 3)
+    export = generate_sft(instance, records, horizon)
+    walked = [encode(obs) for obs, _expert, _peek in
+              islice(expert_walk(instance, horizon, dataset.EXPERT_GAMMA), records)]
+    assert export.truncated == (len(walked) < records) and walked
+    assert list(export.prompts()) == walked
+
+
+def test_a_write_of_both_files_renders_each_prompt_once(tmp_path, monkeypatch):
+    rendered = []
+    monkeypatch.setattr(dataset, "encode", lambda obs: rendered.append(obs.slot) or encode(obs))
+    export = generate_sft(build_instance(small_config(), 1), 12, horizon=3)
+    assert rendered == []
+    write_export(export, tmp_path / "sft.jsonl", tmp_path / "grpo.jsonl")
+    assert rendered == [rec.slot for rec in export.records]
+
+
+def test_an_export_keeps_far_less_per_record_than_its_prompt():
+    """On the 5-BS config a record keeps its cache rows and completion, under
+    a third of the prompt it is rendered to; a kept prompt would be more."""
+    instance = build_instance(InstanceConfig(bs_count=5, users=40, rollout_slots=220), 4)
+    generate_sft(instance, 200)  # fill the trace slots' lazy caches first
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        export = generate_sft(instance, 200)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(export.records) == 200
+    prompt = sum(map(len, export.prompts())) / len(export.records)
+    assert kept / len(export.records) < prompt / 3, (kept, prompt)
 
 
 def _digest(peek) -> str:
@@ -254,8 +302,8 @@ def test_write_export_refuses_an_empty_grpo_path(tmp_path, monkeypatch, instance
 
 def _lines(instance) -> list[str]:
     """Six SFT lines, the fourth with a completion that parses invalid, then the marker."""
-    lines = [canonical_json(row) for row in dataset._rows(generate_sft(instance, 6, horizon=3),
-                                                          grpo=False)]
+    lines = [canonical_json(row) for row, in dataset._rows(generate_sft(instance, 6, horizon=3),
+                                                           [False])]
     record = json.loads(lines[3])
     record["completion"] = "BS 1: NOOP"
     lines[3] = canonical_json(record)

@@ -15,6 +15,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -1205,6 +1206,12 @@ REFUSALS = {
         "report-instance-file-not-json": Refusal(
             _REPORT_RUN,
             re.compile(r"^d/instance_seed1\.json: Expecting property name"), _hash_matched("{")),
+        **{f"report-instance-file-{name}": Refusal(
+            _REPORT_RUN,
+            "d/instance_seed1.json: not an instance file in canonical form "
+            '(it must open with its config, as {"config":{...})', _hash_matched(text))
+           for name, text in [("config-not-first", '{"schema":"x","config":{}}'),
+                              ("spaced", '{"config": {}}')]},
     },
 }
 
@@ -1302,6 +1309,24 @@ def test_report_without_instance_files_reads_a_mixed_set(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert cli_main(_REPORT_RUN) == 0
     assert (tmp_path / "t" / "results.csv").exists()
+
+
+def test_report_reads_no_whole_instance_file(tmp_path):
+    """The instance files are hashed a chunk at a time and only the config
+    each opens with is decoded, so the traced peak stays under half of one
+    file; parsing a whole file took about 13 times its size."""
+    out = tmp_path / "d"
+    cli_main(["run", "--bs", "5", "--users", "40", "--policy", "lru", "--seeds", "1,2,3",
+              "--slots", "50", "--out", str(out)])
+    smallest = min(os.path.getsize(out / f"instance_seed{seed}.json") for seed in (1, 2, 3))
+    load_reports(out)  # fill every cache first
+    tracemalloc.start()
+    try:
+        assert len(load_reports(out)) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < smallest / 2, (peak, smallest)
 
 
 def test_gen_instance_saves_its_windows_sorted(tmp_path, monkeypatch):

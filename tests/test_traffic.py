@@ -157,6 +157,34 @@ def test_config_refusals_name_their_rule(overrides, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"cache_size": (3.7, 4.2)}, "cache_size: expected an integer, not 3.7"),
+    ({"cache_size": 3.7}, "cache_size: expected an integer, not 3.7"),
+    ({"cache_size": True}, "cache_size: expected an integer, not True"),
+    ({"cache_size": "10"}, "cache_size: expected an integer, not '10'"),
+    ({"windows": (5.5, 10)}, "windows: expected an integer, not 5.5"),
+    ({"windows": (10, False)}, "windows: expected an integer, not False"),
+    ({"warm_slots": 2.5}, "warm_slots: expected an integer, not 2.5"),
+    ({"rollout_slots": "300"}, "rollout_slots: expected an integer, not '300'"),
+    ({"horizon_reserve": True}, "horizon_reserve: expected an integer, not True"),
+    ({"users": 20.0}, "users: expected an integer, not 20.0"),
+], ids=["cache-tuple", "cache-float", "cache-bool", "cache-text", "windows-float",
+        "windows-bool", "warm-float", "rollout-text", "reserve-bool", "users-float"])
+def test_a_config_refuses_a_count_that_is_not_an_integer(overrides, message):
+    """A float, a bool or text is refused naming its field, where a float was
+    once cut to an int or failed late in ``build_instance``."""
+    with pytest.raises(ConfigurationError) as exc:
+        InstanceConfig(**overrides)
+    assert str(exc.value) == message
+
+
+def test_a_config_takes_numpy_integers_as_ints():
+    cfg = InstanceConfig(users=np.int64(20), cache_size=np.int32(4), windows=np.array([100, 10]),
+                         warm_slots=np.int16(100))
+    assert cfg == InstanceConfig(users=20, cache_size=4, windows=(10, 100), warm_slots=100)
+    assert all(type(v) is int for v in (cfg.users, *cfg.cache_size, *cfg.windows, cfg.warm_slots))
+
+
 def test_instance_refuses_slots_outside_its_trace(small_instance):
     end = small_instance.trace_len
     assert small_instance.request_slot(end) is small_instance.trace[-1]

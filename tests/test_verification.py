@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from coopcache import verification
-from coopcache.core import NOOP, JointAction
+from coopcache.core import NOOP, JointAction, StructuralError
 from coopcache.interface import encode, serialize
 from coopcache.traffic import InstanceConfig, build_instance
 
@@ -172,6 +172,26 @@ def test_a_crash_and_an_infeasible_accept_are_tagged_as_before(monkeypatch):
         re.fullmatch(r"completion-mutant #\d+: accepted infeasible action: planted refusal", entry)
         for entry in report.infeasible_accepts)
     assert report == _reference_report(obs, 2_000)
+
+
+@pytest.mark.parametrize("seed", [1, 4, 7])
+def test_a_text_mutant_is_the_decoded_byte_mutant_of_the_same_draws(seed):
+    """On ASCII data every drawn byte, 0x80 and up included, gives the text the
+    byte mutant decodes to with replacement, from the same draws."""
+    rng = random.Random(seed)
+    for _ in range(3000):
+        text = "".join(chr(rng.randrange(128)) for _ in range(rng.randint(1, 6)))
+        state = rng.getstate()
+        mutant = verification._mutate(text, rng.getrandbits, verification._ASCII_CELLS)
+        rng.setstate(state)
+        data = verification._mutate(text.encode("ascii"), rng.getrandbits)
+        assert mutant == data.decode("utf-8", errors="replace"), (text, data)
+
+
+def test_the_corpus_refuses_a_seed_that_is_not_ascii(monkeypatch):
+    monkeypatch.setattr(verification, "encode", lambda obs: "SLOT 1 \u00e9")
+    with pytest.raises(StructuralError, match="^the fuzz seeds must be ASCII text$"):
+        verification.fuzz_parser(_observation(2), 30)
 
 
 if __name__ == "__main__":
