@@ -38,7 +38,7 @@ from .harness import (
 )
 from .policies import AdapterError
 from .reward import RewardConfig
-from .traffic import SWEEP_AXES, InstanceConfig, build_instance, load_instance, save_instance
+from .traffic import SWEEP_AXES, InstanceConfig, build_instance, load_seeded_instance, save_instance
 from .verification import run_verification
 
 _ENV_OUT = "COOPCACHE_OUT_DIR"
@@ -234,14 +234,13 @@ def _cmd_export_sft(args) -> int:
     nonnegative("--records", args.records)
     check_export_paths(args.out, args.grpo_out)
     source = _instance_source(args, {})
+    reward = RewardConfig(**_supplied("reward", args, {}))
     if isinstance(source, InstanceConfig):
+        source.check_warmup_fits(reward.horizon)
         instance = build_instance(source, 1 if args.seed is None else args.seed)
     else:
-        instance = load_instance(source)
-        if args.seed not in (None, instance.seed):
-            raise SystemExit(f"instance file holds seed {instance.seed}, "
-                             f"export-sft asked for {args.seed}")
-    reward = RewardConfig(**_supplied("reward", args, {}))
+        instance = load_seeded_instance(source, args.seed, "export-sft")
+        instance.config.check_warmup_fits(reward.horizon)
     export = generate_sft(instance, args.records, reward.horizon, reward.gamma)
     write_export(export, args.out, args.grpo_out)
     status = "truncated" if export.truncated else "complete"

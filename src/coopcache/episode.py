@@ -10,7 +10,7 @@ budget.
 
 from __future__ import annotations
 
-from .core import CacheState, JointAction, apply, check_transition, oracle_joint_action
+from .core import EMPTY_SLOT, CacheState, JointAction, apply, check_transition, oracle_joint_action
 from .interface import SlotObservation
 from .traffic import Instance, WarmState, advance_tracker, observe, warm_start
 
@@ -50,24 +50,25 @@ class Episode:
 
 
 def expert_walk(instance: Instance, horizon: int, gamma: float):
-    """Walk the look-ahead expert; yield ``(obs, expert, peek)`` per full-cache slot.
+    """Walk the look-ahead expert; yield ``(obs, expert, peek)`` per slot.
 
     The expert acts at every slot; its action is applied only when the next
     item is requested, so a consumer that stops early computes nothing past
     its last item. The warm-up runs eagerly. The walk ends where the trace
-    can no longer supply a peek.
+    can no longer supply a peek, and at once from a warm cache with an empty
+    slot: a swap never names an empty slot, so such a cache never fills.
     """
     episode = Episode(instance, warm_start(instance, horizon, gamma))
-    bs_range = range(1, instance.config.bs_count + 1)
 
     def walk():
+        if any(EMPTY_SLOT in row for row in episode.cache.slots):
+            return
         while episode.slot + horizon < instance.trace_len:
             obs = episode.advance()
             peek = instance.peek(obs.slot, horizon)
             expert = oracle_joint_action(obs.cache, obs.requests, peek, instance.graph,
                                          horizon, gamma)
-            if all(obs.cache.is_full(b) for b in bs_range):
-                yield obs, expert, peek
+            yield obs, expert, peek
             episode.step(expert)
 
     return walk()

@@ -48,9 +48,9 @@ from .traffic import (
     InstanceConfig,
     WarmState,
     build_instance,
-    check_warmup_fits,
+    check_seeds,
     draw_graph,
-    load_instance,
+    load_seeded_instance,
     save_instance,
     sweep_config,
     warm_start,
@@ -78,12 +78,7 @@ class RunConfig:
             raise StructuralError("need one of instance parameters and an instance file")
         if not self.policies:
             raise StructuralError("need at least one policy spec")
-        if not self.seeds:
-            raise StructuralError("need at least one seed")
-        if len(set(self.seeds)) < len(self.seeds):
-            raise StructuralError(f"seeds repeat: {list(self.seeds)}")
-        if min(self.seeds) < 0:
-            raise StructuralError("seed must be >= 0")
+        check_seeds(self.seeds)
 
 
 class _InstanceSha256:
@@ -250,16 +245,18 @@ def _evaluate(cfg: RunConfig, points):
     """Yield ``(value, instance, reports)`` per point and seed, one report per policy.
 
     A point is a ``(value, source)`` pair whose source is an instance config,
-    built once per seed, or a loaded instance of the one seed asked for.
-    Everything is checked before the first build or rollout: the out dir,
-    the policy specs (two with one name would overwrite each other's report
-    files and be averaged into one table row), each point's warm-up oracle
-    and every policy's slot budget, and each config point's topology for
-    every seed. Then each instance is built, warmed once and rolled by every
-    policy in turn, so no more than one is held at a time.
+    built once per seed, or the instance the file ``cfg.instance_path`` holds,
+    of the one seed asked for. Everything is checked before the first build or
+    rollout: the out dir, the instance file, the policy specs (two with one name
+    would overwrite each other's report files and be averaged into one table
+    row), each point's warm-up oracle and every policy's slot budget, and each
+    config point's topology for every seed. Then each instance is built, warmed
+    once and rolled by every policy in turn, so one is held at a time.
     """
     if cfg.out_dir is not None:
         check_out_dir(cfg.out_dir)
+    if cfg.instance_path is not None:
+        points = [(None, load_seeded_instance(cfg.instance_path, list(cfg.seeds), "run"))]
     policies = [make_policy(spec, cfg.reward.gamma, cfg.extern_timeout)
                 for spec in cfg.policies]
     names = [p.name for p in policies]
@@ -267,7 +264,7 @@ def _evaluate(cfg: RunConfig, points):
         raise StructuralError(f"policy specs share a name: {names}")
     for _, source in points:
         config = source.config if isinstance(source, Instance) else source
-        check_warmup_fits(config.warm_slots, cfg.reward.horizon, config.trace_slots)
+        config.check_warmup_fits(cfg.reward.horizon)
         for p in policies:
             _slot_budget(config, p, cfg.slots, config.trace_slots)
         if config is source:
@@ -287,15 +284,7 @@ def run(cfg: RunConfig) -> list[EvalReport]:
     an ``out_dir`` that cannot be made is refused before the file is read.
     Files are written only once every rollout has succeeded.
     """
-    source = cfg.instance_config
-    if cfg.instance_path is not None:
-        if cfg.out_dir is not None:
-            check_out_dir(cfg.out_dir)
-        source = load_instance(cfg.instance_path)
-        if list(cfg.seeds) != [source.seed]:
-            raise StructuralError(f"instance file holds seed {source.seed}, "
-                                  f"run asked for {list(cfg.seeds)}")
-    evaluated = list(_evaluate(cfg, [(None, source)]))
+    evaluated = list(_evaluate(cfg, [(None, cfg.instance_config)]))
     reports = [report for _, _, per_policy in evaluated for report in per_policy]
     out = cfg.out_dir
     if out is not None:

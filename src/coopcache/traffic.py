@@ -17,7 +17,7 @@ from bisect import bisect_right
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -147,14 +147,16 @@ _COUNT_FIELDS = ("bs_count", "users", "library", "groups", "warm_slots", "rollou
                  "horizon_reserve")
 
 
-def _integers(name: str, values) -> tuple[int, ...]:
-    """``values`` as ints; a float, a bool or text among them raises naming
-    the field ``name``. numpy integers pass."""
+def _numbers(name: str, values, kind) -> tuple:
+    """``values`` as ints for ``kind`` Integral, as floats for Real; a bool or text
+    among them, or a float where ints are asked for, raises naming the field
+    ``name``. numpy numbers pass."""
     values = tuple(values)
     for value in values:
-        if isinstance(value, bool) or not isinstance(value, Integral):
-            raise ConfigurationError(f"{name}: expected an integer, not {value!r}")
-    return tuple(map(int, values))
+        if isinstance(value, bool) or not isinstance(value, kind):
+            what = "an integer" if kind is Integral else "a number"
+            raise ConfigurationError(f"{name}: expected {what}, not {value!r}")
+    return tuple(map(int if kind is Integral else float, values))
 
 
 @dataclass(frozen=True)
@@ -181,20 +183,21 @@ class InstanceConfig:
 
     def __post_init__(self) -> None:
         for name in _COUNT_FIELDS:
-            object.__setattr__(self, name, _integers(name, (getattr(self, name),))[0])
+            object.__setattr__(self, name, _numbers(name, (getattr(self, name),), Integral)[0])
         if self.bs_count < 1 or self.users < 1 or self.groups < 1:
             raise ConfigurationError("bs_count, users and groups must be >= 1")
+        _numbers("alpha", (self.alpha,), Real)  # not cast: the instance file writes it as given
         if not math.isfinite(self.alpha) or self.alpha <= 0:
             raise ConfigurationError("alpha must be finite and > 0")
         cache = self.cache_size
         if isinstance(cache, str) or not isinstance(cache, Iterable):
             cache = (cache,) * self.bs_count
-        cache = _integers("cache_size", cache)
+        cache = _numbers("cache_size", cache, Integral)
         if len(cache) != self.bs_count or any(c < 1 for c in cache):
             raise ConfigurationError("cache_size needs one positive entry per BS")
         if self.library <= max(cache):
             raise ConfigurationError("library must exceed every cache size")
-        given = list(_integers("windows", self.windows))
+        given = list(_numbers("windows", self.windows, Integral))
         windows = tuple(sorted(given))
         if not windows or any(w < 1 for w in windows):
             raise ConfigurationError("windows must be positive")
@@ -213,10 +216,10 @@ class InstanceConfig:
                 bs_xy = layout[0]
             if radius is None:
                 radius = layout[1]
-        bs_xy = tuple((float(x), float(y)) for x, y in bs_xy)
+        bs_xy = tuple(_numbers("bs_xy", (x, y), Real) for x, y in bs_xy)
         if len(bs_xy) != self.bs_count:
             raise ConfigurationError("bs_xy needs one coordinate pair per BS")
-        radius = float(radius)
+        radius, = _numbers("radius", (radius,), Real)
         if not math.isfinite(radius) or radius <= 0:
             raise ConfigurationError("radius must be finite and > 0")
         object.__setattr__(self, "cache_size", cache)
@@ -227,6 +230,12 @@ class InstanceConfig:
     @property
     def trace_slots(self) -> int:
         return self.warm_slots + self.rollout_slots + self.horizon_reserve
+
+    def check_warmup_fits(self, oracle_horizon: int) -> None:
+        """Raise unless the warm-up and its oracle's look-ahead fit in the trace."""
+        if self.warm_slots + oracle_horizon > self.trace_slots:
+            raise StructuralError(f"warm-up {self.warm_slots} + oracle horizon {oracle_horizon} "
+                                  f"exceeds the {self.trace_slots}-slot trace")
 
     @classmethod
     def from_dict(cls, payload: dict) -> "InstanceConfig":
@@ -310,6 +319,16 @@ _CONFIG_PARSERS = {"cache_size": _wholes, "alpha": real, "windows": _wholes,
                    "radius": real, "bs_xy": _points}
 
 
+def check_seeds(seeds) -> None:
+    """Raise unless ``seeds`` holds at least one seed, none twice and none below 0."""
+    if not seeds:
+        raise ConfigurationError("need at least one seed")
+    if len(set(seeds)) < len(seeds):
+        raise ConfigurationError(f"seeds repeat: {list(seeds)}")
+    if min(seeds) < 0:
+        raise ConfigurationError("seed must be >= 0")
+
+
 def draw_graph(config: InstanceConfig, seed: int) -> AssociationGraph:
     """The coverage :func:`build_instance` draws for (config, seed).
 
@@ -318,8 +337,7 @@ def draw_graph(config: InstanceConfig, seed: int) -> AssociationGraph:
     whole user set is re-drawn (bounded rounds) until some user sits in an
     overlap region, so cooperative coupling is never vacuous.
     """
-    if seed < 0:
-        raise ConfigurationError("seed must be >= 0")
+    check_seeds((seed,))
     rng_top = _stream(seed, _STREAM_TOPOLOGY)
     bs_xy, radius = config.bs_xy, config.radius
     r2 = radius * radius
@@ -446,6 +464,14 @@ def load_instance(path) -> Instance:
     return read_json(path, instance_from_payload)
 
 
+def load_seeded_instance(path, asked, command: str) -> Instance:
+    """:func:`load_instance`, refused unless ``asked`` (a seed, a seed list or None) is its seed."""
+    instance = load_instance(path)
+    if asked in (None, instance.seed, [instance.seed]):
+        return instance
+    raise StructuralError(f"instance file holds seed {instance.seed}, {command} asked for {asked}")
+
+
 @dataclass(frozen=True)
 class FrequencyTracker:
     """Sliding-window appearance rates of files in per-BS request pools.
@@ -527,15 +553,6 @@ class WarmState:
     inserted_at: tuple[dict, ...]
 
 
-def check_warmup_fits(warm_slots: int, oracle_horizon: int, trace_len: int) -> None:
-    """Raise unless the warm-up and its oracle's look-ahead fit in ``trace_len`` slots."""
-    if warm_slots + oracle_horizon > trace_len:
-        raise StructuralError(
-            f"warm-up {warm_slots} + oracle horizon {oracle_horizon} "
-            f"exceeds the {trace_len}-slot trace"
-        )
-
-
 def warm_start(instance: Instance, oracle_horizon: int = EXPERT_HORIZON,
                oracle_gamma: float = EXPERT_GAMMA) -> WarmState:
     """Run the prefill policy and return the shared starting state.
@@ -545,7 +562,7 @@ def warm_start(instance: Instance, oracle_horizon: int = EXPERT_HORIZON,
     runs the look-ahead oracle. Each insertion records its slot.
     """
     config = instance.config
-    check_warmup_fits(config.warm_slots, oracle_horizon, instance.trace_len)
+    config.check_warmup_fits(oracle_horizon)
     cache = CacheState.empty(config.cache_size)
     inserted_at = tuple({} for _ in range(config.bs_count))
     for t in range(1, config.warm_slots + 1):

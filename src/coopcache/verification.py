@@ -17,7 +17,7 @@ from .core import NOOP, JointAction, StructuralError, apply, feasible_actions, n
 from .episode import Episode
 from .interface import SlotObservation, encode, parse, serialize
 from .reward import RewardConfig, ShapingReport, verify_pbrs
-from .traffic import Instance, InstanceConfig, build_instance, warm_start
+from .traffic import Instance, InstanceConfig, build_instance, check_seeds, warm_start
 
 #: The fuzz corpus's seed, so every run hammers the parser with the same cases.
 FUZZ_SEED = 0xC0FFEE
@@ -114,7 +114,7 @@ def _fuzz_texts(obs: SlotObservation):
     getrandbits = random.Random(FUZZ_SEED).getrandbits
     prompt = encode(obs)
     sample = serialize(JointAction.valid([NOOP] * obs.bs_count))
-    swaps = [_reference_swap_completion(obs, b).decode() for b in range(1, obs.bs_count + 1)]
+    swaps = [_reference_swap_completion(obs, b) for b in range(1, obs.bs_count + 1)]
     if not all(seed.isascii() for seed in (prompt, sample, *swaps)):
         raise StructuralError("the fuzz seeds must be ASCII text")
     yield from NEAR_MISS_LINES
@@ -163,13 +163,13 @@ def fuzz_parser(obs: SlotObservation, cases: int) -> FuzzReport:
     return FuzzReport(total, tuple(crashes), tuple(infeasible))
 
 
-def _reference_swap_completion(obs: SlotObservation, bs: int) -> bytes:
+def _reference_swap_completion(obs: SlotObservation, bs: int) -> str:
     """A plausible completion: first feasible swap at ``bs``, no-ops elsewhere."""
     actions = [NOOP] * obs.bs_count
     options = feasible_actions(obs.cache, bs, obs.requests)
     if len(options) > 1:
         actions[bs - 1] = options[1]
-    return serialize(JointAction.valid(actions)).encode("utf-8")
+    return serialize(JointAction.valid(actions))
 
 
 def run_verification(seeds=(1, 2, 3), pbrs_slots: int = 20, fuzz_cases: int = 100_000) -> dict:
@@ -178,10 +178,7 @@ def run_verification(seeds=(1, 2, 3), pbrs_slots: int = 20, fuzz_cases: int = 10
     Returns a JSON-ready document with one entry per suite and a summary
     ``ok`` flag. Bad seeds or a negative count raise before any suite runs.
     """
-    if not seeds:
-        raise StructuralError("verification needs at least one seed")
-    if len(set(seeds)) < len(seeds):
-        raise StructuralError(f"seeds repeat: {list(seeds)}")
+    check_seeds(seeds)
     nonnegative("pbrs_slots", pbrs_slots)
     nonnegative("fuzz_cases", fuzz_cases)
     instances = [build_instance(InstanceConfig(), seed) for seed in seeds]

@@ -104,13 +104,19 @@ def test_expert_walk_yields_full_cache_slots_in_order(small_instance):
 
 
 @pytest.mark.parametrize("cache_size", [(1, 3), (3, 1)])
-def test_expert_walk_skips_a_slot_where_any_bs_has_an_empty_slot(cache_size):
-    """One warm-up slot fills only the 1-slot BS; the expert never fills the
-    other BS's empty slots, so no slot of the walk has every cache full."""
+def test_expert_walk_skips_a_slot_where_any_bs_has_an_empty_slot(cache_size, monkeypatch):
+    """One warm-up slot fills only the 1-slot BS; a swap never names an empty
+    slot, so no slot of the walk has every cache full. The walk checks that
+    once, from the warm state, and ends without asking the oracle anything."""
     instance = build_instance(small_config(cache_size=cache_size, warm_slots=1), 1)
     assert [row.count(EMPTY_SLOT) for row in warm_start(instance, 3, 0.9).cache.slots] == [
         0 if size == 1 else 2 for size in cache_size]
+    calls = []
+    real = episode_module.oracle_joint_action
+    monkeypatch.setattr(episode_module, "oracle_joint_action",
+                        lambda *args: calls.append(args) or real(*args))
     assert list(expert_walk(instance, 3, 0.9)) == []
+    assert calls == []
 
 
 @pytest.mark.parametrize("generate", [generate_sft, generate_grpo_states])

@@ -1206,12 +1206,38 @@ REFUSALS = {
         "report-instance-file-not-json": Refusal(
             _REPORT_RUN,
             re.compile(r"^d/instance_seed1\.json: Expecting property name"), _hash_matched("{")),
+        "run-without-seeds": Refusal(["run", "--seeds", "", "--out", "out"],
+                                     "need at least one seed"),
+        "run-oracle-horizon-0": Refusal(["run", "--policy", "oracle:0", "--seeds", "1",
+                                         "--out", "out"], "oracle horizon must be >= 1"),
+        "report-no-reports": Refusal(_REPORT, "no report_*.json files under reports",
+                                     {"reports/": None}),
+        "report-unknown-schema": Refusal(
+            _REPORT, "reports/report_noop_seed1.json: unsupported report schema: 'coopcache.v0'",
+            _ill_typed("schema", "coopcache.v0")),
         **{f"report-instance-file-{name}": Refusal(
             _REPORT_RUN,
             "d/instance_seed1.json: not an instance file in canonical form "
             '(it must open with its config, as {"config":{...})', _hash_matched(text))
            for name, text in [("config-not-first", '{"schema":"x","config":{}}'),
                               ("spaced", '{"config": {}}')]},
+    },
+    # verify and export-sft check their seeds, reward settings and look-ahead fit
+    # before they build the first instance
+    "test_verify_and_export_sft_refuse_before_the_first_build": {
+        "verify-negative-seed": Refusal(["verify", "--seeds", "1,-1", "--out", "out"],
+                                        "seed must be >= 0"),
+        **{f"export-sft-{flag}-{value}": Refusal(
+            ["export-sft", "--records", "5", f"--{flag}", value, "--out", "s.jsonl"], message)
+           for flag, value, message in [
+               ("horizon", "0", "horizon must be >= 1"),
+               ("gamma", "2", "gamma must be in (0, 1]"),
+               ("horizon", "1000", "warm-up 100 + oracle horizon 1000 exceeds the 410-slot trace"),
+           ]},
+        "export-sft-file-horizon-1000": Refusal(
+            ["export-sft", "--instance", "i.json", "--records", "5", "--horizon", "1000",
+             "--out", "s.jsonl"], "warm-up 12 + oracle horizon 1000 exceeds the 46-slot trace",
+            lambda: {"i.json": _instance_json()}),
     },
 }
 

@@ -94,6 +94,28 @@ def test_harness_builds_warms_and_rolls_only_in_evaluate():
     assert {call: _callers(tree, call) for call in calls} == dict.fromkeys(calls, ["_evaluate"])
 
 
+@pytest.mark.parametrize("text", ["seeds repeat", "at least one seed", "seed must be >= 0",
+                                  "instance file holds seed"])
+def test_each_seed_rule_is_raised_in_one_function(text):
+    """``traffic.check_seeds`` and ``traffic.load_seeded_instance`` hold the seed
+    rules that every command asks before its first build; a raise elsewhere is a
+    second copy."""
+    raisers = [(path.stem, where) for path in sorted(PACKAGE.glob("*.py"))
+               for where in _enclosing(_tree(path), lambda node: isinstance(node, ast.Raise)
+                                       and text in ast.unparse(node))]
+    home = "load_seeded_instance" if text.startswith("instance") else "check_seeds"
+    assert raisers == [("traffic", home)]
+
+
+def test_run_leaves_its_out_dir_and_instance_file_to_evaluate():
+    """``_evaluate`` checks the out dir once, then loads the instance file, so
+    ``run`` asks neither itself."""
+    tree = _tree(PACKAGE / "harness.py")
+    assert "run" not in _callers(tree, "check_out_dir") + _callers(tree, "load_instance")
+    assert _callers(tree, "check_out_dir") == _callers(tree, "load_seeded_instance") == [
+        "_evaluate"]
+
+
 def test_build_instance_places_users_only_through_draw_graph():
     """The topology stream is read only by ``draw_graph``, so the graph
     ``_evaluate`` checks first is the graph ``build_instance`` builds on."""

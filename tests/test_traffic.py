@@ -7,6 +7,7 @@ import functools
 import json
 import pickle
 import random
+from bisect import bisect_right
 from itertools import chain
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coopcache import traffic
 from coopcache.core import (
     EMPTY_SLOT,
     CacheState,
@@ -150,6 +152,12 @@ def test_config_validation():
     ({"rollout_slots": -1}, "slot counts must be >= 0"),
     ({"horizon_reserve": -1}, "slot counts must be >= 0"),
     ({"bs_xy": ((0.5, 0.5),)}, "bs_xy needs one coordinate pair per BS"),
+    ({"alpha": True}, "alpha: expected a number, not True"),
+    ({"alpha": "1.2"}, "alpha: expected a number, not '1.2'"),
+    ({"radius": True}, "radius: expected a number, not True"),
+    ({"radius": "0.4"}, "radius: expected a number, not '0.4'"),
+    ({"bs_xy": ((True, 0.5), (0.65, 0.5))}, "bs_xy: expected a number, not True"),
+    ({"bs_xy": ((0.35, "0.5"), (0.65, 0.5))}, "bs_xy: expected a number, not '0.5'"),
 ])
 def test_config_refusals_name_their_rule(overrides, message):
     with pytest.raises(ConfigurationError) as exc:
@@ -183,6 +191,31 @@ def test_a_config_takes_numpy_integers_as_ints():
                          warm_slots=np.int16(100))
     assert cfg == InstanceConfig(users=20, cache_size=4, windows=(10, 100), warm_slots=100)
     assert all(type(v) is int for v in (cfg.users, *cfg.cache_size, *cfg.windows, cfg.warm_slots))
+
+
+def test_a_config_takes_numpy_floats_as_reals():
+    layout = ((0.35, 0.5), (0.65, 0.5))
+    cfg = InstanceConfig(alpha=np.float64(1.5), radius=np.float32(0.5),
+                         bs_xy=(np.array([0.35, 0.5]), layout[1]))
+    assert cfg == InstanceConfig(alpha=1.5, radius=0.5, bs_xy=layout)
+    assert all(type(v) is float for v in (cfg.radius, *chain(*cfg.bs_xy)))
+
+
+def test_a_group_without_members_leaves_each_user_its_own_ranking():
+    """Three users cannot fill four groups, so one group's trace draw is
+    skipped; the build stays byte-identical, and each user's files are its own
+    group's ranking at the Zipf ranks of its own column of uniforms."""
+    config = small_config(users=3, groups=4)
+    instance = build_instance(config, 1)
+    assert instance.to_canonical_json() == build_instance(config, 1).to_canonical_json()
+    groups = instance.demand.user_group
+    assert len(set(groups)) < config.groups
+    cdf = np.cumsum(zipf_pmf(config.library, config.alpha))
+    uniforms = traffic._stream(1, traffic._STREAM_TRACE).random((config.trace_slots, config.users))
+    for u, g in enumerate(groups):
+        ranking = instance.demand.rank_to_file[g]
+        expected = [ranking[min(bisect_right(cdf, x), config.library - 1)] for x in uniforms[:, u]]
+        assert [slot.row[u] for slot in instance.trace] == expected
 
 
 def test_instance_refuses_slots_outside_its_trace(small_instance):

@@ -87,7 +87,7 @@ def _reference_cases(obs, cases):
     rng = random.Random(verification.FUZZ_SEED)
     prompt = encode(obs).encode("utf-8")
     sample = serialize(JointAction.valid([NOOP] * obs.bs_count)).encode("utf-8")
-    reference_swaps = [verification._reference_swap_completion(obs, b)
+    reference_swaps = [verification._reference_swap_completion(obs, b).encode("utf-8")
                        for b in range(1, obs.bs_count + 1)]
     done = 0
     for line in verification.NEAR_MISS_LINES:
