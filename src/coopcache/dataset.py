@@ -73,13 +73,15 @@ class SftExport:
 
     def prompts(self):
         """Each record's prompt, in record order, as :func:`encode` renders the
-        walk's observation at its slot. The pass builds one tracker index,
-        shared by its views and freed when the pass ends."""
+        walk's observation at its slot. The pass's tracker views share one
+        cell of running counts; the records' slots ascend, so the counts move
+        forward from slot 0 and count each trace slot once per pass. The cell
+        is freed when the pass ends."""
         windows, trace = self.instance.config.windows, self.instance.trace
-        index = [None]
+        cell = [None]
         for rec in self.records:
             sets = tuple(frozenset(row).difference((EMPTY_SLOT,)) for row in rec.rows)
-            tracker = FrequencyTracker(windows, trace, rec.slot, index)
+            tracker = FrequencyTracker(windows, trace, rec.slot, cell)
             yield encode(SlotObservation(rec.slot, CacheState._trusted(rec.rows, sets),
                                          trace[rec.slot - 1], tracker))
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import math
 import sys
-from bisect import bisect_right
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
@@ -186,8 +185,8 @@ class InstanceConfig:
             object.__setattr__(self, name, _numbers(name, (getattr(self, name),), Integral)[0])
         if self.bs_count < 1 or self.users < 1 or self.groups < 1:
             raise ConfigurationError("bs_count, users and groups must be >= 1")
-        _numbers("alpha", (self.alpha,), Real)  # not cast: the instance file writes it as given
-        if not math.isfinite(self.alpha) or self.alpha <= 0:
+        alpha, = _numbers("alpha", (self.alpha,), Real)  # cast: 2 and 2.0 write one instance file
+        if not math.isfinite(alpha) or alpha <= 0:
             raise ConfigurationError("alpha must be finite and > 0")
         cache = self.cache_size
         if isinstance(cache, str) or not isinstance(cache, Iterable):
@@ -222,6 +221,7 @@ class InstanceConfig:
         radius, = _numbers("radius", (radius,), Real)
         if not math.isfinite(radius) or radius <= 0:
             raise ConfigurationError("radius must be finite and > 0")
+        object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "cache_size", cache)
         object.__setattr__(self, "windows", windows)
         object.__setattr__(self, "bs_xy", bs_xy)
@@ -479,17 +479,26 @@ class FrequencyTracker:
     A read-only view of the frozen ``trace`` after its first ``t =
     slots_seen`` slots. The rate of file f at BS b over window w is the
     share of the last min(w, t) slots whose request pool at BS b contained
-    f; ``window_counts`` gives the integer counts behind the rates, counted
-    from the trace when read. The per-BS index behind them is built on the
-    first read and shared by every later view of the same trace. Views are
-    equal, and hash equal, when their ``windows`` and ``slots_seen`` are.
+    f; ``window_counts`` gives the integer counts behind the rates.
+
+    The counts are kept running in ``index``, one cell shared by every view
+    of the same tracker (``advance_tracker`` copies it by reference). A read
+    moves the cell's counts forward to its view one trace slot at a time;
+    a read at an earlier slot than the cell's restarts them from slot 0, so
+    views read in ascending slot order count each slot once. Views that
+    render no prompt count nothing. A cell is plain mutable state: one
+    thread reads it at a time, and no coopcache code reads one from two
+    threads. Views are equal, and hash equal, when their ``windows`` and
+    ``slots_seen`` are.
     """
 
     windows: tuple[int, ...]
     trace: tuple[RequestSlot, ...] = field(repr=False, compare=False)
     slots_seen: int = 0
-    # One cell holding, per BS, file -> ascending 1-based slots whose pool
-    # held it; set once, complete, so a concurrent reader sees all or none.
+    # One cell: None before the first read, then [at, lagged]. For each lag
+    # of (0, *windows), lagged[i][b-1] maps a file to the number of slots
+    # 1..at-lag whose pool at BS b held it: lag 0 counts every slot read,
+    # lag w the slots that window w has left behind.
     index: list = field(default_factory=lambda: [None], repr=False, compare=False)
 
     def window_counts(self, b: int, files) -> list:
@@ -498,24 +507,25 @@ class FrequencyTracker:
 
         Windows that reach back to slot 1 share one list; do not mutate it.
         """
-        windows = self.windows
+        windows, trace = self.windows, self.trace
         t = self.slots_seen
-        per_bs = self.index[0]
-        if per_bs is None:
-            per_bs = [{} for _ in self.trace[0].counts]
-            for tau, requests in enumerate(self.trace, start=1):
-                for slots, pool in zip(per_bs, requests.counts):
-                    for g in pool:
-                        slots.setdefault(g, []).append(tau)
-            self.index[0] = per_bs
-        at_bs = per_bs[b - 1]
-        held = [at_bs.get(f, ()) for f in files]
-        ends = [bisect_right(slots, t) for slots in held]
-        # slots are 1-based, so a window reaching slot 1 starts at count 0
-        return [
-            [end - bisect_right(slots, t - w) for slots, end in zip(held, ends)] if w < t else ends
-            for w in windows
-        ]
+        state = self.index[0]
+        if state is None or state[0] > t:
+            bs_ids = range(len(trace[0].counts))
+            state = self.index[0] = [0, [[{} for _ in bs_ids] for _ in range(len(windows) + 1)]]
+        at, lagged = state
+        for tau in range(at, t):  # slot tau + 1 enters; slot tau + 1 - w leaves window w
+            for lag, per_bs in zip((0, *windows), lagged):
+                if lag > tau:
+                    continue
+                for counts, pool in zip(per_bs, trace[tau - lag].counts):
+                    for f in pool:
+                        counts[f] = counts.get(f, 0) + 1
+        state[0] = t
+        total, *gone = [per_bs[b - 1] for per_bs in lagged]
+        ends = [total.get(f, 0) for f in files]
+        return [[end - left.get(f, 0) for f, end in zip(files, ends)] if w < t else ends
+                for w, left in zip(windows, gone)]
 
 
 def advance_tracker(tracker: FrequencyTracker, requests: RequestSlot) -> FrequencyTracker:
@@ -599,6 +609,7 @@ SWEEP_AXES = {
 def sweep_config(config: InstanceConfig, axis: str, value) -> InstanceConfig:
     """Vary one generation parameter along a :data:`SWEEP_AXES` axis."""
     if axis not in SWEEP_AXES:
-        raise StructuralError(f"unknown sweep axis {axis!r}")
+        raise StructuralError(
+            f"unknown sweep axis {axis!r}; expected one of {', '.join(SWEEP_AXES)}")
     name, parse = SWEEP_AXES[axis]
     return replace(config, **{name: parse(value)})

@@ -92,6 +92,15 @@ def test_rollout_deterministic(instance, warm):
     assert len(a.latency_s) == a.slots
 
 
+@pytest.mark.parametrize("spec", ["lru", "lfu", "fifo", "noop", "oracle:1"])
+def test_a_rollout_that_renders_no_prompt_counts_no_frequencies(instance, spec):
+    warm = warm_start(instance, 4, 0.9)
+    rollout(instance, make_policy(spec), None, warm)
+    assert warm.tracker.index[0] is None
+    warm.tracker.window_counts(1, (1,))  # the first read starts the counts
+    assert warm.tracker.index[0] is not None
+
+
 def test_prefix_averages_recomputable(instance, warm):
     report = rollout(instance, make_policy("lfu"), None, warm)
     for mark, value in report.checkpoints:
@@ -579,6 +588,17 @@ def test_sweep_rejects_a_non_finite_alpha_before_any_rollout(tmp_path, work):
     with pytest.raises(SystemExit, match="alpha must be finite"):
         cli_main(["sweep", "--axis", "zipf_alpha", "--values", "1,inf", "--policy", "lru",
                   "--seeds", "1", "--slots", "5", "--out", str(out)])
+    assert not work and not out.exists()
+
+
+def test_sweep_refuses_an_unknown_axis_in_one_line_before_any_build(tmp_path, work):
+    out = tmp_path / "out"
+    cfg = RunConfig(instance_config=small_config(), policies=("lru",), seeds=(1,),
+                    slots=5, out_dir=str(out))
+    with pytest.raises(StructuralError) as exc:
+        sweep(cfg, "bogus", [1])
+    assert str(exc.value) == ("unknown sweep axis 'bogus'; expected one of "
+                              "cache_capacity, library_size, zipf_alpha, users")
     assert not work and not out.exists()
 
 

@@ -198,7 +198,16 @@ def test_a_config_takes_numpy_floats_as_reals():
     cfg = InstanceConfig(alpha=np.float64(1.5), radius=np.float32(0.5),
                          bs_xy=(np.array([0.35, 0.5]), layout[1]))
     assert cfg == InstanceConfig(alpha=1.5, radius=0.5, bs_xy=layout)
-    assert all(type(v) is float for v in (cfg.radius, *chain(*cfg.bs_xy)))
+    assert all(type(v) is float for v in (cfg.alpha, cfg.radius, *chain(*cfg.bs_xy)))
+
+
+def test_an_integer_alpha_writes_the_float_alphas_instance():
+    whole = build_instance(small_config(alpha=2), 1)
+    real = build_instance(small_config(alpha=2.0), 1)
+    assert type(whole.config.alpha) is float
+    assert '"alpha":2.0,' in whole.to_canonical_json()
+    assert whole.to_canonical_json() == real.to_canonical_json()
+    assert whole.sha256() == real.sha256()
 
 
 def test_a_group_without_members_leaves_each_user_its_own_ranking():
@@ -415,6 +424,49 @@ def test_tracker_rate_counts_the_trace_up_to_its_slot(case):
                     )
                     expected = held / min(w, t) if t else 0.0
                     assert rates(tracker, b, f)[w] == expected
+
+
+def _brute_counts(trace, windows, t, b, files) -> list:
+    """Per window, per file, the slots among the last min(w, t) whose pool at BS b held it."""
+    return [[sum(f in trace[tau - 1].counts[b - 1] for tau in range(max(1, t - w + 1), t + 1))
+             for f in files] for w in windows]
+
+
+def _check_counts(view, library) -> None:
+    files = tuple(range(1, library + 2))  # the last one no pool holds
+    for b in range(1, len(view.trace[0].counts) + 1):
+        assert view.window_counts(b, files) == _brute_counts(
+            view.trace, view.windows, view.slots_seen, b, files)
+
+
+@settings(max_examples=100)
+@given(small_traces(), st.data())
+def test_running_counts_equal_the_brute_force_share_in_any_read_order(case, data):
+    """Views of one cell read at forward steps, backward jumps and repeats,
+    two views read alternately and pickled views all count as the trace
+    does, with windows shorter and longer than the trace."""
+    trace, library, windows = case
+    windows = tuple(sorted(windows))
+    cell = [None]
+    slots = st.integers(0, len(trace))
+    for t in data.draw(st.lists(slots, min_size=1, max_size=12)):
+        before = cell[0]
+        view = FrequencyTracker(windows, trace, t, cell)
+        _check_counts(view, library)
+        if before is not None and before[0] <= t:  # a read ahead keeps counting, not restarts
+            assert cell[0] is before
+    first, second = (FrequencyTracker(windows, trace, data.draw(slots), cell) for _ in range(2))
+    for _ in range(3):
+        _check_counts(first, library)
+        _check_counts(second, library)
+    copy = pickle.loads(pickle.dumps(first))
+    assert copy.index is not cell and copy.index == cell
+    while True:
+        _check_counts(copy, library)
+        if copy.slots_seen == len(trace):
+            break
+        copy = advance_tracker(copy, trace[copy.slots_seen])
+    _check_counts(first, library)
 
 
 def test_advance_tracker_follows_the_trace_order():
