@@ -1,11 +1,12 @@
 """Frozen-trajectory evaluation engine.
 
 Per decision slot the engine measures the hit rate of the current cache
-against the frozen requests, then asks the controller, parses its text and
-applies the action (or skips the update and counts an invalid). Every
-controller in one evaluation consumes the identical instance bytes; each
-report carries the instance hash, asserted equal on emission and computed
-when first read, so ``sweep``, which writes no hash, hashes no instance.
+against the frozen requests, then asks the controller, parses its answer
+if it is text, and applies the action (or skips the update and counts an
+invalid). Every controller in one evaluation consumes the identical
+instance bytes; each report carries the instance hash, asserted equal on
+emission and computed when first read, so ``sweep``, which writes no hash,
+hashes no instance.
 ``run`` and ``sweep`` share one loop, ``_evaluate``: it builds the policies
 once and checks every point, seed and topology before the first rollout,
 then builds, warms and rolls one instance at a time; ``rollout`` checks its
@@ -27,6 +28,7 @@ from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 from .core import (
+    FeasibilityError,
     StructuralError,
     atomic_write,
     canonical_json,
@@ -193,9 +195,13 @@ def rollout(instance: Instance, policy: Policy, slots: int | None, warm: WarmSta
     """Roll one controller over the frozen trace from the warm state.
 
     Measure-then-update: the hit rate recorded for a slot uses the cache
-    as it stood when the slot's requests arrived. Invalid completions
-    execute no update and are counted; every executed transition is
-    audited against the single-swap budget.
+    as it stood when the slot's requests arrived. A built-in policy's
+    ``JointAction`` is applied as it is; only a text answer (the extern
+    adapter's completion) is parsed, and an invalid one executes no update
+    and is counted. An infeasible ``JointAction``, a faulty policy's, raises
+    a ``StructuralError`` naming the policy, the slot, the BS and the rule.
+    Every executed transition is audited against the single-swap budget.
+    The recorded latency times ``decide`` alone.
     """
     slots = _slot_budget(instance.config, policy, slots, instance.trace_len)
     policy.reset(instance, warm)
@@ -209,10 +215,15 @@ def rollout(instance: Instance, policy: Policy, slots: int | None, warm: WarmSta
             series.append(hit_rate(obs.cache, obs.requests, instance.graph))
             peek = instance.peek(obs.slot, policy.peek_len) if policy.peek_len else None
             started = time.perf_counter()
-            text = policy.decide(obs, peek)
+            action = policy.decide(obs, peek)
             latencies.append(time.perf_counter() - started)
-            if not episode.step(parse(text, obs)):
-                invalid += 1
+            if isinstance(action, str):
+                action = parse(action, obs)
+            try:
+                if not episode.step(action):
+                    invalid += 1
+            except FeasibilityError as exc:
+                raise StructuralError(f"{policy.name}: slot {obs.slot}: {exc}") from None
     finally:
         policy.close()
     return EvalReport(

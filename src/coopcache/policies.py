@@ -1,10 +1,11 @@
 """Controllers behind one uniform contract.
 
-Every policy consumes a :class:`~coopcache.interface.SlotObservation` and
-answers with completion text in the decision grammar. Built-in policies are
-deterministic given (instance, slot); only oracle-class policies receive a
-peek at the frozen future trace. The extern adapter delegates decisions to
-a child process speaking length-prefixed frames.
+Every policy consumes a :class:`~coopcache.interface.SlotObservation`. The
+built-in policies answer with the :class:`~coopcache.core.JointAction` they
+build and are deterministic given (instance, slot); only oracle-class
+policies receive a peek at the frozen future trace. The extern adapter
+delegates decisions to a child process speaking length-prefixed frames and
+answers with its completion text, which the rollout parses.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .core import (
     oracle_best_action,  # not called here: perfbench traces the oracle under this name
     oracle_joint_action,
 )
-from .interface import encode, serialize
+from .interface import encode
 
 
 class AdapterError(Exception):
@@ -76,8 +77,9 @@ def _warm_state(policy, warm):
 class Policy:
     """Uniform controller contract.
 
-    ``decide`` must return completion text for the current observation;
-    built-in policies are deterministic given (instance, slot). A policy
+    ``decide`` returns either a :class:`JointAction` (the built-in policies,
+    deterministic given (instance, slot)) or completion text in the decision
+    grammar (the extern adapter), which the rollout parses. A policy
     with a positive ``peek_len`` receives the next ``peek_len`` frozen
     request slots; the others receive None.
     """
@@ -88,7 +90,7 @@ class Policy:
     def reset(self, instance, warm=None) -> None:
         """Bind instance metadata and the warm state the rollout starts from."""
 
-    def decide(self, obs, peek=None) -> str:
+    def decide(self, obs, peek=None) -> JointAction | str:
         raise NotImplementedError
 
     def close(self) -> None:
@@ -100,8 +102,8 @@ class NoopPolicy(Policy):
 
     name = "noop"
 
-    def decide(self, obs, peek=None) -> str:
-        return serialize(JointAction.valid([NOOP] * obs.bs_count))
+    def decide(self, obs, peek=None) -> JointAction:
+        return JointAction.valid([NOOP] * obs.bs_count)
 
 
 class _RequestBookPolicy(Policy):
@@ -117,9 +119,9 @@ class _RequestBookPolicy(Policy):
         for t, requests in enumerate(warm.tracker.trace[: warm.tracker.slots_seen], start=1):
             self._record(t, requests)
 
-    def decide(self, obs, peek=None) -> str:
+    def decide(self, obs, peek=None) -> JointAction:
         self._record(obs.slot, obs.requests)
-        return serialize(JointAction.valid(_eviction_actions(obs, self.book, hottest_uncached)))
+        return JointAction.valid(_eviction_actions(obs, self.book, hottest_uncached))
 
 
 class LruPolicy(_RequestBookPolicy):
@@ -152,13 +154,13 @@ class FifoPolicy(Policy):
     def reset(self, instance, warm=None) -> None:
         self.book = [dict(d) for d in _warm_state(self, warm).inserted_at]
 
-    def decide(self, obs, peek=None) -> str:
+    def decide(self, obs, peek=None) -> JointAction:
         actions = _eviction_actions(obs, self.book, _first_missed_candidate)
         for book, (z, f_in, f_out) in zip(self.book, actions):
             if z:
                 book.pop(f_out, None)
                 book[f_in] = obs.slot
-        return serialize(JointAction.valid(actions))
+        return JointAction.valid(actions)
 
 
 class OraclePolicy(Policy):
@@ -180,13 +182,13 @@ class OraclePolicy(Policy):
     def reset(self, instance, warm=None) -> None:
         self._graph = instance.graph
 
-    def decide(self, obs, peek=None) -> str:
+    def decide(self, obs, peek=None) -> JointAction:
         if peek is None:
             raise StructuralError("oracle policy needs a peek window")
         if self._graph is None:
             raise StructuralError(f"{self.name}: decide needs reset to bind the instance graph")
-        return serialize(oracle_joint_action(obs.cache, obs.requests, peek, self._graph,
-                                             self.horizon, self.gamma))
+        return oracle_joint_action(obs.cache, obs.requests, peek, self._graph,
+                                   self.horizon, self.gamma)
 
 
 EXTERN_TIMEOUT_S = 30.0  # default seconds the extern adapter has to answer one prompt

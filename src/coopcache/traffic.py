@@ -136,8 +136,10 @@ def zipf_pmf(library: int, alpha: float) -> np.ndarray:
         raise StructuralError("library size must be >= 1")
     if alpha <= 0:
         raise StructuralError("alpha must be > 0")
-    ranks = np.arange(1, library + 1, dtype=np.float64)
-    weights = ranks ** (-alpha)
+    # Python float powers, not numpy's float64 ``power``: numpy sends that to
+    # SIMD code chosen by the CPU, which may round a weight differently.
+    exponent = -float(alpha)
+    weights = np.array([float(r) ** exponent for r in range(1, library + 1)])
     return weights / weights.sum()
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import copy
 import csv
 import dataclasses
@@ -28,9 +29,17 @@ from coopcache.cli import (
     _run_config,
     build_parser,
 )
-from coopcache import episode, harness, verification
+from coopcache import episode, harness, interface, verification
 from coopcache.cli import main as cli_main
-from coopcache.core import StructuralError, canonical_json, hit_rate
+from coopcache.core import (
+    NOOP,
+    RULE_ADMISSIBILITY,
+    BsAction,
+    JointAction,
+    StructuralError,
+    canonical_json,
+    hit_rate,
+)
 from coopcache.dataset import generate_sft, write_export
 from coopcache.harness import (
     RUNCONFIG_SCHEMA,
@@ -44,7 +53,7 @@ from coopcache.harness import (
     sweep,
     write_reports,
 )
-from coopcache.policies import make_policy
+from coopcache.policies import Policy, make_policy
 from coopcache.reward import RewardConfig, verify_pbrs
 from coopcache.traffic import (
     SWEEP_AXES,
@@ -99,6 +108,69 @@ def test_a_rollout_that_renders_no_prompt_counts_no_frequencies(instance, spec):
     assert warm.tracker.index[0] is None
     warm.tracker.window_counts(1, (1,))  # the first read starts the counts
     assert warm.tracker.index[0] is not None
+
+
+class _TextNoop(Policy):
+    """Answers every slot with the all-NOOP line, as an adapter would."""
+
+    name = "text"
+
+    def decide(self, obs, peek=None) -> str:
+        return interface.serialize(JointAction.valid([NOOP] * obs.bs_count))
+
+
+@pytest.fixture
+def text_calls(monkeypatch):
+    """A Counter of the calls to ``parse`` and ``serialize``, made through any
+    name a coopcache module bound them to."""
+    calls = collections.Counter()
+    for name in ("parse", "serialize"):
+        real = getattr(interface, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        for module in [m for key, m in sys.modules.items() if key.startswith("coopcache")]:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("spec", ["lru", "lfu", "fifo", "noop", "oracle:1"])
+def test_a_built_in_rollout_neither_serializes_nor_parses(instance, text_calls, spec):
+    report = rollout(instance, make_policy(spec), None, warm_start(instance, 4, 0.9))
+    assert report.slots == instance.config.rollout_slots
+    assert text_calls == {}
+
+
+def test_a_text_answer_is_parsed_once_per_slot(instance, text_calls):
+    report = rollout(instance, _TextNoop(), None, warm_start(instance, 4, 0.9))
+    assert report.invalid_actions == 0
+    assert text_calls == {"parse": report.slots, "serialize": report.slots}
+
+
+class _Infeasible(Policy):
+    """Swaps into BS 1's first slot a file that no user there asks for."""
+
+    name = "stub"
+
+    def decide(self, obs, peek=None) -> JointAction:
+        row, pool = obs.cache.slots[0], obs.requests.counts[0]
+        self.swap = BsAction(1, next(f for f in range(1, 99) if f not in pool and f not in row),
+                             row[0])
+        return JointAction.valid([self.swap] + [NOOP] * (obs.bs_count - 1))
+
+
+def test_an_infeasible_built_in_action_is_one_error_naming_policy_slot_bs_and_rule(instance):
+    policy = _Infeasible()
+    with pytest.raises(StructuralError) as raised:
+        rollout(instance, policy, None, warm_start(instance, 4, 0.9))
+    z, f_in, f_out = policy.swap
+    slot = instance.config.warm_slots + 1
+    assert str(raised.value) == (f"stub: slot {slot}: BS 1: {RULE_ADMISSIBILITY}: "
+                                 f"SWAP slot={z} out={f_out} in={f_in}")
+    assert raised.value.__cause__ is None and raised.value.__suppress_context__
 
 
 def test_prefix_averages_recomputable(instance, warm):

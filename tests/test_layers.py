@@ -239,6 +239,27 @@ def test_every_perfbench_bound_name_resolves_in_the_package():
     assert missing == []
 
 
+def test_built_in_policies_name_neither_serialize_nor_parse():
+    """The built-in controllers answer with the ``JointAction`` they build, and
+    the rollout applies it as it is; only the extern adapter's text goes
+    through the grammar."""
+    classes = {node.name: node for node in _tree(PACKAGE / "policies.py").body
+               if isinstance(node, ast.ClassDef)}
+
+    def is_policy(node) -> bool:
+        return node.name == "Policy" or any(
+            isinstance(base, ast.Name) and base.id in classes and is_policy(classes[base.id])
+            for base in node.bases)
+
+    built_in = sorted(name for name, node in classes.items()
+                      if is_policy(node) and name != "ExternPolicy")
+    assert {"NoopPolicy", "LruPolicy", "LfuPolicy", "FifoPolicy", "OraclePolicy"} < set(built_in)
+    named = sorted((name, word) for name in built_in for node in ast.walk(classes[name])
+                   if (word := getattr(node, "id", None) or getattr(node, "attr", None))
+                   in ("serialize", "parse"))
+    assert named == []
+
+
 LOOKAHEAD = {"horizon", "gamma", "oracle_horizon", "oracle_gamma"}
 
 

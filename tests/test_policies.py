@@ -41,7 +41,7 @@ from coopcache.core import (
 )
 from coopcache.episode import Episode, expert_walk
 from coopcache.harness import rollout
-from coopcache.interface import SlotObservation, decode_prompt, parse
+from coopcache.interface import SlotObservation, decode_prompt, parse, serialize
 from coopcache.policies import (
     AdapterError,
     FRAME_LIMIT,
@@ -87,21 +87,23 @@ def test_lru_unique_victim():
     cache = CacheState(((1, 2),))
     requests = request_slot(((0, 3),), graph)
     obs = observation(cache, requests)
-    assert _decide(LruPolicy(), obs, {1: 45, 2: 49}) == "BS 1: SWAP slot=1 out=1 in=3"
+    assert serialize(_decide(LruPolicy(), obs, {1: 45, 2: 49})) == "BS 1: SWAP slot=1 out=1 in=3"
 
 
 def test_lru_noop_when_all_cached():
     graph = synthetic_graph(((1,),), 1)
     cache = CacheState(((1, 2),))
     requests = request_slot(((0, 2),), graph)
-    assert _decide(LruPolicy(), observation(cache, requests), {1: 45, 2: 49}) == "BS 1: NOOP"
+    assert serialize(_decide(LruPolicy(), observation(cache, requests), {1: 45, 2: 49})) == (
+        "BS 1: NOOP"
+    )
 
 
 def test_lru_tie_breaks_to_lower_file_id():
     graph = synthetic_graph(((1,),), 1)
     cache = CacheState(((7, 2),))
     requests = request_slot(((0, 3),), graph)
-    assert _decide(LruPolicy(), observation(cache, requests), {7: 40, 2: 40}) == (
+    assert serialize(_decide(LruPolicy(), observation(cache, requests), {7: 40, 2: 40})) == (
         "BS 1: SWAP slot=2 out=2 in=3"
     )
 
@@ -111,8 +113,8 @@ def test_lfu_victim_by_count_and_tie():
     cache = CacheState(((1, 2),))
     requests = request_slot(((0, 3),), graph)
     obs = observation(cache, requests)
-    assert _decide(LfuPolicy(), obs, {1: 9, 2: 4}) == "BS 1: SWAP slot=2 out=2 in=3"
-    assert _decide(LfuPolicy(), obs, {1: 4, 2: 4}) == "BS 1: SWAP slot=1 out=1 in=3"
+    assert serialize(_decide(LfuPolicy(), obs, {1: 9, 2: 4})) == "BS 1: SWAP slot=2 out=2 in=3"
+    assert serialize(_decide(LfuPolicy(), obs, {1: 4, 2: 4})) == "BS 1: SWAP slot=1 out=1 in=3"
 
 
 def test_fifo_victim_by_insertion_and_arrival_insert():
@@ -121,7 +123,7 @@ def test_fifo_victim_by_insertion_and_arrival_insert():
     # user 0 asks for 9 first, user 1 asks for 3: queue inserts 9
     requests = request_slot(((0, 9), (1, 3)), graph)
     policy = FifoPolicy()
-    assert _decide(policy, observation(cache, requests), {1: 30, 2: 10}) == (
+    assert serialize(_decide(policy, observation(cache, requests), {1: 30, 2: 10})) == (
         "BS 1: SWAP slot=2 out=2 in=9"
     )
     assert policy.book == [{1: 30, 9: 1}]  # the swap moves the book on
@@ -217,7 +219,8 @@ def test_heuristics_emit_parseable_text():
         cache, graph, requests = random_scenario(rng)
         obs = observation(cache, requests)
         for policy in (LruPolicy(), LfuPolicy(), FifoPolicy()):
-            action = parse(_decide(policy, obs), obs)
+            action = _decide(policy, obs)
+            assert parse(serialize(action), obs) == action
             assert action.is_valid
             apply(cache, action, requests)
 
@@ -374,8 +377,8 @@ def test_oracle_decoupled_across_bs():
         obs = observation(cache, requests)
         oracle = OraclePolicy(2, 0.9)
         oracle.reset(SimpleNamespace(graph=graph))
-        text = oracle.decide(obs, peek)
-        joint = parse(text, obs)
+        joint = oracle.decide(obs, peek)
+        assert parse(serialize(joint), obs) == joint
         assert joint.is_valid
         for b, act in enumerate(joint.actions, start=1):
             solo = oracle_best_action(cache, b, requests, peek, graph, 2, 0.9)
@@ -579,6 +582,56 @@ def test_request_books_follow_the_trace(scenario, seen, steps):
         for slot in range(seen + 1, t + 1):
             policy.decide(SlotObservation(slot, cache, trace[slot - 1], warm.tracker))
         assert policy.book == expected
+
+
+def _round_trip_checked(policy):
+    """``policy``, whose every answer is checked to be a valid ``JointAction``
+    that its own text parses back to: the round trip the rollout skips."""
+    decide = policy.decide
+
+    def checked(obs, peek=None):
+        action = decide(obs, peek)
+        assert type(action) is JointAction and action.is_valid
+        assert parse(serialize(action), obs) == action
+        policy.checked += 1
+        return action
+
+    policy.decide, policy.checked = checked, 0
+    return policy
+
+
+@settings(max_examples=12)
+@given(bs_count=st.sampled_from((2, 5)), users=st.integers(3, 10), library=st.integers(6, 14),
+       cache_size=st.integers(1, 4), groups=st.integers(1, 3), alpha=st.floats(0.5, 1.6),
+       seed=st.integers(0, 99))
+def test_built_in_actions_survive_the_text_round_trip_in_rollouts(bs_count, users, library,
+                                                                  cache_size, groups, alpha,
+                                                                  seed):
+    instance = build_instance(small_config(bs_count=bs_count, users=users, library=library,
+                                           cache_size=cache_size, groups=groups, alpha=alpha,
+                                           rollout_slots=12), seed)
+    warm = warm_start(instance, 4, 0.9)
+    for spec in ("noop", "lru", "lfu", "fifo", "oracle:1", "oracle:4"):
+        policy = _round_trip_checked(make_policy(spec))
+        report = rollout(instance, policy, None, warm)
+        assert policy.checked == report.slots and report.invalid_actions == 0
+
+
+@settings(max_examples=100)
+@given(scenarios(peek_max=4, holes=True, uncovered=True), st.data())
+def test_built_in_actions_survive_the_text_round_trip_on_scenarios(scenario, data):
+    """One decision per built-in on caches with holes, uncovered users and
+    empty slots, with the book policies' books drawn and the oracle looking
+    one slot or the whole peek ahead."""
+    cache, graph, requests, peek = scenario
+    obs = observation(cache, requests)
+    for spec in ("noop", "lru", "lfu", "fifo", "oracle:1", f"oracle:{len(peek)}"):
+        policy = make_policy(spec)
+        policy.reset(SimpleNamespace(graph=graph), _warm(cache))
+        if spec in ("lru", "lfu", "fifo"):
+            policy.book = _draw_book(data, cache)
+        _round_trip_checked(policy).decide(obs, peek[:policy.peek_len])
+        assert policy.checked == 1
 
 
 def test_make_policy_specs():

@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import hashlib
 import json
+import os
 import pickle
 import random
+import subprocess
+import sys
 from bisect import bisect_right
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,6 +81,58 @@ def test_zipf_validation():
         zipf_pmf(0, 1.0)
     with pytest.raises(StructuralError):
         zipf_pmf(5, 0.0)
+
+
+#: The instance files the golden ``run`` cases write, by golden-table name.
+_GOLDEN_INSTANCES = {f"{case}/instance_seed{seed}.json": (InstanceConfig(**kw), seed)
+                     for case, kw in (("run-2bs", {"bs_count": 2}),
+                                      ("run-5bs", {"bs_count": 5, "users": 40}))
+                     for seed in (1, 2, 3)}
+
+
+def golden_instance_digests() -> dict[str, str]:
+    return {name: hashlib.sha256(build_instance(config, seed).to_canonical_json().encode())
+            .hexdigest() for name, (config, seed) in _GOLDEN_INSTANCES.items()}
+
+
+def grid_cdfs() -> list[str]:
+    """The demand CDF ``build_instance`` searches, as hex bytes, over a grid of
+    library sizes and Zipf exponents."""
+    return [np.cumsum(zipf_pmf(library, alpha)).tobytes().hex()
+            for library in range(5, 1182, 24)
+            for alpha in (0.3, 0.55, 0.8, 0.95, 1.05, 1.2, 1.4, 1.7, 2.0, 2.6)]
+
+
+def _without_simd_dispatch(function):
+    """``function()`` run in a child process in which numpy dispatches to none
+    of the SIMD extensions it would pick on this CPU, with the extensions the
+    child still reports enabled: ``(enabled, result)``."""
+    from numpy._core import _multiarray_umath as umath
+
+    features = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+    if not features:
+        pytest.skip("numpy dispatches to no SIMD extension on this CPU")
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); import test_traffic; "
+            "from numpy._core import _multiarray_umath as umath; "
+            "print(json.dumps([[f for f in umath.__cpu_dispatch__ if umath.__cpu_features__[f]], "
+            f"test_traffic.{function.__name__}()]))")
+    child = subprocess.run([sys.executable, "-c", code, str(Path(__file__).parent)],
+                           env={**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(features)},
+                           capture_output=True, text=True, check=True)
+    return json.loads(child.stdout)
+
+
+def test_golden_instances_do_not_depend_on_numpy_simd_dispatch():
+    enabled, digests = _without_simd_dispatch(golden_instance_digests)
+    assert enabled == []
+    golden = json.loads((Path(__file__).parent / "data" / "golden_hashes.json").read_text())
+    assert digests == golden_instance_digests() == {name: golden[name] for name in digests}
+
+
+def test_demand_cdfs_do_not_depend_on_numpy_simd_dispatch():
+    enabled, cdfs = _without_simd_dispatch(grid_cdfs)
+    assert enabled == []
+    assert cdfs == grid_cdfs()
 
 
 def test_zipf_empirical_frequencies():
