@@ -27,12 +27,12 @@ from .interface import SlotObservation, decode_prompt, encode, parse, serialize
 from .policies import ExternPolicy, Policy, make_policy
 from .reward import (
     RewardConfig,
-    delta_perf,
     group_advantage,
     joint_space_size,
     lookahead_value,
     lookahead_values,
     score_completion,
+    score_group,
     verify_pbrs,
 )
 from .traffic import (

@@ -26,6 +26,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, repeat
+from numbers import Integral
 from operator import itemgetter, mul
 
 import numpy as np
@@ -79,6 +80,10 @@ def atomic_write(path):
 
 class StructuralError(ValueError):
     """Malformed or dimensionally inconsistent inputs."""
+
+
+class ConfigurationError(StructuralError):
+    """Parameters that cannot produce a usable instance, topology or scorer."""
 
 
 def read_json(path, parse):
@@ -160,6 +165,18 @@ def nonnegative(name: str, value: int) -> None:
     """Reject a negative count in one StructuralError naming ``name``; 0 is a count."""
     if value < 0:
         raise StructuralError(f"{name} must be >= 0, not {value}")
+
+
+def as_numbers(name: str, values, kind) -> tuple:
+    """``values`` as ints for ``kind`` Integral, as floats for Real; a bool or text
+    among them, or a float where ints are asked for, raises naming the field
+    ``name``. numpy numbers pass."""
+    values = tuple(values)
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, kind):
+            what = "an integer" if kind is Integral else "a number"
+            raise ConfigurationError(f"{name}: expected {what}, not {value!r}")
+    return tuple(map(int if kind is Integral else float, values))
 
 
 def key_reader(payload: dict, what: str):

@@ -14,6 +14,7 @@ import math
 import os
 import shutil
 import time
+from numbers import Integral
 
 from .core import (
     EMPTY_SLOT,
@@ -22,6 +23,7 @@ from .core import (
     BsAction,
     JointAction,
     StructuralError,
+    as_numbers,
     hottest_uncached,
     oracle_best_action,  # not called here: perfbench traces the oracle under this name
     oracle_joint_action,
@@ -171,9 +173,9 @@ class OraclePolicy(Policy):
     """
 
     def __init__(self, horizon: int, gamma: float = EXPERT_GAMMA) -> None:
-        if horizon < 1:
+        self.horizon, = as_numbers("oracle horizon", (horizon,), Integral)
+        if self.horizon < 1:
             raise StructuralError("oracle horizon must be >= 1")
-        self.horizon = int(horizon)
         self.gamma = float(gamma)
         self.name = f"oracle:{self.horizon}"
         self.peek_len = self.horizon

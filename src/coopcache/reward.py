@@ -3,7 +3,9 @@
 The training signal for a completion is the change in discounted future
 hit rate caused by the parsed action, plus a static penalty for malformed
 output and a dynamic penalty for passing on a known-beneficial swap,
-clipped to a fixed band. ``verify_pbrs`` turns the shaping guarantees
+clipped to a fixed band. ``score_group`` scores a group of completions of
+one state in one pass; ``score_completion`` is its one-text case.
+``verify_pbrs`` scores through the same pass and turns the shaping guarantees
 (argmax invariance, order preservation among swaps, strict demotion of the
 penalized no-op) into an executable audit, and ``JointSpaceSize`` counts
 the joint action space whose exponential growth the ``verify`` suite checks.
@@ -14,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from itertools import accumulate, chain, islice, repeat
+from numbers import Integral, Real
 from operator import mul
 
 import numpy as np
@@ -26,6 +29,7 @@ from .core import (
     NOOP,
     StructuralError,
     apply,
+    as_numbers,
     check_peek,
     check_transition,
     feasible_actions,
@@ -45,6 +49,23 @@ _ARGMAX_TOL = 1e-12
 CLIP_LO, CLIP_HI = -1.0, 1.0
 
 
+def _finite(name: str, value) -> float:
+    """``value`` as a float; a bool, text or non-finite number raises naming ``name``."""
+    value, = as_numbers(name, (value,), Real)
+    if not math.isfinite(value):
+        raise StructuralError(f"{name} must be finite")
+    return value
+
+
+def _epsilon(value) -> float:
+    """The advantage floor as a float, refused unless finite and > 0: the one
+    rule ``RewardConfig`` and ``group_advantage`` ask."""
+    epsilon = _finite("epsilon", value)
+    if epsilon <= 0:
+        raise StructuralError("epsilon must be > 0")
+    return epsilon
+
+
 @dataclass(frozen=True)
 class RewardConfig:
     """Scoring knobs: look-ahead depth, discount, penalties, advantage floor."""
@@ -56,15 +77,15 @@ class RewardConfig:
     epsilon: float = 1e-4
 
     def __post_init__(self) -> None:
-        if self.horizon < 1:
+        horizon, = as_numbers("horizon", (self.horizon,), Integral)
+        if horizon < 1:
             raise StructuralError("horizon must be >= 1")
-        for name in ("gamma", "lambda_fmt", "lambda_opp", "epsilon"):
-            if not math.isfinite(getattr(self, name)):
-                raise StructuralError(f"{name} must be finite")
+        object.__setattr__(self, "horizon", horizon)
+        for name in ("gamma", "lambda_fmt", "lambda_opp"):
+            object.__setattr__(self, name, _finite(name, getattr(self, name)))
+        object.__setattr__(self, "epsilon", _epsilon(self.epsilon))
         if not 0.0 < self.gamma <= 1.0:
             raise StructuralError("gamma must be in (0, 1]")
-        if self.epsilon <= 0:
-            raise StructuralError("epsilon must be > 0")
         # Penalties must not reward bad output; exact zero is representable
         # so the degraded-demotion case can be constructed and flagged.
         if self.lambda_fmt > 0 or self.lambda_opp > 0:
@@ -146,35 +167,44 @@ def lookahead_values(caches, peek, graph, horizon: int, gamma: float) -> list[fl
     return (num / sum(weights)).tolist()
 
 
-def delta_perf(before, after, peek, graph, cfg: RewardConfig) -> float:
-    """Future-potential difference caused by one cache transition.
-
-    Keeping the cache unchanged scores exactly 0.0.
-    """
-    if not check_transition(before, after):
-        raise StructuralError("transition exceeds the per-BS single-swap budget")
-    if after == before:
-        return 0.0
-    value_before, value_after = lookahead_values([before, after], peek, graph,
-                                                 cfg.horizon, cfg.gamma)
-    return value_after - value_before
-
-
 def score_completion(text: str, obs: SlotObservation, peek, expert: JointAction,
                      cfg: RewardConfig, graph) -> RewardBreakdown:
-    """Score one completion against the frozen future and the expert witness.
+    """Score one completion: the one-text case of :func:`score_group`."""
+    return score_group([text], obs, peek, expert, cfg, graph)[0]
 
-    Invalid output gets the format penalty and zero gain (no cache update
-    is executed). A valid all-no-op is penalized only when the stored
-    expert action proves a beneficial swap existed. Totals are clipped to
-    the fixed band [CLIP_LO, CLIP_HI].
+
+def score_group(texts, obs: SlotObservation, peek, expert: JointAction,
+                cfg: RewardConfig, graph) -> list[RewardBreakdown]:
+    """Score a group of completions of one state against the frozen future
+    and the expert witness, in one pass.
+
+    Each valid action is applied and its transition checked; the slot cache
+    and each distinct changed cache are valued in one ``lookahead_values``
+    call, so an unchanged cache's gain is exactly 0.0. Invalid output gets
+    the format penalty and zero gain. A valid all-no-op is penalized only
+    when the stored expert action proves a beneficial swap existed. Totals
+    are clipped to the fixed band [CLIP_LO, CLIP_HI].
     """
-    action = parse(text, obs)
-    gain = 0.0
-    if action.is_valid:
-        after = apply(obs.cache, action, obs.requests)
-        gain = delta_perf(obs.cache, after, peek, graph, cfg)
-    return _breakdown(action, gain, _acted(expert), cfg)
+    return [row for row, _ in _scored(texts, obs, peek, expert, cfg, graph)]
+
+
+def _scored(texts, obs: SlotObservation, peek, expert: JointAction, cfg: RewardConfig,
+            graph) -> list[tuple[RewardBreakdown, float]]:
+    """The one scoring pass: :func:`score_group`'s rows, each beside the
+    look-ahead value of the cache its action leaves."""
+    cache, requests = obs.cache, obs.requests
+    at = {cache: 0}  # each cache valued, by its index in the one call
+    parsed = []
+    for text in texts:
+        action = parse(text, obs)
+        after = apply(cache, action, requests) if action.is_valid else cache
+        if not check_transition(cache, after):
+            raise StructuralError("transition exceeds the per-BS single-swap budget")
+        parsed.append((action, at.setdefault(after, len(at))))
+    values = lookahead_values(list(at), peek, graph, cfg.horizon, cfg.gamma)
+    acted = _acted(expert)
+    return [(_breakdown(action, values[i] - values[0], acted, cfg), values[i])
+            for action, i in parsed]
 
 
 def _acted(expert: JointAction) -> bool:
@@ -197,7 +227,9 @@ def _breakdown(action: JointAction, gain: float, expert_acted: bool,
 
 
 def group_advantage(rewards, epsilon: float) -> list[float]:
-    """Within-group z-scores: population deviation plus a stability floor."""
+    """Within-group z-scores: population deviation plus a stability floor
+    ``epsilon``, which must be finite and > 0 as in ``RewardConfig``."""
+    epsilon = _epsilon(epsilon)
     values = [float(r) for r in rewards]
     if not values:
         raise StructuralError("advantage needs at least one reward")
@@ -279,13 +311,13 @@ def verify_pbrs(instance: Instance, sample_slots: int, cfg: RewardConfig) -> Sha
     * every positive-gain swap strictly dominates the penalized no-op
       whenever the expert witnessed a beneficial swap.
 
-    Each action takes the text round trip, ``apply`` and the transition
-    check, then ``score_completion``'s shaping. A slot's own cache and the
-    candidate caches of every BS are scored together in one
-    ``lookahead_values`` call, each once and each by a full look-ahead
-    recount from hit counts, independent of the oracle's tallies. A no-op
-    keeps the slot cache, and a gain is potential minus the slot cache's
-    value, as in ``delta_perf``. A negative ``sample_slots`` raises.
+    The texts of every BS's actions at a slot are scored together in one
+    :func:`score_group` pass, so the slot's own cache and each candidate
+    cache are valued once, each by a full look-ahead recount from hit
+    counts, independent of the oracle's tallies. A parsed action that is not
+    its joint action fails the text round trip and raises. A no-op keeps
+    the slot cache, and a gain is potential minus the slot cache's value.
+    A negative ``sample_slots`` raises.
     """
     nonnegative("sample_slots", sample_slots)
     bs_range = range(1, instance.config.bs_count + 1)
@@ -301,35 +333,23 @@ def verify_pbrs(instance: Instance, sample_slots: int, cfg: RewardConfig) -> Sha
     spaces: list[JointSpaceSize] = []
     walk = expert_walk(instance, cfg.horizon, cfg.gamma)
     for obs, expert, peek in islice(walk, sample_slots):
-        cache, requests = obs.cache, obs.requests
-        expert_acted = _acted(expert)
-        checked = []  # per BS: where, then (act, parsed action, index in caches) per action
-        caches = [cache]  # the slot's own cache, which every no-op keeps, then each changed one
+        audited = []  # per BS: where, then (act, joint action) per feasible action
         for b in bs_range:
-            where = f"seed {instance.seed} slot {obs.slot} BS {b}"
-            actions = []
-            for act in feasible_actions(cache, b, requests):
-                joint = JointAction.valid([act if bb == b else NOOP for bb in bs_range])
-                action = parse(serialize(joint), obs)
-                if action != joint:
+            audited.append((f"seed {instance.seed} slot {obs.slot} BS {b}", [
+                (act, JointAction.valid([act if bb == b else NOOP for bb in bs_range]))
+                for act in feasible_actions(obs.cache, b, obs.requests)]))
+        spaces.append(JointSpaceSize(tuple(len(joints) for _, joints in audited)))
+        texts = [serialize(joint) for _, joints in audited for _, joint in joints]
+        scored = iter(_scored(texts, obs, peek, expert, cfg, graph))
+        expert_acted = _acted(expert)
+        for where, joints in audited:
+            rows = []  # (act, breakdown, post-action value)
+            for (act, joint), (s, value) in zip(joints, scored):
+                if s.action != joint:
                     raise StructuralError(f"{where}: {act} does not survive the text round trip")
-                after = apply(cache, action, requests)
-                if not check_transition(cache, after):
-                    raise StructuralError(f"{where}: transition exceeds the single-swap budget")
-                at = 0 if after == cache else len(caches)
-                if at:
-                    caches.append(after)
-                actions.append((act, action, at))
-            checked.append((where, actions))
-        spaces.append(JointSpaceSize(tuple(len(actions) for _, actions in checked)))
-        values = lookahead_values(caches, peek, graph, cfg.horizon, cfg.gamma)
-        for where, actions in checked:
-            rows = []
-            for act, action, at in actions:
-                gain = values[at] - values[0]  # exactly 0.0 for a no-op
-                rows.append((act, gain, values[at], _breakdown(action, gain, expert_acted, cfg)))
-            gains = [g for _, g, _, _ in rows]
-            potentials = [p for _, _, p, _ in rows]
+                rows.append((act, s, value))
+            gains = [s.gain for _, s, _ in rows]
+            potentials = [p for _, _, p in rows]
             top_g, top_p = max(gains), max(potentials)
             by_gain = {i for i, g in enumerate(gains) if g >= top_g - _ARGMAX_TOL}
             by_potential = {i for i, p in enumerate(potentials) if p >= top_p - _ARGMAX_TOL}
@@ -337,15 +357,15 @@ def verify_pbrs(instance: Instance, sample_slots: int, cfg: RewardConfig) -> Sha
                 argmax_bad.append(f"{where}: gain argmax != potential argmax")
             # one entry per ordered pair of swaps whose gains differ and whose
             # shaped scores do not rank them alike
-            writes = np.array([(g, s.unclipped) for act, g, _, s in rows if not act.is_noop])
+            writes = np.array([(s.gain, s.unclipped) for act, s, _ in rows if not act.is_noop])
             if len(writes) > 1:
                 gain, score = writes[:, :1], writes[:, 1:]
                 unranked = (gain > gain.T + _ARGMAX_TOL) & ~(score > score.T)
                 order_bad += [f"{where}: swap ranking not preserved"] * int(unranked.sum())
             if expert_acted:
-                noop = next(s for act, _, _, s in rows if act.is_noop).unclipped
-                for act, g, _, s in rows:
-                    if not act.is_noop and g > 0.0 and not s.unclipped > 0.0 > noop:
+                noop = next(s for act, s, _ in rows if act.is_noop).unclipped
+                for act, s, _ in rows:
+                    if not act.is_noop and s.gain > 0.0 and not s.unclipped > 0.0 > noop:
                         demote_bad.append(f"{where}: positive-gain swap does not dominate no-op")
     return ShapingReport(instance.seed, tuple(argmax_bad), tuple(order_bad),
                          tuple(demote_bad), tuple(flags), tuple(spaces))

@@ -25,8 +25,10 @@ from .core import (
     EXPERT_GAMMA,
     EXPERT_HORIZON,
     CacheState,
+    ConfigurationError,
     RequestSlot,
     StructuralError,
+    as_numbers,
     atomic_write,
     canonical_json,
     hottest_uncached,
@@ -55,10 +57,6 @@ DEFAULT_LAYOUTS = {
     2: (((0.35, 0.5), (0.65, 0.5)), 0.40),
     5: (((0.25, 0.25), (0.75, 0.25), (0.25, 0.75), (0.75, 0.75), (0.5, 0.5)), 0.38),
 }
-
-
-class ConfigurationError(StructuralError):
-    """Instance parameters cannot produce a usable topology."""
 
 
 def _stream(seed: int, index: int) -> np.random.Generator:
@@ -148,18 +146,6 @@ _COUNT_FIELDS = ("bs_count", "users", "library", "groups", "warm_slots", "rollou
                  "horizon_reserve")
 
 
-def _numbers(name: str, values, kind) -> tuple:
-    """``values`` as ints for ``kind`` Integral, as floats for Real; a bool or text
-    among them, or a float where ints are asked for, raises naming the field
-    ``name``. numpy numbers pass."""
-    values = tuple(values)
-    for value in values:
-        if isinstance(value, bool) or not isinstance(value, kind):
-            what = "an integer" if kind is Integral else "a number"
-            raise ConfigurationError(f"{name}: expected {what}, not {value!r}")
-    return tuple(map(int if kind is Integral else float, values))
-
-
 @dataclass(frozen=True)
 class InstanceConfig:
     """Frozen parameter set; layout defaults resolve to explicit values.
@@ -184,21 +170,21 @@ class InstanceConfig:
 
     def __post_init__(self) -> None:
         for name in _COUNT_FIELDS:
-            object.__setattr__(self, name, _numbers(name, (getattr(self, name),), Integral)[0])
+            object.__setattr__(self, name, as_numbers(name, (getattr(self, name),), Integral)[0])
         if self.bs_count < 1 or self.users < 1 or self.groups < 1:
             raise ConfigurationError("bs_count, users and groups must be >= 1")
-        alpha, = _numbers("alpha", (self.alpha,), Real)  # cast: 2 and 2.0 write one instance file
+        alpha, = as_numbers("alpha", (self.alpha,), Real)  # cast: 2 and 2.0 write one instance file
         if not math.isfinite(alpha) or alpha <= 0:
             raise ConfigurationError("alpha must be finite and > 0")
         cache = self.cache_size
         if isinstance(cache, str) or not isinstance(cache, Iterable):
             cache = (cache,) * self.bs_count
-        cache = _numbers("cache_size", cache, Integral)
+        cache = as_numbers("cache_size", cache, Integral)
         if len(cache) != self.bs_count or any(c < 1 for c in cache):
             raise ConfigurationError("cache_size needs one positive entry per BS")
         if self.library <= max(cache):
             raise ConfigurationError("library must exceed every cache size")
-        given = list(_numbers("windows", self.windows, Integral))
+        given = list(as_numbers("windows", self.windows, Integral))
         windows = tuple(sorted(given))
         if not windows or any(w < 1 for w in windows):
             raise ConfigurationError("windows must be positive")
@@ -217,10 +203,10 @@ class InstanceConfig:
                 bs_xy = layout[0]
             if radius is None:
                 radius = layout[1]
-        bs_xy = tuple(_numbers("bs_xy", (x, y), Real) for x, y in bs_xy)
+        bs_xy = tuple(as_numbers("bs_xy", (x, y), Real) for x, y in bs_xy)
         if len(bs_xy) != self.bs_count:
             raise ConfigurationError("bs_xy needs one coordinate pair per BS")
-        radius, = _numbers("radius", (radius,), Real)
+        radius, = as_numbers("radius", (radius,), Real)
         if not math.isfinite(radius) or radius <= 0:
             raise ConfigurationError("radius must be finite and > 0")
         object.__setattr__(self, "alpha", alpha)

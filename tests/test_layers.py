@@ -94,6 +94,15 @@ def test_harness_builds_warms_and_rolls_only_in_evaluate():
     assert {call: _callers(tree, call) for call in calls} == dict.fromkeys(calls, ["_evaluate"])
 
 
+def test_reward_scores_only_in_its_one_pass():
+    """``score_group``, ``score_completion`` and ``verify_pbrs`` all score
+    through ``reward._scored``; a second caller of a scoring step is a second copy."""
+    tree = _tree(PACKAGE / "reward.py")
+    steps = ("parse", "apply", "check_transition", "_breakdown")
+    assert {call: _callers(tree, call) for call in steps} == dict.fromkeys(steps, ["_scored"])
+    assert sorted(_callers(tree, "lookahead_values")) == ["_scored", "lookahead_value"]
+
+
 @pytest.mark.parametrize("text", ["seeds repeat", "at least one seed", "seed must be >= 0",
                                   "instance file holds seed"])
 def test_each_seed_rule_is_raised_in_one_function(text):

@@ -17,6 +17,7 @@ from collections import Counter
 from itertools import islice
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,7 +59,7 @@ from coopcache.policies import (
     read_frame,
     write_frame,
 )
-from coopcache.reward import RewardConfig, delta_perf, lookahead_value
+from coopcache.reward import RewardConfig, lookahead_value, lookahead_values
 from coopcache.traffic import (
     FrequencyTracker,
     InstanceConfig,
@@ -213,6 +214,15 @@ def test_an_oracle_deciding_before_reset_names_itself(small_instance):
         OraclePolicy(2).decide(obs, small_instance.peek(1, 2))
 
 
+@pytest.mark.parametrize("horizon", [2.5, True, "2"])
+def test_oracle_policy_refuses_a_horizon_that_is_not_an_integer(horizon):
+    with pytest.raises(StructuralError,
+                       match=f"^{re.escape(f'oracle horizon: expected an integer, not {horizon!r}')}$"):
+        OraclePolicy(horizon)
+    oracle = OraclePolicy(np.int64(2))
+    assert oracle.name == "oracle:2" and type(oracle.horizon) is int
+
+
 def test_heuristics_emit_parseable_text():
     rng = random.Random(3)
     for _ in range(100):
@@ -350,13 +360,13 @@ def test_oracle_matches_reference_scan_and_exhaustive_search(scenario, data):
     assert chosen == reference_oracle_best_action(
         cache, b, requests, peek, graph, horizon, gamma
     )
-    cfg = RewardConfig(horizon=horizon, gamma=gamma)
 
     def delta(act):
         joint = [NOOP] * cache.bs_count
         joint[b - 1] = act
-        return delta_perf(cache, apply(cache, JointAction.valid(joint), requests),
-                          peek, graph, cfg)
+        values = lookahead_values([cache, apply(cache, JointAction.valid(joint), requests)],
+                                  peek, graph, horizon, gamma)
+        return values[1] - values[0]
 
     best = max(delta(act) for act in feasible_actions(cache, b, requests))
     assert chosen.is_noop == (best <= 1e-12)

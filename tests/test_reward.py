@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import re
 from collections import Counter
+from functools import lru_cache
 from itertools import islice
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,12 +31,12 @@ from coopcache.episode import expert_walk
 from coopcache.interface import serialize
 from coopcache.reward import (
     RewardConfig,
-    delta_perf,
     group_advantage,
     joint_space_size,
     lookahead_value,
     lookahead_values,
     score_completion,
+    score_group,
     verify_pbrs,
 )
 from coopcache.traffic import InstanceConfig, build_instance
@@ -195,15 +199,18 @@ def test_lookahead_values_raise_as_lookahead_value_does():
         assert _error(lookahead_values, [cache, one], *rest) == _error(lookahead_value, one, *rest)
 
 
-def test_delta_perf_noop_is_exactly_zero():
+def test_score_group_noop_gain_is_exactly_zero():
     rng = random.Random(23)
     cfg = RewardConfig(horizon=2, gamma=0.9)
     for _ in range(30):
         cache, graph, requests = random_scenario(rng)
-        assert delta_perf(cache, cache, (requests, requests), graph, cfg) == 0.0
+        noop = JointAction.valid([NOOP] * cache.bs_count)
+        out, = score_group([serialize(noop)], observation(cache, requests),
+                           (requests, requests), noop, cfg, graph)
+        assert out.gain == 0.0
 
 
-def test_delta_perf_insert_everyones_file():
+def test_score_group_insert_everyones_file():
     graph = synthetic_graph(tuple((1,) for _ in range(5)), 1)
     cache = CacheState(((1, 2),))
     cfg = RewardConfig(horizon=2, gamma=1.0)
@@ -213,12 +220,14 @@ def test_delta_perf_insert_everyones_file():
     )
     after = CacheState(((9, 2),))
     before_value = lookahead_value(cache, peek, graph, 2, 1.0)
-    gain = delta_perf(cache, after, peek, graph, cfg)
-    assert gain == pytest.approx(1.0 - before_value)
-    assert gain > 0
+    swap = JointAction.valid([BsAction(1, 9, 1)])
+    out, = score_group([serialize(swap)], observation(cache, peek[0]), peek, swap, cfg, graph)
+    assert out.gain == lookahead_value(after, peek, graph, 2, 1.0) - before_value
+    assert out.gain == pytest.approx(1.0 - before_value)
+    assert out.gain > 0
 
 
-def test_delta_perf_evicting_only_hit_is_negative():
+def test_score_group_evicting_only_hit_is_negative():
     graph = synthetic_graph(tuple((1,) for _ in range(5)), 1)
     cache = CacheState(((9, 2),))
     cfg = RewardConfig(horizon=2, gamma=1.0)
@@ -226,18 +235,70 @@ def test_delta_perf_evicting_only_hit_is_negative():
         _rate_slot(graph, 5, 5, 9, 9),
         _rate_slot(graph, 5, 5, 9, 9),
     )
-    after = CacheState(((7, 2),))
-    assert delta_perf(cache, after, peek, graph, cfg) < 0
+    requests = _rate_slot(graph, 5, 5, 7, 7)  # everyone asks for 7 now, for 9 next
+    swap = JointAction.valid([BsAction(1, 7, 9)])
+    out, = score_group([serialize(swap)], observation(cache, requests), peek, swap, cfg, graph)
+    assert out.action == swap
+    assert out.gain < 0
 
 
-def test_delta_perf_rejects_illegal_transition():
+def test_score_group_rejects_illegal_transition(monkeypatch):
     graph = synthetic_graph(((1,),), 1)
     cfg = RewardConfig(horizon=1)
-    requests = request_slot(((0, 1),), graph)
+    requests = request_slot(((0, 3),), graph)
+    swap = JointAction.valid([BsAction(1, 3, 1)])
+    monkeypatch.setattr(reward, "apply", lambda *args: CacheState(((3, 4),)))  # two swaps
     with pytest.raises(StructuralError):
-        delta_perf(
-            CacheState(((1, 2),)), CacheState(((3, 4),)), (requests,), graph, cfg
-        )
+        score_group([serialize(swap)], observation(CacheState(((1, 2),)), requests),
+                    (requests,), swap, cfg, graph)
+
+
+@lru_cache(maxsize=None)
+def _walk_states(bs_count: int):
+    """The graph, reward config and first expert-walk states of a 2-BS or a 5-BS instance."""
+    config = small_config(rollout_slots=16) if bs_count == 2 else InstanceConfig(
+        bs_count=5, users=40, library=60, warm_slots=20, rollout_slots=8, horizon_reserve=4)
+    instance = build_instance(config, 3)
+    cfg = RewardConfig(horizon=3)
+    return instance.graph, cfg, tuple(islice(expert_walk(instance, cfg.horizon, cfg.gamma), 6))
+
+
+@st.composite
+def _groups(draw):
+    """A group of completions of one expert-walk state: the expert, the no-op,
+    random feasible joint swaps and malformed text, drawn with repeats."""
+    graph, cfg, states = _walk_states(draw(st.sampled_from((2, 5))))
+    obs, expert, peek = draw(st.sampled_from(states))
+    noop = JointAction.valid([NOOP] * obs.bs_count)
+    swaps = [JointAction.valid([draw(st.sampled_from(feasible_actions(obs.cache, b, obs.requests)))
+                                for b in range(1, obs.bs_count + 1)])
+             for _ in range(draw(st.integers(0, 4)))]
+    malformed = ["", "!!nonsense!!", serialize(expert)[:-1], draw(st.text(max_size=12))]
+    pool = [serialize(joint) for joint in (expert, noop, *swaps)] + malformed
+    texts = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10))
+    witness = draw(st.sampled_from((expert, noop)))
+    return texts, obs, peek, witness, cfg, graph
+
+
+def _bits(rows):
+    """Each breakdown with its floats as hex, so 0.0 and -0.0 differ."""
+    return [(r.gain.hex(), r.penalty.hex(), r.total.hex(), r.classification, r.expert_acted,
+             r.action) for r in rows]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_groups())
+def test_score_group_equals_score_completion_per_text_bit_for_bit(group):
+    """One ``lookahead_values`` call scores the whole group, and each row is the
+    breakdown ``score_completion`` gives its text alone."""
+    texts, *state = group
+    calls = []
+    real = reward.lookahead_values
+    with mock.patch.object(reward, "lookahead_values",
+                           lambda *args: calls.append(args) or real(*args)):
+        rows = score_group(texts, *state)
+    assert len(calls) == 1
+    assert _bits(rows) == _bits([score_completion(text, *state) for text in texts])
 
 
 def _score_fixture():
@@ -302,6 +363,30 @@ def test_reward_config_validation():
 def test_reward_config_rejects_non_finite_floats(name, bad):
     with pytest.raises(StructuralError, match=f"{name} must be finite"):
         RewardConfig(**{name: bad})
+
+
+@pytest.mark.parametrize("name, bad, kind", [
+    ("horizon", 2.5, "an integer"), ("horizon", True, "an integer"), ("horizon", "3", "an integer"),
+    ("gamma", "0.9", "a number"), ("gamma", True, "a number"), ("lambda_fmt", False, "a number"),
+    ("lambda_opp", "-0.2", "a number"), ("epsilon", True, "a number"), ("epsilon", "1e-4", "a number"),
+])
+def test_reward_config_refuses_a_bool_text_or_fractional_value(name, bad, kind):
+    with pytest.raises(StructuralError, match=f"^{re.escape(f'{name}: expected {kind}, not {bad!r}')}$"):
+        RewardConfig(**{name: bad})
+
+
+def test_reward_config_stores_numpy_numbers_as_python_numbers():
+    cfg = RewardConfig(horizon=np.int64(3), gamma=np.float64(0.5), lambda_opp=np.float32(-0.25))
+    assert cfg == RewardConfig(horizon=3, gamma=0.5, lambda_opp=-0.25)
+    assert [type(getattr(cfg, f.name)) for f in dataclasses.fields(cfg)] == [int] + [float] * 4
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -0.1, float("nan"), float("inf"), True, "1e-4"])
+def test_group_advantage_refuses_the_floors_reward_config_refuses(epsilon):
+    """One epsilon rule, one message: a zero floor would divide by zero, and a
+    negative one would flip the ranking of a group."""
+    refused = _error(lambda e: RewardConfig(epsilon=e), epsilon)
+    assert _error(group_advantage, [0.1, 0.0], epsilon) == refused
 
 
 def test_group_advantage_examples():
