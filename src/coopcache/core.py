@@ -26,7 +26,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, repeat
-from numbers import Integral
+from numbers import Integral, Real
 from operator import itemgetter, mul
 
 import numpy as np
@@ -177,6 +177,18 @@ def as_numbers(name: str, values, kind) -> tuple:
             what = "an integer" if kind is Integral else "a number"
             raise ConfigurationError(f"{name}: expected {what}, not {value!r}")
     return tuple(map(int if kind is Integral else float, values))
+
+
+def check_gamma(value) -> float:
+    """The look-ahead discount as a float: a number, not a bool or text, finite
+    and in (0, 1]. The one rule ``RewardConfig``, ``OraclePolicy`` and
+    ``warm_start`` ask."""
+    gamma, = as_numbers("gamma", (value,), Real)
+    if not abs(gamma) <= sys.float_info.max:
+        raise StructuralError("gamma must be finite")
+    if not 0.0 < gamma <= 1.0:
+        raise StructuralError("gamma must be in (0, 1]")
+    return gamma
 
 
 def key_reader(payload: dict, what: str):

@@ -5,6 +5,10 @@ wiring smoke test for the extern policy and as the starting point for a
 real adapter:
 
     coopcache run --policy "extern:python -m coopcache.extern_stub" ...
+
+An adapter needs only :mod:`coopcache.frames`, which imports nothing
+outside the standard library, so it starts without numpy or the
+environment modules.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import re
 import sys
 
-from .policies import read_frame, write_frame
+from .frames import read_frame, write_frame
 
 _CACHE_LINE = re.compile(r"^BS ([0-9]+) CACHE:", re.MULTILINE)
 

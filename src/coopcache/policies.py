@@ -24,10 +24,13 @@ from .core import (
     JointAction,
     StructuralError,
     as_numbers,
+    check_gamma,
     hottest_uncached,
     oracle_best_action,  # not called here: perfbench traces the oracle under this name
     oracle_joint_action,
 )
+from .frames import HEADER_LIMIT, frame_bytes, frame_length
+from .frames import read_frame, write_frame  # not called here: perfbench traces these names
 from .interface import encode
 
 
@@ -176,7 +179,7 @@ class OraclePolicy(Policy):
         self.horizon, = as_numbers("oracle horizon", (horizon,), Integral)
         if self.horizon < 1:
             raise StructuralError("oracle horizon must be >= 1")
-        self.gamma = float(gamma)
+        self.gamma = check_gamma(gamma)
         self.name = f"oracle:{self.horizon}"
         self.peek_len = self.horizon
         self._graph = None
@@ -194,47 +197,6 @@ class OraclePolicy(Policy):
 
 
 EXTERN_TIMEOUT_S = 30.0  # default seconds the extern adapter has to answer one prompt
-FRAME_LIMIT = 16 * 1024 * 1024  # refuse absurd frame sizes from adapters
-HEADER_LIMIT = 64  # a header line longer than this is malformed
-
-
-def frame_bytes(payload: str) -> bytes:
-    """One frame: a ``LEN <n>`` header line plus n bytes of UTF-8 payload."""
-    data = payload.encode("utf-8")
-    return b"LEN %d\n" % len(data) + data
-
-
-def frame_length(header: bytes) -> int | None:
-    """The payload length a header line announces; None unless the line is
-    ``LEN <n>\\n`` within ``HEADER_LIMIT`` bytes, with 0 <= n <= ``FRAME_LIMIT``."""
-    if len(header) > HEADER_LIMIT or not header.endswith(b"\n") or not header.startswith(b"LEN "):
-        return None
-    try:
-        n = int(header[4:])
-    except ValueError:
-        return None
-    return n if 0 <= n <= FRAME_LIMIT else None
-
-
-def write_frame(stream, payload: str) -> None:
-    """Emit one frame (see :func:`frame_bytes`) and flush it."""
-    stream.write(frame_bytes(payload))
-    stream.flush()
-
-
-def read_frame(stream) -> str | None:
-    """Read one frame; None on EOF, a bad header, or a truncated payload.
-
-    The header read stops after ``HEADER_LIMIT`` bytes, so an adapter that
-    never sends a newline cannot make the reader consume its whole output.
-    """
-    n = frame_length(stream.readline(HEADER_LIMIT))
-    if n is None:
-        return None
-    data = stream.read(n)
-    if data is None or len(data) != n:
-        return None
-    return data.decode("utf-8", errors="replace")
 
 
 def _warn(message: str, *args) -> None:

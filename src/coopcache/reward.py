@@ -30,6 +30,7 @@ from .core import (
     StructuralError,
     apply,
     as_numbers,
+    check_gamma,
     check_peek,
     check_transition,
     feasible_actions,
@@ -81,11 +82,10 @@ class RewardConfig:
         if horizon < 1:
             raise StructuralError("horizon must be >= 1")
         object.__setattr__(self, "horizon", horizon)
-        for name in ("gamma", "lambda_fmt", "lambda_opp"):
+        object.__setattr__(self, "gamma", check_gamma(self.gamma))
+        for name in ("lambda_fmt", "lambda_opp"):
             object.__setattr__(self, name, _finite(name, getattr(self, name)))
         object.__setattr__(self, "epsilon", _epsilon(self.epsilon))
-        if not 0.0 < self.gamma <= 1.0:
-            raise StructuralError("gamma must be in (0, 1]")
         # Penalties must not reward bad output; exact zero is representable
         # so the degraded-demotion case can be constructed and flagged.
         if self.lambda_fmt > 0 or self.lambda_opp > 0:

@@ -31,6 +31,7 @@ from .core import (
     as_numbers,
     atomic_write,
     canonical_json,
+    check_gamma,
     hottest_uncached,
     key_reader,
     oracle_best_action,
@@ -220,7 +221,9 @@ class InstanceConfig:
         return self.warm_slots + self.rollout_slots + self.horizon_reserve
 
     def check_warmup_fits(self, oracle_horizon: int) -> None:
-        """Raise unless the warm-up and its oracle's look-ahead fit in the trace."""
+        """Raise unless the oracle horizon is an integer (not a bool, a float or
+        text) and the warm-up and its look-ahead fit in the trace."""
+        as_numbers("horizon", (oracle_horizon,), Integral)
         if self.warm_slots + oracle_horizon > self.trace_slots:
             raise StructuralError(f"warm-up {self.warm_slots} + oracle horizon {oracle_horizon} "
                                   f"exceeds the {self.trace_slots}-slot trace")
@@ -561,6 +564,7 @@ def warm_start(instance: Instance, oracle_horizon: int = EXPERT_HORIZON,
     """
     config = instance.config
     config.check_warmup_fits(oracle_horizon)
+    oracle_gamma = check_gamma(oracle_gamma)
     cache = CacheState.empty(config.cache_size)
     inserted_at = tuple({} for _ in range(config.bs_count))
     for t in range(1, config.warm_slots + 1):

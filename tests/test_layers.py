@@ -1,11 +1,17 @@
-"""Static layering rules over the package source, checked with ``ast``."""
+"""Layering rules over the package source, checked with ``ast``, and what
+importing the package and the adapter loads, checked in a fresh interpreter."""
 
 from __future__ import annotations
 
 import ast
+import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import coopcache
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "coopcache"
 PERFBENCH = PACKAGE.parent.parent / "perfbench"
@@ -56,6 +62,47 @@ def _callers(tree: ast.Module, call: str) -> list[str | None]:
 @pytest.mark.parametrize("module", ENVIRONMENT)
 def test_the_environment_layer_imports_no_upper_layer(module):
     assert _package_imports(_tree(PACKAGE / f"{module}.py")) & UPPER == set()
+
+
+def test_the_frame_module_imports_only_the_standard_library():
+    """An adapter needs only ``frames``, so it must start without numpy or the
+    environment: no package module and no third-party module."""
+    tree = _tree(PACKAGE / "frames.py")
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [("." * node.level) + (node.module or "") for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)]
+    assert [name for name in imported
+            if name.split(".")[0] not in sys.stdlib_module_names] == []
+
+
+def test_the_package_loads_no_module_and_the_adapter_no_numpy():
+    """``import coopcache`` loads no submodule, and the adapter, which loads
+    the package too when run with ``-m``, starts without numpy."""
+    probe = ("import sys\n"
+             "import coopcache\n"
+             "print(sorted(m for m in sys.modules if m.startswith('coopcache.')))\n"
+             "import coopcache.extern_stub\n"
+             "print('numpy' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, timeout=60)  # conftest puts src on PYTHONPATH
+    assert done.stdout == "[]\nFalse\n"
+
+
+def test_every_package_name_is_its_defining_modules_own_object():
+    """Each name ``coopcache`` exports is the object of the one module whose top
+    level binds it other than by import."""
+    defined = {path.stem: {name for name, node in _bound_names(_tree(path)).items()
+                           if not isinstance(node, (ast.Import, ast.ImportFrom))}
+               for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"}
+    assert "build_instance" in coopcache.__all__ and "traffic" not in coopcache.__all__
+    for name in coopcache.__all__:
+        homes = [module for module, names in defined.items() if name in names]
+        assert len(homes) == 1, (name, homes)
+        module = importlib.import_module(f"coopcache.{homes[0]}")
+        assert getattr(coopcache, name) is getattr(module, name), name
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        coopcache.no_such_name  # noqa: B018
 
 
 def test_json_input_is_read_only_by_core_read_json():
@@ -114,6 +161,15 @@ def test_each_seed_rule_is_raised_in_one_function(text):
                                        and text in ast.unparse(node))]
     home = "load_seeded_instance" if text.startswith("instance") else "check_seeds"
     assert raisers == [("traffic", home)]
+
+
+def test_the_gamma_rule_is_raised_only_in_core_check_gamma():
+    """``RewardConfig``, ``OraclePolicy`` and ``warm_start`` ask ``core.check_gamma``;
+    a raise elsewhere is a second copy."""
+    raisers = [(path.stem, where) for path in sorted(PACKAGE.glob("*.py"))
+               for where in _enclosing(_tree(path), lambda node: isinstance(node, ast.Raise)
+                                       and "gamma must be" in ast.unparse(node))]
+    assert raisers == [("core", "check_gamma")] * 2
 
 
 def test_run_leaves_its_out_dir_and_instance_file_to_evaluate():

@@ -43,21 +43,17 @@ from coopcache.core import (
 from coopcache.episode import Episode, expert_walk
 from coopcache.harness import rollout
 from coopcache.interface import SlotObservation, decode_prompt, parse, serialize
+from coopcache.frames import FRAME_LIMIT, HEADER_LIMIT, frame_length, read_frame, write_frame
 from coopcache.policies import (
     AdapterError,
-    FRAME_LIMIT,
     ExternPolicy,
     FifoPolicy,
     LfuPolicy,
     LruPolicy,
-    HEADER_LIMIT,
     OraclePolicy,
     _eviction_actions,
     _first_missed_candidate,
-    frame_length,
     make_policy,
-    read_frame,
-    write_frame,
 )
 from coopcache.reward import RewardConfig, lookahead_value, lookahead_values
 from coopcache.traffic import (
@@ -221,6 +217,32 @@ def test_oracle_policy_refuses_a_horizon_that_is_not_an_integer(horizon):
         OraclePolicy(horizon)
     oracle = OraclePolicy(np.int64(2))
     assert oracle.name == "oracle:2" and type(oracle.horizon) is int
+
+
+_BAD_GAMMAS = [(True, "gamma: expected a number, not True"),
+               ("0.5", "gamma: expected a number, not '0.5'"),
+               (float("nan"), "gamma must be finite"), (float("inf"), "gamma must be finite"),
+               (0.0, "gamma must be in (0, 1]"), (-0.5, "gamma must be in (0, 1]"),
+               (1.5, "gamma must be in (0, 1]")]
+
+
+@pytest.mark.parametrize("asker", ["reward-config", "oracle-policy", "warm-start"])
+@pytest.mark.parametrize("gamma, text", _BAD_GAMMAS)
+def test_every_gamma_asker_refuses_a_bad_discount_in_the_same_words(small_instance, asker,
+                                                                    gamma, text):
+    ask = {"reward-config": lambda: RewardConfig(gamma=gamma),
+           "oracle-policy": lambda: OraclePolicy(2, gamma),
+           "warm-start": lambda: warm_start(small_instance, 2, gamma)}[asker]
+    with pytest.raises(StructuralError, match=f"^{re.escape(text)}$"):
+        ask()
+
+
+def test_a_valid_gamma_is_taken_as_the_same_float_everywhere(small_instance):
+    assert [OraclePolicy(2, g).gamma for g in (1, np.float64(0.5))] == [1.0, 0.5]
+    assert type(OraclePolicy(2, np.float64(0.5)).gamma) is float
+    warm = warm_start(small_instance, 2, 1.0)
+    for gamma in (1, np.float64(1.0)):
+        assert warm_start(small_instance, 2, gamma) == warm
 
 
 def test_heuristics_emit_parseable_text():
@@ -670,7 +692,7 @@ def test_extern_roundtrip_noop(small_instance):
 def test_extern_garbage_parses_invalid(small_instance, golden_obs):
     body = (
         "import sys\n"
-        "from coopcache.policies import read_frame, write_frame\n"
+        "from coopcache.frames import read_frame, write_frame\n"
         "while True:\n"
         "    p = read_frame(sys.stdin.buffer)\n"
         "    if p is None: break\n"
@@ -763,7 +785,7 @@ def test_extern_closes_its_pipes(monkeypatch):
 
 _HOSTILE_PROLOGUE = (
     "import sys, time\n"
-    "from coopcache.policies import read_frame, write_frame\n"
+    "from coopcache.frames import read_frame, write_frame\n"
     "src, out = sys.stdin.buffer, sys.stdout.buffer\n"
     "def send(raw):\n"
     "    out.write(raw)\n"
@@ -859,10 +881,11 @@ def test_frame_length_accepts_frame_limit_and_refuses_one_byte_more():
 
 
 def test_importing_the_package_loads_no_adapter_machinery():
-    """``subprocess``, ``selectors``, ``shlex`` and ``logging`` load only when
-    an extern policy is built or used."""
+    """Loading every module the package exports from loads no ``subprocess``,
+    ``selectors``, ``shlex`` or ``logging``: they load only when an extern
+    policy is built or used."""
     modules = ("subprocess", "selectors", "shlex", "logging")
-    probe = f"import sys, coopcache; print([m for m in {modules!r} if m in sys.modules])"
+    probe = f"import sys\nfrom coopcache import *\nprint([m for m in {modules!r} if m in sys.modules])"
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           check=True, timeout=60)  # conftest puts src on PYTHONPATH
     assert done.stdout == "[]\n"

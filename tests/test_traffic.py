@@ -9,6 +9,7 @@ import json
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 from bisect import bisect_right
@@ -30,6 +31,7 @@ from coopcache.core import (
     oracle_best_action,
     request_slot,
 )
+from coopcache.dataset import generate_sft
 from coopcache.episode import Episode
 from coopcache.interface import encode
 from coopcache.traffic import (
@@ -617,6 +619,20 @@ def test_warm_start_zero_slots():
         (EMPTY_SLOT,) * c for c in inst.config.cache_size
     )
     assert warm.tracker.slots_seen == 0
+
+
+@pytest.mark.parametrize("horizon", [2.5, True, "2"])
+def test_the_warm_up_and_the_expert_walk_refuse_a_horizon_that_is_not_an_integer(horizon):
+    """``InstanceConfig.check_warmup_fits`` refuses it in ``RewardConfig``'s
+    words, so neither ``warm_start`` nor the walk under ``generate_sft`` runs
+    it as another horizon or dies on a bare TypeError."""
+    inst = build_instance(small_config(), 1)
+    text = f"^{re.escape(f'horizon: expected an integer, not {horizon!r}')}$"
+    for ask in (lambda: inst.config.check_warmup_fits(horizon),
+                lambda: warm_start(inst, horizon, 0.9),
+                lambda: generate_sft(inst, 5, horizon, 0.9)):
+        with pytest.raises(ConfigurationError, match=text):
+            ask()
 
 
 def test_warm_start_deterministic():
