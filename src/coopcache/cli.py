@@ -19,10 +19,10 @@ from typing import Callable, NamedTuple
 from .core import (
     StructuralError,
     atomic_write,
+    check_count,
     check_out_dir,
     check_out_file,
     make_out_dir,
-    nonnegative,
     read_json,
     real,
     whole,
@@ -231,7 +231,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_export_sft(args) -> int:
-    nonnegative("--records", args.records)
+    check_count("--records", args.records)
     check_export_paths(args.out, args.grpo_out)
     source = _instance_source(args, {})
     reward = RewardConfig(**_supplied("reward", args, {}))
@@ -255,7 +255,7 @@ def _cmd_export_sft(args) -> int:
 def _cmd_verify(args) -> int:
     for flag, count in (("--pbrs-slots", args.pbrs_slots), ("--fuzz-cases", args.fuzz_cases)):
         if count is not None:
-            nonnegative(flag, count)
+            check_count(flag, count)
     out_dir = os.environ.get(_ENV_OUT) or args.out
     check_out_dir(out_dir)
     given = {k: getattr(args, k) for k in ("seeds", "pbrs_slots", "fuzz_cases")}

@@ -6,8 +6,15 @@ only replace occupied slots; empty slots are filled by the warm-up prefill
 path in :mod:`coopcache.traffic`, never through a swap action.
 
 All types here are immutable values and all operations are pure functions,
-so they are safe to share across threads. The exceptions are :func:`atomic_write`
-and :func:`read_json`, through which every artifact is written and every input read.
+so they are safe to share across threads. The exceptions touch the file
+system: :func:`atomic_write` and :func:`read_json`, through which every
+artifact is written and every input read, :func:`check_out_file` and
+:func:`check_out_dir`, which stat output paths, and :func:`make_out_dir`.
+
+Each kind of number a caller passes in has one rule here, with one refusal
+text: :func:`check_count`, :func:`check_horizon`, :func:`check_finite`,
+:func:`check_positive` and :func:`check_gamma`. Every config and entry point
+asks them; the per-call checks, such as :func:`check_peek`, compare plainly.
 
 The per-slot actions, :class:`BsAction` and :class:`JointAction`, are
 tuple-backed: each is the tuple of its fields, so building one costs no
@@ -19,6 +26,7 @@ from __future__ import annotations
 
 import errno
 import json
+import math
 import os
 import stat
 import sys
@@ -161,33 +169,40 @@ def finite(value) -> float:
     return float(value)
 
 
-def nonnegative(name: str, value: int) -> None:
-    """Reject a negative count in one StructuralError naming ``name``; 0 is a count."""
-    if value < 0:
-        raise StructuralError(f"{name} must be >= 0, not {value}")
+def check_count(name: str, value, floor: int = 0) -> int:
+    """``value`` as an int: an integer, not a bool, a float or text, at or above
+    ``floor``; numpy integers pass. Anything else raises naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < floor:
+        raise ConfigurationError(f"{name} must be an integer >= {floor}, not {value!r}")
+    return int(value)
 
 
-def as_numbers(name: str, values, kind) -> tuple:
-    """``values`` as ints for ``kind`` Integral, as floats for Real; a bool or text
-    among them, or a float where ints are asked for, raises naming the field
-    ``name``. numpy numbers pass."""
-    values = tuple(values)
-    for value in values:
-        if isinstance(value, bool) or not isinstance(value, kind):
-            what = "an integer" if kind is Integral else "a number"
-            raise ConfigurationError(f"{name}: expected {what}, not {value!r}")
-    return tuple(map(int if kind is Integral else float, values))
+def check_horizon(value) -> int:
+    """The look-ahead horizon: a :func:`check_count` of at least 1."""
+    return check_count("horizon", value, 1)
+
+
+def check_finite(name: str, value) -> float:
+    """``value`` as a float: a number, not a bool or text, and neither NaN nor an
+    infinity; numpy numbers pass. Anything else raises naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+        raise ConfigurationError(f"{name} must be a finite number, not {value!r}")
+    return float(value)
+
+
+def check_positive(name: str, value) -> float:
+    """A :func:`check_finite` number above 0, as a float."""
+    number = check_finite(name, value)
+    if number <= 0:
+        raise ConfigurationError(f"{name} must be > 0, not {value!r}")
+    return number
 
 
 def check_gamma(value) -> float:
-    """The look-ahead discount as a float: a number, not a bool or text, finite
-    and in (0, 1]. The one rule ``RewardConfig``, ``OraclePolicy`` and
-    ``warm_start`` ask."""
-    gamma, = as_numbers("gamma", (value,), Real)
-    if not abs(gamma) <= sys.float_info.max:
-        raise StructuralError("gamma must be finite")
+    """The look-ahead discount: a :func:`check_finite` number in (0, 1], as a float."""
+    gamma = check_finite("gamma", value)
     if not 0.0 < gamma <= 1.0:
-        raise StructuralError("gamma must be in (0, 1]")
+        raise ConfigurationError("gamma must be in (0, 1]")
     return gamma
 
 

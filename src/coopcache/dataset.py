@@ -26,8 +26,8 @@ from .core import (
     StructuralError,
     atomic_write,
     canonical_json,
+    check_count,
     check_out_file,
-    nonnegative,
 )
 from .episode import expert_walk
 from .interface import SlotObservation, decode_prompt, encode, parse, serialize
@@ -91,11 +91,11 @@ def generate_sft(instance: Instance, records: int, horizon: int = EXPERT_HORIZON
     """Collect expert records at full-cache slots; one export feeds both files.
 
     Stops after ``records`` records, or earlier with ``truncated`` set when
-    the trace cannot supply the look-ahead window anymore. A negative
-    ``records`` raises. The instance is hashed and the prompts are rendered
+    the trace cannot supply the look-ahead window anymore. A ``records``
+    that is not a count raises. The instance is hashed and the prompts are rendered
     only when a file is written.
     """
-    nonnegative("records", records)
+    check_count("records", records)
     walk = islice(expert_walk(instance, horizon, gamma), records)
     return SftExport(instance, horizon, tuple(
         ExpertRecord(obs.slot, obs.cache.slots, serialize(expert)) for obs, expert, _peek in walk

@@ -32,7 +32,9 @@ from .core import (
     StructuralError,
     atomic_write,
     canonical_json,
+    check_count,
     check_out_dir,
+    check_positive,
     finite,
     hit_rate,
     key_reader,
@@ -80,6 +82,7 @@ class RunConfig:
         if not self.policies:
             raise StructuralError("need at least one policy spec")
         check_seeds(self.seeds)
+        check_positive("extern_timeout", self.extern_timeout)
 
 
 class _InstanceSha256:
@@ -237,11 +240,10 @@ def rollout(instance: Instance, policy: Policy, slots: int | None, warm: WarmSta
 
 
 def _slot_budget(config: InstanceConfig, policy: Policy, slots: int | None, trace_len: int) -> int:
-    """The rollout length; raises naming the policy unless warm-up, rollout and
-    the longer of reserve and peek fit in ``trace_len`` slots."""
-    slots = config.rollout_slots if slots is None else int(slots)
-    if slots < 1:
-        raise StructuralError(f"{policy.name}: rollout needs at least one slot")
+    """The rollout length, ``slots`` or else the config's, a count of at least 1;
+    raises naming the policy unless warm-up, rollout and the longer of reserve
+    and peek fit in ``trace_len`` slots."""
+    slots = check_count("slots", config.rollout_slots if slots is None else slots, 1)
     tail = max(config.horizon_reserve, policy.peek_len)
     if config.warm_slots + slots + tail > trace_len:
         raise StructuralError(

@@ -10,11 +10,9 @@ answers with its completion text, which the rollout parses.
 
 from __future__ import annotations
 
-import math
 import os
 import shutil
 import time
-from numbers import Integral
 
 from .core import (
     EMPTY_SLOT,
@@ -23,8 +21,9 @@ from .core import (
     BsAction,
     JointAction,
     StructuralError,
-    as_numbers,
     check_gamma,
+    check_horizon,
+    check_positive,
     hottest_uncached,
     oracle_best_action,  # not called here: perfbench traces the oracle under this name
     oracle_joint_action,
@@ -176,9 +175,7 @@ class OraclePolicy(Policy):
     """
 
     def __init__(self, horizon: int, gamma: float = EXPERT_GAMMA) -> None:
-        self.horizon, = as_numbers("oracle horizon", (horizon,), Integral)
-        if self.horizon < 1:
-            raise StructuralError("oracle horizon must be >= 1")
+        self.horizon = check_horizon(horizon)
         self.gamma = check_gamma(gamma)
         self.name = f"oracle:{self.horizon}"
         self.peek_len = self.horizon
@@ -253,9 +250,7 @@ class ExternPolicy(Policy):
                                f"no executable {self._argv[0]!r}")
         self.name = "extern"
         self._command = command
-        self._timeout = float(timeout)
-        if not 0 < self._timeout < math.inf:
-            raise StructuralError(f"extern timeout must be a finite number > 0, not {timeout!r}")
+        self._timeout = check_positive("extern_timeout", timeout)
         self._proc = None  # the adapter's subprocess.Popen, from reset on
         self._buf = bytearray()  # adapter output not yet taken as a frame
         self._stale = 0  # replies owed to timed-out prompts, not yet read

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from itertools import accumulate, chain, islice, repeat
-from numbers import Integral, Real
 from operator import mul
 
 import numpy as np
@@ -29,12 +28,14 @@ from .core import (
     NOOP,
     StructuralError,
     apply,
-    as_numbers,
+    check_count,
+    check_finite,
     check_gamma,
+    check_horizon,
     check_peek,
+    check_positive,
     check_transition,
     feasible_actions,
-    nonnegative,
 )
 from .episode import expert_walk
 from .interface import SlotObservation, parse, serialize
@@ -50,23 +51,6 @@ _ARGMAX_TOL = 1e-12
 CLIP_LO, CLIP_HI = -1.0, 1.0
 
 
-def _finite(name: str, value) -> float:
-    """``value`` as a float; a bool, text or non-finite number raises naming ``name``."""
-    value, = as_numbers(name, (value,), Real)
-    if not math.isfinite(value):
-        raise StructuralError(f"{name} must be finite")
-    return value
-
-
-def _epsilon(value) -> float:
-    """The advantage floor as a float, refused unless finite and > 0: the one
-    rule ``RewardConfig`` and ``group_advantage`` ask."""
-    epsilon = _finite("epsilon", value)
-    if epsilon <= 0:
-        raise StructuralError("epsilon must be > 0")
-    return epsilon
-
-
 @dataclass(frozen=True)
 class RewardConfig:
     """Scoring knobs: look-ahead depth, discount, penalties, advantage floor."""
@@ -78,14 +62,11 @@ class RewardConfig:
     epsilon: float = 1e-4
 
     def __post_init__(self) -> None:
-        horizon, = as_numbers("horizon", (self.horizon,), Integral)
-        if horizon < 1:
-            raise StructuralError("horizon must be >= 1")
-        object.__setattr__(self, "horizon", horizon)
+        object.__setattr__(self, "horizon", check_horizon(self.horizon))
         object.__setattr__(self, "gamma", check_gamma(self.gamma))
         for name in ("lambda_fmt", "lambda_opp"):
-            object.__setattr__(self, name, _finite(name, getattr(self, name)))
-        object.__setattr__(self, "epsilon", _epsilon(self.epsilon))
+            object.__setattr__(self, name, check_finite(name, getattr(self, name)))
+        object.__setattr__(self, "epsilon", check_positive("epsilon", self.epsilon))
         # Penalties must not reward bad output; exact zero is representable
         # so the degraded-demotion case can be constructed and flagged.
         if self.lambda_fmt > 0 or self.lambda_opp > 0:
@@ -229,7 +210,7 @@ def _breakdown(action: JointAction, gain: float, expert_acted: bool,
 def group_advantage(rewards, epsilon: float) -> list[float]:
     """Within-group z-scores: population deviation plus a stability floor
     ``epsilon``, which must be finite and > 0 as in ``RewardConfig``."""
-    epsilon = _epsilon(epsilon)
+    epsilon = check_positive("epsilon", epsilon)
     values = [float(r) for r in rewards]
     if not values:
         raise StructuralError("advantage needs at least one reward")
@@ -317,9 +298,9 @@ def verify_pbrs(instance: Instance, sample_slots: int, cfg: RewardConfig) -> Sha
     counts, independent of the oracle's tallies. A parsed action that is not
     its joint action fails the text round trip and raises. A no-op keeps
     the slot cache, and a gain is potential minus the slot cache's value.
-    A negative ``sample_slots`` raises.
+    A ``sample_slots`` that is not a count raises.
     """
-    nonnegative("sample_slots", sample_slots)
+    check_count("sample_slots", sample_slots)
     bs_range = range(1, instance.config.bs_count + 1)
     graph = instance.graph
     flags = []

@@ -11,12 +11,10 @@ trace draws, which keeps traces reproducible across machines.
 from __future__ import annotations
 
 import hashlib
-import math
 import sys
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
-from numbers import Integral, Real
 
 import numpy as np
 
@@ -28,10 +26,13 @@ from .core import (
     ConfigurationError,
     RequestSlot,
     StructuralError,
-    as_numbers,
     atomic_write,
     canonical_json,
+    check_count,
+    check_finite,
     check_gamma,
+    check_horizon,
+    check_positive,
     hottest_uncached,
     key_reader,
     oracle_best_action,
@@ -131,20 +132,17 @@ class DemandModel:
 
 def zipf_pmf(library: int, alpha: float) -> np.ndarray:
     """Rank probabilities proportional to rank**(-alpha), ranks 1..library."""
-    if library < 1:
-        raise StructuralError("library size must be >= 1")
-    if alpha <= 0:
-        raise StructuralError("alpha must be > 0")
+    library = check_count("library", library, 1)
     # Python float powers, not numpy's float64 ``power``: numpy sends that to
     # SIMD code chosen by the CPU, which may round a weight differently.
-    exponent = -float(alpha)
+    exponent = -check_positive("alpha", alpha)
     weights = np.array([float(r) ** exponent for r in range(1, library + 1)])
     return weights / weights.sum()
 
 
-#: The ``InstanceConfig`` fields that hold one count each.
-_COUNT_FIELDS = ("bs_count", "users", "library", "groups", "warm_slots", "rollout_slots",
-                 "horizon_reserve")
+#: The ``InstanceConfig`` fields that hold one count each, and the least each may be.
+_COUNT_FLOORS = {"bs_count": 1, "users": 1, "library": 1, "groups": 1, "warm_slots": 0,
+                 "rollout_slots": 0, "horizon_reserve": 0}
 
 
 @dataclass(frozen=True)
@@ -170,29 +168,23 @@ class InstanceConfig:
     horizon_reserve: int = 10
 
     def __post_init__(self) -> None:
-        for name in _COUNT_FIELDS:
-            object.__setattr__(self, name, as_numbers(name, (getattr(self, name),), Integral)[0])
-        if self.bs_count < 1 or self.users < 1 or self.groups < 1:
-            raise ConfigurationError("bs_count, users and groups must be >= 1")
-        alpha, = as_numbers("alpha", (self.alpha,), Real)  # cast: 2 and 2.0 write one instance file
-        if not math.isfinite(alpha) or alpha <= 0:
-            raise ConfigurationError("alpha must be finite and > 0")
+        for name, floor in _COUNT_FLOORS.items():
+            object.__setattr__(self, name, check_count(name, getattr(self, name), floor))
+        alpha = check_positive("alpha", self.alpha)  # cast: 2 and 2.0 write one instance file
         cache = self.cache_size
         if isinstance(cache, str) or not isinstance(cache, Iterable):
             cache = (cache,) * self.bs_count
-        cache = as_numbers("cache_size", cache, Integral)
-        if len(cache) != self.bs_count or any(c < 1 for c in cache):
-            raise ConfigurationError("cache_size needs one positive entry per BS")
+        cache = tuple(check_count("cache_size", c, 1) for c in cache)
+        if len(cache) != self.bs_count:
+            raise ConfigurationError("cache_size needs one entry per BS")
         if self.library <= max(cache):
             raise ConfigurationError("library must exceed every cache size")
-        given = list(as_numbers("windows", self.windows, Integral))
+        given = [check_count("windows", w, 1) for w in self.windows]
         windows = tuple(sorted(given))
-        if not windows or any(w < 1 for w in windows):
-            raise ConfigurationError("windows must be positive")
+        if not windows:
+            raise ConfigurationError("need at least one window")
         if len(set(windows)) < len(windows):  # each would print its FREQ line twice
             raise ConfigurationError(f"windows repeat: {given}")
-        if min(self.warm_slots, self.rollout_slots, self.horizon_reserve) < 0:
-            raise ConfigurationError("slot counts must be >= 0")
         bs_xy, radius = self.bs_xy, self.radius
         if bs_xy is None or radius is None:
             layout = DEFAULT_LAYOUTS.get(self.bs_count)
@@ -204,12 +196,10 @@ class InstanceConfig:
                 bs_xy = layout[0]
             if radius is None:
                 radius = layout[1]
-        bs_xy = tuple(as_numbers("bs_xy", (x, y), Real) for x, y in bs_xy)
+        bs_xy = tuple((check_finite("bs_xy", x), check_finite("bs_xy", y)) for x, y in bs_xy)
         if len(bs_xy) != self.bs_count:
             raise ConfigurationError("bs_xy needs one coordinate pair per BS")
-        radius, = as_numbers("radius", (radius,), Real)
-        if not math.isfinite(radius) or radius <= 0:
-            raise ConfigurationError("radius must be finite and > 0")
+        radius = check_positive("radius", radius)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "cache_size", cache)
         object.__setattr__(self, "windows", windows)
@@ -221,9 +211,9 @@ class InstanceConfig:
         return self.warm_slots + self.rollout_slots + self.horizon_reserve
 
     def check_warmup_fits(self, oracle_horizon: int) -> None:
-        """Raise unless the oracle horizon is an integer (not a bool, a float or
-        text) and the warm-up and its look-ahead fit in the trace."""
-        as_numbers("horizon", (oracle_horizon,), Integral)
+        """Raise unless ``oracle_horizon`` passes :func:`check_horizon` and the
+        warm-up and its look-ahead fit in the trace."""
+        check_horizon(oracle_horizon)
         if self.warm_slots + oracle_horizon > self.trace_slots:
             raise StructuralError(f"warm-up {self.warm_slots} + oracle horizon {oracle_horizon} "
                                   f"exceeds the {self.trace_slots}-slot trace")
@@ -311,13 +301,13 @@ _CONFIG_PARSERS = {"cache_size": _wholes, "alpha": real, "windows": _wholes,
 
 
 def check_seeds(seeds) -> None:
-    """Raise unless ``seeds`` holds at least one seed, none twice and none below 0."""
+    """Raise unless ``seeds`` holds at least one seed, each a count, none twice."""
     if not seeds:
         raise ConfigurationError("need at least one seed")
+    for seed in seeds:
+        check_count("seed", seed)
     if len(set(seeds)) < len(seeds):
         raise ConfigurationError(f"seeds repeat: {list(seeds)}")
-    if min(seeds) < 0:
-        raise ConfigurationError("seed must be >= 0")
 
 
 def draw_graph(config: InstanceConfig, seed: int) -> AssociationGraph:

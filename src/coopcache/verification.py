@@ -13,7 +13,7 @@ import random
 from dataclasses import asdict, dataclass
 from itertools import islice
 
-from .core import NOOP, JointAction, StructuralError, apply, feasible_actions, nonnegative
+from .core import NOOP, JointAction, StructuralError, apply, check_count, feasible_actions
 from .episode import Episode
 from .interface import SlotObservation, encode, parse, serialize
 from .reward import RewardConfig, ShapingReport, verify_pbrs
@@ -142,9 +142,10 @@ def _case_tag(n: int) -> str:
 def fuzz_parser(obs: SlotObservation, cases: int) -> FuzzReport:
     """Hammer the parser; report crashes and valid-but-infeasible accepts.
 
-    Every near-miss line runs, even when ``cases`` is smaller; a negative ``cases`` raises.
+    Every near-miss line runs, even when ``cases`` is smaller; a ``cases`` that is not a
+    count raises.
     """
-    nonnegative("cases", cases)
+    check_count("cases", cases)
     total = max(cases, len(NEAR_MISS_LINES))
     cache, requests = obs.cache, obs.requests
     crashes: list[str] = []
@@ -176,11 +177,11 @@ def run_verification(seeds=(1, 2, 3), pbrs_slots: int = 20, fuzz_cases: int = 10
     """Full self-check on default instances and reward: fuzz + shaping audit + joint-space bound.
 
     Returns a JSON-ready document with one entry per suite and a summary
-    ``ok`` flag. Bad seeds or a negative count raise before any suite runs.
+    ``ok`` flag. Bad seeds or a count that is not one raise before any suite runs.
     """
     check_seeds(seeds)
-    nonnegative("pbrs_slots", pbrs_slots)
-    nonnegative("fuzz_cases", fuzz_cases)
+    check_count("pbrs_slots", pbrs_slots)
+    check_count("fuzz_cases", fuzz_cases)
     instances = [build_instance(InstanceConfig(), seed) for seed in seeds]
     fuzz = fuzz_parser(first_decision_observation(instances[0]), fuzz_cases)
     shaping: list[ShapingReport] = [

@@ -17,6 +17,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import types
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -53,8 +54,8 @@ from coopcache.harness import (
     sweep,
     write_reports,
 )
-from coopcache.policies import Policy, make_policy
-from coopcache.reward import RewardConfig, verify_pbrs
+from coopcache.policies import OraclePolicy, Policy, make_policy
+from coopcache.reward import RewardConfig, group_advantage, verify_pbrs
 from coopcache.traffic import (
     SWEEP_AXES,
     ConfigurationError,
@@ -65,6 +66,7 @@ from coopcache.traffic import (
     save_instance,
     sweep_config,
     warm_start,
+    zipf_pmf,
 )
 
 import test_golden
@@ -655,9 +657,9 @@ def test_sweep_rejects_a_non_finite_alpha_before_any_rollout(tmp_path, work):
     out = tmp_path / "out"
     cfg = RunConfig(instance_config=small_config(), policies=("lru",), seeds=(1,),
                     slots=5, out_dir=str(out))
-    with pytest.raises(ConfigurationError, match="alpha must be finite"):
+    with pytest.raises(ConfigurationError, match="alpha must be a finite number, not nan"):
         sweep(cfg, "zipf_alpha", [1.0, float("nan")])
-    with pytest.raises(SystemExit, match="alpha must be finite"):
+    with pytest.raises(SystemExit, match="alpha must be a finite number, not inf"):
         cli_main(["sweep", "--axis", "zipf_alpha", "--values", "1,inf", "--policy", "lru",
                   "--seeds", "1", "--slots", "5", "--out", str(out)])
     assert not work and not out.exists()
@@ -683,7 +685,7 @@ def test_sweep_refuses_an_unknown_axis_in_one_line_before_any_build(tmp_path, wo
 def test_the_api_refuses_a_negative_count_by_name(instance, name, call):
     with pytest.raises(StructuralError) as exc:
         call(instance, -3)
-    assert str(exc.value) == f"{name} must be >= 0, not -3"
+    assert str(exc.value) == f"{name} must be an integer >= 0, not -3"
     call(instance, 0)  # 0 is a count
 
 
@@ -746,7 +748,108 @@ def test_a_report_pickles_and_copies_without_its_instance():
 def test_run_verification_refuses_a_negative_count_before_any_suite(work, name):
     with pytest.raises(StructuralError) as exc:
         verification.run_verification(seeds=(1,), **{name: -1})
-    assert str(exc.value) == f"{name} must be >= 0, not -1" and not work
+    assert str(exc.value) == f"{name} must be an integer >= 0, not -1" and not work
+
+
+def _number_refusals(kind: str, name: str) -> list[tuple[object, str]]:
+    """The bad values of one kind of number and the words its ``core`` rule
+    refuses each in: 2.5, a bool, text, one below the floor and -3 as a count;
+    NaN, an infinity, a bool and text as a finite number; those, 0 and -1 as a
+    positive number."""
+    if kind.startswith("count"):
+        floor = int(kind[-1])
+        return [(v, f"{name} must be an integer >= {floor}, not {v!r}")
+                for v in (2.5, True, "3", floor - 1, -3)]
+    rows = [(v, f"{name} must be a finite number, not {v!r}")
+            for v in (float("nan"), float("inf"), True, "3")]
+    if kind == "positive":
+        rows += [(v, f"{name} must be > 0, not {v!r}") for v in (0, -1)]
+    return rows
+
+
+_fuzz_parser = verification.fuzz_parser  # the function itself: ``work`` counts a call of the name
+# A warm-up that fills its caches on its last slot never asks the oracle, so
+# only the horizon rule can refuse a bad horizon before it ends.
+_UNASKED = functools.cache(lambda: build_instance(small_config(warm_slots=10, cache_size=10), 1))
+
+@pytest.fixture(scope="module")
+def asked_on(instance, warm):
+    """What an asker needs beside the value, made before ``work`` counts."""
+    return types.SimpleNamespace(instance=instance, warm=warm,
+                                 obs=verification.first_decision_observation(instance))
+
+
+#: Every asker of a number rule: test id -> (the kind of number, the name its
+#: refusal gives the value, a call of the asker on ``asked_on`` and the value).
+NUMBER_ASKERS = {
+    **{f"instance-config-{field}": (f"count>={floor}", field,
+                                    lambda on, v, field=field: InstanceConfig(**{field: v}))
+       for field, floor in [("bs_count", 1), ("users", 1), ("library", 1), ("groups", 1),
+                            ("warm_slots", 0), ("rollout_slots", 0), ("horizon_reserve", 0)]},
+    "instance-config-cache_size": ("count>=1", "cache_size",
+                                   lambda on, v: InstanceConfig(cache_size=v)),
+    "instance-config-windows": ("count>=1", "windows",
+                                lambda on, v: InstanceConfig(windows=(v, 10))),
+    "zipf_pmf-library": ("count>=1", "library", lambda on, v: zipf_pmf(v, 1.2)),
+    "run-config-seeds": ("count>=0", "seed",
+                         lambda on, v: RunConfig(instance_config=small_config(),
+                                                         seeds=(v,))),
+    "build_instance-seed": ("count>=0", "seed",
+                            lambda on, v: build_instance(small_config(), v)),
+    "run_verification-seeds": ("count>=0", "seed",
+                               lambda on, v: verification.run_verification(seeds=(v,))),
+    "run-slots": ("count>=1", "slots", lambda on, v: run(
+        RunConfig(instance_config=small_config(), seeds=(1,), slots=v))),
+    "rollout-slots": ("count>=1", "slots",
+                      lambda on, v: rollout(on.instance, make_policy("lru"), v, on.warm)),
+    "generate_sft-records": ("count>=0", "records", lambda on, v: generate_sft(on.instance, v)),
+    "verify_pbrs-sample_slots": ("count>=0", "sample_slots",
+                                 lambda on, v: verify_pbrs(on.instance, v, RewardConfig())),
+    "fuzz_parser-cases": ("count>=0", "cases",
+                          lambda on, v: _fuzz_parser(on.obs, v)),
+    **{f"run_verification-{name}": ("count>=0", name, lambda on, v, name=name:
+                                     verification.run_verification(seeds=(1,), **{name: v}))
+       for name in ("pbrs_slots", "fuzz_cases")},
+    "reward-config-horizon": ("count>=1", "horizon",
+                              lambda on, v: RewardConfig(horizon=v)),
+    "oracle-policy-horizon": ("count>=1", "horizon", lambda on, v: OraclePolicy(v)),
+    "check_warmup_fits-horizon": ("count>=1", "horizon",
+                                  lambda on, v: on.instance.config.check_warmup_fits(v)),
+    "warm_start-horizon": ("count>=1", "horizon", lambda on, v: warm_start(_UNASKED(), v)),
+    "generate_sft-horizon": ("count>=1", "horizon",
+                             lambda on, v: generate_sft(_UNASKED(), 5, v)),
+    **{f"reward-config-{name}": ("finite", name,
+                                 lambda on, v, name=name: RewardConfig(**{name: v}))
+       for name in ("lambda_fmt", "lambda_opp")},
+    "instance-config-bs_xy-x": ("finite", "bs_xy", lambda on, v: InstanceConfig(
+        bs_xy=((v, 0.5), (0.65, 0.5)))),
+    "instance-config-bs_xy-y": ("finite", "bs_xy", lambda on, v: InstanceConfig(
+        bs_xy=((0.35, 0.5), (0.65, v)))),
+    "reward-config-epsilon": ("positive", "epsilon", lambda on, v: RewardConfig(epsilon=v)),
+    "group_advantage-epsilon": ("positive", "epsilon",
+                                lambda on, v: group_advantage([0.5, 1.0], v)),
+    **{f"instance-config-{name}": ("positive", name,
+                                   lambda on, v, name=name: InstanceConfig(**{name: v}))
+       for name in ("alpha", "radius")},
+    "zipf_pmf-alpha": ("positive", "alpha", lambda on, v: zipf_pmf(5, v)),
+    "extern-policy-timeout": ("positive", "extern_timeout",
+                              lambda on, v: make_policy(_EXTERN_STUB, 0.9, v)),
+    "run-config-extern_timeout": ("positive", "extern_timeout", lambda on, v: RunConfig(
+        instance_config=small_config(), policies=("lru",), extern_timeout=v)),
+}
+
+
+@pytest.mark.parametrize("asker, value, text", [
+    pytest.param(asker, value, text, id=f"{asker}-{value!r}")
+    for asker, (kind, name, _ask) in NUMBER_ASKERS.items()
+    for value, text in _number_refusals(kind, name)])
+def test_every_number_asker_refuses_a_bad_value_in_its_rules_words(asked_on, work, asker, value,
+                                                                   text):
+    """Each count, horizon, finite and positive setting is refused by its one
+    ``core`` rule, in the same words wherever it is asked, before any work."""
+    with pytest.raises(StructuralError, match=f"^{re.escape(text)}$"):
+        NUMBER_ASKERS[asker][2](asked_on, value)
+    assert not work, dict(work)
 
 
 # README's refusals. Each one is a row of REFUSALS: the command's arguments,
@@ -928,8 +1031,9 @@ _CORRUPTIONS = {
                     "instance config key 'alpha': expected a number, not True"),
     "_bool_radius": (_set("config", "radius", value=False),
                      "instance config key 'radius': expected a number, not False"),
-    "_text_alpha_nan": (_set("config", "alpha", value="nan"), "alpha must be finite and > 0"),
-    "_infinite_radius": (_set("config", "radius", value=float("inf")), "radius must be finite"),
+    "_text_alpha_nan": (_set("config", "alpha", value="nan"), "alpha must be a finite number"),
+    "_infinite_radius": (_set("config", "radius", value=float("inf")),
+                         "radius must be a finite number"),
     "_bool_user_coordinate": (
         _set("user_xy", 0, 0, value=True),
         r"instance key 'user_xy': expected an \[x, y\] pair of finite numbers, not \[True, "),
@@ -1122,11 +1226,13 @@ REFUSALS = {
                 lambda: _run_files(_LRU_2BS_SEED1, ("--bs", "5", "--users", "40", "--seeds", "2",
                                                     "--policy", "lru"))),
     ],
+    # every run refuses it, not only one with an extern: policy
     "test_cli_refuses_a_bad_extern_timeout_before_any_rollout": {
-        timeout: Refusal(["run", "--policy", _EXTERN_STUB, "--extern-timeout", timeout,
-                          "--slots", "1", "--seeds", "1", "--out", "out"],
-                         f"extern timeout must be a finite number > 0, not {float(timeout)!r}")
-        for timeout in ["-1", "0", "nan"]
+        prefix + timeout: Refusal(["run", "--policy", policy, "--extern-timeout", timeout,
+                                   "--slots", "1", "--seeds", "1", "--out", "out"],
+                                  f"extern_timeout must be {rule}, not {float(timeout)!r}")
+        for prefix, policy in [("", _EXTERN_STUB), ("lru:", "lru")]
+        for timeout, rule in [("-1", "> 0"), ("0", "> 0"), ("nan", "a finite number")]
     },
     "test_report_refuses_reports_whose_checkpoint_slots_differ": {
         f"{long}-{short}": Refusal(_REPORT, _UNEQUAL_SLOTS,
@@ -1155,7 +1261,7 @@ REFUSALS = {
     },
     "test_cli_run_without_slots_writes_nothing": {
         flag: Refusal(["run", f"--{flag}", "0", "--seeds", "1", "--out", "out"],
-                      re.compile("at least one slot"))
+                      "slots must be an integer >= 1, not 0")
         for flag in ["slots", "rollout-slots"]
     },
     "test_cli_verify_without_seeds_writes_nothing": [
@@ -1164,13 +1270,14 @@ REFUSALS = {
     "test_cli_reports_an_error_in_one_line": {
         name: Refusal([*argv, "--out", "out"], re.compile(message), {"open-brace.json": "{"})
         for name, argv, message in [
-            ("run-gamma-nan", ["run", "--gamma", "nan", "--seeds", "1"], "gamma must be finite"),
+            ("run-gamma-nan", ["run", "--gamma", "nan", "--seeds", "1"],
+             "gamma must be a finite number, not nan"),
             ("run-missing-adapter",
              ["run", "--policy", "extern:/nonexistent/adapter", "--seeds", "1", "--slots", "1",
               "--warm-slots", "12", "--rollout-slots", "30", "--horizon-reserve", "4"],
              "cannot start adapter '/nonexistent/adapter'"),
             ("gen-instance-negative-radius", ["gen-instance", "--radius", "-0.4", "--seed", "1"],
-             "radius must be finite and > 0"),
+             "radius must be > 0, not -0.4"),
             ("report-missing-dir", ["report", "--reports", "no-dir"],
              "^no-dir: .*No such file or directory"),
             ("run-missing-config", ["run", "--config", "no-file.json"],
@@ -1217,11 +1324,11 @@ REFUSALS = {
         name: Refusal(argv, message)
         for name, argv, message in [
             ("export-sft-records", ["export-sft", "--records", "-3", "--out", "s.jsonl"],
-             "--records must be >= 0, not -3"),
+             "--records must be an integer >= 0, not -3"),
             ("verify-fuzz-cases", ["verify", "--seeds", "1", "--fuzz-cases", "-5"],
-             "--fuzz-cases must be >= 0, not -5"),
+             "--fuzz-cases must be an integer >= 0, not -5"),
             ("verify-pbrs-slots", ["verify", "--seeds", "1", "--pbrs-slots", "-1"],
-             "--pbrs-slots must be >= 0, not -1"),
+             "--pbrs-slots must be an integer >= 0, not -1"),
         ]
     },
     # An instance file fixes every instance setting and its seed, so one given beside it is refused.
@@ -1258,10 +1365,10 @@ REFUSALS = {
     },
     "test_run_sweep_and_report_refuse_before_any_work": {
         "run-negative-seed": Refusal(["run", "--seeds", "1,-1", "--policy", "lru", "--out", "out"],
-                                     "seed must be >= 0"),
+                                     "seed must be an integer >= 0, not -1"),
         "sweep-negative-seed": Refusal(["sweep", "--axis", "library_size", "--values", "100",
                                         "--seeds", "1,-1", "--policy", "lru", "--out", "out"],
-                                       "seed must be >= 0"),
+                                       "seed must be an integer >= 0, not -1"),
         "run-names-collide": Refusal(["run", "--policy", "lru", "--policy", "lru", "--seeds", "1",
                                       "--out", "out"], "policy specs share a name: ['lru', 'lru']"),
         "run-bad-oracle-horizon": Refusal(["run", "--policy", "oracle:1:2", "--seeds", "1",
@@ -1301,7 +1408,7 @@ REFUSALS = {
         "run-without-seeds": Refusal(["run", "--seeds", "", "--out", "out"],
                                      "need at least one seed"),
         "run-oracle-horizon-0": Refusal(["run", "--policy", "oracle:0", "--seeds", "1",
-                                         "--out", "out"], "oracle horizon must be >= 1"),
+                                         "--out", "out"], "horizon must be an integer >= 1, not 0"),
         "report-no-reports": Refusal(_REPORT, "no report_*.json files under reports",
                                      {"reports/": None}),
         "report-unknown-schema": Refusal(
@@ -1318,11 +1425,11 @@ REFUSALS = {
     # before they build the first instance
     "test_verify_and_export_sft_refuse_before_the_first_build": {
         "verify-negative-seed": Refusal(["verify", "--seeds", "1,-1", "--out", "out"],
-                                        "seed must be >= 0"),
+                                        "seed must be an integer >= 0, not -1"),
         **{f"export-sft-{flag}-{value}": Refusal(
             ["export-sft", "--records", "5", f"--{flag}", value, "--out", "s.jsonl"], message)
            for flag, value, message in [
-               ("horizon", "0", "horizon must be >= 1"),
+               ("horizon", "0", "horizon must be an integer >= 1, not 0"),
                ("gamma", "2", "gamma must be in (0, 1]"),
                ("horizon", "1000", "warm-up 100 + oracle horizon 1000 exceeds the 410-slot trace"),
            ]},

@@ -59,6 +59,13 @@ def _callers(tree: ast.Module, call: str) -> list[str | None]:
                       and ast.unparse(node.func) == call)
 
 
+def _raisers(text: str) -> list[tuple[str, str | None]]:
+    """``(module, function)`` of each ``raise`` in the package whose source holds ``text``."""
+    return [(path.stem, where) for path in sorted(PACKAGE.glob("*.py"))
+            for where in _enclosing(_tree(path), lambda node: isinstance(node, ast.Raise)
+                                    and text in ast.unparse(node))]
+
+
 @pytest.mark.parametrize("module", ENVIRONMENT)
 def test_the_environment_layer_imports_no_upper_layer(module):
     assert _package_imports(_tree(PACKAGE / f"{module}.py")) & UPPER == set()
@@ -150,26 +157,33 @@ def test_reward_scores_only_in_its_one_pass():
     assert sorted(_callers(tree, "lookahead_values")) == ["_scored", "lookahead_value"]
 
 
-@pytest.mark.parametrize("text", ["seeds repeat", "at least one seed", "seed must be >= 0",
-                                  "instance file holds seed"])
+@pytest.mark.parametrize("text", ["seeds repeat", "at least one seed", "instance file holds seed"])
 def test_each_seed_rule_is_raised_in_one_function(text):
     """``traffic.check_seeds`` and ``traffic.load_seeded_instance`` hold the seed
     rules that every command asks before its first build; a raise elsewhere is a
-    second copy."""
-    raisers = [(path.stem, where) for path in sorted(PACKAGE.glob("*.py"))
-               for where in _enclosing(_tree(path), lambda node: isinstance(node, ast.Raise)
-                                       and text in ast.unparse(node))]
+    second copy. Each seed itself is a count, which ``core.check_count`` refuses."""
     home = "load_seeded_instance" if text.startswith("instance") else "check_seeds"
-    assert raisers == [("traffic", home)]
+    assert _raisers(text) == [("traffic", home)]
 
 
 def test_the_gamma_rule_is_raised_only_in_core_check_gamma():
-    """``RewardConfig``, ``OraclePolicy`` and ``warm_start`` ask ``core.check_gamma``;
-    a raise elsewhere is a second copy."""
-    raisers = [(path.stem, where) for path in sorted(PACKAGE.glob("*.py"))
-               for where in _enclosing(_tree(path), lambda node: isinstance(node, ast.Raise)
-                                       and "gamma must be" in ast.unparse(node))]
-    assert raisers == [("core", "check_gamma")] * 2
+    """``RewardConfig``, ``OraclePolicy`` and ``warm_start`` ask ``core.check_gamma``,
+    which asks ``check_finite``; a raise elsewhere is a second copy."""
+    assert _raisers("gamma must be") == [("core", "check_gamma")]
+
+
+@pytest.mark.parametrize("text, home", [
+    ("must be an integer >=", "check_count"),
+    ("must be a finite number", "check_finite"),
+    ("must be > 0", "check_positive"),
+    # check_horizon words its refusal through check_count; check_peek, asked on
+    # every oracle question, keeps its own plain comparison
+    ("horizon must be", "check_peek"),
+])
+def test_each_number_rule_is_raised_only_in_its_core_function(text, home):
+    """Every count, horizon, finite and positive setting asks its ``core`` rule;
+    a raise of the rule's text elsewhere is a second copy."""
+    assert _raisers(text) == [("core", home)]
 
 
 def test_run_leaves_its_out_dir_and_instance_file_to_evaluate():

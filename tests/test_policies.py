@@ -213,15 +213,16 @@ def test_an_oracle_deciding_before_reset_names_itself(small_instance):
 @pytest.mark.parametrize("horizon", [2.5, True, "2"])
 def test_oracle_policy_refuses_a_horizon_that_is_not_an_integer(horizon):
     with pytest.raises(StructuralError,
-                       match=f"^{re.escape(f'oracle horizon: expected an integer, not {horizon!r}')}$"):
+                       match=f"^{re.escape(f'horizon must be an integer >= 1, not {horizon!r}')}$"):
         OraclePolicy(horizon)
     oracle = OraclePolicy(np.int64(2))
     assert oracle.name == "oracle:2" and type(oracle.horizon) is int
 
 
-_BAD_GAMMAS = [(True, "gamma: expected a number, not True"),
-               ("0.5", "gamma: expected a number, not '0.5'"),
-               (float("nan"), "gamma must be finite"), (float("inf"), "gamma must be finite"),
+_BAD_GAMMAS = [(True, "gamma must be a finite number, not True"),
+               ("0.5", "gamma must be a finite number, not '0.5'"),
+               (float("nan"), "gamma must be a finite number, not nan"),
+               (float("inf"), "gamma must be a finite number, not inf"),
                (0.0, "gamma must be in (0, 1]"), (-0.5, "gamma must be in (0, 1]"),
                (1.5, "gamma must be in (0, 1]")]
 

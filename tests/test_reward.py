@@ -361,17 +361,20 @@ def test_reward_config_validation():
 @pytest.mark.parametrize("name", ["gamma", "lambda_fmt", "lambda_opp", "epsilon"])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_reward_config_rejects_non_finite_floats(name, bad):
-    with pytest.raises(StructuralError, match=f"{name} must be finite"):
+    with pytest.raises(StructuralError, match=f"{name} must be a finite number"):
         RewardConfig(**{name: bad})
 
 
+_INTEGER, _FINITE = "an integer >= 1", "a finite number"
+
+
 @pytest.mark.parametrize("name, bad, kind", [
-    ("horizon", 2.5, "an integer"), ("horizon", True, "an integer"), ("horizon", "3", "an integer"),
-    ("gamma", "0.9", "a number"), ("gamma", True, "a number"), ("lambda_fmt", False, "a number"),
-    ("lambda_opp", "-0.2", "a number"), ("epsilon", True, "a number"), ("epsilon", "1e-4", "a number"),
+    ("horizon", 2.5, _INTEGER), ("horizon", True, _INTEGER), ("horizon", "3", _INTEGER),
+    ("gamma", "0.9", _FINITE), ("gamma", True, _FINITE), ("lambda_fmt", False, _FINITE),
+    ("lambda_opp", "-0.2", _FINITE), ("epsilon", True, _FINITE), ("epsilon", "1e-4", _FINITE),
 ])
 def test_reward_config_refuses_a_bool_text_or_fractional_value(name, bad, kind):
-    with pytest.raises(StructuralError, match=f"^{re.escape(f'{name}: expected {kind}, not {bad!r}')}$"):
+    with pytest.raises(StructuralError, match=f"^{re.escape(f'{name} must be {kind}, not {bad!r}')}$"):
         RewardConfig(**{name: bad})
 
 

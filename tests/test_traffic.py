@@ -189,12 +189,12 @@ def test_config_validation():
     with pytest.raises(ConfigurationError):
         InstanceConfig(alpha=0.0)
     for bad in (float("nan"), float("inf")):
-        with pytest.raises(ConfigurationError, match="alpha must be finite"):
+        with pytest.raises(ConfigurationError, match="alpha must be a finite number"):
             InstanceConfig(alpha=bad)
-        with pytest.raises(ConfigurationError, match="radius must be finite"):
+        with pytest.raises(ConfigurationError, match="radius must be a finite number"):
             InstanceConfig(radius=bad)
     for bad in (0.0, -0.4):
-        with pytest.raises(ConfigurationError, match="radius must be finite and > 0"):
+        with pytest.raises(ConfigurationError, match="radius must be > 0"):
             InstanceConfig(radius=bad)
     cfg = InstanceConfig(cache_size=7, windows=(100, 10))
     assert cfg.cache_size == (7, 7)
@@ -202,21 +202,21 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("overrides, message", [
-    ({"bs_count": 0}, "bs_count, users and groups must be >= 1"),
-    ({"users": 0}, "bs_count, users and groups must be >= 1"),
-    ({"groups": 0}, "bs_count, users and groups must be >= 1"),
-    ({"windows": ()}, "windows must be positive"),
-    ({"windows": (0, 10)}, "windows must be positive"),
-    ({"warm_slots": -1}, "slot counts must be >= 0"),
-    ({"rollout_slots": -1}, "slot counts must be >= 0"),
-    ({"horizon_reserve": -1}, "slot counts must be >= 0"),
+    ({"bs_count": 0}, "bs_count must be an integer >= 1, not 0"),
+    ({"users": 0}, "users must be an integer >= 1, not 0"),
+    ({"groups": 0}, "groups must be an integer >= 1, not 0"),
+    ({"windows": ()}, "need at least one window"),
+    ({"windows": (0, 10)}, "windows must be an integer >= 1, not 0"),
+    ({"warm_slots": -1}, "warm_slots must be an integer >= 0, not -1"),
+    ({"rollout_slots": -1}, "rollout_slots must be an integer >= 0, not -1"),
+    ({"horizon_reserve": -1}, "horizon_reserve must be an integer >= 0, not -1"),
     ({"bs_xy": ((0.5, 0.5),)}, "bs_xy needs one coordinate pair per BS"),
-    ({"alpha": True}, "alpha: expected a number, not True"),
-    ({"alpha": "1.2"}, "alpha: expected a number, not '1.2'"),
-    ({"radius": True}, "radius: expected a number, not True"),
-    ({"radius": "0.4"}, "radius: expected a number, not '0.4'"),
-    ({"bs_xy": ((True, 0.5), (0.65, 0.5))}, "bs_xy: expected a number, not True"),
-    ({"bs_xy": ((0.35, "0.5"), (0.65, 0.5))}, "bs_xy: expected a number, not '0.5'"),
+    ({"alpha": True}, "alpha must be a finite number, not True"),
+    ({"alpha": "1.2"}, "alpha must be a finite number, not '1.2'"),
+    ({"radius": True}, "radius must be a finite number, not True"),
+    ({"radius": "0.4"}, "radius must be a finite number, not '0.4'"),
+    ({"bs_xy": ((True, 0.5), (0.65, 0.5))}, "bs_xy must be a finite number, not True"),
+    ({"bs_xy": ((0.35, "0.5"), (0.65, 0.5))}, "bs_xy must be a finite number, not '0.5'"),
 ])
 def test_config_refusals_name_their_rule(overrides, message):
     with pytest.raises(ConfigurationError) as exc:
@@ -225,16 +225,16 @@ def test_config_refusals_name_their_rule(overrides, message):
 
 
 @pytest.mark.parametrize("overrides, message", [
-    ({"cache_size": (3.7, 4.2)}, "cache_size: expected an integer, not 3.7"),
-    ({"cache_size": 3.7}, "cache_size: expected an integer, not 3.7"),
-    ({"cache_size": True}, "cache_size: expected an integer, not True"),
-    ({"cache_size": "10"}, "cache_size: expected an integer, not '10'"),
-    ({"windows": (5.5, 10)}, "windows: expected an integer, not 5.5"),
-    ({"windows": (10, False)}, "windows: expected an integer, not False"),
-    ({"warm_slots": 2.5}, "warm_slots: expected an integer, not 2.5"),
-    ({"rollout_slots": "300"}, "rollout_slots: expected an integer, not '300'"),
-    ({"horizon_reserve": True}, "horizon_reserve: expected an integer, not True"),
-    ({"users": 20.0}, "users: expected an integer, not 20.0"),
+    ({"cache_size": (3.7, 4.2)}, "cache_size must be an integer >= 1, not 3.7"),
+    ({"cache_size": 3.7}, "cache_size must be an integer >= 1, not 3.7"),
+    ({"cache_size": True}, "cache_size must be an integer >= 1, not True"),
+    ({"cache_size": "10"}, "cache_size must be an integer >= 1, not '10'"),
+    ({"windows": (5.5, 10)}, "windows must be an integer >= 1, not 5.5"),
+    ({"windows": (10, False)}, "windows must be an integer >= 1, not False"),
+    ({"warm_slots": 2.5}, "warm_slots must be an integer >= 0, not 2.5"),
+    ({"rollout_slots": "300"}, "rollout_slots must be an integer >= 0, not '300'"),
+    ({"horizon_reserve": True}, "horizon_reserve must be an integer >= 0, not True"),
+    ({"users": 20.0}, "users must be an integer >= 1, not 20.0"),
 ], ids=["cache-tuple", "cache-float", "cache-bool", "cache-text", "windows-float",
         "windows-bool", "warm-float", "rollout-text", "reserve-bool", "users-float"])
 def test_a_config_refuses_a_count_that_is_not_an_integer(overrides, message):
@@ -627,7 +627,7 @@ def test_the_warm_up_and_the_expert_walk_refuse_a_horizon_that_is_not_an_integer
     words, so neither ``warm_start`` nor the walk under ``generate_sft`` runs
     it as another horizon or dies on a bare TypeError."""
     inst = build_instance(small_config(), 1)
-    text = f"^{re.escape(f'horizon: expected an integer, not {horizon!r}')}$"
+    text = f"^{re.escape(f'horizon must be an integer >= 1, not {horizon!r}')}$"
     for ask in (lambda: inst.config.check_warmup_fits(horizon),
                 lambda: warm_start(inst, horizon, 0.9),
                 lambda: generate_sft(inst, 5, horizon, 0.9)):
