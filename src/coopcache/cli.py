@@ -22,6 +22,7 @@ from .core import (
     check_count,
     check_out_dir,
     check_out_file,
+    integer,
     make_out_dir,
     read_json,
     real,
@@ -47,15 +48,11 @@ _ENV_OUT = "COOPCACHE_OUT_DIR"
 _DEFAULT_OUT = "results"
 
 
-def _int(value) -> int:
-    """Decimal text, or a JSON integer."""
-    return int(value) if isinstance(value, str) else whole(value)
-
-
 def _ints(value) -> tuple[int, ...]:
-    """Comma separated decimal text, or a JSON list of integers."""
+    """Comma separated decimal text, every entry read by ``integer`` (``""`` is
+    the empty list), or a JSON list of integers."""
     if isinstance(value, str):
-        return tuple(int(x) for x in value.split(",") if x != "")
+        return tuple(map(integer, value.split(","))) if value else ()
     return tuple(whole(x) for x in value)
 
 
@@ -67,11 +64,10 @@ def _specs(value) -> tuple[str, ...]:
 
 
 def _cache(value):
-    """One int for every BS, or a per-BS tuple; a one-entry string is one int."""
-    if isinstance(value, str):
-        parsed = _ints(value)
-        return parsed[0] if len(parsed) == 1 else parsed
-    return _ints(value) if isinstance(value, (list, tuple)) else whole(value)
+    """One int for every BS, or a per-BS tuple; a string without a comma is one int."""
+    if isinstance(value, (list, tuple)) or isinstance(value, str) and "," in value:
+        return _ints(value)
+    return integer(value)
 
 
 class Setting(NamedTuple):
@@ -96,18 +92,18 @@ class Setting(NamedTuple):
 # Every setting once. Defaults are the dataclasses' own: a setting neither
 # a flag nor the config file supplies is not passed to its dataclass.
 SETTINGS = (
-    Setting("bs", "instance", "bs_count", _int, "number of base stations"),
-    Setting("users", "instance", "users", _int, "number of users"),
-    Setting("library", "instance", "library", _int, "content library size"),
+    Setting("bs", "instance", "bs_count", integer, "number of base stations"),
+    Setting("users", "instance", "users", integer, "number of users"),
+    Setting("library", "instance", "library", integer, "content library size"),
     Setting("cache", "instance", "cache_size", _cache, "cache size: one int or comma list per BS"),
-    Setting("groups", "instance", "groups", _int, "user preference groups"),
+    Setting("groups", "instance", "groups", integer, "user preference groups"),
     Setting("alpha", "instance", "alpha", real, "popularity skew exponent"),
     Setting("windows", "instance", "windows", _ints, "history windows, comma separated"),
     Setting("radius", "instance", "radius", real, "coverage radius"),
-    Setting("warm_slots", "instance", "warm_slots", _int, "warm-up slots"),
-    Setting("rollout_slots", "instance", "rollout_slots", _int, "rollout slots in the trace"),
-    Setting("horizon_reserve", "instance", "horizon_reserve", _int, "trace slots past the rollout"),
-    Setting("horizon", "reward", "horizon", _int, "expert and reward look-ahead horizon"),
+    Setting("warm_slots", "instance", "warm_slots", integer, "warm-up slots"),
+    Setting("rollout_slots", "instance", "rollout_slots", integer, "rollout slots in the trace"),
+    Setting("horizon_reserve", "instance", "horizon_reserve", integer, "trace slots past the rollout"),
+    Setting("horizon", "reward", "horizon", integer, "expert and reward look-ahead horizon"),
     Setting("gamma", "reward", "gamma", real, "look-ahead discount"),
     Setting("lambda_fmt", "reward", "lambda_fmt", real, "penalty for malformed output"),
     Setting("lambda_opp", "reward", "lambda_opp", real, "penalty for a missed swap"),
@@ -117,7 +113,7 @@ SETTINGS = (
             "lru | lfu | fifo | noop | oracle:<H> | extern:<command>; repeatable",
             flag="--policy"),
     Setting("seeds", "run", "seeds", _ints, "comma separated seed list"),
-    Setting("slots", "run", "slots", _int, "rollout slots to run (default: the instance's)"),
+    Setting("slots", "run", "slots", integer, "rollout slots to run (default: the instance's)"),
     Setting("extern_timeout", "run", "extern_timeout", real, "adapter reply timeout in seconds"),
     Setting("out", "run", "out_dir", str, f"output directory (default: {_DEFAULT_OUT})"),
 )
@@ -213,7 +209,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _run_config(args, _load_file_cfg(args.config))
-    parse = SWEEP_AXES[args.axis][1]
+    parse = next(s.parse for s in SETTINGS if s.field == SWEEP_AXES[args.axis])
     values = []
     for text in args.values.split(","):
         try:
@@ -240,7 +236,6 @@ def _cmd_export_sft(args) -> int:
         instance = build_instance(source, 1 if args.seed is None else args.seed)
     else:
         instance = load_seeded_instance(source, args.seed, "export-sft")
-        instance.config.check_warmup_fits(reward.horizon)
     export = generate_sft(instance, args.records, reward.horizon, reward.gamma)
     write_export(export, args.out, args.grpo_out)
     status = "truncated" if export.truncated else "complete"
@@ -300,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-instance", help="generate and save a frozen instance")
     _add_settings(p, _INSTANCE_KEYS)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=integer, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_gen_instance)
 
@@ -315,8 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export-sft", help="export expert demonstration pairs")
     _add_settings(p, _INSTANCE_KEYS + ("instance", "horizon", "gamma"))
-    p.add_argument("--seed", type=int, help="default: the --instance file's seed, else 1")
-    p.add_argument("--records", type=int, required=True)
+    p.add_argument("--seed", type=integer, help="default: the --instance file's seed, else 1")
+    p.add_argument("--records", type=integer, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--grpo-out", default=None,
                    help="also write the reward-stage states of the same expert walk")
@@ -325,8 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="parser fuzz + shaping audit + space bound")
     # Without a flag, run_verification's own default applies.
     p.add_argument("--seeds", type=_ints, help="comma separated seed list")
-    p.add_argument("--pbrs-slots", type=int, help="shaping-audit slots per seed")
-    p.add_argument("--fuzz-cases", type=int, help="parser fuzz cases")
+    p.add_argument("--pbrs-slots", type=integer, help="shaping-audit slots per seed")
+    p.add_argument("--fuzz-cases", type=integer, help="parser fuzz cases")
     p.add_argument("--out", default=_DEFAULT_OUT)
     p.set_defaults(fn=_cmd_verify)
 

@@ -15,6 +15,7 @@ Each kind of number a caller passes in has one rule here, with one refusal
 text: :func:`check_count`, :func:`check_horizon`, :func:`check_finite`,
 :func:`check_positive` and :func:`check_gamma`. Every config and entry point
 asks them; the per-call checks, such as :func:`check_peek`, compare plainly.
+A number written as text is read first by :func:`integer` or :func:`real`.
 
 The per-slot actions, :class:`BsAction` and :class:`JointAction`, are
 tuple-backed: each is the tuple of its fields, so building one costs no
@@ -155,10 +156,23 @@ def whole(value) -> int:
     return value
 
 
+def integer(value) -> int:
+    """Decimal text, ASCII digits after an optional minus sign, or a JSON integer."""
+    if not isinstance(value, str):
+        return whole(value)
+    if not (value.isascii() and value.removeprefix("-").isdigit()):
+        raise ValueError(f"expected decimal digits, not {value!r}")
+    return int(value)
+
+
 def real(value) -> float:
-    """Decimal text, or a JSON integer or float, but not a bool."""
+    """ASCII text that ``float`` reads, with no leading plus, no underscore and no
+    surrounding space; or a JSON integer or float, but not a bool."""
     if isinstance(value, bool) or not isinstance(value, (str, int, float)):
         raise TypeError(f"expected a number, not {value!r}")
+    if isinstance(value, str) and not (value.isascii() and value == value.strip()
+                                       and "_" not in value and not value.startswith("+")):
+        raise ValueError(f"expected decimal text, not {value!r}")
     return float(value)
 
 

@@ -20,14 +20,14 @@ def frame_bytes(payload: str) -> bytes:
 
 def frame_length(header: bytes) -> int | None:
     """The payload length a header line announces; None unless the line is
-    ``LEN <n>\\n`` within ``HEADER_LIMIT`` bytes, with 0 <= n <= ``FRAME_LIMIT``."""
-    if len(header) > HEADER_LIMIT or not header.endswith(b"\n") or not header.startswith(b"LEN "):
+    ``LEN <n>\\n`` within ``HEADER_LIMIT`` bytes, where n is ASCII decimal digits
+    and at most ``FRAME_LIMIT``."""
+    digits = header[4:-1]
+    if (len(header) > HEADER_LIMIT or not header.startswith(b"LEN ")
+            or not header.endswith(b"\n") or not digits.isdigit()):
         return None
-    try:
-        n = int(header[4:])
-    except ValueError:
-        return None
-    return n if 0 <= n <= FRAME_LIMIT else None
+    n = int(digits)
+    return n if n <= FRAME_LIMIT else None
 
 
 def write_frame(stream, payload: str) -> None:

@@ -25,6 +25,7 @@ from .core import (
     check_horizon,
     check_positive,
     hottest_uncached,
+    integer,
     oracle_best_action,  # not called here: perfbench traces the oracle under this name
     oracle_joint_action,
 )
@@ -396,7 +397,7 @@ def make_policy(spec: str, gamma: float = EXPERT_GAMMA,
         return NoopPolicy()
     if spec.startswith("oracle:"):
         try:
-            horizon = int(spec.split(":", 1)[1])
+            horizon = integer(spec.split(":", 1)[1])
         except ValueError as exc:
             raise StructuralError(f"bad oracle horizon in {spec!r}") from exc
         return OraclePolicy(horizon, gamma)

@@ -579,19 +579,19 @@ def warm_start(instance: Instance, oracle_horizon: int = EXPERT_HORIZON,
                      inserted_at)
 
 
-#: Robustness sweep axes: axis name -> (InstanceConfig field, value parser).
+#: Robustness sweep axes: axis name -> the InstanceConfig field it varies.
 SWEEP_AXES = {
-    "cache_capacity": ("cache_size", int),
-    "library_size": ("library", int),
-    "zipf_alpha": ("alpha", float),
-    "users": ("users", int),
+    "cache_capacity": "cache_size",
+    "library_size": "library",
+    "zipf_alpha": "alpha",
+    "users": "users",
 }
 
 
 def sweep_config(config: InstanceConfig, axis: str, value) -> InstanceConfig:
-    """Vary one generation parameter along a :data:`SWEEP_AXES` axis."""
+    """Vary one generation parameter along a :data:`SWEEP_AXES` axis; ``value``
+    goes to ``InstanceConfig`` as it is, so its rules refuse a value of the wrong kind."""
     if axis not in SWEEP_AXES:
         raise StructuralError(
             f"unknown sweep axis {axis!r}; expected one of {', '.join(SWEEP_AXES)}")
-    name, parse = SWEEP_AXES[axis]
-    return replace(config, **{name: parse(value)})
+    return replace(config, **{SWEEP_AXES[axis]: value})

@@ -212,13 +212,15 @@ def golden_obs():
 #: The calls that do a command's work: an instance ``run`` or ``sweep``
 #: builds, a rollout, a walk's slot (rollouts, expert walks, the shaping
 #: audit), a warm-up slot's pick at a BS, a verify suite, and an instance
-#: another command builds or walks.
+#: another command builds. A walk is counted by these steps, not by the call
+#: that starts it, so a command that refuses inside that call before the
+#: first pick has done no work.
 _WORK = {
     harness: ("build_instance", "rollout"),
     episode.Episode: ("advance",),
     traffic: ("hottest_uncached", "oracle_best_action"),
     verification: ("build_instance", "fuzz_parser", "verify_pbrs"),
-    cli: ("build_instance", "generate_sft"),
+    cli: ("build_instance",),
 }
 
 

@@ -26,6 +26,8 @@ import pytest
 from coopcache.cli import (
     _CONFIG_KEYS,
     SETTINGS,
+    _cache,
+    _ints,
     _load_file_cfg,
     _run_config,
     build_parser,
@@ -40,6 +42,8 @@ from coopcache.core import (
     StructuralError,
     canonical_json,
     hit_rate,
+    integer,
+    real,
 )
 from coopcache.dataset import generate_sft, write_export
 from coopcache.harness import (
@@ -476,6 +480,18 @@ def test_cli_export_sft_walks_the_expert_once(tmp_path, monkeypatch, small_insta
     assert sft_only > 0 and len(calls) - sft_only == sft_only
 
 
+def test_work_counts_an_export_from_an_instance_file(tmp_path, small_instance, work):
+    """``work`` sees a walk by its own steps, not by the call that starts it:
+    an export that loads its instance, and so builds none, counts its warm-up
+    picks and walk slots."""
+    inst_path = tmp_path / "inst.json"
+    save_instance(small_instance, inst_path)
+    assert cli_main(["export-sft", "--instance", str(inst_path), "--records", "2",
+                     "--horizon", "3", "--out", str(tmp_path / "sft.jsonl")]) == 0
+    assert set(work) == {"traffic.hottest_uncached", "traffic.oracle_best_action",
+                         "Episode.advance"}
+
+
 def test_cli_export_sft_and_report(tmp_path):
     inst_path = tmp_path / "inst.json"
     cli_main(
@@ -673,6 +689,100 @@ def test_sweep_refuses_an_unknown_axis_in_one_line_before_any_build(tmp_path, wo
         sweep(cfg, "bogus", [1])
     assert str(exc.value) == ("unknown sweep axis 'bogus'; expected one of "
                               "cache_capacity, library_size, zipf_alpha, users")
+    assert not work and not out.exists()
+
+
+# Text that is not decimal text, for every reader; an empty list entry, for
+# the list readers; and float text with an underscore or a space, for the
+# float readers. "\u0663" is the Arabic-Indic digit three.
+_NOT_DECIMAL = ("1_0", "+3", " 3", "3 ", "\u0663")
+_EMPTY_ENTRY = ("1,", "10,,100")
+_NOT_A_FLOAT = ("1_2.5", " 0.4")
+
+
+def _texts(parse) -> tuple[str, ...]:
+    """The texts a reader of a setting parsed by ``parse`` must refuse."""
+    return (_NOT_DECIMAL + (_EMPTY_ENTRY if parse in (_ints, _cache) else ())
+            + (_NOT_A_FLOAT if parse is real else ()))
+
+
+def _text_readers():
+    """(id, how, where, texts) of every reader of a number written as text:
+    ``how`` is "flag" (``where`` is the argv before the text), "config" (a
+    ``--config`` key), "values" (a sweep axis) or "oracle" (a run's
+    ``oracle:<H>`` spec, or ``make_policy``'s for "make_policy"). ``--values``
+    splits at commas, so its empty entries are REFUSALS rows."""
+    readers = []
+    for s in SETTINGS:
+        if s.parse in (integer, _ints, _cache, real):
+            readers += [(f"run {s.option}", "flag", ["run", s.option], _texts(s.parse)),
+                        (f"config {s.key}", "config", s.key, _texts(s.parse))]
+    for argv in (["gen-instance", "--seed"], ["export-sft", "--seed"],
+                 ["export-sft", "--records"], ["verify", "--pbrs-slots"],
+                 ["verify", "--fuzz-cases"], ["verify", "--seeds"]):
+        readers.append((" ".join(argv), "flag", argv, _texts(_ints if argv[1] == "--seeds"
+                                                             else integer)))
+    for axis, field in SWEEP_AXES.items():
+        parse = next(s.parse for s in SETTINGS if s.field == field)
+        readers.append((f"--values {axis}", "values", axis,
+                        _NOT_DECIMAL + (_NOT_A_FLOAT if parse is real else ())))
+    readers += [("oracle", "oracle", None, _NOT_DECIMAL),
+                ("make_policy", "make_policy", None, _NOT_DECIMAL)]
+    return [pytest.param(how, where, text, id=f"{name}-{text!r}")
+            for name, how, where, texts in readers for text in dict.fromkeys(texts)]
+
+
+@pytest.mark.parametrize("how, where, text", _text_readers())
+def test_every_text_reader_refuses_what_is_not_decimal_text(tmp_path, monkeypatch, capsys, work,
+                                                           how, where, text):
+    """A bad flag is argparse's usage error; a bad config value, ``--values``
+    entry or ``oracle:`` spec is one line; all before any work or file."""
+    monkeypatch.delenv("COOPCACHE_OUT_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    if how == "make_policy":
+        with pytest.raises(StructuralError) as exc:
+            make_policy(f"oracle:{text}")
+        assert str(exc.value) == f"bad oracle horizon in {'oracle:' + text!r}"
+        return
+    argv = {
+        "flag": lambda: [*where, text],
+        "config": lambda: ["run", "--config", "run.json", "--out", "out"],
+        "values": lambda: ["sweep", "--axis", where, "--values", text, "--policy", "lru",
+                           "--seeds", "1", "--slots", "5", "--out", "out"],
+        "oracle": lambda: ["run", "--policy", f"oracle:{text}", "--seeds", "1", "--out", "out"],
+    }[how]()
+    if how == "config":
+        Path("run.json").write_text(json.dumps({"schema": RUNCONFIG_SCHEMA, where: text}))
+    before = os.listdir()
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    if how == "flag":
+        assert exc.value.code == 2
+        assert re.search(rf"argument {where[-1]}: invalid \w+ value: {re.escape(repr(text))}$",
+                         capsys.readouterr().err.strip())
+    elif how == "config":
+        assert exc.value.code.startswith(f"config key {where!r} has a bad value {text!r}: ")
+    else:
+        assert exc.value.code == (f"--values: {text!r} is not a {where} value" if how == "values"
+                                  else f"bad oracle horizon in {'oracle:' + text!r}")
+    assert "\n" not in str(exc.value.code) and not work
+    assert os.listdir() == before
+
+
+@pytest.mark.parametrize("axis, value, message", [
+    ("library_size", 20.9, "library must be an integer >= 1, not 20.9"),
+    ("cache_capacity", True, "cache_size must be an integer >= 1, not True"),
+    ("users", "20", "users must be an integer >= 1, not '20'"),
+    ("zipf_alpha", "1.2", "alpha must be a finite number, not '1.2'"),
+])
+def test_the_sweep_api_refuses_a_value_its_field_refuses_before_any_build(tmp_path, work, axis,
+                                                                          value, message):
+    out = tmp_path / "out"
+    cfg = RunConfig(instance_config=small_config(), policies=("lru",), seeds=(1,),
+                    slots=5, out_dir=str(out))
+    with pytest.raises(ConfigurationError) as exc:
+        sweep(cfg, axis, [value])
+    assert str(exc.value) == message
     assert not work and not out.exists()
 
 

@@ -186,6 +186,19 @@ def test_each_number_rule_is_raised_only_in_its_core_function(text, home):
     assert _raisers(text) == [("core", home)]
 
 
+@pytest.mark.parametrize("module", ["cli", "policies"])
+def test_cli_and_policies_read_numbers_only_through_core(module):
+    """Flags, config values, sweep values and ``oracle:<H>`` specs are text
+    that ``core.integer`` and ``core.real`` read; a call of ``int`` or
+    ``float``, or a flag typed by one, would take Python's wider syntax."""
+    def reads(node) -> bool:
+        return isinstance(node, ast.Call) and any(
+            ast.unparse(value) in ("int", "float")
+            for value in (node.func, *(k.value for k in node.keywords if k.arg == "type")))
+
+    assert _enclosing(_tree(PACKAGE / f"{module}.py"), reads) == []
+
+
 def test_run_leaves_its_out_dir_and_instance_file_to_evaluate():
     """``_evaluate`` checks the out dir once, then loads the instance file, so
     ``run`` asks neither itself."""

@@ -881,6 +881,13 @@ def test_frame_length_accepts_frame_limit_and_refuses_one_byte_more():
     assert frame_length(b"LEN %d\n" % (FRAME_LIMIT + 1)) is None
 
 
+@pytest.mark.parametrize("header", [
+    b"LEN 1_0\n", b"LEN +5\n", b"LEN  5\n", b"LEN 5 \n", b"LEN 5\r\n",
+], ids=repr)
+def test_frame_length_refuses_a_length_that_is_not_ascii_digits(header):
+    assert frame_length(header) is None
+
+
 def test_importing_the_package_loads_no_adapter_machinery():
     """Loading every module the package exports from loads no ``subprocess``,
     ``selectors``, ``shlex`` or ``logging``: they load only when an extern
