@@ -48,7 +48,7 @@ _ENV_OUT = "COOPCACHE_OUT_DIR"
 _DEFAULT_OUT = "results"
 
 
-def _ints(value) -> tuple[int, ...]:
+def integer_list(value) -> tuple[int, ...]:
     """Comma separated decimal text, every entry read by ``integer`` (``""`` is
     the empty list), or a JSON list of integers."""
     if isinstance(value, str):
@@ -63,10 +63,10 @@ def _specs(value) -> tuple[str, ...]:
     return tuple(value)
 
 
-def _cache(value):
+def cache_size(value):
     """One int for every BS, or a per-BS tuple; a string without a comma is one int."""
     if isinstance(value, (list, tuple)) or isinstance(value, str) and "," in value:
-        return _ints(value)
+        return integer_list(value)
     return integer(value)
 
 
@@ -95,10 +95,10 @@ SETTINGS = (
     Setting("bs", "instance", "bs_count", integer, "number of base stations"),
     Setting("users", "instance", "users", integer, "number of users"),
     Setting("library", "instance", "library", integer, "content library size"),
-    Setting("cache", "instance", "cache_size", _cache, "cache size: one int or comma list per BS"),
+    Setting("cache", "instance", "cache_size", cache_size, "cache size: one int or comma list per BS"),
     Setting("groups", "instance", "groups", integer, "user preference groups"),
     Setting("alpha", "instance", "alpha", real, "popularity skew exponent"),
-    Setting("windows", "instance", "windows", _ints, "history windows, comma separated"),
+    Setting("windows", "instance", "windows", integer_list, "history windows, comma separated"),
     Setting("radius", "instance", "radius", real, "coverage radius"),
     Setting("warm_slots", "instance", "warm_slots", integer, "warm-up slots"),
     Setting("rollout_slots", "instance", "rollout_slots", integer, "rollout slots in the trace"),
@@ -112,7 +112,7 @@ SETTINGS = (
     Setting("policies", "run", "policies", _specs,
             "lru | lfu | fifo | noop | oracle:<H> | extern:<command>; repeatable",
             flag="--policy"),
-    Setting("seeds", "run", "seeds", _ints, "comma separated seed list"),
+    Setting("seeds", "run", "seeds", integer_list, "comma separated seed list"),
     Setting("slots", "run", "slots", integer, "rollout slots to run (default: the instance's)"),
     Setting("extern_timeout", "run", "extern_timeout", real, "adapter reply timeout in seconds"),
     Setting("out", "run", "out_dir", str, f"output directory (default: {_DEFAULT_OUT})"),
@@ -319,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="parser fuzz + shaping audit + space bound")
     # Without a flag, run_verification's own default applies.
-    p.add_argument("--seeds", type=_ints, help="comma separated seed list")
+    p.add_argument("--seeds", type=integer_list, help="comma separated seed list")
     p.add_argument("--pbrs-slots", type=integer, help="shaping-audit slots per seed")
     p.add_argument("--fuzz-cases", type=integer, help="parser fuzz cases")
     p.add_argument("--out", default=_DEFAULT_OUT)

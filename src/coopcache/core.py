@@ -31,6 +31,7 @@ import math
 import os
 import stat
 import sys
+from collections import _count_elements
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -413,6 +414,11 @@ class RequestSlot:
     through ``graph.columns`` instead makes each oracle call about 11%
     slower. A slot built without a graph (a decoded prompt's) has an empty
     row and leaves ``covered`` empty.
+
+    Only :func:`slot_from_row` builds a trace slot: one getter of
+    ``graph.column_getters`` reads ``covered[b-1]`` from the row, and one
+    pass counts it into ``counts[b-1]``. :func:`request_slot` fills a row from
+    pairs of integer ids; a bool, a float or text is refused.
     """
 
     row: tuple[int, ...]
@@ -437,11 +443,23 @@ class RequestSlot:
 
 
 def request_slot(pairs, graph) -> RequestSlot:
-    """Build a RequestSlot from (user, file) pairs, each checked in user order."""
+    """Build a RequestSlot from (user, file) pairs. Every id must be an integer
+    (numpy integers pass; a bool, a float or text does not); the first id in
+    the order given that is not one is refused, the file before the user. The
+    pairs are then checked in user order, and the first that breaks a rule
+    decides."""
     user_count = graph.user_count
+    checked = []
+    for u, f in pairs:
+        if type(u) is not int or type(f) is not int:
+            for name, value in (("file", f), ("user", u)):
+                if isinstance(value, bool) or not isinstance(value, Integral):
+                    raise StructuralError(f"{name} ids must be integers, not {value!r}")
+            u, f = int(u), int(f)
+        checked.append((u, f))
     row = [0] * user_count
     last = None
-    for u, f in sorted((int(u), int(f)) for u, f in pairs):
+    for u, f in sorted(checked):
         if u == last:  # sorted, so one user's requests sit side by side
             raise StructuralError("one request per user per slot")
         last = u
@@ -455,19 +473,21 @@ def request_slot(pairs, graph) -> RequestSlot:
 
 def slot_from_row(row, graph) -> RequestSlot:
     """The RequestSlot of a checked row: ``row[u]`` is user u's file, 0 for none.
-    BS b's files are gathered by ``graph.columns[b-1]``, so its counts take
-    their keys in user order. The slot keeps the row's own int objects, so a
-    caller that hands in one object per file id shares it across the trace."""
-    counts, covered = [], []
-    for users, _others in graph.columns:
-        files = tuple([row[u] for u in users])
+    The row becomes a tuple once; ``graph.column_getters[b-1]`` reads BS b's
+    ``covered`` files from it in one gather, and one C-level pass
+    (``collections._count_elements``, which ``Counter`` counts with) counts
+    them into a plain dict, so its keys keep user order. The slot keeps the
+    row's own int objects, so a caller that hands in one object per file id
+    shares it across the trace."""
+    row = tuple(row)
+    covered = tuple([get(row) for get in graph.column_getters])
+    counts = []
+    for files in covered:
         d = {}
-        for f in files:
-            d[f] = d.get(f, 0) + 1
+        _count_elements(d, files)
         d.pop(0, None)  # an absent user; the other keys keep their order
         counts.append(d)
-        covered.append(files)
-    return RequestSlot(tuple(row), tuple(counts), tuple(covered))
+    return RequestSlot(row, tuple(counts), covered)
 
 
 def hit_rate(cache: CacheState, requests: RequestSlot, graph) -> float:

@@ -15,6 +15,7 @@ import sys
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -105,6 +106,16 @@ class AssociationGraph:
              tuple(tuple(bb for bb in cov if bb != b) for cov in self.coverage if b in cov))
             for b in range(1, self.bs_count + 1)
         )
+
+    @cached_property
+    def column_getters(self) -> tuple:
+        """``column_getters[b-1](row)``: the tuple of ``row[u]`` for each user u of
+        ``columns[b-1]``, in order, from a tuple ``row``. A column of one user or
+        none reads a slice, as ``itemgetter(u)`` returns a bare value and
+        ``itemgetter()`` cannot be built. Computed once, then kept."""
+        return tuple(itemgetter(*users) if len(users) > 1
+                     else itemgetter(slice(users[0], users[0] + 1) if users else slice(0))
+                     for users, _others in self.columns)
 
     @cached_property
     def column_masks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -93,6 +93,18 @@ def assert_same_slot(slot: RequestSlot, reference: RequestSlot) -> None:
     assert [list(d.items()) for d in slot.counts] == [list(d.items()) for d in reference.counts]
 
 
+def assert_slot_shares_the_row_ints(slot: RequestSlot, graph) -> None:
+    """Every ``covered`` entry is the row's own int object for its user, and every
+    ``counts`` key is the object of the first user in that BS's column asking for it."""
+    for (users, _others), files, counts in zip(graph.columns, slot.covered, slot.counts,
+                                               strict=True):
+        assert all(f is slot.row[u] for u, f in zip(users, files, strict=True))
+        first = {}
+        for f in files:
+            first.setdefault(f, f)
+        assert all(key is first[key] for key in counts)
+
+
 def random_scenario(rng: random.Random, max_bs=3, max_files=10, max_users=8):
     """A random (cache, graph, requests) triple for oracle-style checks.
 

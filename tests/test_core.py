@@ -30,6 +30,7 @@ from coopcache.core import (
 
 from conftest import (
     assert_same_slot,
+    assert_slot_shares_the_row_ints,
     random_scenario,
     reference_request_slot,
     scenarios,
@@ -450,17 +451,31 @@ def test_a_slot_stores_the_row_its_pairs_fill(scenario, data):
 
 # BS 2 covers nobody, BS 3 covers user 1 alone and no BS covers user 2.
 _SPARSE_GRAPH = synthetic_graph(((1,), (1, 3), (), (1,)), 3)
+# BS 1 covers every user, BS 2 nobody and BS 3 user 1 alone: a column of each
+# getter kind, an itemgetter of many users, an empty and a one-user slice.
+_EDGE_GRAPH = synthetic_graph(((1,), (1, 3), (1,), (1,)), 3)
 
 
 @settings(max_examples=100)
-@given(st.lists(st.integers(0, 5), min_size=4, max_size=4))
-def test_a_file_row_builds_the_reference_slot(row):
-    """``row[u]`` is user u's file, 0 for no request."""
+@given(st.lists(st.integers(0, 5) | st.integers(1000, 1002), min_size=4, max_size=4))
+def test_a_file_row_builds_the_reference_slot(files):
+    """``row[u]`` is user u's file, 0 for no request. Ids past the small-int
+    cache are fresh objects per user, so the slot must keep the row's own."""
+    row = [int(str(f)) for f in files]
     pairs = [(u, f) for u, f in enumerate(row) if f]
-    reference = reference_request_slot(pairs, _SPARSE_GRAPH)
-    assert_same_slot(slot_from_row(row, _SPARSE_GRAPH), reference)
-    assert_same_slot(request_slot(pairs, _SPARSE_GRAPH), reference)
-    assert reference.counts[1] == {} and reference.covered[1] == ()
+    for graph in (_SPARSE_GRAPH, _EDGE_GRAPH):
+        reference = reference_request_slot(pairs, graph)
+        for slot in (slot_from_row(row, graph), request_slot(pairs, graph)):
+            assert_same_slot(slot, reference)
+            assert all(f is g for f, g in zip(slot.row, row, strict=True))
+            assert_slot_shares_the_row_ints(slot, graph)
+        assert reference.counts[1] == {} and reference.covered[1] == ()
+
+
+def test_request_slot_reads_numpy_integer_ids():
+    graph = synthetic_graph(((1,), (1, 2), (2,)), 2)
+    slot = request_slot([(np.int64(2), np.int32(5)), (np.uint8(0), 3)], graph)
+    assert slot.row == (3, 0, 5) and all(type(f) is int for f in slot.row)
 
 
 _REFUSALS = [
@@ -476,13 +491,25 @@ _REFUSALS = [
     # and within one pair: the file before the user
     (((3, 0),), "file ids must be >= 1"),
     (((-2, -1),), "file ids must be >= 1"),
+    # an id that is not an integer, refused before any other rule; the first
+    # such id in the order given decides, the file before the user
+    (((0, 2.7), (1.9, True), ("2", "5")), "file ids must be integers, not 2.7"),
+    (((1.9, 1),), "user ids must be integers, not 1.9"),
+    (((0, True),), "file ids must be integers, not True"),
+    (((False, 1),), "user ids must be integers, not False"),
+    ((("2", 5),), "user ids must be integers, not '2'"),
+    (((0, "5"),), "file ids must be integers, not '5'"),
+    (((1, 3.0), (0, None)), "file ids must be integers, not 3.0"),
+    (((3, 0), (0, 1), (0, 1.5)), "file ids must be integers, not 1.5"),
 ]
 
 
 @pytest.mark.parametrize("pairs, message", _REFUSALS)
 def test_request_slot_refuses_as_the_reference_does(pairs, message):
+    """The reference reads ids with ``int``, so it is held only to integer ids."""
     graph = synthetic_graph(((1,), (1, 2), (2,)), 2)
-    for build in (request_slot, reference_request_slot):
+    integral = all(type(i) is int for pair in pairs for i in pair)
+    for build in (request_slot, reference_request_slot) if integral else (request_slot,):
         with pytest.raises(StructuralError) as exc:
             build(pairs, graph)
         assert str(exc.value) == message

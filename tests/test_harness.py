@@ -26,11 +26,11 @@ import pytest
 from coopcache.cli import (
     _CONFIG_KEYS,
     SETTINGS,
-    _cache,
-    _ints,
     _load_file_cfg,
     _run_config,
     build_parser,
+    cache_size,
+    integer_list,
 )
 from coopcache import episode, harness, interface, verification
 from coopcache.cli import main as cli_main
@@ -702,7 +702,7 @@ _NOT_A_FLOAT = ("1_2.5", " 0.4")
 
 def _texts(parse) -> tuple[str, ...]:
     """The texts a reader of a setting parsed by ``parse`` must refuse."""
-    return (_NOT_DECIMAL + (_EMPTY_ENTRY if parse in (_ints, _cache) else ())
+    return (_NOT_DECIMAL + (_EMPTY_ENTRY if parse in (integer_list, cache_size) else ())
             + (_NOT_A_FLOAT if parse is real else ()))
 
 
@@ -714,13 +714,13 @@ def _text_readers():
     splits at commas, so its empty entries are REFUSALS rows."""
     readers = []
     for s in SETTINGS:
-        if s.parse in (integer, _ints, _cache, real):
+        if s.parse in (integer, integer_list, cache_size, real):
             readers += [(f"run {s.option}", "flag", ["run", s.option], _texts(s.parse)),
                         (f"config {s.key}", "config", s.key, _texts(s.parse))]
     for argv in (["gen-instance", "--seed"], ["export-sft", "--seed"],
                  ["export-sft", "--records"], ["verify", "--pbrs-slots"],
                  ["verify", "--fuzz-cases"], ["verify", "--seeds"]):
-        readers.append((" ".join(argv), "flag", argv, _texts(_ints if argv[1] == "--seeds"
+        readers.append((" ".join(argv), "flag", argv, _texts(integer_list if argv[1] == "--seeds"
                                                              else integer)))
     for axis, field in SWEEP_AXES.items():
         parse = next(s.parse for s in SETTINGS if s.field == field)
@@ -758,8 +758,9 @@ def test_every_text_reader_refuses_what_is_not_decimal_text(tmp_path, monkeypatc
         cli_main(argv)
     if how == "flag":
         assert exc.value.code == 2
-        assert re.search(rf"argument {where[-1]}: invalid \w+ value: {re.escape(repr(text))}$",
-                         capsys.readouterr().err.strip())
+        parser = re.search(rf"argument {where[-1]}: invalid (\w+) value: {re.escape(repr(text))}$",
+                           capsys.readouterr().err.strip())
+        assert parser and not parser[1].startswith("_")  # the usage line names no private parser
     elif how == "config":
         assert exc.value.code.startswith(f"config key {where!r} has a bad value {text!r}: ")
     else:

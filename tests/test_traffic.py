@@ -53,6 +53,7 @@ from coopcache.traffic import (
 
 from conftest import (
     assert_same_slot,
+    assert_slot_shares_the_row_ints,
     reference_request_slot,
     scenarios,
     small_config,
@@ -383,11 +384,36 @@ def test_slot_json_on_partial_slots_is_the_canonical_json_of_the_pairs(scenario)
 
 
 def test_instance_pickles():
+    """Also with the graph's cached column getters, which pickle and still read."""
     instance = build_instance(small_config(), 2)
-    copy = pickle.loads(pickle.dumps(instance))
-    assert copy.sha256() == instance.sha256()
-    assert [s.counts for s in copy.trace] == [s.counts for s in instance.trace]
-    assert [s.covered for s in copy.trace] == [s.covered for s in instance.trace]
+    assert "column_getters" in vars(instance.graph)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(instance, protocol))
+        assert copy == instance and copy.sha256() == instance.sha256()
+        assert [s.counts for s in copy.trace] == [s.counts for s in instance.trace]
+        assert [s.covered for s in copy.trace] == [s.covered for s in instance.trace]
+        assert [tuple(get(s.row) for get in copy.graph.column_getters) for s in copy.trace] \
+            == [s.covered for s in instance.trace]
+
+
+# BS 1 covers every user and BS 2, off the unit square, none; at seed 1 BS 3
+# covers one user. Ids run past the small-int cache.
+_EDGE_CONFIG = InstanceConfig(bs_count=3, users=5, library=1100, cache_size=2, windows=(2,),
+                              bs_xy=((0.5, 0.5), (5.0, 5.0), (1.5, 0.5)), radius=0.75,
+                              warm_slots=4, rollout_slots=4, horizon_reserve=2)
+
+
+def test_edge_columns_of_a_built_and_a_loaded_instance_match_the_reference(tmp_path):
+    instance = build_instance(_EDGE_CONFIG, 1)
+    assert [len(users) for users, _ in instance.graph.columns] == [5, 0, 1]
+    assert max(f for slot in instance.trace for f in slot.row) > 256
+    save_instance(instance, tmp_path / "edge.json")
+    loaded = load_instance(tmp_path / "edge.json")
+    assert loaded == instance
+    for built in (instance, loaded):
+        for slot in built.trace:
+            assert_same_slot(slot, reference_request_slot(slot.pairs, built.graph))
+            assert_slot_shares_the_row_ints(slot, built.graph)
 
 
 def test_instance_schema_guard(small_instance):
