@@ -415,10 +415,12 @@ class RequestSlot:
     slower. A slot built without a graph (a decoded prompt's) has an empty
     row and leaves ``covered`` empty.
 
-    Only :func:`slot_from_row` builds a trace slot: one getter of
+    Only :func:`slot_from_row` builds a slot: one getter of
     ``graph.column_getters`` reads ``covered[b-1]`` from the row, and one
-    pass counts it into ``counts[b-1]``. :func:`request_slot` fills a row from
-    pairs of integer ids; a bool, a float or text is refused.
+    pass counts it into ``counts[b-1]``. Every trace, drawn or loaded, reaches
+    it through ``traffic._trace``, and loose (user, file) pairs through
+    :func:`request_slot`, which reads them into a row with :func:`request_row`:
+    ids must be integers, so a bool, a float or text is refused.
     """
 
     row: tuple[int, ...]
@@ -443,12 +445,16 @@ class RequestSlot:
 
 
 def request_slot(pairs, graph) -> RequestSlot:
-    """Build a RequestSlot from (user, file) pairs. Every id must be an integer
-    (numpy integers pass; a bool, a float or text does not); the first id in
-    the order given that is not one is refused, the file before the user. The
-    pairs are then checked in user order, and the first that breaks a rule
-    decides."""
-    user_count = graph.user_count
+    """The RequestSlot of (user, file) pairs: :func:`slot_from_row` of their :func:`request_row`."""
+    return slot_from_row(request_row(pairs, graph.user_count), graph)
+
+
+def request_row(pairs, user_count: int) -> list[int]:
+    """The row of (user, file) pairs, ``row[u]`` user u's file, 0 for none. Every id
+    must be an integer (numpy integers pass; a bool, a float or text does not);
+    the first id in the order given that is not one is refused, the file before
+    the user. The pairs are then checked in user order, the first to break a rule
+    deciding: one request per user, a file id >= 1, a user in ``0..user_count-1``."""
     checked = []
     for u, f in pairs:
         if type(u) is not int or type(f) is not int:
@@ -468,7 +474,7 @@ def request_slot(pairs, graph) -> RequestSlot:
         if not 0 <= u < user_count:
             raise StructuralError(f"user {u} is not in the association graph")
         row[u] = f
-    return slot_from_row(row, graph)
+    return row
 
 
 def slot_from_row(row, graph) -> RequestSlot:

@@ -39,7 +39,7 @@ from .core import (
     oracle_best_action,
     read_json,
     real,
-    request_slot,
+    request_row,
     slot_from_row,
     whole,
 )
@@ -376,10 +376,14 @@ def build_instance(config: InstanceConfig, seed: int) -> Instance:
         np.clip(ranks, 0, config.library - 1, out=ranks)
         perm = np.asarray(rank_to_file[g], dtype=np.int64)
         files[:, members] = perm[ranks]
-    # One int object per file id, shared by every slot's row, counts and covered.
-    ids = np.array(range(config.library + 1), dtype=object)
-    trace = tuple(slot_from_row(row, graph) for row in ids[files].tolist())
-    return Instance(config, int(seed), graph, demand, trace)
+    return Instance(config, int(seed), graph, demand, _trace(files, graph, config.library))
+
+
+def _trace(files, graph, library: int) -> tuple[RequestSlot, ...]:
+    """A slot of :func:`slot_from_row` per row of ``files``, ids in ``0..library``;
+    every row shares one int object per file id."""
+    ids = np.array(range(library + 1), dtype=object)
+    return tuple(slot_from_row(row, graph) for row in ids[files].tolist())
 
 
 def _graph(config: InstanceConfig, user_xy) -> AssociationGraph:
@@ -409,14 +413,16 @@ def _groups(config: InstanceConfig, groups) -> tuple[int, ...]:
     return groups
 
 
-def _full_slot(t: int, pairs, graph, ids: dict) -> RequestSlot:
-    """Checked trace slot ``t``; each user requests a file, as :func:`build_instance`
-    draws. Each file id is replaced by its object in ``ids``, which the first
-    slot to name that id sets, so the whole trace shares one object per id."""
-    requests = request_slot([(u, ids.setdefault(f, f)) for u, f in pairs], graph)
-    if requests.size < graph.user_count:
-        raise ValueError(f"slot {t} holds {requests.size} requests, not one per user")
-    return requests
+def _row(t: int, pairs, user_count: int) -> list[int]:
+    """Trace slot ``t``'s :func:`request_row`, refused naming the slot unless each
+    user requests a file, as :func:`build_instance` draws."""
+    try:
+        row = request_row(pairs, user_count)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"slot {t}: {exc}") from None
+    if 0 in row:
+        raise ValueError(f"slot {t} holds {user_count - row.count(0)} requests, not one per user")
+    return row
 
 
 def instance_from_payload(payload: dict) -> Instance:
@@ -429,21 +435,18 @@ def instance_from_payload(payload: dict) -> Instance:
         key("rank_to_file", lambda rows: _rankings(config, tuple(map(_wholes, rows)))),
         key("user_group", lambda groups: _groups(config, _wholes(groups))),
     )
-    ids: dict = {}
-    trace = key("trace", lambda slots: tuple(
-        _full_slot(t, tuple((whole(u), whole(f)) for u, f in slot), graph, ids)
-        for t, slot in enumerate(slots, start=1)
-    ))
-    if len(trace) != config.trace_slots:
+    rows = key("trace", lambda slots: [_row(t, pairs, graph.user_count)
+                                       for t, pairs in enumerate(slots, start=1)])
+    if len(rows) != config.trace_slots:
         raise StructuralError(
-            f"instance trace holds {len(trace)} slots, its config needs {config.trace_slots}"
+            f"instance trace holds {len(rows)} slots, its config needs {config.trace_slots}"
         )
-    outside = sorted({f for slot in trace for f in slot.row if f > config.library})
+    outside = sorted({f for row in rows for f in row if f > config.library})
     if outside:
         raise StructuralError(
             f"instance trace requests file ids outside 1..{config.library}: {outside[:5]}"
         )
-    return Instance(config, key("seed", whole), graph, demand, trace)
+    return Instance(config, key("seed", whole), graph, demand, _trace(rows, graph, config.library))
 
 
 def save_instance(instance: Instance, path) -> None:

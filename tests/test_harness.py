@@ -1112,9 +1112,10 @@ _UNREADABLE = {
 
 #: Bad trace slots of a saved instance: test id -> (slot 6's requests, message).
 _BAD_SLOTS = {
-    "duplicate-user": ([[0, 3], [0, 4]], "one request per user per slot"),
-    "file-0": ([[0, 0]], "file ids must be >= 1"),
-    "user-outside": ([[6, 3]], "user 6 is not in the association graph"),
+    "duplicate-user": ([[0, 3], [0, 4]], "slot 6: one request per user per slot"),
+    "file-0": ([[0, 0]], "slot 6: file ids must be >= 1"),
+    "user-outside": ([[6, 3]], "slot 6: user 6 is not in the association graph"),
+    "file-before-user": ([[0.5, 2.5]], "slot 6: file ids must be integers, not 2.5"),
     "partial-slot": ([[0, 3]], "slot 6 holds 1 requests, not one per user"),
 }
 
@@ -1136,8 +1137,9 @@ _CORRUPTIONS = {
                                r"instance key 'user_group': expected an integer, not 1\.0"),
     "_fractional_rank_to_file": (_set("rank_to_file", 0, 0, value=2.5),
                                  r"instance key 'rank_to_file': expected an integer, not 2\.5"),
-    "_fractional_trace_file": (_set("trace", 5, 0, 1, value=2.7),
-                               r"instance key 'trace': expected an integer, not 2\.7"),
+    "_fractional_trace_file": (
+        _set("trace", 5, 0, 1, value=2.7),
+        r"instance key 'trace': slot 6: file ids must be integers, not 2\.7"),
     "_bool_alpha": (_set("config", "alpha", value=True),
                     "instance config key 'alpha': expected a number, not True"),
     "_bool_radius": (_set("config", "radius", value=False),

@@ -219,6 +219,39 @@ def test_build_instance_places_users_only_through_draw_graph():
     assert _callers(tree, "AssociationGraph.build") == ["draw_graph", "_graph"]
 
 
+def _reachable_names(tree: ast.Module, root: ast.AST) -> set[str]:
+    """The names ``root`` reads, with those of each top-level function of
+    ``tree`` that it names, and so on."""
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    names, todo = set(), [root]
+    while todo:
+        for node in ast.walk(todo.pop()):
+            if isinstance(node, ast.Name) and node.id not in names:
+                names.add(node.id)
+                if node.id in functions:
+                    todo.append(functions[node.id])
+    return names
+
+
+def test_a_trace_has_one_constructor_and_a_loaded_trace_one_id_check():
+    """``traffic._trace`` builds the slots of every trace, drawn or loaded, and
+    ``core.request_slot`` the slot of loose pairs; a second caller of
+    ``slot_from_row`` is a second constructor. The loader reads a trace's ids
+    once, through ``request_row``: not through ``request_slot`` or ``whole``."""
+    callers = [(path.stem, caller) for path in sorted(PACKAGE.glob("*.py"))
+               for caller in _callers(_tree(path), "slot_from_row")]
+    assert callers == [("core", "request_slot"), ("traffic", "_trace")]
+    tree = _tree(PACKAGE / "traffic.py")
+    assert _callers(tree, "_trace") == ["build_instance", "instance_from_payload"]
+    loader = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "instance_from_payload")
+    read, = [node for node in ast.walk(loader) if isinstance(node, ast.Call)
+             and ast.unparse(node.func) == "key" and ast.unparse(node.args[0]) == "'trace'"]
+    names = _reachable_names(tree, read)
+    assert "request_row" in names
+    assert names & {"request_slot", "whole", "_wholes", "slot_from_row"} == set()
+
+
 def test_the_peek_is_checked_only_by_core_check_peek():
     checkers = [(path.stem, where) for path in sorted(PACKAGE.glob("*.py"))
                 for where in _enclosing(_tree(path), lambda node: isinstance(node, ast.Constant)

@@ -310,6 +310,22 @@ def test_instance_round_trip(tmp_path, small_instance):
     assert path.read_bytes() == again.read_bytes()
 
 
+def test_a_trace_with_its_pairs_reversed_loads_as_the_original(tmp_path, small_instance):
+    """A trace slot's pairs may come in any order: reversed, they load equal to
+    the original, slot by slot, and saving again writes the canonical bytes."""
+    payload = json.loads(small_instance.to_canonical_json())
+    for pairs in payload["trace"]:
+        pairs.reverse()
+    path = tmp_path / "reversed.json"
+    path.write_text(json.dumps(payload))
+    loaded = load_instance(path)
+    assert loaded == small_instance
+    for slot, original in zip(loaded.trace, small_instance.trace, strict=True):
+        assert_same_slot(slot, original)
+    save_instance(loaded, path)
+    assert path.read_text() == small_instance.to_canonical_json()
+
+
 def assert_columns_follow_coverage(graph) -> None:
     """``columns[b-1]`` lists each user BS b covers once, ascending, with the
     user's other covering BSs."""
@@ -414,6 +430,9 @@ def test_edge_columns_of_a_built_and_a_loaded_instance_match_the_reference(tmp_p
         for slot in built.trace:
             assert_same_slot(slot, reference_request_slot(slot.pairs, built.graph))
             assert_slot_shares_the_row_ints(slot, built.graph)
+        # one int object per file id across the whole trace, not just per slot
+        first = {}
+        assert all(first.setdefault(f, f) is f for slot in built.trace for f in slot.row)
 
 
 def test_instance_schema_guard(small_instance):
